@@ -128,6 +128,16 @@ def _stride_idx(n_rows, stride):
     return np.asarray(idx)
 
 
+def _require_unobserved_mode(setup):
+    """eta0 needs C_I > 0; a modal observation of every mode has C_I = 0."""
+    op = setup.op
+    if op.kind == "modal" and np.array_equal(op.data[0], setup.model.mask):
+        raise ConfigError(["observation: model.n = %d and K(delta) = %d leave "
+                           "no unobserved mode, so C_I = 0 and eta0 is "
+                           "undefined" % (setup.model.n, op.cutoff)])
+    return setup
+
+
 def _constants(setup):
     alpha = measure_alpha(setup.model)
     ci = estimate_interp_constant(setup.op, setup.model, samples=32)
@@ -136,14 +146,12 @@ def _constants(setup):
 
 def _cmd_simulate(args, values):
     t0 = time.time()
-    setup = build_setup(values)
+    setup = _require_unobserved_mode(build_setup(values))
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
     members = values["ensemble.members"]
     seed = values["ensemble.seed"]
-    ens = run_ensemble(setup, members, seed,
-                       workers=values["ensemble.workers"],
-                       emit_y=values["output.emit_y"])
+    ens = run_ensemble(setup, members, seed, emit_y=values["output.emit_y"])
     idx = _stride_idx(len(ens.times), values["output.stride"])
     first = ens.first
     if first is not None:
@@ -186,17 +194,19 @@ def _cmd_sweep(args, values):
         raise ConfigError(["--delta-grid: delta values must be positive"])
     if any(m < 0.0 for m in mu_grid):
         raise ConfigError(["--mu-grid: mu values must be nonnegative"])
-    out_dir = output_directory(values)
-    os.makedirs(out_dir, exist_ok=True)
 
     def factory(mu, delta):
         v = dict(values)
         v["nudging.mu"] = mu
         v["observation.delta"] = delta
-        return build_setup(v)
+        return _require_unobserved_mode(build_setup(v))
 
+    # sweep builds each delta's first cell before it runs any, so a bad
+    # delta fails before the output directory exists
     res = sweep(factory, mu_grid, delta_grid, values["ensemble.members"],
-                values["ensemble.seed"], workers=values["ensemble.workers"])
+                values["ensemble.seed"])
+    out_dir = output_directory(values)
+    os.makedirs(out_dir, exist_ok=True)
     header = ["mu", "delta", "mu_delta_sq", "eta0_hat", "over_threshold",
               "gamma_fit", "fit_residual", "floor", "floor_se", "blowups",
               "members", "valid"]
@@ -227,7 +237,7 @@ def _cmd_sweep(args, values):
 
 def _cmd_verify(args, values):
     t0 = time.time()
-    setup = build_setup(values)
+    setup = _require_unobserved_mode(build_setup(values))
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
     spec = setup.model

@@ -86,13 +86,17 @@ SCHEMA = {
     "time.guard": (_float, 1e6, lambda v: v > 0.0, "positive"),
     "ensemble.members": (_int, 1, lambda v: v >= 1, "at least 1"),
     "ensemble.seed": (_int, 0, None, None),
-    "ensemble.workers": (_int, 1, lambda v: v >= 1, "at least 1"),
     "init.seed": (_int, 0, None, None),
     "init.amplitude": (_float, 1.0, lambda v: v >= 0.0, "nonnegative"),
     "init.w0": (_float, 1.0, lambda v: v >= 0.0, "nonnegative"),
     "output.directory": (_str, "", None, None),
     "output.stride": (_int, 10, lambda v: v >= 1, "at least 1"),
     "output.emit_y": (_bool, False, None, None),
+}
+
+# parsed and validated so old configs and manifests replay, never stored
+RETIRED = {
+    "ensemble.workers": (_int, None, lambda v: v >= 1, "at least 1"),
 }
 
 
@@ -109,14 +113,14 @@ def parse_config(text):
             errors.append("line %d: expected key = value" % lineno)
             continue
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in SCHEMA:
+        if key not in SCHEMA and key not in RETIRED:
             errors.append("line %d: unknown key %r" % (lineno, key))
             continue
         if key in seen:
             errors.append("line %d: duplicate key %r" % (lineno, key))
             continue
         seen.add(key)
-        parse, _, check, what = SCHEMA[key]
+        parse, _, check, what = SCHEMA.get(key) or RETIRED[key]
         try:
             val = parse(raw)
         except ValueError as e:
@@ -126,7 +130,8 @@ def parse_config(text):
             errors.append("line %d: %s must be %s, got %r"
                           % (lineno, key, what, val))
             continue
-        values[key] = val
+        if key in SCHEMA:
+            values[key] = val
     for key, (_, default, _, _) in SCHEMA.items():
         if key not in values:
             if default is None:
@@ -164,8 +169,9 @@ def output_directory(values):
 def build_setup(values):
     """Construct every run object a config describes.
 
-    Returns (setup, values) where setup is a harness RunSetup; the
-    initial error is w0 times a unit-norm rough field on top of u0.
+    Returns a harness RunSetup; the initial error is w0 times a
+    unit-norm rough field on top of u0.  A time grid StepConfig rejects
+    is reported as a ConfigError.
     """
     from .harness import RunSetup
     model = build_model(values["model.id"], values["model.n"],
@@ -178,10 +184,13 @@ def build_setup(values):
     coef = make_noise_coefficient(values["noise.kind"], values["noise.sigma"],
                                   p=values["noise.p"],
                                   delta=values["observation.delta"])
-    cfg = StepConfig(dt=values["time.dt"], T=values["time.T"],
-                     mu=values["nudging.mu"],
-                     implicit_nudging=values["nudging.implicit"],
-                     blowup_guard=values["time.guard"])
+    try:
+        cfg = StepConfig(dt=values["time.dt"], T=values["time.T"],
+                         mu=values["nudging.mu"],
+                         implicit_nudging=values["nudging.implicit"],
+                         blowup_guard=values["time.guard"])
+    except ValueError as e:
+        raise ConfigError(["time: %s" % e])
     u0 = random_field(model, (values["init.seed"], 0),
                       h_norm=values["init.amplitude"])
     if values["init.w0"] > 0.0:

@@ -2,19 +2,18 @@
 
 Members of an ensemble share initial data and differ only in their
 noise streams, derived from the master seed by spawn keys, so results
-are reproducible bit-for-bit regardless of how many workers run them:
-aggregation is by member index, never by completion order.
+are reproducible bit-for-bit: members run one after another and are
+aggregated by member index.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import norm_raw, spec_of_id
-from .integrate import BlowupError, _rng_for, simulate_pair
+from .fields import _wsum2, inner_h_raw, norm_raw, spec_of_id
+from .integrate import BlowupError, _imex, _increment, _rng_for, simulate_pair
 from .models import random_field
-from .noise import apply_G_raw, increment_from_noise
+from .noise import apply_G_raw
 from .observe import estimate_interp_constant, eta0
 
 
@@ -53,7 +52,7 @@ def member_seed(master_seed, member):
     return np.random.SeedSequence(master_seed, spawn_key=(member,))
 
 
-def run_ensemble(setup, members, master_seed, workers=1, emit_y=False):
+def run_ensemble(setup, members, master_seed, emit_y=False):
     """Monte Carlo over noise realizations; deterministic in master_seed.
 
     emit_y turns on observation-path bookkeeping for member 0 only; it
@@ -63,19 +62,14 @@ def run_ensemble(setup, members, master_seed, workers=1, emit_y=False):
         raise ValueError("need at least one member")
     seeds = [member_seed(master_seed, m) for m in range(members)]
 
-    def one(m):
+    results = []
+    for m in range(members):
         try:
-            return simulate_pair(setup.model, setup.cfg, setup.op, setup.coef,
-                                 setup.q, setup.u0, setup.v0, seeds[m],
-                                 emit_y=emit_y and m == 0)
+            results.append(simulate_pair(
+                setup.model, setup.cfg, setup.op, setup.coef, setup.q,
+                setup.u0, setup.v0, seeds[m], emit_y=emit_y and m == 0))
         except BlowupError as e:
-            return e
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, range(members)))
-    else:
-        results = [one(m) for m in range(members)]
+            results.append(e)
 
     ok = [r for r in results if not isinstance(r, BlowupError)]
     blowups = members - len(ok)
@@ -175,7 +169,7 @@ class SweepResult:
     eta0_hat: float
 
 
-def sweep(setup_factory, mu_grid, delta_grid, members, master_seed, workers=1):
+def sweep(setup_factory, mu_grid, delta_grid, members, master_seed):
     """Grid over (mu, delta): per cell gamma_fit, floor, blow-up counts,
     and the mu*delta^2 > eta0_hat flag from measured constants.
 
@@ -202,7 +196,7 @@ def sweep(setup_factory, mu_grid, delta_grid, members, master_seed, workers=1):
                    "eta0_hat": eta_by_delta[delta],
                    "over_threshold": float(mu) * float(delta) ** 2 > eta_by_delta[delta]}
             try:
-                ens = run_ensemble(setup, members, master_seed, workers)
+                ens = run_ensemble(setup, members, master_seed)
                 row["blowups"] = ens.blowups
                 row["members"] = members
                 row["valid"] = ens.blowups <= 0.1 * members
@@ -281,17 +275,9 @@ _A2_EXPONENTS = {
 }
 
 
-def _vbeta_norm(spec, c, beta):
-    w = spec.v_beta_weights(beta)
-    if np.iscomplexobj(c):
-        mag = c.real ** 2 + c.imag ** 2
-    else:
-        mag = c * c
-    return float(np.sqrt(np.sum(spec.mult * w * w * mag)))
-
-
 def _a2_ratio(spec, samples, seed):
     rho, beta = _A2_EXPONENTS[spec.params["family"]]
+    w = spec.v_beta_weights(beta)     # weights of the [V*, V]_beta norm
     best = 0.0
     for i in range(samples):
         u = random_field(spec, (seed, 3 * i), smoothness=1.0)
@@ -299,21 +285,12 @@ def _a2_ratio(spec, samples, seed):
         fu = spec.f_raw(u.coeffs)
         fv = spec.f_raw(v.coeffs)
         num = norm_raw(spec, fu - fv, "Vstar")
-        nb_u = _vbeta_norm(spec, u.coeffs, beta)
-        nb_v = _vbeta_norm(spec, v.coeffs, beta)
-        den = (1.0 + nb_u ** rho + nb_v ** rho) * _vbeta_norm(
-            spec, u.coeffs - v.coeffs, beta)
+        nb_u, nb_v, nb_d = (np.sqrt(_wsum2(spec, c, w)) for c in
+                            (u.coeffs, v.coeffs, u.coeffs - v.coeffs))
+        den = (1.0 + nb_u ** rho + nb_v ** rho) * nb_d
         if den > 0.0:
             best = max(best, num / den)
     return best
-
-
-def _pairing_raw(spec, a, b):
-    if np.iscomplexobj(a):
-        prod = (a * np.conj(b)).real
-    else:
-        prod = a * b
-    return float(np.sum(spec.mult * spec.w_h ** 2 * prod))
 
 
 def _cancellation_residual(spec, samples, seed):
@@ -321,7 +298,7 @@ def _cancellation_residual(spec, samples, seed):
     for i in range(samples):
         u = random_field(spec, (seed, i), smoothness=0.8)
         fu = spec.f_raw(u.coeffs)
-        num = abs(_pairing_raw(spec, fu, u.coeffs))
+        num = abs(inner_h_raw(spec, fu, u.coeffs))
         den = norm_raw(spec, fu, "Vstar") * norm_raw(spec, u.coeffs, "V")
         if den > 0.0:
             worst = max(worst, num / den)
@@ -336,7 +313,7 @@ def _epsilon_hat(spec, traj_states, samples, seed):
         states.append(random_field(spec, (seed, 100 + i)).coeffs)
     for c in states:
         fu = spec.f_raw(c)
-        lhs = _pairing_raw(spec, fu, c)
+        lhs = inner_h_raw(spec, fu, c)
         over = lhs - norm_raw(spec, c, "H") ** 2
         v2 = norm_raw(spec, c, "V") ** 2
         if v2 > 0.0:
@@ -459,8 +436,8 @@ def convolution_variance_mc(model, cfg, coef, q, probe_times, paths,
             blocks[:, j, :] = rng.standard_normal((n, spec.n))
         z = np.zeros((b, spec.n))
         for step in range(1, n + 1):
-            dw = increment_from_noise(q, dt, blocks[step - 1])
-            z = (z + cfg.mu * apply_G_raw(coef, spec, zero_u, dw)) * denom
+            dw = _increment(q, dt, step - 1, None, blocks.__getitem__)
+            z = _imex(z, denom, cfg.mu * apply_G_raw(coef, spec, zero_u, dw))
             if step in probe_at:
                 i = probe_at[step]
                 sum2[i] += (z ** 2).sum(axis=0)

@@ -8,9 +8,11 @@ endpoint (Ito convention):
     v+ = (I + dt A)^(-1) (v + dt F(v) - dt mu I_d(v - u) + mu G(u) dW)
 
 With implicit nudging (modal operators only, where I_d is diagonal) the
-mu I_d v term moves into the resolvent instead.  The implicit A part
+mu I_d v term moves into the resolvent instead, and the explicit pull
+dt mu I_d u+ is toward the advanced reference.  The implicit A part
 makes the linear stability unconditional, so large mu needs no dt*mu
-restriction.
+restriction.  The stochastic convolution is the same update with F = 0,
+no nudging and u frozen; all of them go through one function, _imex.
 
 Blow-up is a monitored abort, never a silent NaN: the discrete
 L^2(0,t;V) accumulator of either trajectory exceeding the guard raises
@@ -58,6 +60,10 @@ class StepConfig:
             raise ValueError("dt must be positive")
         if self.T < self.dt:
             raise ValueError("T must be at least dt")
+        ratio = self.T / self.dt
+        if not abs(ratio - np.round(ratio)) <= 1e-9 * ratio:
+            raise ValueError("T = %r is not a whole number of steps of dt = %r"
+                             % (self.T, self.dt))
         if self.mu < 0.0:
             raise ValueError("mu must be nonnegative")
         if not self.blowup_guard > 0.0:
@@ -68,14 +74,6 @@ class StepConfig:
         return int(round(self.T / self.dt))
 
 
-@dataclass
-class PairState:
-    t: float
-    u: Field
-    v: Field
-    y: object = None  # accumulated observation increments (raw array)
-
-
 def _rng_for(seed):
     if isinstance(seed, np.random.Generator):
         return seed
@@ -83,46 +81,29 @@ def _rng_for(seed):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _finite(x):
-    return np.isfinite(x)
+def _increment(q, dt, i, rng, noise_source):
+    """The Q-Wiener increment of step i from one standard-normal block:
+    noise_source(i) when a source is given, else the next rng draw."""
+    block = noise_source(i) if noise_source is not None \
+        else rng.standard_normal(q.draw_shape)
+    return increment_from_noise(q, dt, block)
+
+
+def _imex(x, inv, *terms, dt=0.0, f_raw=None):
+    """The resolvent update (x + dt F(x) + terms) * inv, inv = 1 / (1 + dt a)
+    or its implicitly nudged variant; the explicit terms are added left to
+    right, so every caller rounds the same way."""
+    rhs = x if f_raw is None else x + dt * f_raw(x)
+    for term in terms:
+        rhs = rhs + term
+    return rhs * inv
 
 
 def step_reference(u, dt):
     """One IMEX step of u' + Au = F(u)."""
     spec = spec_of_id(u.model_id)
-    c = u.coeffs
-    out = (c + dt * spec.f_raw(c)) / (1.0 + dt * spec.a)
-    return Field(u.model_id, out)
-
-
-def step_assimilated(state, dt, mu, op, coef, q, rng, implicit_nudging=False):
-    """One coupled step; the reference advances by step_reference, the
-    estimate by the nudged IMEX update with noise drawn from rng."""
-    spec = spec_of_id(state.u.model_id)
-    uc = state.u.coeffs
-    vc = state.v.coeffs
-    gdw = 0.0
-    if q is not None:
-        dw = increment_from_noise(q, dt, rng.standard_normal(q.draw_shape))
-        if coef is not None and coef.sigma > 0.0:
-            gdw = apply_G_raw(coef, spec, uc, dw)
-    denom = 1.0 + dt * spec.a
-    rhs = vc + dt * spec.f_raw(vc) + mu * gdw
-    if op is not None and mu > 0.0:
-        if implicit_nudging and op.kind == "modal":
-            keep = op.data[0]
-            rhs = rhs + dt * mu * apply_observation_raw(op, spec, uc)
-            denom = denom + dt * mu * keep
-        else:
-            rhs = rhs - dt * mu * apply_observation_raw(op, spec, vc - uc)
-    vnew = rhs / denom
-    unew = (uc + dt * spec.f_raw(uc)) / (1.0 + dt * spec.a)
-    ynew = state.y
-    if ynew is not None and op is not None:
-        # dy = I_delta u dt + G(u) dW; gdw already carries no mu factor
-        ynew = ynew + dt * apply_observation_raw(op, spec, uc) + gdw
-    return PairState(state.t + dt, Field(state.u.model_id, unew),
-                     Field(state.u.model_id, vnew), ynew)
+    inv = 1.0 / (1.0 + dt * spec.a)
+    return Field(u.model_id, _imex(u.coeffs, inv, dt=dt, f_raw=spec.f_raw))
 
 
 @dataclass
@@ -157,12 +138,10 @@ def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, noise_source=None,
     n = cfg.nsteps
     dt = cfg.dt
     mu = cfg.mu
-    a = spec.a
-    denom_u = 1.0 / (1.0 + dt * a)
+    denom_u = 1.0 / (1.0 + dt * spec.a)
     implicit = cfg.implicit_nudging and op is not None and op.kind == "modal" and mu > 0.0
     if implicit:
-        keep = op.data[0]
-        denom_v = 1.0 / (1.0 + dt * a + dt * mu * keep)
+        denom_v = 1.0 / (1.0 + dt * spec.a + dt * mu * op.data[0])
     else:
         denom_v = denom_u
 
@@ -198,22 +177,20 @@ def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, noise_source=None,
     acc_v = 0.0
     for i in range(1, n + 1):
         gdw = 0.0
-        dw = None
         if q is not None:
-            block = noise_source(i - 1) if noise_source is not None \
-                else rng.standard_normal(q.draw_shape)
-            dw = increment_from_noise(q, dt, block)
+            dw = _increment(q, dt, i - 1, rng, noise_source)
             if noisy:
                 gdw = apply_G_raw(coef, spec, uc, dw)
-        uc_new = (uc + dt * spec.f_raw(uc)) * denom_u
-        rhs_v = vc + dt * spec.f_raw(vc) + mu * gdw
+        uc_new = _imex(uc, denom_u, dt=dt, f_raw=spec.f_raw)
+        terms = (mu * gdw,)
         if implicit:
             # pull toward the advanced reference: u == v then stays a fixed
             # point and each kept mode contracts by 1/(1 + dt*a + dt*mu)
-            rhs_v = rhs_v + dt * mu * apply_observation_raw(op, spec, uc_new)
+            terms += (dt * mu * apply_observation_raw(op, spec, uc_new),)
         elif op is not None and mu > 0.0:
-            rhs_v = rhs_v - dt * mu * apply_observation_raw(op, spec, vc - uc)
-        vc_new = rhs_v * denom_v
+            # adding (-dt*mu) * x rounds exactly like subtracting dt*mu*x
+            terms += (-dt * mu * apply_observation_raw(op, spec, vc - uc),)
+        vc_new = _imex(vc, denom_v, *terms, dt=dt, f_raw=spec.f_raw)
         if emit_y and op is not None:
             # dy = I_delta u dt + G(u) dW (the noise term carries no mu)
             dy = dt * apply_observation_raw(op, spec, uc)
@@ -226,9 +203,10 @@ def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, noise_source=None,
         t = i * dt
         acc_u += dt * norm_raw(spec, uc, "V") ** 2
         acc_v += dt * norm_raw(spec, vc, "V") ** 2
-        if not (acc_u <= cfg.blowup_guard) or not _finite(acc_u):
+        # "not <=" also catches NaN and inf
+        if not acc_u <= cfg.blowup_guard:
             raise BlowupError("reference", i, t, acc_u)
-        if not (acc_v <= cfg.blowup_guard) or not _finite(acc_v):
+        if not acc_v <= cfg.blowup_guard:
             raise BlowupError("assimilated", i, t, acc_v)
         record(i, uc, vc)
 
@@ -256,11 +234,9 @@ def stochastic_convolution(model, cfg, coef, q, u_traj, seed, noise_source=None)
     z_path[0] = z
     zero_u = np.zeros(spec.shape, dtype=spec.dtype)
     for i in range(1, n + 1):
-        block = noise_source(i - 1) if noise_source is not None \
-            else rng.standard_normal(q.draw_shape)
-        dw = increment_from_noise(q, dt, block)
+        dw = _increment(q, dt, i - 1, rng, noise_source)
         uc = zero_u if u_traj is None else u_traj[i - 1]
-        z = (z + cfg.mu * apply_G_raw(coef, spec, uc, dw)) * denom
+        z = _imex(z, denom, cfg.mu * apply_G_raw(coef, spec, uc, dw))
         z_path[i] = z
     times = np.arange(n + 1) * dt
     return times, z_path

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import Field, ModelSpec, register_model, spec_of_id, norm_raw
+from .fields import Field, ModelSpec, _wsum2, norm_raw, register_model, spec_of_id
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -174,6 +174,9 @@ def _qg_f_raw(tor, c):
 
 
 def _mhd_f_raw(tor, c):
+    # the velocity block carries (h.grad) h - (u.grad) u, the magnetic block
+    # the induction form (h.grad) u - (u.grad) h; this sign pattern is the
+    # one that makes the pairing against (u, h) itself vanish
     u = c[0:2]
     h = c[2:4]
     fu = tor.advect(h, h) - tor.advect(u, u)
@@ -184,15 +187,11 @@ def _mhd_f_raw(tor, c):
 # ----------------------------------------------------------------------
 # kappa monitors (undetermined constants fixed to 1)
 
-def _wsum_comp(spec, comp, w):
-    return float(np.sum(spec.mult * (w * w) * (comp.real ** 2 + comp.imag ** 2)))
-
-
 def _kappa_weak_pair(spec, c):
     # ||u||_2^2 ||grad u||_2^2, summed over velocity/magnetic blocks
     comps = [c] if spec.ncomp == 1 else list(c)
-    h2 = [_wsum_comp(spec, x, spec.w_h) for x in comps]
-    v2 = [_wsum_comp(spec, x, spec.w_v) for x in comps]
+    h2 = [_wsum2(spec, x, spec.w_h) for x in comps]
+    v2 = [_wsum2(spec, x, spec.w_v) for x in comps]
     if spec.ncomp <= 2:
         return sum(h2) * sum(v2)
     return (h2[0] + h2[1]) * (v2[0] + v2[1]) + (h2[2] + h2[3]) * (v2[2] + v2[3])
@@ -364,47 +363,6 @@ def from_grid(g):
 
 # ----------------------------------------------------------------------
 # public operations
-
-def _eval_f(f, expect):
-    spec = spec_of_id(f.model_id)
-    if spec.params["family"] not in expect:
-        raise ValueError("field belongs to %s, expected one of %s"
-                         % (spec.params["family"], expect))
-    return Field(f.model_id, spec.f_raw(f.coeffs))
-
-
-def ac_weak_F(u):
-    """F(u) = u - u^3 in the weak Allen-Cahn triple."""
-    return _eval_f(u, ("ac_weak",))
-
-
-def ac_strong_F(u):
-    """Same evaluator as ac_weak_F; the strong triple changes only norms."""
-    return _eval_f(u, ("ac_strong",))
-
-
-def nse_weak_F(u):
-    """-P (u.grad) u paired in the weak triple (H = L2_sigma)."""
-    return _eval_f(u, ("nse_weak",))
-
-
-def nse_strong_F(u):
-    """-P (u.grad) u paired in the strong triple against A phi."""
-    return _eval_f(u, ("nse_strong",))
-
-
-def qg_F(theta):
-    """-div(theta * Rperp theta) in the weak sense, dealiased."""
-    return _eval_f(theta, ("qg",))
-
-
-def mhd_F(phi):
-    """The four-block nonlinearity of the (u, h) pair: the velocity block
-    carries (h.grad) h - (u.grad) u, the magnetic block the induction
-    form (h.grad) u - (u.grad) h; this sign pattern is the one that makes
-    the pairing against (u, h) itself vanish."""
-    return _eval_f(phi, ("mhd",))
-
 
 def leray_project(f):
     """Project a 2D vector field onto divergence-free, mean-zero fields.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Field, norm_raw, spec_of_id
+from .fields import Field, inner_h_raw, norm_raw, spec_of_id
 from .models import random_field
 
 
@@ -124,11 +124,7 @@ def cell_averages(op, f):
 
 
 def _quotient(op, spec, fc, gc):
-    rc = fc - apply_observation_raw(op, spec, fc)
-    if np.iscomplexobj(rc):
-        pair = float(np.sum(spec.mult * (spec.w_h ** 2) * (rc * np.conj(gc)).real))
-    else:
-        pair = float(np.sum(spec.mult * (spec.w_h ** 2) * rc * gc))
+    pair = inner_h_raw(spec, fc - apply_observation_raw(op, spec, fc), gc)
     den = op.delta * norm_raw(spec, fc, "H") * norm_raw(spec, gc, "V")
     if den == 0.0:
         return 0.0

@@ -168,3 +168,27 @@ def imex_mode_path(a, dt, nsteps, forcing=None):
         x = (x + dt * f) / (1.0 + dt * a)
         path.append(x)
     return np.array(path)
+
+
+def nudged_mode_path(a, dt, mu, u0, v0, nsteps, implicit=False):
+    """One mode of the linear nudged pair, stepped by the scalar recursions
+
+        u+ = u / (1 + dt a)
+        explicit:  v+ = (v - dt mu (v - u)) / (1 + dt a)
+        implicit:  v+ = (v + dt mu u+) / (1 + dt a + dt mu)
+
+    with mu = 0 for a mode the observation does not keep.  Returns the
+    (u, v) paths, nsteps + 1 values each.
+    """
+    u, v = u0, v0
+    us, vs = [u], [v]
+    for _ in range(nsteps):
+        u_new = u / (1.0 + dt * a)
+        if implicit:
+            v = (v + dt * mu * u_new) / (1.0 + dt * a + dt * mu)
+        else:
+            v = (v - dt * mu * (v - u)) / (1.0 + dt * a)
+        u = u_new
+        us.append(u)
+        vs.append(v)
+    return np.array(us), np.array(vs)

@@ -78,7 +78,7 @@ def test_criterion_02_noise_floor_scaling():
     floors = {}
     for sigma, members in ((0.05, 64), (0.1, 64), (0.0, 1)):
         spec, setup = _pair("ac_weak", 64, sigma=sigma, T=2.0)
-        ens = run_ensemble(setup, members, 3, workers=4)
+        ens = run_ensemble(setup, members, 3)
         floors[sigma], _ = estimate_noise_floor(ens.times, ens.mean_w2_h)
     ratio = floors[0.1] / floors[0.05]
     gain = floors[0.05] / max(floors[0.0], 1e-300)
@@ -108,7 +108,7 @@ def test_criterion_03_vstar_ordering(sync_runs):
 def test_criterion_04_almost_sure_tail_convergence():
     spec, setup = _pair("ac_strong", 32, sigma=0.3, kind="state_scaled",
                         mu=20.0, dt=2e-3, T=12.0, amplitude=0.5, seed=2)
-    ens = run_ensemble(setup, 32, 7, workers=4)
+    ens = run_ensemble(setup, 32, 7)
     med = {N: float(np.median([tail_sup(ens.times, row, N)
                                for row in ens.member_w_h]))
            for N in (2.0, 4.0, 8.0)}

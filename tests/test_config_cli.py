@@ -1,7 +1,9 @@
 """Config parsing, the canonical renderer, and the command line."""
 
+import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -72,6 +74,20 @@ def test_parse_bad_value_not_double_counted():
         parse_config("model.id = nosuch\n")
     assert len(err.value.errors) == 1
     assert "model.id" in err.value.errors[0]
+
+
+def test_retired_workers_key_changes_nothing():
+    with_key = parse_config(SMALL_RUN + "ensemble.workers = 4\n")
+    assert with_key == parse_config(SMALL_RUN)
+    assert "ensemble.workers" not in render_config(with_key)
+
+
+@pytest.mark.parametrize("raw", ["0", "x"])
+def test_retired_workers_key_still_validated(raw):
+    with pytest.raises(ConfigError) as err:
+        parse_config(SMALL_RUN + "ensemble.workers = %s\n" % raw)
+    assert len(err.value.errors) == 1
+    assert "ensemble.workers" in err.value.errors[0]
 
 
 def test_render_round_trip():
@@ -183,6 +199,63 @@ def test_simulate_emit_y_columns(tmp_path):
     assert rc == 0
     head = (out / "series.csv").read_text().splitlines()[0]
     assert head.endswith(",dy_H,y_H")
+
+
+# manifest.json and CSV digests written by the release that still carried
+# ensemble.workers (here set to 4) in config_text
+OLD_MANIFEST = os.path.join(os.path.dirname(__file__), "data",
+                            "manifest_workers4.json")
+OLD_DIGESTS = {
+    "series.csv":
+        "ca21ffa737520b4442ffe651db28ca99a4f52f690abc48898438fee215682e84",
+    "ensemble.csv":
+        "61b7e64945aa859c343d0b6e11fb3c07ce6aa96584040f3f63a49aed66b0aa37",
+}
+
+
+def test_old_manifest_with_workers_replays_byte_identical(tmp_path):
+    src = tmp_path / "manifest.json"
+    shutil.copy(OLD_MANIFEST, src)
+    assert "ensemble.workers = 4" in json.loads(src.read_text())["config_text"]
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", str(src), "--out-dir", str(out)])
+    assert rc == 0
+    for name, digest in OLD_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    doc = json.loads((out / "manifest.json").read_text())
+    assert "ensemble.workers" not in doc["config_text"]
+
+
+def test_partial_step_horizon_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = SMALL_RUN.replace("time.T = 0.2\n", "time.T = 0.2001\n")
+    rc = _run(tmp_path, "run.cfg", text, "simulate", "--out-dir", str(out))
+    assert rc == 1
+    assert "whole number of steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# n = 8 at the default delta 0.39 gives K(delta) = 8: every mode observed
+FULL_BAND = ("model.id = ac_weak\nmodel.n = 8\nnoise.sigma = 0.1\n"
+             "nudging.mu = 20.0\ntime.dt = 2e-3\ntime.T = 0.1\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
+def test_fully_observed_band_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "full.cfg", FULL_BAND, command, "--out-dir", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "model.n = 8" in err and "K(delta) = 8" in err
+    assert not out.exists()
+
+
+def test_fully_observed_band_convolution_check_runs(tmp_path):
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "full.cfg", FULL_BAND, "convolution-check",
+              "--paths", "50", "--out-dir", str(out))
+    assert rc == 0
+    assert (out / "convolution.csv").exists()
 
 
 def test_missing_config_exits_1(tmp_path, capsys):

@@ -39,13 +39,13 @@ def test_ensemble_matches_manual_members():
     assert np.allclose(ens.mean_w2_h, w2.mean(axis=0), rtol=1e-15)
 
 
-def test_ensemble_parallel_schedule_invariant():
+def test_ensemble_rerun_identical():
     setup = _setup()
-    serial = run_ensemble(setup, 6, 11, workers=1)
-    parallel = run_ensemble(setup, 6, 11, workers=4)
-    assert np.array_equal(serial.mean_w2_h, parallel.mean_w2_h)
-    assert np.array_equal(serial.se_w2_h, parallel.se_w2_h)
-    assert np.array_equal(serial.member_w_h, parallel.member_w_h)
+    first = run_ensemble(setup, 6, 11)
+    again = run_ensemble(setup, 6, 11)
+    assert np.array_equal(first.mean_w2_h, again.mean_w2_h)
+    assert np.array_equal(first.se_w2_h, again.se_w2_h)
+    assert np.array_equal(first.member_w_h, again.member_w_h)
 
 
 def test_ensemble_zero_noise_collapses():
@@ -259,14 +259,14 @@ def test_sweep_grid_and_threshold_flags():
     assert res.eta0_hat == res.rows[0]["eta0_hat"]
 
 
-def test_sweep_deterministic_across_workers():
+def test_sweep_rerun_identical():
     def factory(mu, delta):
         s = _setup(mu=mu, T=0.2)
         op = make_observation(s.model, "modal", delta=delta)
         return RunSetup(s.model, s.cfg, op, s.coef, s.q, s.u0, s.v0)
 
-    a = sweep(factory, [20.0], [0.39], members=4, master_seed=8, workers=1)
-    b = sweep(factory, [20.0], [0.39], members=4, master_seed=8, workers=4)
+    a = sweep(factory, [20.0], [0.39], members=4, master_seed=8)
+    b = sweep(factory, [20.0], [0.39], members=4, master_seed=8)
     assert a.rows == b.rows
 
 

@@ -113,7 +113,13 @@ def test_blowup_guard_raises():
     u0 = random_field(spec, 11, h_norm=2.0)
     with pytest.raises(BlowupError) as info:
         simulate_pair(spec, cfg, op, coef, q, u0, u0, 0)
-    assert info.value.which in ("reference", "estimate")
+    # u == v: the reference accumulator is checked first
+    assert info.value.which == "reference"
+    assert info.value.step >= 1
+    small = random_field(spec, 11, h_norm=1e-5)
+    with pytest.raises(BlowupError) as info:
+        simulate_pair(spec, cfg, op, coef, q, small, u0, 0)
+    assert info.value.which == "assimilated"
     assert info.value.step >= 1
 
 
@@ -157,6 +163,29 @@ def test_implicit_nudging_mode_recursion():
         assert np.allclose(-res.v_path[i], wc, rtol=1e-14, atol=1e-300)
 
 
+@pytest.mark.parametrize("implicit", [False, True])
+def test_nudged_pair_matches_mode_recursion(implicit):
+    # F off and a moving reference (u0 != 0): every mode of (u, v) follows
+    # the scalar recursions, the observed ones nudged and the rest free
+    spec = build_model("ac_weak", 16, linear=True)
+    op = make_observation(spec, "modal", 0.39)
+    keep = op.data[0]
+    assert keep.any() and not keep.all()
+    cfg = StepConfig(dt=1e-2, T=0.3, mu=30.0, implicit_nudging=implicit)
+    u0 = random_field(spec, 21)
+    v0 = random_field(spec, 22)
+    res = simulate_pair(spec, cfg, op, None, None, u0, v0, 0,
+                        record_u=True, record_v=True)
+    for k in range(spec.n):
+        mu = cfg.mu if keep[k] else 0.0
+        u_want, v_want = O.nudged_mode_path(spec.a[k], cfg.dt, mu,
+                                            u0.coeffs[k], v0.coeffs[k],
+                                            cfg.nsteps, implicit)
+        tol = 1e-14 * (abs(u0.coeffs[k]) + abs(v0.coeffs[k]))
+        assert np.allclose(res.u_path[:, k], u_want, rtol=1e-13, atol=tol)
+        assert np.allclose(res.v_path[:, k], v_want, rtol=1e-13, atol=tol)
+
+
 def test_implicit_nudging_stable_at_large_mu_dt():
     # explicit coupling at dt*mu = 5 diverges; implicit stays bounded
     spec, op, q, coef, _ = _setup()
@@ -192,6 +221,12 @@ def test_step_config_validation():
         StepConfig(dt=1e-2, T=-1.0)
     with pytest.raises(ValueError):
         StepConfig(dt=1e-2, T=1.0, mu=-3.0)
+    # 1.0005 / 1e-3 = 1000.5 steps would silently stop at t = 1.0
+    with pytest.raises(ValueError, match="whole number of steps"):
+        StepConfig(dt=1e-3, T=1.0005)
+    # ratios that are whole up to rounding are accepted
+    assert StepConfig(dt=1e-3, T=0.25).nsteps == 250
+    assert StepConfig(dt=2e-3, T=0.2).nsteps == 100
 
 
 def test_series_lengths_and_time_grid():
