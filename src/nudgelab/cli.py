@@ -17,7 +17,7 @@ from . import __version__
 from .config import ConfigError, build_setup, output_directory, parse_config, render_config
 from .harness import (convolution_variance_mc, measure_alpha, run_ensemble,
                       sweep, verify_assumptions)
-from .integrate import BlowupError, simulate_pair
+from .integrate import BlowupError, StepConfig, simulate_pair
 from .observe import estimate_interp_constant, eta0
 
 FMT = "%.17e"
@@ -112,6 +112,15 @@ def _csv(path, header, columns):
     _write(path, "\n".join(rows) + "\n")
 
 
+def _timing(setup_s, integrate_s, output_s, member_steps):
+    """Where a command's time went: perf_counter seconds per phase, and the
+    member-steps it scheduled.  Kept out of every CSV."""
+    return {"timing": {"setup_s": round(setup_s, 6),
+                       "integrate_s": round(integrate_s, 6),
+                       "output_s": round(output_s, 6)},
+            "member_steps": member_steps}
+
+
 def _manifest(out_dir, command, values, extra, t0):
     doc = {"tool": "nudgelab", "version": __version__, "command": command,
            "config_text": render_config(values),
@@ -146,12 +155,18 @@ def _constants(setup):
 
 def _cmd_simulate(args, values):
     t0 = time.time()
+    clock = time.perf_counter()
     setup = _require_unobserved_mode(build_setup(values))
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
     members = values["ensemble.members"]
     seed = values["ensemble.seed"]
+    extra = _constants(setup)
+    setup_s = time.perf_counter() - clock
+    clock = time.perf_counter()
     ens = run_ensemble(setup, members, seed, emit_y=values["output.emit_y"])
+    integrate_s = time.perf_counter() - clock
+    clock = time.perf_counter()
     idx = _stride_idx(len(ens.times), values["output.stride"])
     first = ens.first
     if first is not None:
@@ -171,11 +186,12 @@ def _cmd_simulate(args, values):
               ens.mean_w2_vstar[idx], ens.se_w2_vstar[idx],
               ens.mean_hs[idx]])
     _write(os.path.join(out_dir, "plot_series.py"), PLOT_SCRIPT)
-    extra = _constants(setup)
     extra.update({"master_seed": seed, "members": members,
                   "blowups": ens.blowups, "partial": ens.partial,
                   "files": sorted(f for f in os.listdir(out_dir)
                                   if f.endswith(".csv"))})
+    extra.update(_timing(setup_s, integrate_s, time.perf_counter() - clock,
+                         members * setup.cfg.nsteps))
     _manifest(out_dir, "simulate", values, extra, t0)
     w_end = float(ens.mean_w2_h[-1])
     print("simulate: %d member(s), %d blow-up(s), final mean |w|_H^2 = %.6e"
@@ -186,6 +202,7 @@ def _cmd_simulate(args, values):
 
 def _cmd_sweep(args, values):
     t0 = time.time()
+    clock = time.perf_counter()
     mu_grid = _grid(args.mu_grid, "--mu-grid") if args.mu_grid \
         else [values["nudging.mu"]]
     delta_grid = _grid(args.delta_grid, "--delta-grid") if args.delta_grid \
@@ -201,10 +218,14 @@ def _cmd_sweep(args, values):
         v["observation.delta"] = delta
         return _require_unobserved_mode(build_setup(v))
 
+    setup_s = time.perf_counter() - clock
+    clock = time.perf_counter()
     # sweep builds each delta's first cell before it runs any, so a bad
     # delta fails before the output directory exists
     res = sweep(factory, mu_grid, delta_grid, values["ensemble.members"],
                 values["ensemble.seed"])
+    integrate_s = time.perf_counter() - clock
+    clock = time.perf_counter()
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
     header = ["mu", "delta", "mu_delta_sq", "eta0_hat", "over_threshold",
@@ -222,12 +243,15 @@ def _cmd_sweep(args, values):
             "%d" % row["blowups"], "%d" % row["members"],
             "1" if row["valid"] else "0"]))
     _write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
-    _manifest(out_dir, "sweep", values,
-              {"alpha_hat": res.alpha_hat, "c_i_hat": res.c_i_hat,
-               "eta0_hat": res.eta0_hat, "mu_grid": mu_grid,
-               "delta_grid": delta_grid,
-               "master_seed": values["ensemble.seed"],
-               "members": values["ensemble.members"]}, t0)
+    extra = {"alpha_hat": res.alpha_hat, "c_i_hat": res.c_i_hat,
+             "eta0_hat": res.eta0_hat, "mu_grid": mu_grid,
+             "delta_grid": delta_grid,
+             "master_seed": values["ensemble.seed"],
+             "members": values["ensemble.members"]}
+    nsteps = StepConfig(dt=values["time.dt"], T=values["time.T"]).nsteps
+    extra.update(_timing(setup_s, integrate_s, time.perf_counter() - clock,
+                         values["ensemble.members"] * len(res.rows) * nsteps))
+    _manifest(out_dir, "sweep", values, extra, t0)
     flagged = sum(1 for r in res.rows if r["over_threshold"])
     print("sweep: %d cells (%d over the mu*delta^2 threshold), eta0_hat = %.4g"
           % (len(res.rows), flagged, res.eta0_hat))

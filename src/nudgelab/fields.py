@@ -12,8 +12,9 @@ a(k) > 0; coercivity <Af, f> >= alpha ||f||_V^2 then holds with
 alpha = min_k a(k) w_H(k)^2 / w_V(k)^2.
 
 Fields are immutable values: coefficient arrays are copied on
-construction and marked read-only, so they are safe to share between
-concurrent workers.
+construction and marked read-only.  norm_raw also takes a stack of
+coefficient arrays on leading axes and returns one norm per field, which
+is how the ensemble integrator measures all its members at once.
 """
 
 import numpy as np
@@ -131,12 +132,16 @@ def _check_pair(f, g):
 
 
 def _wsum2(spec, a, w):
-    # sum of mult * w^2 * |a_k|^2 over stored modes (and components)
+    # sum of mult * w^2 * |a_k|^2 over stored modes (and components), one
+    # sum per field of a stack (a single vector component counts as one
+    # field); each sum runs over a flattened field exactly as for a lone
+    # field, so the bits do not depend on the stack
     if np.iscomplexobj(a):
         mag = (a.real * a.real + a.imag * a.imag)
     else:
         mag = a * a
-    return float(np.sum(spec.mult * (w * w) * mag))
+    lead = a.shape[:max(a.ndim - len(spec.shape), 0)]
+    return np.sum((spec.mult * (w * w) * mag).reshape(lead + (-1,)), axis=-1)
 
 
 def norm(f, space):
@@ -146,7 +151,10 @@ def norm(f, space):
 
 
 def norm_raw(spec, arr, space):
-    return float(np.sqrt(_wsum2(spec, arr, spec.weights(space))))
+    """Norm of a raw coefficient array as a float, or an array of norms
+    for a stack of arrays on leading axes."""
+    r = np.sqrt(_wsum2(spec, arr, spec.weights(space)))
+    return float(r) if r.ndim == 0 else r
 
 
 def inner_h(f, g):

@@ -2,8 +2,10 @@
 
 Members of an ensemble share initial data and differ only in their
 noise streams, derived from the master seed by spawn keys, so results
-are reproducible bit-for-bit: members run one after another and are
-aggregated by member index.
+are reproducible bit-for-bit.  Members step in lockstep: the reference
+is integrated once, and every member's estimate advances in one stacked
+array, with each member's numbers byte-identical to a run of that member
+alone; results are aggregated by member index.
 """
 
 from dataclasses import dataclass, field
@@ -11,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import _wsum2, inner_h_raw, norm_raw, spec_of_id
-from .integrate import BlowupError, _imex, _increment, _rng_for, simulate_pair
+from .integrate import BlowupError, _imex, _noise_source, _rng_for, simulate_members
 from .models import random_field
-from .noise import apply_G_raw
+from .noise import apply_G_raw, increment_from_noise
 from .observe import estimate_interp_constant, eta0
 
 
@@ -61,16 +63,10 @@ def run_ensemble(setup, members, master_seed, emit_y=False):
     if members < 1:
         raise ValueError("need at least one member")
     seeds = [member_seed(master_seed, m) for m in range(members)]
-
-    results = []
-    for m in range(members):
-        try:
-            results.append(simulate_pair(
-                setup.model, setup.cfg, setup.op, setup.coef, setup.q,
-                setup.u0, setup.v0, seeds[m], emit_y=emit_y and m == 0))
-        except BlowupError as e:
-            results.append(e)
-
+    results = simulate_members(setup.model, setup.cfg, setup.op, setup.coef,
+                               setup.q, setup.u0, setup.v0,
+                               [_noise_source(s, setup.q) for s in seeds],
+                               emit_y=emit_y)
     ok = [r for r in results if not isinstance(r, BlowupError)]
     blowups = members - len(ok)
     if not ok:
@@ -436,7 +432,7 @@ def convolution_variance_mc(model, cfg, coef, q, probe_times, paths,
             blocks[:, j, :] = rng.standard_normal((n, spec.n))
         z = np.zeros((b, spec.n))
         for step in range(1, n + 1):
-            dw = _increment(q, dt, step - 1, None, blocks.__getitem__)
+            dw = increment_from_noise(q, dt, blocks[step - 1])
             z = _imex(z, denom, cfg.mu * apply_G_raw(coef, spec, zero_u, dw))
             if step in probe_at:
                 i = probe_at[step]

@@ -14,14 +14,19 @@ makes the linear stability unconditional, so large mu needs no dt*mu
 restriction.  The stochastic convolution is the same update with F = 0,
 no nudging and u frozen; all of them go through one function, _imex.
 
+An ensemble is one loop, simulate_members: the reference steps once and
+all estimates step together on a leading member axis, each member
+drawing from its own noise source; simulate_pair is its one-member case.
+
 Blow-up is a monitored abort, never a silent NaN: the discrete
 L^2(0,t;V) accumulator of either trajectory exceeding the guard raises
-BlowupError with the step index.
+BlowupError with the step index (in an ensemble the member that blew up
+drops out, with the error as its result).
 
 The only randomness consumed is one fixed-shape standard-normal block
-per step whenever a QSpec is supplied (even at sigma = 0, so runs that
-differ only in sigma share their noise realizations), which keeps a
-paired stochastic_convolution run on the same seed bit-identical.
+per member and step whenever a QSpec is supplied (even at sigma = 0, so
+runs that differ only in sigma share their noise realizations), which
+keeps a paired stochastic_convolution run on the same seed bit-identical.
 """
 
 from dataclasses import dataclass
@@ -81,12 +86,13 @@ def _rng_for(seed):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _increment(q, dt, i, rng, noise_source):
-    """The Q-Wiener increment of step i from one standard-normal block:
-    noise_source(i) when a source is given, else the next rng draw."""
-    block = noise_source(i) if noise_source is not None \
-        else rng.standard_normal(q.draw_shape)
-    return increment_from_noise(q, dt, block)
+def _noise_source(seed, q, noise_source=None):
+    """Step index -> raw standard-normal block of that step: noise_source
+    when given, else successive draws from the generator of seed."""
+    if noise_source is not None:
+        return noise_source
+    rng = _rng_for(seed)
+    return lambda i: rng.standard_normal(q.draw_shape)
 
 
 def _imex(x, inv, *terms, dt=0.0, f_raw=None):
@@ -131,10 +137,34 @@ def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, noise_source=None,
     noise_source, when given, replaces the rng: called with the step
     index, it must return the raw standard-normal block for that step.
     """
+    res, = simulate_members(model, cfg, op, coef, q, u0, v0,
+                            [_noise_source(seed, q, noise_source)],
+                            emit_y=emit_y, record_u=record_u, record_v=record_v)
+    if isinstance(res, BlowupError):
+        raise res
+    return res
+
+
+def simulate_members(model, cfg, op, coef, q, u0, v0, sources, emit_y=False,
+                     record_u=False, record_v=False):
+    """Integrate one reference and len(sources) estimates in lockstep.
+
+    Member m draws its noise from sources[m] (step index -> raw block).
+    The estimates advance together as one (members,) + spec.shape array,
+    so every kernel runs once per step for all of them, and everything
+    that depends on u alone (its step, norms, kappa, the Hilbert-Schmidt
+    norm, the state factor of G(u), the implicit pull) once for all.
+    Each member's numbers are bit-identical to a run of that member
+    alone.  emit_y keeps the observation path of member 0.
+
+    Returns one SimResult per member, or the BlowupError that ended it;
+    a member whose accumulator leaves the guard drops out of the batch,
+    a reference blow-up ends every member still running.
+    """
     spec = model if not isinstance(model, str) else spec_of_id(model)
+    members = len(sources)
     uc = np.array(u0.coeffs)
-    vc = np.array(v0.coeffs)
-    rng = None if noise_source is not None else _rng_for(seed)
+    vc = np.repeat(np.asarray(v0.coeffs)[None], members, axis=0)
     n = cfg.nsteps
     dt = cfg.dt
     mu = cfg.mu
@@ -146,39 +176,42 @@ def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, noise_source=None,
         denom_v = denom_u
 
     noisy = coef is not None and coef.sigma > 0.0 and q is not None
-    w_h = np.empty(n + 1)
-    w_vstar = np.empty(n + 1)
+    live = np.arange(members)          # member index of each batch row
+    errors = {}
+    w_h = np.empty((members, n + 1))
+    w_vstar = np.empty((members, n + 1))
+    v_h = np.empty((members, n + 1))
     u_h = np.empty(n + 1)
-    v_h = np.empty(n + 1)
     hs = np.zeros(n + 1)
     kap = np.empty(n + 1)
     dy_h = np.zeros(n + 1) if emit_y else None
     y_h = np.zeros(n + 1) if emit_y else None
     u_path = np.empty((n + 1,) + spec.shape, dtype=spec.dtype) if record_u else None
-    v_path = np.empty((n + 1,) + spec.shape, dtype=spec.dtype) if record_v else None
+    v_path = np.empty((n + 1, members) + spec.shape, dtype=spec.dtype) if record_v else None
     y = np.zeros(spec.shape, dtype=spec.dtype) if emit_y else None
 
     def record(i, uc, vc):
         wc = uc - vc
-        w_h[i] = norm_raw(spec, wc, "H")
-        w_vstar[i] = norm_raw(spec, wc, "Vstar")
+        w_h[live, i] = norm_raw(spec, wc, "H")
+        w_vstar[live, i] = norm_raw(spec, wc, "Vstar")
         u_h[i] = norm_raw(spec, uc, "H")
-        v_h[i] = norm_raw(spec, vc, "H")
+        v_h[live, i] = norm_raw(spec, vc, "H")
         kap[i] = spec.kappa_raw(uc)
         if noisy:
             hs[i] = hs_norm_sq(coef, uc, q)
         if u_path is not None:
             u_path[i] = uc
         if v_path is not None:
-            v_path[i] = vc
+            v_path[i, live] = vc
 
     record(0, uc, vc)
     acc_u = 0.0
-    acc_v = 0.0
+    acc_v = [0.0] * members
     for i in range(1, n + 1):
         gdw = 0.0
         if q is not None:
-            dw = _increment(q, dt, i - 1, rng, noise_source)
+            block = np.stack([sources[m](i - 1) for m in live])
+            dw = increment_from_noise(q, dt, block)
             if noisy:
                 gdw = apply_G_raw(coef, spec, uc, dw)
         uc_new = _imex(uc, denom_u, dt=dt, f_raw=spec.f_raw)
@@ -191,29 +224,45 @@ def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, noise_source=None,
             # adding (-dt*mu) * x rounds exactly like subtracting dt*mu*x
             terms += (-dt * mu * apply_observation_raw(op, spec, vc - uc),)
         vc_new = _imex(vc, denom_v, *terms, dt=dt, f_raw=spec.f_raw)
-        if emit_y and op is not None:
+        if emit_y and op is not None and live[0] == 0:
             # dy = I_delta u dt + G(u) dW (the noise term carries no mu)
             dy = dt * apply_observation_raw(op, spec, uc)
             if noisy:
-                dy = dy + gdw
+                dy = dy + gdw[0]
             y = y + dy
             dy_h[i] = norm_raw(spec, dy, "H")
             y_h[i] = norm_raw(spec, y, "H")
         uc, vc = uc_new, vc_new
         t = i * dt
         acc_u += dt * norm_raw(spec, uc, "V") ** 2
-        acc_v += dt * norm_raw(spec, vc, "V") ** 2
+        # per member in Python floats: x ** 2 is pow(), which an array
+        # square (x * x) does not always match in the last bit
+        acc_v = [a + dt * x ** 2 for a, x in zip(acc_v, norm_raw(spec, vc, "V").tolist())]
         # "not <=" also catches NaN and inf
         if not acc_u <= cfg.blowup_guard:
-            raise BlowupError("reference", i, t, acc_u)
-        if not acc_v <= cfg.blowup_guard:
-            raise BlowupError("assimilated", i, t, acc_v)
+            errors.update((m, BlowupError("reference", i, t, acc_u)) for m in live)
+            break
+        ok = [acc <= cfg.blowup_guard for acc in acc_v]
+        if not all(ok):
+            errors.update((m, BlowupError("assimilated", i, t, acc))
+                          for m, acc, good in zip(live, acc_v, ok) if not good)
+            if not any(ok):
+                break
+            live, vc = live[ok], vc[ok]
+            acc_v = [acc for acc, good in zip(acc_v, ok) if good]
         record(i, uc, vc)
 
     times = np.arange(n + 1) * dt
-    return SimResult(times, w_h, w_vstar, u_h, v_h, hs, kap,
-                     Field(spec.model_id, uc), Field(spec.model_id, vc),
-                     dy_h, y_h, u_path, v_path)
+    u_final = Field(spec.model_id, uc)
+    results = [errors.get(m) for m in range(members)]
+    for k, m in enumerate(live):
+        if results[m] is None:
+            results[m] = SimResult(
+                times, w_h[m], w_vstar[m], u_h, v_h[m], hs, kap, u_final,
+                Field(spec.model_id, vc[k]),
+                dy_h if m == 0 else None, y_h if m == 0 else None,
+                u_path, None if v_path is None else v_path[:, m])
+    return results
 
 
 def stochastic_convolution(model, cfg, coef, q, u_traj, seed, noise_source=None):
@@ -225,7 +274,7 @@ def stochastic_convolution(model, cfg, coef, q, u_traj, seed, noise_source=None)
     z_path) with z_path[i] the coefficients of Z(t_i).
     """
     spec = model if not isinstance(model, str) else spec_of_id(model)
-    rng = None if noise_source is not None else _rng_for(seed)
+    source = _noise_source(seed, q, noise_source)
     n = cfg.nsteps
     dt = cfg.dt
     denom = 1.0 / (1.0 + dt * spec.a)
@@ -234,7 +283,7 @@ def stochastic_convolution(model, cfg, coef, q, u_traj, seed, noise_source=None)
     z_path[0] = z
     zero_u = np.zeros(spec.shape, dtype=spec.dtype)
     for i in range(1, n + 1):
-        dw = _increment(q, dt, i - 1, rng, noise_source)
+        dw = increment_from_noise(q, dt, source(i - 1))
         uc = zero_u if u_traj is None else u_traj[i - 1]
         z = _imex(z, denom, cfg.mu * apply_G_raw(coef, spec, uc, dw))
         z_path[i] = z

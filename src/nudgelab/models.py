@@ -45,21 +45,23 @@ class GridField:
 # 1D sine machinery (Dirichlet on (0,1), orthonormal sqrt(2) sin(k pi x))
 
 def _sine_to_grid(c, m):
-    """Values of sum_k c_k sqrt(2) sin(k pi x) at x_j = j/(m+1), j=1..m."""
-    padded = np.zeros(m)
-    padded[: c.shape[0]] = c
-    return sfft.dst(padded, type=1) / _SQRT2
+    """Values of sum_k c_k sqrt(2) sin(k pi x) at x_j = j/(m+1), j=1..m,
+    along the last axis."""
+    padded = np.zeros(c.shape[:-1] + (m,))
+    padded[..., : c.shape[-1]] = c
+    return sfft.dst(padded, type=1, axis=-1) / _SQRT2
 
 
 def _sine_from_grid(vals, n):
-    """First n orthonormal sine coefficients of grid values (exact quadrature)."""
-    m = vals.shape[0]
-    return sfft.dst(vals, type=1)[:n] / (_SQRT2 * (m + 1))
+    """First n orthonormal sine coefficients of grid values along the last
+    axis (exact quadrature)."""
+    m = vals.shape[-1]
+    return sfft.dst(vals, type=1, axis=-1)[..., :n] / (_SQRT2 * (m + 1))
 
 
 def _ac_cube(c):
     # cube on a doubled grid: modes above n alias only onto discarded range
-    n = c.shape[0]
+    n = c.shape[-1]
     vals = _sine_to_grid(c, 2 * n)
     return _sine_from_grid(vals ** 3, n)
 
@@ -72,7 +74,11 @@ def _ac_f_raw(c):
 # 2D torus machinery (2*pi-periodic, rfft2 layout, normalized measure)
 
 class _Torus:
-    """Precomputed wavevector arrays for an N x N periodic grid."""
+    """Precomputed wavevector arrays for an N x N periodic grid.
+
+    Transforms act on the last two axes and vector components sit on axis
+    -3, so every method also takes a stack of fields on leading axes.
+    """
 
     def __init__(self, n):
         if n < 4 or n % 2:
@@ -114,28 +120,30 @@ class _Torus:
         out = np.where(self.mask, c, 0.0)
         return self.fix_col0(out)
 
-    def leray(self, c2):
+    def leray(self, c):
         # per wavevector: u_hat -> u_hat - k (k . u_hat) / |k|^2
-        div = (self.kx * c2[0] + self.ky * c2[1]) * self._inv_ksq
-        return np.stack([c2[0] - self.kx * div, c2[1] - self.ky * div])
+        c1, c2 = c[..., 0, :, :], c[..., 1, :, :]
+        div = (self.kx * c1 + self.ky * c2) * self._inv_ksq
+        return np.stack([c1 - self.kx * div, c2 - self.ky * div], axis=-3)
 
     def project_vector(self, c):
         out = np.where(self.mask, c, 0.0)
         out = self.fix_col0(out)
-        if out.shape[0] == 2:
+        ncomp = out.shape[-3]
+        if ncomp == 2:
             return self.leray(out)
-        blocks = [self.leray(out[i:i + 2]) for i in range(0, out.shape[0], 2)]
-        return np.concatenate(blocks)
+        blocks = [self.leray(out[..., i:i + 2, :, :]) for i in range(0, ncomp, 2)]
+        return np.concatenate(blocks, axis=-3)
 
     def advect(self, a, b):
-        """(a . grad) b in coefficients, dealiased; a, b shape (2, ...)."""
-        a1 = self.to_grid(a[0])
-        a2 = self.to_grid(a[1])
+        """(a . grad) b in coefficients, dealiased; a, b shape (..., 2, N, N//2+1)."""
+        a1 = self.to_grid(a[..., 0, :, :])
+        a2 = self.to_grid(a[..., 1, :, :])
         out = np.empty_like(b)
         for i in range(2):
-            dbx = self.to_grid(1j * self.kx * b[i])
-            dby = self.to_grid(1j * self.ky * b[i])
-            out[i] = np.where(self.mask, self.from_grid(a1 * dbx + a2 * dby), 0.0)
+            dbx = self.to_grid(1j * self.kx * b[..., i, :, :])
+            dby = self.to_grid(1j * self.ky * b[..., i, :, :])
+            out[..., i, :, :] = np.where(self.mask, self.from_grid(a1 * dbx + a2 * dby), 0.0)
         return out
 
     def full_layout(self, c):
@@ -144,7 +152,7 @@ class _Torus:
         return np.fft.fft2(g) / (self.n * self.n)
 
     def from_full(self, cf):
-        return cf[:, : self.n // 2 + 1].copy()
+        return cf[..., : self.n // 2 + 1].copy()
 
 
 _TORI = {}
@@ -177,11 +185,11 @@ def _mhd_f_raw(tor, c):
     # the velocity block carries (h.grad) h - (u.grad) u, the magnetic block
     # the induction form (h.grad) u - (u.grad) h; this sign pattern is the
     # one that makes the pairing against (u, h) itself vanish
-    u = c[0:2]
-    h = c[2:4]
+    u = c[..., 0:2, :, :]
+    h = c[..., 2:4, :, :]
     fu = tor.advect(h, h) - tor.advect(u, u)
     fh = tor.advect(h, u) - tor.advect(u, h)
-    return tor.project_vector(np.concatenate([fu, fh]))
+    return tor.project_vector(np.concatenate([fu, fh], axis=-3))
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +237,7 @@ def build_model(model_id, n, nu=1.0, norms="homogeneous", linear=False):
         raise ValueError("the sobolev norm option applies to ac_weak only")
     if nu <= 0:
         raise ValueError("nu must be positive")
-    tag = "%s[n=%d,nu=%.12g" % (model_id, n, nu)
+    tag = "%s[n=%d,nu=%r" % (model_id, n, float(nu))
     if norms == "sobolev":
         tag += ",sobolev"
     if linear:
@@ -338,10 +346,8 @@ def to_grid(f):
     spec = spec_of_id(f.model_id)
     if spec.kind == "sine":
         vals = _sine_to_grid(f.coeffs, 2 * spec.n)
-    elif spec.ncomp == 1:
-        vals = spec.aux.to_grid(f.coeffs)
     else:
-        vals = np.stack([spec.aux.to_grid(c) for c in f.coeffs])
+        vals = spec.aux.to_grid(f.coeffs)
     return GridField(f.model_id, vals)
 
 
@@ -352,12 +358,7 @@ def from_grid(g):
     if spec.kind == "sine":
         c = _sine_from_grid(vals, spec.n)
     else:
-        tor = spec.aux
-        if spec.ncomp == 1:
-            c = tor.from_grid(vals)
-        else:
-            c = np.stack([tor.from_grid(v) for v in vals])
-        c = spec.project_raw(c)
+        c = spec.project_raw(spec.aux.from_grid(vals))
     return Field(g.model_id, c)
 
 

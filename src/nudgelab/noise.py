@@ -65,18 +65,21 @@ def make_qspec(model, exponent="auto", k_q="auto", delta=None):
 
 
 def _scalar_stream(spec, q, block):
-    # block shape (2, N, nx) of standard normals -> Hermitian unit draws
+    # block shape (..., 2, N, nx) of standard normals -> Hermitian unit draws
     tor = spec.aux
-    z = (block[0] + 1j * block[1]) / np.sqrt(2.0)
-    col = z[:, 0]
-    z[:, 0] = (col + np.conj(np.roll(col[::-1], 1))) / np.sqrt(2.0)
+    z = (block[..., 0, :, :] + 1j * block[..., 1, :, :]) / np.sqrt(2.0)
+    col = z[..., :, 0]
+    z[..., :, 0] = (col + np.conj(np.roll(col[..., ::-1], 1, axis=-1))) / np.sqrt(2.0)
     inv_wh = np.where(q.lam > 0.0, 1.0 / np.where(spec.w_h == 0.0, 1.0, spec.w_h), 0.0)
     out = q.lam * inv_wh * z
     return np.where(spec.mask, out, 0.0), tor
 
 
 def increment_from_noise(q, dt, block):
-    """The Q-Wiener increment determined by a raw standard-normal block."""
+    """The Q-Wiener increment determined by a raw standard-normal block.
+
+    A stack of blocks on leading axes gives the stack of increments.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     spec = spec_of_id(q.model_id)
@@ -84,14 +87,15 @@ def increment_from_noise(q, dt, block):
     if spec.kind == "sine":
         inv_wh = np.where(q.lam > 0.0, 1.0 / spec.w_h, 0.0)
         return root * q.lam * inv_wh * block
+    # block axes: (..., stream, real/imaginary, N, nx)
     if spec.ncomp == 1:
-        out, _ = _scalar_stream(spec, q, block[0])
+        out, _ = _scalar_stream(spec, q, block[..., 0, :, :, :])
         return root * out
     comps = []
     for s in range(q.nstreams):
-        z, tor = _scalar_stream(spec, q, block[s])
+        z, tor = _scalar_stream(spec, q, block[..., s, :, :, :])
         comps.extend([tor.rz1 * z, tor.rz2 * z])
-    return root * np.stack(comps)
+    return root * np.stack(comps, axis=-3)
 
 
 def sample_increment(rng, dt, q):
@@ -132,17 +136,13 @@ def make_noise_coefficient(kind, sigma, p=0.0, delta=1.0, anchor=None):
 
 
 def _pointwise_product(spec, uc, wc):
+    # wc may stack several fields on leading axes; uc is one field
     if spec.kind == "sine":
         m = 2 * spec.n
         vals = _sine_to_grid(uc, m) * _sine_to_grid(wc, m)
         return _sine_from_grid(vals, spec.n)
     tor = spec.aux
-    if spec.ncomp == 1:
-        out = tor.from_grid(tor.to_grid(uc) * tor.to_grid(wc))
-    else:
-        out = np.stack([tor.from_grid(tor.to_grid(a) * tor.to_grid(b))
-                        for a, b in zip(uc, wc)])
-    return spec.project_raw(out)
+    return spec.project_raw(tor.from_grid(tor.to_grid(uc) * tor.to_grid(wc)))
 
 
 def _anchor_raw(coef, spec):
@@ -152,6 +152,8 @@ def _anchor_raw(coef, spec):
 
 
 def apply_G_raw(coef, spec, uc, dw):
+    # dw may stack the increments of several members; the factor that
+    # depends on u is computed once for all of them
     if coef.kind == "additive":
         return coef.sigma_delta * dw
     if coef.kind == "state_scaled":

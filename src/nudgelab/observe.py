@@ -82,19 +82,19 @@ def _volume_scalar_full(op, tor, cfull):
 
 
 def apply_observation_raw(op, spec, c):
+    """I_delta applied to a raw coefficient array, or to each array of a
+    stack on leading axes."""
     if op.kind == "modal":
         keep = op.data[0]
         return np.where(keep, c, 0.0) if spec.kind == "torus" else c * keep
     if spec.kind == "sine":
+        # stacked matrix-vector products: a stack as one matrix-matrix
+        # product would round differently from the single-field case
         cellint = op.data[0]
-        avg = op.cells * (cellint @ c)
-        return cellint.T @ avg
+        avg = op.cells * np.matmul(cellint, c[..., None])[..., 0]
+        return np.matmul(cellint.T, avg[..., None])[..., 0]
     tor = spec.aux
-    if spec.ncomp == 1:
-        out = tor.from_full(_volume_scalar_full(op, tor, tor.full_layout(c)))
-    else:
-        out = np.stack([tor.from_full(_volume_scalar_full(op, tor, tor.full_layout(comp)))
-                        for comp in c])
+    out = tor.from_full(_volume_scalar_full(op, tor, tor.full_layout(c)))
     return spec.project_raw(out)
 
 
@@ -116,11 +116,8 @@ def cell_averages(op, f):
     c = f.coeffs
     if spec.kind == "sine":
         return op.cells * (op.data[0] @ c)
-    tor = spec.aux
     b = op.data[0]
-    if spec.ncomp == 1:
-        return (b @ tor.full_layout(c) @ b.T).real
-    return np.stack([(b @ tor.full_layout(comp) @ b.T).real for comp in c])
+    return (b @ spec.aux.full_layout(c) @ b.T).real
 
 
 def _quotient(op, spec, fc, gc):

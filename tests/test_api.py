@@ -1,11 +1,15 @@
-"""The package's public names: every export resolves, once, to an import."""
+"""The package's public names: every export resolves, once, to an import;
+and every entry point the benchmark traces still exists."""
 
 import ast
+import importlib
 import os
 
 import nudgelab
 
 INIT = os.path.join(os.path.dirname(nudgelab.__file__), "__init__.py")
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "tracer.py")
 
 
 def _imported_names():
@@ -31,3 +35,22 @@ def test_exports_match_imports():
     imported = _imported_names()
     assert len(imported) == len(set(imported))
     assert sorted(imported) == sorted(nudgelab.__all__)
+
+
+def _traced_functions():
+    # read the list without importing the tracer, which patches on install
+    with open(TRACER, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "NAMED_FUNCTIONS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no NAMED_FUNCTIONS")
+
+
+def test_traced_entry_points_resolve():
+    named = _traced_functions()
+    assert named
+    missing = [(mod, attr) for mod, attr, _ in named
+               if not callable(getattr(importlib.import_module(mod), attr, None))]
+    assert missing == []

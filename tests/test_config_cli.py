@@ -164,12 +164,32 @@ def test_simulate_writes_outputs(tmp_path):
     assert "ensemble.members = 2" in doc["config_text"]
 
 
+def _assert_timing(out, member_steps):
+    doc = json.loads((out / "manifest.json").read_text())
+    assert sorted(doc["timing"]) == ["integrate_s", "output_s", "setup_s"]
+    assert all(v >= 0.0 for v in doc["timing"].values())
+    assert doc["member_steps"] == member_steps
+
+
 def test_simulate_rerun_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     _run(tmp_path, "run.cfg", SMALL_RUN, "simulate", "--out-dir", str(out1))
     _run(tmp_path, "run.cfg", SMALL_RUN, "simulate", "--out-dir", str(out2))
     for name in ("series.csv", "ensemble.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for out in (out1, out2):
+        _assert_timing(out, 2 * 100)
+
+
+def test_sweep_rerun_byte_identical(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        rc = _run(tmp_path, "run.cfg", SMALL_RUN, "sweep", "--mu-grid",
+                  "10,400", "--out-dir", str(out))
+        assert rc == 0
+        _assert_timing(out, 2 * 2 * 100)
+    assert (outs[0] / "sweep.csv").read_bytes() == \
+        (outs[1] / "sweep.csv").read_bytes()
 
 
 def test_simulate_manifest_reusable_as_config(tmp_path):

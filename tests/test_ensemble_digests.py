@@ -1,0 +1,88 @@
+"""Ensemble outputs pinned to bytes over a matrix of small runs.
+
+Every model at its smallest grid, all four noise kinds, modal and volume
+observation, implicit nudging on and off, and the observation-path
+bookkeeping of member 0.  tests/data/ensemble_digests.json holds the
+sha256 of each output array as written by the release that stepped
+members one after another; any change to how members are stepped must
+reproduce them bit for bit.  The file is an oracle, not a snapshot of
+the current code: if the numbers are ever meant to change, write it anew
+at the commit whose numbers are to be pinned, and say so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from nudgelab.config import build_setup, parse_config
+from nudgelab.harness import run_ensemble
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                       "ensemble_digests.json")
+
+# smallest model.n each family allows (config: n >= 2; torus: even, >= 4)
+SMALLEST_N = {"ac_weak": 2, "ac_strong": 2, "nse_weak": 4, "nse_strong": 4,
+              "qg": 4, "mhd": 4}
+KINDS = ("additive", "state_scaled", "attractor_vanishing",
+         "pointwise_multiplicative")
+# (observation.kind, nudging.implicit); implicit nudging is modal only
+OBSERVATIONS = (("modal", False), ("modal", True), ("volume", False))
+# larger grids: batched BLAS calls could round differently there, and at
+# n = 4 the dealiased pointwise noise of the vector models vanishes
+EXTRA = (("ac_weak", 32, "additive", "volume", False),
+         ("ac_strong", 32, "state_scaled", "volume", False),
+         ("nse_weak", 8, "pointwise_multiplicative", "modal", False),
+         ("nse_strong", 8, "attractor_vanishing", "volume", False),
+         ("qg", 8, "pointwise_multiplicative", "volume", False),
+         ("mhd", 8, "pointwise_multiplicative", "volume", False),
+         ("mhd", 8, "additive", "modal", True))
+MEMBERS = 3
+OUTPUTS = ("member_w_h", "mean_w2_h", "mean_w2_vstar", "se_w2_h", "mean_hs")
+FIRST = ("w_vstar", "u_h", "v_h", "hs", "kappa", "dy_h", "y_h")
+
+
+def _matrix():
+    cases = [(mid, SMALLEST_N[mid], kind, obs, implicit)
+             for mid in SMALLEST_N for kind in KINDS
+             for obs, implicit in OBSERVATIONS]
+    return cases + list(EXTRA)
+
+
+def _case_id(mid, n, kind, obs, implicit):
+    return "%s-n%d-%s-%s%s" % (mid, n, kind, obs, "-implicit" if implicit else "")
+
+
+def _run(mid, n, kind, obs, implicit):
+    values = parse_config(
+        "model.id = %s\nmodel.n = %d\nobservation.kind = %s\n"
+        "noise.kind = %s\nnoise.sigma = 0.1\nnudging.mu = 20\n"
+        "nudging.implicit = %s\ntime.dt = 1e-3\ntime.T = 5e-3\n"
+        % (mid, n, obs, kind, "true" if implicit else "false"))
+    emit_y = kind in ("additive", "pointwise_multiplicative")
+    return run_ensemble(build_setup(values), MEMBERS, 17, emit_y=emit_y)
+
+
+def _sha(arr):
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+def _digests(case):
+    ens = _run(*case)
+    out = {name: _sha(getattr(ens, name)) for name in OUTPUTS}
+    for name in FIRST:
+        series = getattr(ens.first, name)
+        if series is not None:
+            out["first." + name] = _sha(series)
+    return out
+
+
+@pytest.mark.parametrize("case", _matrix(), ids=lambda c: _case_id(*c))
+def test_ensemble_reproduces_pinned_digests(case):
+    with open(DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)[_case_id(*case)]
+    assert _digests(case) == want
+

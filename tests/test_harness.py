@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import nudgelab.harness as H
+from nudgelab.fields import norm_raw
 from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               estimate_noise_floor, fit_decay_rate,
                               measure_alpha, member_seed, run_ensemble, sweep,
                               tail_sup)
-from nudgelab.integrate import (BlowupError, StepConfig, simulate_pair,
-                                stochastic_convolution)
+from nudgelab.integrate import (BlowupError, StepConfig, _noise_source,
+                                simulate_members, simulate_pair,
+                                step_reference, stochastic_convolution)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
 from nudgelab.observe import estimate_interp_constant, eta0, make_observation
@@ -28,15 +30,47 @@ def _setup(sigma=0.1, mu=20.0, T=0.5, n=16, kind="additive"):
 
 # ---------------------------------------------------------------- ensemble
 
+# one case per model: a noise kind, an observation kind, implicit nudging
+MANUAL_CASES = (("ac_weak", 16, "additive", "modal", False),
+                ("ac_strong", 16, "state_scaled", "volume", False),
+                ("nse_weak", 8, "pointwise_multiplicative", "modal", True),
+                ("nse_strong", 8, "attractor_vanishing", "volume", False),
+                ("qg", 8, "pointwise_multiplicative", "volume", False),
+                ("mhd", 8, "additive", "modal", True))
+
+
+def _manual_setups():
+    # the long ac_weak run (500 steps) first, then 20 steps of every model
+    yield "ac_weak T=0.5", _setup()
+    for mid, n, kind, obs, implicit in MANUAL_CASES:
+        spec = build_model(mid, n, nu=1.0)
+        op = make_observation(spec, obs, delta=0.39)
+        q = make_qspec(spec, delta=0.39)
+        coef = make_noise_coefficient(kind, 0.2)
+        cfg = StepConfig(dt=1e-3, T=0.02, mu=20.0, implicit_nudging=implicit)
+        yield mid, RunSetup(spec, cfg, op, coef, q, random_field(spec, 3),
+                            random_field(spec, 4))
+
+
 def test_ensemble_matches_manual_members():
-    setup = _setup()
-    ens = run_ensemble(setup, 3, 11)
-    for m in range(3):
-        res = simulate_pair(setup.model, setup.cfg, setup.op, setup.coef,
-                            setup.q, setup.u0, setup.v0, member_seed(11, m))
-        assert np.array_equal(ens.member_w_h[m], res.w_h)
-    w2 = ens.member_w_h ** 2
-    assert np.allclose(ens.mean_w2_h, w2.mean(axis=0), rtol=1e-15)
+    # every member row of one lockstep ensemble equals that member run alone
+    for mid, setup in _manual_setups():
+        spec, cfg, op, coef, q = (setup.model, setup.cfg, setup.op,
+                                  setup.coef, setup.q)
+        ens = run_ensemble(setup, 3, 11, emit_y=True)
+        solo = [simulate_pair(spec, cfg, op, coef, q, setup.u0, setup.v0,
+                              member_seed(11, m), emit_y=m == 0)
+                for m in range(3)]
+        for m in range(3):
+            assert np.array_equal(ens.member_w_h[m], solo[m].w_h), mid
+        for name in ("w_vstar", "u_h", "v_h", "hs", "kappa", "dy_h", "y_h"):
+            assert np.array_equal(getattr(ens.first, name),
+                                  getattr(solo[0], name)), mid
+        assert np.array_equal(ens.first.v_final.coeffs,
+                              solo[0].v_final.coeffs), mid
+        assert not np.array_equal(ens.member_w_h[1], ens.member_w_h[2]), mid
+        w2 = ens.member_w_h ** 2
+        assert np.allclose(ens.mean_w2_h, w2.mean(axis=0), rtol=1e-15)
 
 
 def test_ensemble_rerun_identical():
@@ -79,35 +113,65 @@ def test_ensemble_member_seeds_differ():
     assert not np.array_equal(paths[1], paths[2])
 
 
-def test_ensemble_counts_partial_blowups(monkeypatch):
-    setup = _setup()
-    real = simulate_pair
-
-    def flaky(model, cfg, op, coef, q, u0, v0, seed, **kw):
-        res = real(model, cfg, op, coef, q, u0, v0, seed, **kw)
-        # fail the middle member only, after the real work
-        if isinstance(seed, np.random.SeedSequence) and seed.spawn_key == (1,):
-            raise BlowupError("assimilated", 3, 3 * cfg.dt, np.inf)
-        return res
-
-    monkeypatch.setattr(H, "simulate_pair", flaky)
-    ens = run_ensemble(setup, 3, 9)
-    assert ens.blowups == 1 and ens.partial
-    assert ens.member_w_h.shape[0] == 2
-    clean = real(setup.model, setup.cfg, setup.op, setup.coef, setup.q,
-                 setup.u0, setup.v0, member_seed(9, 0))
-    assert np.array_equal(ens.member_w_h[0], clean.w_h)
+def _final_v_accumulators(setup, seeds):
+    # each member alone, guard out of reach: the discrete L2(0,T;V)
+    # accumulator of its estimate, summed as the integrator sums it
+    accs = []
+    for seed in seeds:
+        res = simulate_pair(setup.model, setup.cfg, setup.op, setup.coef,
+                            setup.q, setup.u0, setup.v0, seed, record_v=True)
+        acc = 0.0
+        for vc in res.v_path[1:]:
+            acc += setup.cfg.dt * norm_raw(setup.model, vc, "V") ** 2
+        accs.append(acc)
+    return accs
 
 
-def test_ensemble_all_blowups_reraise(monkeypatch):
-    setup = _setup()
+def test_ensemble_counts_partial_blowups():
+    base = _setup(sigma=1.0)
+    seeds = [member_seed(9, m) for m in range(6)]
+    accs = _final_v_accumulators(base, seeds)
+    ranked = sorted(accs)
+    guard = 0.5 * (ranked[2] + ranked[3])
+    cfg = StepConfig(dt=base.cfg.dt, T=base.cfg.T, mu=base.cfg.mu,
+                     blowup_guard=guard)
+    setup = RunSetup(base.model, cfg, base.op, base.coef, base.q, base.u0,
+                     base.v0)
+    ens = run_ensemble(setup, 6, 9)
+    survivors = [m for m in range(6) if accs[m] <= guard]
+    assert ens.blowups == 3 and ens.partial
+    assert len(survivors) == ens.member_w_h.shape[0] == 3
+    for row, m in enumerate(survivors):
+        solo = simulate_pair(setup.model, cfg, setup.op, setup.coef, setup.q,
+                             setup.u0, setup.v0, seeds[m])
+        assert np.array_equal(ens.member_w_h[row], solo.w_h)
+    assert (ens.first is None) == (0 not in survivors)
+    # a dropped member ends with the error its own run raises
+    batch = simulate_members(setup.model, cfg, setup.op, setup.coef, setup.q,
+                             setup.u0, setup.v0,
+                             [_noise_source(s, setup.q) for s in seeds])
+    for m, res in enumerate(batch):
+        if m in survivors:
+            continue
+        with pytest.raises(BlowupError) as err:
+            simulate_pair(setup.model, cfg, setup.op, setup.coef, setup.q,
+                          setup.u0, setup.v0, seeds[m])
+        assert isinstance(res, BlowupError) and res.which == "assimilated"
+        assert (res.step, res.t, res.accumulator) == \
+            (err.value.step, err.value.t, err.value.accumulator)
 
-    def dead(*a, **kw):
-        raise BlowupError("reference", 1, setup.cfg.dt, np.inf)
 
-    monkeypatch.setattr(H, "simulate_pair", dead)
-    with pytest.raises(BlowupError, match="every member's reference"):
+def test_ensemble_all_blowups_reraise():
+    base = _setup()
+    u1 = step_reference(base.u0, base.cfg.dt)
+    first_acc = base.cfg.dt * norm_raw(base.model, u1.coeffs, "V") ** 2
+    cfg = StepConfig(dt=base.cfg.dt, T=base.cfg.T, mu=base.cfg.mu,
+                     blowup_guard=0.5 * first_acc)
+    setup = RunSetup(base.model, cfg, base.op, base.coef, base.q, base.u0,
+                     base.v0)
+    with pytest.raises(BlowupError, match="every member's reference") as err:
         run_ensemble(setup, 3, 0)
+    assert err.value.step == 1
 
 
 def test_ensemble_rejects_zero_members():

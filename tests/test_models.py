@@ -146,6 +146,17 @@ def test_registry_returns_cached_instance():
     assert c is not a
 
 
+def test_registry_keeps_nearby_nu_apart():
+    # 0.1 + 0.2 and 0.3 agree to 12 significant digits but are two floats
+    near = build_model("ac_weak", 16, nu=0.1 + 0.2)
+    exact = build_model("ac_weak", 16, nu=0.3)
+    assert near is not exact
+    kpi2 = (np.arange(1, 17) * np.pi) ** 2
+    assert near.nu == 0.1 + 0.2 and exact.nu == 0.3
+    assert np.array_equal(near.a, (0.1 + 0.2) * kpi2)
+    assert np.array_equal(exact.a, 0.3 * kpi2)
+
+
 def test_sobolev_norm_option():
     hom = build_model("ac_weak", 16)
     sob = build_model("ac_weak", 16, norms="sobolev")
