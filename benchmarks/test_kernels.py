@@ -1,0 +1,40 @@
+"""Kernel microbenchmarks (pytest-benchmark), outside the test suite.
+
+    python -m pytest benchmarks -q
+
+Times the per-step kernels the end-to-end benchmark spends its steps in:
+the pointwise Hilbert-Schmidt monitor, each model's nonlinearity and the
+dealiased advection of the torus models.  pytest collects tests/ only by
+default, so these run only when asked for.
+"""
+
+import pytest
+
+from nudgelab.models import build_model, random_field
+from nudgelab.noise import hs_norm_sq, make_noise_coefficient, make_qspec
+
+# Grid sizes of the end-to-end workloads (ac_weak 64, nse_strong 32,
+# qg 32); the models no workload runs take the size of their own kind.
+SIZES = {"ac_weak": 64, "ac_strong": 64, "nse_weak": 32, "nse_strong": 32,
+         "qg": 32, "mhd": 32}
+
+
+def test_hs_norm_sq_pointwise_qg(benchmark):
+    spec = build_model("qg", 32)
+    q = make_qspec(spec, delta=0.39)
+    coef = make_noise_coefficient("pointwise_multiplicative", 0.05)
+    u = random_field(spec, 1)
+    assert benchmark(hs_norm_sq, coef, u, q) > 0.0
+
+
+@pytest.mark.parametrize("model_id", sorted(SIZES))
+def test_f_raw(benchmark, model_id):
+    spec = build_model(model_id, SIZES[model_id])
+    c = random_field(spec, 1).coeffs
+    assert benchmark(spec.f_raw, c).shape == spec.shape
+
+
+def test_torus_advect_nse_strong(benchmark):
+    spec = build_model("nse_strong", 32)
+    c = random_field(spec, 1).coeffs
+    assert benchmark(spec.aux.advect, c, c).shape == spec.shape

@@ -147,6 +147,30 @@ def _require_unobserved_mode(setup):
     return setup
 
 
+def _require_live_noise(setup, model_id):
+    """Refuse pointwise noise that dealiasing removes whatever u is.
+
+    On a torus band with kd = 1 (model.n < 8) a product of two
+    divergence-free band fields has no divergence-free part left in the
+    band: at k = p + q, k_perp . (p_perp * q_perp) = kx px qx - ky py qy,
+    and a nonzero kx px qx would need |px + qx| = 2 > kd.  G(u) dW is then
+    zero (or round-off) on every vector model, and the run has no noise.
+    """
+    spec, coef = setup.model, setup.coef
+    if (coef.kind == "pointwise_multiplicative" and coef.sigma > 0.0
+            and spec.kind == "torus" and spec.ncomp >= 2 and spec.aux.kd < 2):
+        raise ConfigError(["noise: pointwise_multiplicative noise on %s at "
+                           "model.n = %d vanishes after dealiasing and the "
+                           "Leray projection; use model.n >= 8"
+                           % (model_id, spec.n)])
+    return setup
+
+
+def _checked_setup(values):
+    setup = _require_unobserved_mode(build_setup(values))
+    return _require_live_noise(setup, values["model.id"])
+
+
 def _constants(setup):
     alpha = measure_alpha(setup.model)
     ci = estimate_interp_constant(setup.op, setup.model, samples=32)
@@ -156,7 +180,7 @@ def _constants(setup):
 def _cmd_simulate(args, values):
     t0 = time.time()
     clock = time.perf_counter()
-    setup = _require_unobserved_mode(build_setup(values))
+    setup = _checked_setup(values)
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
     members = values["ensemble.members"]
@@ -216,7 +240,7 @@ def _cmd_sweep(args, values):
         v = dict(values)
         v["nudging.mu"] = mu
         v["observation.delta"] = delta
-        return _require_unobserved_mode(build_setup(v))
+        return _checked_setup(v)
 
     setup_s = time.perf_counter() - clock
     clock = time.perf_counter()
@@ -261,7 +285,7 @@ def _cmd_sweep(args, values):
 
 def _cmd_verify(args, values):
     t0 = time.time()
-    setup = _require_unobserved_mode(build_setup(values))
+    setup = _checked_setup(values)
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
     spec = setup.model

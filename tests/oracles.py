@@ -3,7 +3,9 @@
 Everything here is deliberately slow and structure-free: direct
 convolution sums over wavevectors, trigonometric product identities,
 per-cell Gauss quadrature.  None of it shares code with the package
-beyond basic array layout conventions.
+beyond basic array layout conventions, except hs_pointwise_per_direction,
+the one-direction-at-a-time form of a sum the package evaluates in
+stacks, which must reproduce it bit for bit.
 """
 
 import numpy as np
@@ -192,3 +194,16 @@ def nudged_mode_path(a, dt, mu, u0, v0, nsteps, implicit=False):
         us.append(u)
         vs.append(v)
     return np.array(us), np.array(vs)
+
+
+def hs_pointwise_per_direction(coef, u, q):
+    """Hilbert-Schmidt norm of the pointwise kind, one noise direction
+    (one collocation product, one norm) at a time, in direction order."""
+    from nudgelab.fields import norm_raw, spec_of_id
+    from nudgelab.noise import _pointwise_product, noise_directions
+    spec = spec_of_id(q.model_id)
+    total = 0.0
+    for lam, dirc in noise_directions(q):
+        g = _pointwise_product(spec, u.coeffs, dirc)
+        total += lam * lam * norm_raw(spec, g, "H") ** 2
+    return coef.sigma ** 2 * total

@@ -278,6 +278,37 @@ def test_fully_observed_band_convolution_check_runs(tmp_path):
     assert (out / "convolution.csv").exists()
 
 
+def _pointwise(model_id, n):
+    return ("model.id = %s\nmodel.n = %d\nobservation.kind = volume\n"
+            "noise.kind = pointwise_multiplicative\nnoise.sigma = 0.1\n"
+            "nudging.mu = 20.0\ntime.dt = 2e-3\ntime.T = 0.02\n"
+            % (model_id, n))
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
+@pytest.mark.parametrize("model_id,n", [("nse_weak", 4), ("nse_strong", 6),
+                                        ("mhd", 4)])
+def test_vanishing_pointwise_noise_exits_1(tmp_path, capsys, command,
+                                           model_id, n):
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "pw.cfg", _pointwise(model_id, n), command,
+              "--out-dir", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "model.n = %d" % n in err and model_id in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model_id,n", [("nse_weak", 8), ("qg", 4)])
+def test_live_pointwise_noise_runs(tmp_path, model_id, n):
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "pw.cfg", _pointwise(model_id, n), "simulate",
+              "--out-dir", str(out))
+    assert rc == 0
+    rows = (out / "series.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[5]) > 0.0     # hs_norm_sq at t = 0
+
+
 def test_missing_config_exits_1(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 1

@@ -5,9 +5,10 @@ import pytest
 
 from nudgelab.fields import Field, norm
 from nudgelab.models import build_model, random_field
-from nudgelab.noise import (apply_G, gamma_u_sup, hs_norm_sq,
+from nudgelab.noise import (_HS_CHUNK, apply_G, gamma_u_sup, hs_norm_sq,
                             make_noise_coefficient, make_qspec,
                             noise_directions, sample_increment)
+from oracles import hs_pointwise_per_direction
 
 
 def test_spectrum_and_rank_defaults():
@@ -113,6 +114,45 @@ def test_pointwise_hs_on_torus_matches_assembly():
     want = sum(lam ** 2 * norm(apply_G(coef, u, Field(spec.model_id, raw)), "H") ** 2
                for lam, raw in noise_directions(q))
     assert hs_norm_sq(coef, u, q) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("model_id", ["nse_weak", "nse_strong", "mhd"])
+def test_pointwise_hs_vector_models_match_assembly(model_id):
+    spec = build_model(model_id, 8)
+    q = make_qspec(spec)
+    u = random_field(spec, 9)
+    coef = make_noise_coefficient("pointwise_multiplicative", 0.3)
+    want = sum(lam ** 2 * norm(apply_G(coef, u, Field(spec.model_id, raw)), "H") ** 2
+               for lam, raw in noise_directions(q))
+    assert want > 0.0
+    assert hs_norm_sq(coef, u, q) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("model_id", ["ac_weak", "qg", "mhd"])
+def test_pointwise_hs_rank_zero_is_zero(model_id):
+    spec = build_model(model_id, 8)
+    q = make_qspec(spec, k_q=0)
+    coef = make_noise_coefficient("pointwise_multiplicative", 0.3)
+    assert list(noise_directions(q)) == []
+    assert hs_norm_sq(coef, random_field(spec, 9), q) == 0.0
+
+
+# grids with more noise directions than one stack of the kernel
+HS_STACK_GRIDS = [("ac_weak", 64), ("ac_strong", 64), ("qg", 32),
+                  ("nse_weak", 16), ("nse_strong", 16), ("mhd", 16)]
+
+
+@pytest.mark.parametrize("model_id,n", HS_STACK_GRIDS)
+@pytest.mark.parametrize("k_q", ["auto", 3])
+def test_pointwise_hs_stacked_equals_per_direction_bitwise(model_id, n, k_q):
+    spec = build_model(model_id, n)
+    q = make_qspec(spec, k_q=k_q)
+    if k_q == "auto":
+        assert len(list(noise_directions(q))) > _HS_CHUNK
+    coef = make_noise_coefficient("pointwise_multiplicative", 0.7)
+    for seed in (31, 32):
+        u = random_field(spec, seed)
+        assert hs_norm_sq(coef, u, q) == hs_pointwise_per_direction(coef, u, q)
 
 
 def test_sigma_delta_applies_to_additive_only():
