@@ -3,13 +3,16 @@
     python -m pytest benchmarks -q
 
 Times the per-step kernels the end-to-end benchmark spends its steps in:
-the pointwise Hilbert-Schmidt monitor, each model's nonlinearity and the
-dealiased advection of the torus models.  pytest collects tests/ only by
+the pointwise Hilbert-Schmidt monitor, each model's nonlinearity, the
+dealiased advection of the torus models, and the threaded Monte Carlo
+variance of the stochastic convolution.  pytest collects tests/ only by
 default, so these run only when asked for.
 """
 
 import pytest
 
+from nudgelab.harness import convolution_variance_mc
+from nudgelab.integrate import StepConfig
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import hs_norm_sq, make_noise_coefficient, make_qspec
 
@@ -38,3 +41,13 @@ def test_torus_advect_nse_strong(benchmark):
     spec = build_model("nse_strong", 32)
     c = random_field(spec, 1).coeffs
     assert benchmark(spec.aux.advect, c, c).shape == spec.shape
+
+
+def test_convolution_variance_mc_ac_weak(benchmark):
+    spec = build_model("ac_weak", 16)
+    q = make_qspec(spec, delta=0.39)
+    coef = make_noise_coefficient("additive", 0.1)
+    cfg = StepConfig(dt=1e-3, T=0.5, mu=20.0)
+    _, var, _ = benchmark(convolution_variance_mc, spec, cfg, coef, q,
+                          [0.125, 0.25, 0.5], 1000, 3)
+    assert var.shape == (3, spec.n)

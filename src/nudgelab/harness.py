@@ -8,6 +8,8 @@ array, with each member's numbers byte-identical to a run of that member
 alone; results are aggregated by member index.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -397,6 +399,64 @@ def _refined_spec(spec, n2):
                        linear=spec.params.get("linear", False))
 
 
+def probe_steps(probe_times, dt, nsteps):
+    """Step index of each probe time.
+
+    Raises ValueError for a time outside (0, T], a time that is not a
+    whole number of steps to within 1e-9 relative (as StepConfig asks of
+    T), or two times on the same step.
+    """
+    steps = []
+    for t in probe_times:
+        ratio = t / dt
+        if not 0.5 <= ratio < nsteps + 0.5:
+            raise ValueError("probe times must lie inside (0, T]")
+        step = round(ratio)
+        if not abs(ratio - step) <= 1e-9 * ratio:
+            raise ValueError("probe time %r is not a whole number of steps "
+                             "of dt = %r" % (t, dt))
+        steps.append(step)
+    if len(set(steps)) < len(steps):
+        raise ValueError("two probe times fall on the same step")
+    return steps
+
+
+def imex_convolution_variance(spec, q, coef, mu, dt, steps):
+    """Per-mode variance of the scheme's own convolution recursion
+    z <- (z + mu G dW) r, r = 1/(1 + dt a), after each number of steps:
+    mu^2 (sigma_delta lam / w_h)^2 dt sum_{j=1..n} r^(2j), in the raw
+    coefficients convolution_variance_mc measures.  Shape
+    (len(steps), n_modes)."""
+    r2 = (1.0 / (1.0 + dt * spec.a)) ** 2
+    scale = (mu * coef.sigma_delta * q.lam / spec.w_h) ** 2 * dt
+    return np.array([scale * r2 * (1.0 - r2 ** n) / (1.0 - r2) for n in steps])
+
+
+def _draw_workers():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _submit_draws(pool, workers, master_seed, first, b, shape):
+    """Start drawing paths first .. first+b-1 into a path-major (b,) + shape
+    buffer, each path whole from its own stream, one task per contiguous
+    slice of about b / workers paths; returns the buffer and the futures
+    filling it."""
+    blocks = np.empty((b,) + shape)
+
+    def fill(lo, hi):
+        for j in range(lo, hi):
+            _rng_for(member_seed(master_seed, first + j)).standard_normal(
+                shape, out=blocks[j])
+
+    cuts = [b * k // workers for k in range(workers + 1)]
+    return blocks, [pool.submit(fill, lo, hi)
+                    for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+
 def convolution_variance_mc(model, cfg, coef, q, probe_times, paths,
                             master_seed, chunk=500):
     """Per-mode sample variance of the stochastic convolution at probe
@@ -405,40 +465,52 @@ def convolution_variance_mc(model, cfg, coef, q, probe_times, paths,
     Member m draws its whole horizon in one call from the spawn_key=(m,)
     stream and steps through the same increment and resolvent operations
     as the single-path routine, so one path here is bit-identical to it.
-    Works for 1D (sine) models; returns (probe_times, var, se) with var
-    and se shaped (len(probe_times), n_modes).
+    Paths run in chunks: a pool of one thread per available CPU draws
+    the next chunk while the current one steps, so two chunks of
+    paths x steps x modes doubles are alive at once.  Every path's draw
+    and every sum is the same whatever the thread count, so the results
+    are too.  Works for 1D (sine) models; returns (probe_times, var, se)
+    with var and se shaped (len(probe_times), n_modes).
     """
     spec = model if not isinstance(model, str) else spec_of_id(model)
     if spec.kind != "sine":
         raise ValueError("vectorized variance runs on 1D models")
     if coef.kind != "additive":
         raise ValueError("closed-form comparison needs additive noise")
+    if paths < 1:
+        raise ValueError("need at least one path")
+    if chunk < 1:
+        raise ValueError("chunk must be at least 1")
     n = cfg.nsteps
     dt = cfg.dt
-    steps = [int(round(t / dt)) for t in probe_times]
-    if any(s < 1 or s > n for s in steps):
-        raise ValueError("probe times must lie inside (0, T]")
+    steps = probe_steps(probe_times, dt, n)
     denom = 1.0 / (1.0 + dt * spec.a)
     zero_u = np.zeros(spec.shape, dtype=spec.dtype)
     probe_at = {s: i for i, s in enumerate(steps)}
     sum2 = np.zeros((len(steps), spec.n))
     sum4 = np.zeros((len(steps), spec.n))
-    done = 0
-    while done < paths:
-        b = min(chunk, paths - done)
-        blocks = np.empty((n, b, spec.n))
-        for j in range(b):
-            rng = _rng_for(member_seed(master_seed, done + j))
-            blocks[:, j, :] = rng.standard_normal((n, spec.n))
-        z = np.zeros((b, spec.n))
-        for step in range(1, n + 1):
-            dw = increment_from_noise(q, dt, blocks[step - 1])
-            z = _imex(z, denom, cfg.mu * apply_G_raw(coef, spec, zero_u, dw))
-            if step in probe_at:
-                i = probe_at[step]
-                sum2[i] += (z ** 2).sum(axis=0)
-                sum4[i] += (z ** 4).sum(axis=0)
-        done += b
+    workers = _draw_workers()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = _submit_draws(pool, workers, master_seed, 0,
+                                min(chunk, paths), (n, spec.n))
+        done = 0
+        while done < paths:
+            blocks, futures = pending
+            for f in futures:
+                f.result()
+            b = len(blocks)
+            if done + b < paths:
+                pending = _submit_draws(pool, workers, master_seed, done + b,
+                                        min(chunk, paths - done - b), (n, spec.n))
+            z = np.zeros((b, spec.n))
+            for step in range(1, n + 1):
+                dw = increment_from_noise(q, dt, blocks[:, step - 1])
+                z = _imex(z, denom, cfg.mu * apply_G_raw(coef, spec, zero_u, dw))
+                if step in probe_at:
+                    i = probe_at[step]
+                    sum2[i] += (z ** 2).sum(axis=0)
+                    sum4[i] += (z ** 4).sum(axis=0)
+            done += b
     var = sum2 / paths
     # standard error of a sample variance via the fourth moment
     m4 = sum4 / paths

@@ -3,9 +3,10 @@
 Everything here is deliberately slow and structure-free: direct
 convolution sums over wavevectors, trigonometric product identities,
 per-cell Gauss quadrature.  None of it shares code with the package
-beyond basic array layout conventions, except hs_pointwise_per_direction,
-the one-direction-at-a-time form of a sum the package evaluates in
-stacks, which must reproduce it bit for bit.
+beyond basic array layout conventions, except hs_pointwise_per_direction
+and convolution_mc_serial, the one-at-a-time forms of computations the
+package runs in stacks or on threads, which must reproduce them bit for
+bit.
 """
 
 import numpy as np
@@ -161,6 +162,17 @@ def ou_variance(mu, lam, sigma, a, t):
     return mu ** 2 * lam ** 2 * sigma ** 2 * (1.0 - np.exp(-2.0 * a * t)) / (2.0 * a)
 
 
+def imex_ou_variance(mu, lam, sigma, a, dt, nsteps):
+    """Variance of one mode of z <- (z + mu lam sigma sqrt(dt) xi) / (1 + dt a)
+    after nsteps steps from z = 0, with xi independent standard normals:
+    each step adds the new increment's variance and scales by the square
+    of the resolvent factor."""
+    v = 0.0
+    for _ in range(nsteps):
+        v = (v + mu ** 2 * lam ** 2 * sigma ** 2 * dt) / (1.0 + dt * a) ** 2
+    return v
+
+
 def imex_mode_path(a, dt, nsteps, forcing=None):
     """Scalar backward-Euler recursion x <- (x + dt f) / (1 + dt a)."""
     x = 1.0
@@ -207,3 +219,38 @@ def hs_pointwise_per_direction(coef, u, q):
         g = _pointwise_product(spec, u.coeffs, dirc)
         total += lam * lam * norm_raw(spec, g, "H") ** 2
     return coef.sigma ** 2 * total
+
+
+def convolution_mc_serial(spec, cfg, coef, q, probe_times, paths,
+                          master_seed, chunk=500):
+    """Monte Carlo variance of the stochastic convolution with every path
+    drawn in turn on the calling thread into a step-major (n, b, N)
+    buffer, then stepped as one stack; returns (var, se)."""
+    from nudgelab.harness import member_seed
+    from nudgelab.integrate import _imex, _rng_for
+    from nudgelab.noise import apply_G_raw, increment_from_noise
+    n, dt = cfg.nsteps, cfg.dt
+    steps = [int(round(t / dt)) for t in probe_times]
+    denom = 1.0 / (1.0 + dt * spec.a)
+    zero_u = np.zeros(spec.shape, dtype=spec.dtype)
+    sum2 = np.zeros((len(steps), spec.n))
+    sum4 = np.zeros((len(steps), spec.n))
+    done = 0
+    while done < paths:
+        b = min(chunk, paths - done)
+        blocks = np.empty((n, b, spec.n))
+        for j in range(b):
+            rng = _rng_for(member_seed(master_seed, done + j))
+            blocks[:, j, :] = rng.standard_normal((n, spec.n))
+        z = np.zeros((b, spec.n))
+        for step in range(1, n + 1):
+            dw = increment_from_noise(q, dt, blocks[step - 1])
+            z = _imex(z, denom, cfg.mu * apply_G_raw(coef, spec, zero_u, dw))
+            if step in steps:
+                i = steps.index(step)
+                sum2[i] += (z ** 2).sum(axis=0)
+                sum4[i] += (z ** 4).sum(axis=0)
+        done += b
+    var = sum2 / paths
+    m4 = sum4 / paths
+    return var, np.sqrt(np.maximum(m4 - var ** 2, 0.0) / paths)

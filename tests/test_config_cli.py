@@ -394,8 +394,62 @@ def test_convolution_check(tmp_path):
     assert rows[0] == "t,mode,variance,se,exact,deviation_se"
     devs = [float(r.split(",")[5]) for r in rows[1:]]
     assert max(devs) <= 3.0
+    # default probes: steps n//4, n//2, n of the 250-step horizon
+    assert sorted({float(r.split(",")[0]) for r in rows[1:]}) \
+        == [62 * 2e-3, 125 * 2e-3, 250 * 2e-3]
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["paths"] == 400
+    assert doc["times"] == [62 * 2e-3, 125 * 2e-3, 250 * 2e-3]
+    assert 0.0 <= doc["worst_deviation_discrete_se"] <= 3.0
+    assert abs(doc["worst_deviation_se"] - max(devs)) <= 5e-4
+    assert 0.0 < doc["continuous_gap_rel"] < 0.2
+
+
+CONV_AC = ("model.id = ac_weak\nmodel.n = 16\nnoise.kind = additive\n"
+           "noise.sigma = 0.1\nnudging.mu = 20\ntime.dt = 1e-3\n"
+           "time.T = 0.5\nensemble.seed = 3\ninit.seed = 3\n")
+
+
+def test_convolution_check_verdict_uses_scheme_variance(tmp_path, capsys):
+    # 4.5 s.e. from the continuous-time variance, the O(dt a) bias of the
+    # scheme; the scheme's own variance is the reference of the verdict
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "conv.cfg", CONV_AC, "convolution-check",
+              "--paths", "10000", "--check", "--out-dir", str(out))
+    assert rc == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["worst_deviation_discrete_se"] <= 3.0 < doc["worst_deviation_se"]
+    line = capsys.readouterr().out.splitlines()[0]
+    assert "%.2f s.e. from the scheme's variance" \
+        % doc["worst_deviation_discrete_se"] in line
+
+
+def test_convolution_check_ac_strong_passes(tmp_path):
+    # the raw coefficients of ac_strong carry 1/w_h; the references must too
+    text = ("model.id = ac_strong\nmodel.n = 8\nnoise.sigma = 0.1\n"
+            "nudging.mu = 20.0\ntime.dt = 2e-3\ntime.T = 0.5\n")
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "s.cfg", text, "convolution-check",
+              "--paths", "400", "--check", "--out-dir", str(out))
+    assert rc == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["worst_deviation_se"] < 6.0
+
+
+@pytest.mark.parametrize("times,match", [
+    ("0.1234", "whole number"),
+    ("0.1,0.1", "same step"),
+    ("0.25,0.6", "inside"),
+])
+def test_convolution_check_bad_times_exit_1(tmp_path, capsys, times, match):
+    text = ("model.id = ac_weak\nmodel.n = 8\nnoise.sigma = 0.1\n"
+            "nudging.mu = 20.0\ntime.dt = 1e-2\ntime.T = 0.5\n")
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "c.cfg", text, "convolution-check", "--times", times,
+              "--paths", "10", "--out-dir", str(out))
+    assert rc == 1
+    assert match in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convolution_check_needs_noise(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Ensemble aggregation, rate fitting, and the (mu, delta) sweep."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,16 @@ import nudgelab.harness as H
 from nudgelab.fields import norm_raw
 from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               estimate_noise_floor, fit_decay_rate,
-                              measure_alpha, member_seed, run_ensemble, sweep,
-                              tail_sup)
+                              imex_convolution_variance, measure_alpha,
+                              member_seed, run_ensemble, sweep, tail_sup)
 from nudgelab.integrate import (BlowupError, StepConfig, _noise_source,
                                 simulate_members, simulate_pair,
                                 step_reference, stochastic_convolution)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
 from nudgelab.observe import estimate_interp_constant, eta0, make_observation
+
+import oracles as O
 
 
 def _setup(sigma=0.1, mu=20.0, T=0.5, n=16, kind="additive"):
@@ -379,3 +383,83 @@ def test_convolution_mc_rejects_bad_inputs():
     coef = make_noise_coefficient("additive", 0.1)
     with pytest.raises(ValueError):
         convolution_variance_mc(spec, cfg, coef, q, [0.5], 2, 0)
+
+
+def _conv_case(n=8, T=0.2):
+    spec = build_model("ac_weak", n, nu=1.0)
+    return (spec, StepConfig(dt=1e-2, T=T, mu=15.0),
+            make_noise_coefficient("additive", 0.2), make_qspec(spec))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("paths,chunk", [(1, 3), (7, 3), (13, 5), (2, 500)])
+def test_convolution_mc_threaded_equals_serial_oracle(monkeypatch, workers,
+                                                      paths, chunk):
+    # (2, 500): fewer paths than workers when workers = 3
+    monkeypatch.setattr(H, "_draw_workers", lambda: workers)
+    spec, cfg, coef, q = _conv_case()
+    probes = [0.05, 0.1, 0.2]
+    _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes, paths,
+                                         11, chunk=chunk)
+    ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, probes,
+                                              paths, 11, chunk=chunk)
+    assert np.array_equal(var, ref_var)
+    assert np.array_equal(se, ref_se)
+
+
+def test_convolution_mc_more_workers_than_cores(monkeypatch):
+    # eight draw threads switching every microsecond write disjoint rows
+    monkeypatch.setattr(H, "_draw_workers", lambda: 8)
+    spec, cfg, coef, q = _conv_case()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, var, se = convolution_variance_mc(spec, cfg, coef, q, [0.1, 0.2],
+                                             40, 2, chunk=12)
+    finally:
+        sys.setswitchinterval(old)
+    ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, [0.1, 0.2],
+                                              40, 2, chunk=12)
+    assert np.array_equal(var, ref_var)
+    assert np.array_equal(se, ref_se)
+
+
+def test_convolution_mc_rerun_identical():
+    spec, cfg, coef, q = _conv_case()
+    a = convolution_variance_mc(spec, cfg, coef, q, [0.1, 0.2], 9, 5, chunk=4)
+    b = convolution_variance_mc(spec, cfg, coef, q, [0.1, 0.2], 9, 5, chunk=4)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("probes,paths,chunk,match", [
+    ([0.1], 2, 0, "chunk"),
+    ([0.1], 0, 500, "path"),
+    ([0.1, 0.1], 2, 500, "same step"),
+    ([0.05, 0.05 + 1e-12], 2, 500, "same step"),
+    ([0.1234], 2, 500, "whole number"),
+    ([0.0], 2, 500, "inside"),
+    ([float("nan")], 2, 500, "inside"),
+])
+def test_convolution_mc_rejects_bad_counts_and_probes(probes, paths, chunk,
+                                                      match):
+    spec, cfg, coef, q = _conv_case()
+    with pytest.raises(ValueError, match=match):
+        convolution_variance_mc(spec, cfg, coef, q, probes, paths, 0,
+                                chunk=chunk)
+
+
+@pytest.mark.parametrize("model_id", ["ac_weak", "ac_strong"])
+def test_imex_convolution_variance_matches_recursion(model_id):
+    spec = build_model(model_id, 8, nu=1.0)
+    q = make_qspec(spec)
+    coef = make_noise_coefficient("additive", 0.1)
+    steps = [1, 37, 500]
+    got = imex_convolution_variance(spec, q, coef, 20.0, 1e-3, steps)
+    assert got.shape == (3, spec.n)
+    for i, n in enumerate(steps):
+        for k in range(spec.n):
+            # the raw coefficients carry the noise in H-weighted units
+            ref = O.imex_ou_variance(20.0, q.lam[k] / spec.w_h[k],
+                                     coef.sigma_delta, spec.a[k], 1e-3, n)
+            assert got[i, k] == pytest.approx(ref, rel=1e-12, abs=0.0)
