@@ -98,6 +98,8 @@ def _grid(raw, what):
                            % (what, raw)])
     if not vals:
         raise ConfigError(["%s: empty grid" % what])
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(["%s: values must be finite, got %r" % (what, raw)])
     return vals
 
 
@@ -345,7 +347,11 @@ def _cmd_convolution(args, values):
                            "sigma > 0"])
     if values["nudging.mu"] <= 0.0:
         raise ConfigError(["convolution-check needs mu > 0"])
-    modes = [int(tok) for tok in args.modes.split(",") if tok.strip()]
+    try:
+        modes = [int(tok) for tok in args.modes.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(["--modes: expected comma-separated integers, got %r"
+                           % args.modes])
     if not modes or any(k < 1 or k > spec.n for k in modes):
         raise ConfigError(["--modes must name modes between 1 and %d" % spec.n])
     cfg = setup.cfg

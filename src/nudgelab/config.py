@@ -166,31 +166,37 @@ def output_directory(values):
     return os.environ.get("NUDGELAB_OUT_DIR", "") or "runs"
 
 
+def _built(section, builder, *args, **kwargs):
+    """builder(*args, **kwargs), a ValueError reported as a ConfigError."""
+    try:
+        return builder(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(["%s: %s" % (section, e)])
+
+
 def build_setup(values):
     """Construct every run object a config describes.
 
     Returns a harness RunSetup; the initial error is w0 times a
-    unit-norm rough field on top of u0.  A time grid StepConfig rejects
-    is reported as a ConfigError.
+    unit-norm rough field on top of u0.  A value the schema accepts
+    but a builder rejects is reported as a ConfigError.
     """
     from .harness import RunSetup
-    model = build_model(values["model.id"], values["model.n"],
-                        nu=values["model.nu"], norms=values["model.norms"],
-                        linear=values["model.linear"])
-    op = make_observation(model, values["observation.kind"],
-                          values["observation.delta"])
-    q = make_qspec(model, exponent=values["noise.spectrum_exponent"],
-                   k_q=values["noise.k_q"], delta=values["observation.delta"])
-    coef = make_noise_coefficient(values["noise.kind"], values["noise.sigma"],
-                                  p=values["noise.p"],
-                                  delta=values["observation.delta"])
-    try:
-        cfg = StepConfig(dt=values["time.dt"], T=values["time.T"],
-                         mu=values["nudging.mu"],
-                         implicit_nudging=values["nudging.implicit"],
-                         blowup_guard=values["time.guard"])
-    except ValueError as e:
-        raise ConfigError(["time: %s" % e])
+    model = _built("model", build_model, values["model.id"], values["model.n"],
+                   nu=values["model.nu"], norms=values["model.norms"],
+                   linear=values["model.linear"])
+    op = _built("observation", make_observation, model,
+                values["observation.kind"], values["observation.delta"])
+    q = _built("noise", make_qspec, model,
+               exponent=values["noise.spectrum_exponent"],
+               k_q=values["noise.k_q"], delta=values["observation.delta"])
+    coef = _built("noise", make_noise_coefficient, values["noise.kind"],
+                  values["noise.sigma"], p=values["noise.p"],
+                  delta=values["observation.delta"])
+    cfg = _built("time", StepConfig, dt=values["time.dt"], T=values["time.T"],
+                 mu=values["nudging.mu"],
+                 implicit_nudging=values["nudging.implicit"],
+                 blowup_guard=values["time.guard"])
     u0 = random_field(model, (values["init.seed"], 0),
                       h_norm=values["init.amplitude"])
     if values["init.w0"] > 0.0:

@@ -63,9 +63,8 @@ class ModelSpec:
             raise ValueError("a(k) must be positive on every retained mode")
         quot = a[mask] * wh2 / (w_v[mask] ** 2)
         self.alpha = float(quot.min())
-        # embedding constants ||f||_V* <= c_emb ||f||_H <= c_emb2 ||f||_V
+        # embedding constant ||f||_V* <= c_emb ||f||_H
         self.c_emb = float((w_vstar[mask] / w_h[mask]).max())
-        self.c_emb2 = float((w_h[mask] / w_v[mask]).max())
 
     def weights(self, space):
         try:
@@ -101,7 +100,7 @@ def spec_of_id(model_id):
 class Field:
     """Immutable spectral coefficient vector tagged by its model."""
 
-    __slots__ = ("model_id", "coeffs", "basis_size")
+    __slots__ = ("model_id", "coeffs")
 
     def __init__(self, model_id, coeffs):
         spec = spec_of_id(model_id)
@@ -112,23 +111,12 @@ class Field:
         arr.setflags(write=False)
         object.__setattr__(self, "model_id", model_id)
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "basis_size", spec.n)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
 
-    @property
-    def spec(self):
-        return spec_of_id(self.model_id)
-
     def __repr__(self):
         return "Field(%s)" % self.model_id
-
-
-def _check_pair(f, g):
-    if f.model_id != g.model_id:
-        raise ValueError("model mismatch: %s vs %s" % (f.model_id, g.model_id))
-    return spec_of_id(f.model_id)
 
 
 def _wsum2(spec, a, w):
@@ -158,9 +146,14 @@ def norm_raw(spec, arr, space):
 
 
 def inner_h(f, g):
-    """H inner product; symmetric, inner_h(f, f) = norm(f, 'H')**2."""
-    spec = _check_pair(f, g)
-    return inner_h_raw(spec, f.coeffs, g.coeffs)
+    """H inner product; symmetric, inner_h(f, f) = norm(f, 'H')**2.
+
+    It also serves as the duality pairing <f, g> between V* and V: the
+    pairing is realized with the H weights in coefficients.
+    """
+    if f.model_id != g.model_id:
+        raise ValueError("model mismatch: %s vs %s" % (f.model_id, g.model_id))
+    return inner_h_raw(spec_of_id(f.model_id), f.coeffs, g.coeffs)
 
 
 def inner_h_raw(spec, a, b):
@@ -170,31 +163,3 @@ def inner_h_raw(spec, a, b):
     else:
         prod = a * b
     return float(np.sum(spec.mult * w2 * prod))
-
-
-def pairing(f, g):
-    """Duality pairing <f, g> between V* and V.
-
-    Realized with the H weights, so it coincides with inner_h whenever f
-    lies in H; for strong triples this is the declared (f, A g)-type
-    pairing expressed in coefficients.
-    """
-    spec = _check_pair(f, g)
-    return inner_h_raw(spec, f.coeffs, g.coeffs)
-
-
-def apply_A(f):
-    """Apply the model's linear operator mode-wise; V*-valued result."""
-    spec = spec_of_id(f.model_id)
-    return Field(f.model_id, spec.project_raw(spec.a * f.coeffs))
-
-
-def apply_F(f):
-    """Evaluate the model's nonlinearity; V*-valued result."""
-    spec = spec_of_id(f.model_id)
-    return Field(f.model_id, spec.f_raw(f.coeffs))
-
-
-def zero_field(model):
-    spec = model if isinstance(model, ModelSpec) else spec_of_id(model)
-    return Field(spec.model_id, np.zeros(spec.shape, dtype=spec.dtype))

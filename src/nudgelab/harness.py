@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import _wsum2, inner_h_raw, norm_raw, spec_of_id
+from .fields import _wsum2, inner_h_raw, norm_raw
 from .integrate import BlowupError, _imex, _noise_source, _rng_for, simulate_members
-from .models import random_field
+from .models import build_model, random_field
 from .noise import apply_G_raw, increment_from_noise
 from .observe import estimate_interp_constant, eta0
 
@@ -42,7 +42,6 @@ class EnsembleResult:
     se_w2_vstar: np.ndarray
     members: int
     member_w_h: np.ndarray     # (included members, steps+1)
-    member_seeds: list
     blowups: int
     mean_hs: np.ndarray
     first: object              # SimResult of member 0, None if it blew up
@@ -64,10 +63,10 @@ def run_ensemble(setup, members, master_seed, emit_y=False):
     """
     if members < 1:
         raise ValueError("need at least one member")
-    seeds = [member_seed(master_seed, m) for m in range(members)]
+    sources = [_noise_source(member_seed(master_seed, m), setup.q)
+               for m in range(members)]
     results = simulate_members(setup.model, setup.cfg, setup.op, setup.coef,
-                               setup.q, setup.u0, setup.v0,
-                               [_noise_source(s, setup.q) for s in seeds],
+                               setup.q, setup.u0, setup.v0, sources,
                                emit_y=emit_y)
     ok = [r for r in results if not isinstance(r, BlowupError)]
     blowups = members - len(ok)
@@ -90,7 +89,7 @@ def run_ensemble(setup, members, master_seed, emit_y=False):
         se_v = np.zeros_like(mean_v)
     first = results[0] if not isinstance(results[0], BlowupError) else None
     return EnsembleResult(times, mean_h, mean_v, se_h, se_v, members,
-                          np.stack([r.w_h for r in ok]), seeds, blowups,
+                          np.stack([r.w_h for r in ok]), blowups,
                           hs.mean(axis=0), first)
 
 
@@ -100,7 +99,6 @@ class RateFit:
     intercept: float
     window: tuple
     residual: float
-    npoints: int
     note: str = ""
 
 
@@ -128,22 +126,21 @@ def fit_decay_rate(times, series, window=None):
         idx = idx & (np.arange(len(series)) < bad[0])
         note = "window shrunk to positive values (noise floor reached)"
     idx = idx & (series > 0.0)
-    n = int(idx.sum())
-    if n < 3:
+    if idx.sum() < 3:
         raise ValueError("fewer than 3 positive samples in the fit window")
     t = times[idx]
     y = np.log(series[idx])
     slope, intercept = np.polyfit(t, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * t + intercept)) ** 2)))
     return RateFit(-float(slope), float(intercept),
-                   (float(t[0]), float(t[-1])), resid, n, note)
+                   (float(t[0]), float(t[-1])), resid, note)
 
 
-def estimate_noise_floor(times, series, tail_frac=0.25):
-    """Tail time-average of the mean-square error and its standard error."""
+def estimate_noise_floor(times, series):
+    """Time-average of the mean-square error over the last quarter of the
+    samples, and its standard error."""
     series = np.asarray(series, dtype=float)
-    n = len(series)
-    k = max(int(round(n * tail_frac)), 1)
+    k = max(round(len(series) / 4), 1)
     if k < 10:
         raise ValueError("tail window has fewer than 10 samples")
     tail = series[-k:]
@@ -181,7 +178,7 @@ def sweep(setup_factory, mu_grid, delta_grid, members, master_seed):
     eta_by_delta = {}
     for delta in delta_grid:
         probe = setup_factory(mu_grid[0], delta)
-        spec = probe.model if not isinstance(probe.model, str) else spec_of_id(probe.model)
+        spec = probe.model
         if alpha_hat is None:
             alpha_hat = measure_alpha(spec)
         ci_by_delta[delta] = estimate_interp_constant(probe.op, spec, samples=32)
@@ -360,13 +357,12 @@ class AssumptionReport:
         return out
 
 
-def verify_assumptions(model, traj, op, samples=24, seed=1234):
+def verify_assumptions(spec, traj, op, samples=24, seed=1234):
     """Estimate every structural constant on a simulated trajectory.
 
     traj is a SimResult (times and kappa series are read from it); op is
     the observation operator whose interpolation constant is measured.
     """
-    spec = model if not isinstance(model, str) else spec_of_id(model)
     alpha_hat = measure_alpha(spec)
     ci = estimate_interp_constant(op, spec, samples=samples)
     m0, m1, total = _mm_envelope(traj.times, traj.kappa)
@@ -393,7 +389,6 @@ def verify_assumptions(model, traj, op, samples=24, seed=1234):
 
 
 def _refined_spec(spec, n2):
-    from .models import build_model
     return build_model(spec.params["family"], n2, nu=spec.nu,
                        norms=spec.params.get("norms", "homogeneous"),
                        linear=spec.params.get("linear", False))
@@ -457,7 +452,7 @@ def _submit_draws(pool, workers, master_seed, first, b, shape):
                     for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
-def convolution_variance_mc(model, cfg, coef, q, probe_times, paths,
+def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
                             master_seed, chunk=500):
     """Per-mode sample variance of the stochastic convolution at probe
     times, over many paths.
@@ -472,7 +467,6 @@ def convolution_variance_mc(model, cfg, coef, q, probe_times, paths,
     are too.  Works for 1D (sine) models; returns (probe_times, var, se)
     with var and se shaped (len(probe_times), n_modes).
     """
-    spec = model if not isinstance(model, str) else spec_of_id(model)
     if spec.kind != "sine":
         raise ValueError("vectorized variance runs on 1D models")
     if coef.kind != "additive":

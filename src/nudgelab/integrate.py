@@ -80,10 +80,8 @@ class StepConfig:
 
 
 def _rng_for(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(ss))
+    # Philox takes an int or a SeedSequence alike
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _noise_source(seed, q, noise_source=None):
@@ -145,7 +143,7 @@ def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, noise_source=None,
     return res
 
 
-def simulate_members(model, cfg, op, coef, q, u0, v0, sources, emit_y=False,
+def simulate_members(spec, cfg, op, coef, q, u0, v0, sources, emit_y=False,
                      record_u=False, record_v=False):
     """Integrate one reference and len(sources) estimates in lockstep.
 
@@ -161,7 +159,6 @@ def simulate_members(model, cfg, op, coef, q, u0, v0, sources, emit_y=False,
     a member whose accumulator leaves the guard drops out of the batch,
     a reference blow-up ends every member still running.
     """
-    spec = model if not isinstance(model, str) else spec_of_id(model)
     members = len(sources)
     uc = np.array(u0.coeffs)
     vc = np.repeat(np.asarray(v0.coeffs)[None], members, axis=0)
@@ -265,7 +262,7 @@ def simulate_members(model, cfg, op, coef, q, u0, v0, sources, emit_y=False,
     return results
 
 
-def stochastic_convolution(model, cfg, coef, q, u_traj, seed, noise_source=None):
+def stochastic_convolution(spec, cfg, coef, q, u_traj, seed, noise_source=None):
     """Z(t) = mu * integral of e^{-(t-s)A} G(u(s)) dW_s, discretized with
     the same resolvent and the same noise stream as simulate_pair.
 
@@ -273,7 +270,6 @@ def stochastic_convolution(model, cfg, coef, q, u_traj, seed, noise_source=None)
     or None for coefficients that ignore u (additive).  Returns (times,
     z_path) with z_path[i] the coefficients of Z(t_i).
     """
-    spec = model if not isinstance(model, str) else spec_of_id(model)
     source = _noise_source(seed, q, noise_source)
     n = cfg.nsteps
     dt = cfg.dt

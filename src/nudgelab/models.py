@@ -1,4 +1,4 @@
-"""The five reference models and their pseudo-spectral machinery.
+"""The six reference models and their pseudo-spectral machinery.
 
 1D models live on (0,1) with a Dirichlet sine basis, orthonormal basis
 functions sqrt(2)*sin(k*pi*x).  2D models live on the 2*pi-periodic
@@ -15,8 +15,6 @@ qg (surface quasi-geostrophic, F(theta) = -div(theta * Rperp theta)),
 mhd (velocity/magnetic pair with the induction-equation coupling).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft as sfft
 
@@ -26,19 +24,6 @@ _SQRT2 = np.sqrt(2.0)
 
 
 MODEL_FAMILIES = ("ac_weak", "ac_strong", "nse_weak", "nse_strong", "qg", "mhd")
-
-
-@dataclass(frozen=True)
-class KappaSample:
-    t: float
-    kappa: float
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Real collocation values of a Field (per-component for vectors)."""
-    model_id: str
-    values: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -339,78 +324,10 @@ def _build_torus_model(tag, model_id, n, nu, linear):
 
 
 # ----------------------------------------------------------------------
-# grid transforms
+# random initial data
 
-def to_grid(f):
-    """Collocation values of a Field (doubled grid for sine models)."""
-    spec = spec_of_id(f.model_id)
-    if spec.kind == "sine":
-        vals = _sine_to_grid(f.coeffs, 2 * spec.n)
-    else:
-        vals = spec.aux.to_grid(f.coeffs)
-    return GridField(f.model_id, vals)
-
-
-def from_grid(g):
-    """Field with the coefficients of grid values, constraints re-imposed."""
-    spec = spec_of_id(g.model_id)
-    vals = np.asarray(g.values, dtype=float)
-    if spec.kind == "sine":
-        c = _sine_from_grid(vals, spec.n)
-    else:
-        c = spec.project_raw(spec.aux.from_grid(vals))
-    return Field(g.model_id, c)
-
-
-# ----------------------------------------------------------------------
-# public operations
-
-def leray_project(f):
-    """Project a 2D vector field onto divergence-free, mean-zero fields.
-
-    Accepts a vector Field or GridField; per mode u_hat loses its
-    component along k, so gradients map to zero and solenoidal fields
-    pass through unchanged.
-    """
-    if isinstance(f, GridField):
-        f = from_grid(f)
-    elif not isinstance(f, Field):
-        raise TypeError("expected a Field or GridField")
-    spec = spec_of_id(f.model_id)
-    if spec.kind != "torus" or spec.ncomp < 2:
-        raise ValueError("leray projection needs a torus vector model")
-    return Field(f.model_id, spec.project_raw(np.array(f.coeffs)))
-
-
-def riesz_perp(theta):
-    """Rperp theta = grad-perp (-Laplace)^(-1/2) theta, a solenoidal field.
-
-    The result lives in the companion velocity space (the weak NSE model
-    of the same size), on which Rperp is an L2 isometry.
-    """
-    spec = spec_of_id(theta.model_id)
-    if spec.params["family"] != "qg":
-        raise ValueError("riesz_perp expects a qg scalar field")
-    tor = spec.aux
-    c = theta.coeffs
-    scale = float(np.max(np.abs(c))) if c.size else 0.0
-    if abs(c[0, 0]) > 1e-13 * max(scale, 1.0):
-        raise ValueError("riesz_perp needs a mean-zero field")
-    vel = build_model("nse_weak", spec.n, nu=spec.nu)
-    out = np.stack([tor.rz1 * c, tor.rz2 * c])
-    return Field(vel.model_id, vel.project_raw(out))
-
-
-def kappa_monitor(model, u, t=0.0):
-    """The model's kappa(t) sample along the reference trajectory."""
-    spec = model if isinstance(model, ModelSpec) else spec_of_id(model)
-    c = u.coeffs if isinstance(u, Field) else np.asarray(u)
-    return KappaSample(t=float(t), kappa=float(spec.kappa_raw(c)))
-
-
-def random_field(model, seed, h_norm=1.0, smoothness=None):
+def random_field(spec, seed, h_norm=1.0, smoothness=None):
     """Smooth random Field with the requested H norm, deterministic in seed."""
-    spec = model if isinstance(model, ModelSpec) else spec_of_id(model)
     rng = np.random.default_rng(seed)
     if spec.kind == "sine":
         s = 1.0 if smoothness is None else smoothness
@@ -430,32 +347,3 @@ def random_field(model, seed, h_norm=1.0, smoothness=None):
     if h == 0.0:
         raise ValueError("degenerate random draw")
     return Field(spec.model_id, c * (h_norm / h))
-
-
-def check_field(f, tol=1e-12):
-    """Validate the model's structural constraints; raises on violation."""
-    spec = spec_of_id(f.model_id)
-    c = f.coeffs
-    flat = c.view(float) if np.iscomplexobj(c) else c
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("non-finite coefficients")
-    if spec.kind == "sine":
-        return True
-    tor = spec.aux
-    scale = max(float(np.max(np.abs(c))), 1e-300)
-    if float(np.max(np.abs(np.where(spec.mask, 0.0, c)))) > tol * scale:
-        raise ValueError("energy outside the retained band")
-    comps = c[None] if spec.ncomp == 1 else c
-    for comp in comps:
-        col = comp[:, 0]
-        rev = np.roll(col[::-1], 1)
-        if float(np.max(np.abs(col - np.conj(rev)))) > tol * scale:
-            raise ValueError("reality constraint violated on the kx=0 column")
-        if abs(comp[0, 0]) > tol * scale:
-            raise ValueError("zero mode must vanish")
-    if spec.ncomp >= 2:
-        for i in range(0, spec.ncomp, 2):
-            div = tor.kx * comps[i] + tor.ky * comps[i + 1]
-            if float(np.max(np.abs(div))) > tol * scale * max(tor.kd, 1):
-                raise ValueError("divergence-free constraint violated")
-    return True

@@ -47,14 +47,13 @@ class QSpec:
     draw_shape: tuple = ()
 
 
-def make_qspec(model, exponent="auto", k_q="auto", delta=None):
+def make_qspec(spec, exponent="auto", k_q="auto", delta=None):
     """Spectrum lambda_k = (1+|k|^2)^(-s), truncated at K_Q.
 
     exponent "auto" picks s = 1.0 (1D) or 1.5 (2D); k_q "auto" ties the
     rank to the observation scale, K_Q = floor(pi/delta), or keeps the
     full band when no delta is given.
     """
-    spec = model if not isinstance(model, str) else spec_of_id(model)
     if exponent == "auto":
         s = 1.0 if spec.kind == "sine" else 1.5
     else:
@@ -108,12 +107,6 @@ def increment_from_noise(q, dt, block):
         z, tor = _scalar_stream(spec, q, block[..., s, :, :, :])
         comps.extend([tor.rz1 * z, tor.rz2 * z])
     return root * np.stack(comps, axis=-3)
-
-
-def sample_increment(rng, dt, q):
-    """Draw one increment of W^Q over dt; deterministic given rng state."""
-    block = rng.standard_normal(q.draw_shape)
-    return Field(q.model_id, increment_from_noise(q, dt, block))
 
 
 @dataclass(frozen=True)
@@ -249,11 +242,3 @@ def hs_norm_sq(coef, u, q):
         for lam, x in zip(lams, norms.tolist()):
             total += lam * lam * x ** 2
     return coef.sigma ** 2 * total
-
-
-def gamma_u_sup(series):
-    """Running supremum of the Hilbert-Schmidt series along a trajectory."""
-    arr = np.asarray(series, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty series")
-    return float(np.max(arr))

@@ -32,9 +32,8 @@ class ObservationOperator:
     data: tuple = field(default=(), repr=False, compare=False)
 
 
-def make_observation(model, kind, delta):
+def make_observation(spec, kind, delta):
     """Build an observation operator at scale delta for the given model."""
-    spec = model if not isinstance(model, str) else spec_of_id(model)
     domain = spec.params["domain"]
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -107,19 +106,6 @@ def apply_observation(op, f):
     return Field(f.model_id, apply_observation_raw(op, spec, f.coeffs))
 
 
-def cell_averages(op, f):
-    """Volume kind only: the exact per-cell averages of f (1D: shape (m,),
-    2D: shape (m, m) per component)."""
-    if op.kind != "volume":
-        raise ValueError("cell averages exist for the volume kind only")
-    spec = spec_of_id(f.model_id)
-    c = f.coeffs
-    if spec.kind == "sine":
-        return op.cells * (op.data[0] @ c)
-    b = op.data[0]
-    return (b @ spec.aux.full_layout(c) @ b.T).real
-
-
 def _quotient(op, spec, fc, gc):
     pair = inner_h_raw(spec, fc - apply_observation_raw(op, spec, fc), gc)
     den = op.delta * norm_raw(spec, fc, "H") * norm_raw(spec, gc, "V")
@@ -161,14 +147,12 @@ def _single_mode_probes(spec, op):
     return probes
 
 
-def estimate_interp_constant(op, model=None, samples=64, seed=0):
+def estimate_interp_constant(op, spec, samples=64, seed=0):
     """Measured constant of <f - I_delta f, g> <= C_I delta ||f||_H ||g||_V.
 
     Maximizes the quotient over random field pairs plus adversarial
     single-mode probes at the cutoff; deterministic given seed.
     """
-    spec = spec_of_id(op.model_id) if model is None else (
-        model if not isinstance(model, str) else spec_of_id(model))
     if spec.model_id != op.model_id:
         raise ValueError("operator belongs to %s" % op.model_id)
     if samples < 1:

@@ -147,6 +147,42 @@ def mhd_rhs_modes(spec, u1, u2, h1, h2):
     return fu1, fu2, fh1, fh2
 
 
+def torus_constraints(spec, c, tol=1e-12):
+    """Names of the torus constraints that coefficients c break, from the
+    wavevector arrays alone:
+
+      band        energy outside the retained (dealiased) band;
+      reality     the kx = 0 column is not conjugate-symmetric,
+                  c(0, -ky) = conj(c(0, ky));
+      mean        a nonzero zero mode;
+      divergence  kx c_1 + ky c_2 != 0 in a two-component block.
+
+    Each holds to tol relative to the largest coefficient (times the
+    largest retained |k| for the divergence).  An empty list means c
+    meets them all.
+    """
+    tor = spec.aux
+    comps = np.reshape(c, (-1,) + tor.kx.shape)
+    bound = tol * max(float(np.max(np.abs(comps))), 1e-300)
+    outside = ~tor.mask
+    outside[0, 0] = False            # the zero mode is the "mean" check
+    col = comps[:, :, 0]
+    mirror = np.conj(col[:, (-np.arange(col.shape[1])) % col.shape[1]])
+    broken = []
+    if np.max(np.abs(comps[:, outside])) > bound:
+        broken.append("band")
+    if np.max(np.abs(col - mirror)) > bound:
+        broken.append("reality")
+    if np.max(np.abs(comps[:, 0, 0])) > bound:
+        broken.append("mean")
+    if len(comps) >= 2:
+        kmax = max(np.max(np.abs(tor.kx[tor.mask])), np.max(np.abs(tor.ky[tor.mask])))
+        div = tor.kx * comps[0::2] + tor.ky * comps[1::2]
+        if np.max(np.abs(div)) > bound * kmax:
+            broken.append("divergence")
+    return broken
+
+
 def cell_average_quad(c, a, b, npts=64):
     """Mean of sum c_k sqrt(2) sin(k pi x) over [a, b], Gauss-Legendre."""
     x, w = np.polynomial.legendre.leggauss(npts)

@@ -12,7 +12,7 @@ import pytest
 
 import nudgelab.cli as cli
 import oracles as O
-from nudgelab.fields import Field, norm, pairing
+from nudgelab.fields import Field, inner_h, norm
 from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               fit_decay_rate, estimate_noise_floor,
                               run_ensemble, sweep, tail_sup,
@@ -147,7 +147,7 @@ def test_criterion_06_cancellation_identities():
         for s in range(100):
             u = random_field(spec, (60, s))
             f = Field(spec.model_id, spec.f_raw(u.coeffs))
-            w = max(w, abs(pairing(f, u)) / (norm(f, "Vstar") * norm(u, "V")))
+            w = max(w, abs(inner_h(f, u)) / (norm(f, "Vstar") * norm(u, "V")))
         worst[model_id] = w
     ok = max(worst.values()) <= 1e-10
     _line(6, ok, "relative residual over 100 fields each: " +

@@ -1,15 +1,19 @@
 """The package's public names: every export resolves, once, to an import;
-and every entry point the benchmark traces still exists."""
+every entry point the benchmark traces still exists; and the package
+metadata names the package, its version and its commands."""
 
 import ast
 import importlib
 import os
 
+import pytest
+
 import nudgelab
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INIT = os.path.join(os.path.dirname(nudgelab.__file__), "__init__.py")
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "tracer.py")
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
+PYPROJECT = os.path.join(ROOT, "pyproject.toml")
 
 
 def _imported_names():
@@ -54,3 +58,18 @@ def test_traced_entry_points_resolve():
     missing = [(mod, attr) for mod, attr, _ in named
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+def test_package_metadata():
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11 and later
+    with open(PYPROJECT, "rb") as fh:
+        meta = tomllib.load(fh)
+    project = meta["project"]
+    assert project["name"] == "nudgelab"
+    assert "version" not in project and project["dynamic"] == ["version"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "nudgelab.__version__"}
+    assert project["scripts"]
+    for target in project["scripts"].values():
+        mod, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(mod), attr, None)), target

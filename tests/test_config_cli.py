@@ -309,6 +309,40 @@ def test_live_pointwise_noise_runs(tmp_path, model_id, n):
     assert float(rows[1].split(",")[5]) > 0.0     # hs_norm_sq at t = 0
 
 
+# values the schema accepts but a builder rejects
+BUILDER_REJECTS = [
+    "model.id = ac_weak\nobservation.delta = 5\n",   # beyond the domain
+    "model.id = qg\nmodel.n = 7\n",                  # odd torus size
+    "model.id = qg\nmodel.n = 2\n",
+    "model.id = qg\nmodel.norms = sobolev\n",        # ac_weak only
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify",
+                                     "convolution-check"])
+@pytest.mark.parametrize("text", BUILDER_REJECTS)
+def test_builder_rejected_value_exits_1(tmp_path, capsys, command, text):
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "bad.cfg", text, command, "--out-dir", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("invalid configuration")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--mu-grid", "nan"),
+    ("sweep", "--delta-grid", "nan"),
+    ("convolution-check", "--modes", "1,x"),
+])
+def test_bad_cli_list_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "run.cfg", SMALL_RUN, *argv, "--out-dir", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and argv[1] in err
+    assert not out.exists()
+
+
 def test_missing_config_exits_1(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles as O
-from nudgelab.fields import Field, norm, zero_field
+from nudgelab.fields import Field, norm
 from nudgelab.integrate import (BlowupError, StepConfig, simulate_pair,
                                 step_reference, stochastic_convolution)
 from nudgelab.models import build_model, random_field
@@ -152,7 +152,7 @@ def test_implicit_nudging_mode_recursion():
     op_full = make_observation(spec_lin, "modal", delta=2.0 / (spec_lin.n + 1))
     assert int(op_full.data[0].sum()) == spec_lin.n
     cfg = StepConfig(dt=5e-2, T=0.5, mu=30.0, implicit_nudging=True)
-    u0 = zero_field(spec_lin)
+    u0 = Field(spec_lin.model_id, np.zeros(spec_lin.shape))
     v0 = random_field(spec_lin, 5)
     res = simulate_pair(spec_lin, cfg, op_full, None, None, u0, v0, 0,
                         record_v=True)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracles as O
-from nudgelab.fields import Field, apply_F, norm, pairing
-from nudgelab.models import (build_model, check_field, from_grid,
-                             kappa_monitor, leray_project, random_field,
-                             riesz_perp, to_grid)
+from nudgelab.fields import Field, inner_h, norm
+from nudgelab.models import (_sine_from_grid, _sine_to_grid, build_model,
+                             random_field)
+from nudgelab.noise import increment_from_noise, make_qspec
 
 
 def _rel(a, b):
@@ -86,7 +86,7 @@ def test_advective_cancellation(all_models):
         for s in range(10):
             u = random_field(spec, (20, s))
             f = Field(spec.model_id, spec.f_raw(u.coeffs))
-            num = abs(pairing(f, u))
+            num = abs(inner_h(f, u))
             den = norm(f, "Vstar") * norm(u, "V")
             assert num / den < 1e-10, spec.model_id
 
@@ -96,46 +96,50 @@ def test_kappa_weak_ac_explicit():
     spec = build_model("ac_weak", 16)
     c = np.zeros(16)
     c[0] = 1.0 / np.sqrt(2.0)
-    u = Field(spec.model_id, c)
-    k = kappa_monitor(spec, u)
-    assert k.kappa == pytest.approx(1.0 + np.pi ** 2 / 2.0, rel=1e-13)
+    assert spec.kappa_raw(c) == pytest.approx(1.0 + np.pi ** 2 / 2.0, rel=1e-13)
 
 
 def test_kappa_strong_ac_explicit():
     spec = build_model("ac_strong", 16)
     u = random_field(spec, 6)
     want = (1.0 + (1.0 + norm(u, "H") ** 2) * norm(u, "V") ** 2)
-    assert kappa_monitor(spec, u).kappa == pytest.approx(want, rel=1e-12)
+    assert spec.kappa_raw(u.coeffs) == pytest.approx(want, rel=1e-12)
 
 
 def test_kappa_nonnegative_everywhere(all_models):
     for spec in all_models:
         u = random_field(spec, 7)
-        assert kappa_monitor(spec, u).kappa >= 0.0
+        assert spec.kappa_raw(u.coeffs) >= 0.0
 
 
-def test_riesz_perp_isometry_and_divergence():
-    qg = build_model("qg", 16)
-    th = random_field(qg, 8)
-    vel = riesz_perp(th)
-    assert norm(vel, "H") == pytest.approx(norm(th, "H"), rel=1e-12)
-    check_field(vel)              # includes the divergence-free check
+def test_riesz_multiplier_isometry_and_divergence():
+    # Rperp = (rz1, rz2) per wavevector: unit length and orthogonal to k
+    # on the band, so it maps a scalar to a solenoidal field of equal norm
+    tor = build_model("qg", 16).aux
+    band = tor.mask
+    mag2 = np.abs(tor.rz1) ** 2 + np.abs(tor.rz2) ** 2
+    assert np.allclose(mag2[band], 1.0, rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(tor.kx * tor.rz1 + tor.ky * tor.rz2)[band]) < 1e-14
 
 
-def test_leray_projection_idempotent():
+def test_leray_projection_idempotent_and_kills_gradients():
     spec = build_model("nse_weak", 16)
-    u = random_field(spec, 9)
-    raw = Field(spec.model_id, np.array(u.coeffs))
-    once = leray_project(raw)
-    twice = leray_project(once)
-    assert np.allclose(once.coeffs, twice.coeffs, atol=1e-15)
+    tor = spec.aux
+    rng = np.random.default_rng(9)
+    raw = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    once = spec.project_raw(raw)
+    twice = spec.project_raw(once)
+    assert np.allclose(once, twice, rtol=0.0, atol=1e-15)
+    phi = once[0]
+    grad = np.stack([1j * tor.kx * phi, 1j * tor.ky * phi])
+    assert np.max(np.abs(spec.project_raw(grad))) < 1e-13
 
 
 def test_linear_variant_drops_f():
     spec = build_model("nse_weak", 16, linear=True)
     u = random_field(spec, 10)
-    assert np.all(apply_F(u).coeffs == 0.0)
-    assert kappa_monitor(spec, u).kappa == 0.0
+    assert np.all(spec.f_raw(u.coeffs) == 0.0)
+    assert spec.kappa_raw(u.coeffs) == 0.0
 
 
 def test_registry_returns_cached_instance():
@@ -168,28 +172,48 @@ def test_sobolev_norm_option():
 
 
 def test_grid_roundtrip(all_models):
+    # sine: the doubled collocation grid; torus: the N x N grid, with the
+    # model's constraints imposed again on the way back
     for spec in all_models:
-        u = random_field(spec, 11)
-        back = from_grid(to_grid(u))
-        assert np.allclose(back.coeffs, u.coeffs, atol=1e-13), spec.model_id
+        c = random_field(spec, 11).coeffs
+        if spec.kind == "sine":
+            back = _sine_from_grid(_sine_to_grid(c, 2 * spec.n), spec.n)
+        else:
+            back = spec.project_raw(spec.aux.from_grid(spec.aux.to_grid(c)))
+        assert np.allclose(back, c, atol=1e-13), spec.model_id
 
 
-def test_check_field_catches_band_violation():
+@pytest.mark.parametrize("model_id", ["nse_weak", "nse_strong", "qg", "mhd"])
+def test_torus_kernels_meet_constraints(model_id):
+    spec = build_model(model_id, 16)
+    rng = np.random.default_rng(15)
+    raw = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    u = random_field(spec, 16).coeffs
+    q = make_qspec(spec)
+    outputs = {
+        "project_raw": spec.project_raw(raw),
+        "random_field": u,
+        "f_raw": spec.f_raw(u),
+        "increment_from_noise": increment_from_noise(
+            q, 0.01, rng.standard_normal(q.draw_shape)),
+    }
+    for name, c in outputs.items():
+        assert np.max(np.abs(c)) > 0.0, name
+        assert O.torus_constraints(spec, c) == [], name
+
+
+def test_constraint_oracle_catches_band_violation():
     spec = build_model("nse_weak", 16)
-    u = random_field(spec, 12)
-    bad = np.array(u.coeffs)
+    bad = np.array(random_field(spec, 12).coeffs)
     bad[0, 0, spec.n // 2] = 1.0          # outside the dealias band
-    with pytest.raises(ValueError):
-        check_field(Field(spec.model_id, bad))
+    assert "band" in O.torus_constraints(spec, bad)
 
 
-def test_check_field_catches_mean_component():
+def test_constraint_oracle_catches_mean_component():
     spec = build_model("qg", 16)
-    u = random_field(spec, 13)
-    bad = np.array(u.coeffs)
+    bad = np.array(random_field(spec, 13).coeffs)
     bad[0, 0] += 0.5
-    with pytest.raises(ValueError):
-        check_field(Field(spec.model_id, bad))
+    assert O.torus_constraints(spec, bad) == ["mean"]
 
 
 def test_random_field_normalization(all_models):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from nudgelab.fields import Field, norm
+from nudgelab.fields import Field, norm, norm_raw
 from nudgelab.models import build_model, random_field
-from nudgelab.noise import (_HS_CHUNK, apply_G, gamma_u_sup, hs_norm_sq,
-                            make_noise_coefficient, make_qspec,
-                            noise_directions, sample_increment)
+from nudgelab.noise import (_HS_CHUNK, apply_G, hs_norm_sq,
+                            increment_from_noise, make_noise_coefficient,
+                            make_qspec, noise_directions)
 from oracles import hs_pointwise_per_direction
 
 
@@ -41,8 +41,8 @@ def test_increment_mean_square_matches_spectrum():
     n_draw = 4000
     acc = np.zeros(16)
     for _ in range(n_draw):
-        dw = sample_increment(rng, dt, q)
-        acc += (spec.w_h * dw.coeffs) ** 2
+        dw = increment_from_noise(q, dt, rng.standard_normal(q.draw_shape))
+        acc += (spec.w_h * dw) ** 2
     acc /= n_draw * dt
     se = q.lam ** 2 * np.sqrt(2.0 / n_draw)
     assert np.all(np.abs(acc - q.lam ** 2) < 4.0 * se + 1e-12)
@@ -56,8 +56,8 @@ def test_increment_trace_identity():
     n_draw = 2000
     tot = 0.0
     for _ in range(n_draw):
-        dw = sample_increment(rng, dt, q)
-        tot += norm(dw, "H") ** 2
+        dw = increment_from_noise(q, dt, rng.standard_normal(q.draw_shape))
+        tot += norm_raw(spec, dw, "H") ** 2
     tot /= n_draw * dt
     assert tot == pytest.approx(q.trace, rel=0.1)
 
@@ -168,7 +168,8 @@ def test_state_scaled_vanishes_at_zero():
     coef = make_noise_coefficient("state_scaled", 0.7)
     zero = Field(spec.model_id, np.zeros(16))
     rng = np.random.default_rng(2)
-    dw = sample_increment(rng, 0.01, q)
+    dw = Field(spec.model_id,
+               increment_from_noise(q, 0.01, rng.standard_normal(q.draw_shape)))
     assert norm(apply_G(coef, zero, dw), "H") == 0.0
     assert hs_norm_sq(coef, zero, q) == 0.0
 
@@ -236,12 +237,6 @@ def test_attractor_vanishing_peaks_at_start_on_decay():
     series = np.array(series)
     assert np.argmax(series) == 0
     assert np.all(np.diff(series) <= 1e-14)
-
-
-def test_gamma_u_sup():
-    assert gamma_u_sup(np.array([0.1, 3.0, 2.0])) == 3.0
-    with pytest.raises(ValueError):
-        gamma_u_sup(np.array([]))
 
 
 def test_noise_coefficient_validation():
