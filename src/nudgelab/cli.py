@@ -16,10 +16,9 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, build_setup, output_directory, parse_config, render_config
 from .harness import (convolution_variance_mc, imex_convolution_variance,
-                      measure_alpha, probe_steps, run_ensemble,
+                      measured_constants, probe_steps, run_ensemble,
                       sweep, verify_assumptions)
-from .integrate import BlowupError, StepConfig, simulate_pair
-from .observe import estimate_interp_constant, eta0
+from .integrate import BlowupError, simulate_pair
 
 FMT = "%.17e"
 
@@ -174,12 +173,6 @@ def _checked_setup(values):
     return _require_live_noise(setup, values["model.id"])
 
 
-def _constants(setup):
-    alpha = measure_alpha(setup.model)
-    ci = estimate_interp_constant(setup.op, setup.model, samples=32)
-    return {"alpha_hat": alpha, "c_i_hat": ci, "eta0_hat": eta0(alpha, ci)}
-
-
 def _cmd_simulate(args, values):
     t0 = time.time()
     clock = time.perf_counter()
@@ -188,7 +181,8 @@ def _cmd_simulate(args, values):
     os.makedirs(out_dir, exist_ok=True)
     members = values["ensemble.members"]
     seed = values["ensemble.seed"]
-    extra = _constants(setup)
+    extra = dict(zip(("alpha_hat", "c_i_hat", "eta0_hat"),
+                     measured_constants(setup)))
     setup_s = time.perf_counter() - clock
     clock = time.perf_counter()
     ens = run_ensemble(setup, members, seed, emit_y=values["output.emit_y"])
@@ -238,18 +232,13 @@ def _cmd_sweep(args, values):
         raise ConfigError(["--delta-grid: delta values must be positive"])
     if any(m < 0.0 for m in mu_grid):
         raise ConfigError(["--mu-grid: mu values must be nonnegative"])
-
-    def factory(mu, delta):
-        v = dict(values)
-        v["nudging.mu"] = mu
-        v["observation.delta"] = delta
-        return _checked_setup(v)
-
+    # one set-up per delta, all built (and refused) before any output
+    # directory exists; the refusals depend on delta, never on mu
+    setups = [_checked_setup({**values, "observation.delta": d})
+              for d in delta_grid]
     setup_s = time.perf_counter() - clock
     clock = time.perf_counter()
-    # sweep builds each delta's first cell before it runs any, so a bad
-    # delta fails before the output directory exists
-    res = sweep(factory, mu_grid, delta_grid, values["ensemble.members"],
+    res = sweep(setups, mu_grid, values["ensemble.members"],
                 values["ensemble.seed"])
     integrate_s = time.perf_counter() - clock
     clock = time.perf_counter()
@@ -263,10 +252,8 @@ def _cmd_sweep(args, values):
         lines.append(",".join([
             FMT % row["mu"], FMT % row["delta"], FMT % row["mu_delta_sq"],
             FMT % row["eta0_hat"], "1" if row["over_threshold"] else "0",
-            FMT % row.get("gamma_fit", float("nan")),
-            FMT % row.get("fit_residual", float("nan")),
-            FMT % row.get("floor", float("nan")),
-            FMT % row.get("floor_se", float("nan")),
+            FMT % row["gamma_fit"], FMT % row["fit_residual"],
+            FMT % row["floor"], FMT % row["floor_se"],
             "%d" % row["blowups"], "%d" % row["members"],
             "1" if row["valid"] else "0"]))
     _write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
@@ -275,9 +262,9 @@ def _cmd_sweep(args, values):
              "delta_grid": delta_grid,
              "master_seed": values["ensemble.seed"],
              "members": values["ensemble.members"]}
-    nsteps = StepConfig(dt=values["time.dt"], T=values["time.T"]).nsteps
     extra.update(_timing(setup_s, integrate_s, time.perf_counter() - clock,
-                         values["ensemble.members"] * len(res.rows) * nsteps))
+                         values["ensemble.members"] * len(res.rows)
+                         * setups[0].cfg.nsteps))
     _manifest(out_dir, "sweep", values, extra, t0)
     flagged = sum(1 for r in res.rows if r["over_threshold"])
     print("sweep: %d cells (%d over the mu*delta^2 threshold), eta0_hat = %.4g"
@@ -293,9 +280,10 @@ def _cmd_verify(args, values):
     os.makedirs(out_dir, exist_ok=True)
     spec = setup.model
     record = spec.dof * (setup.cfg.nsteps + 1) <= 5_000_000
-    traj = simulate_pair(spec, setup.cfg, setup.op, setup.coef, setup.q,
-                         setup.u0, setup.v0, values["ensemble.seed"],
-                         record_u=record)
+    # the report reads only the reference (times, kappa, u_path), so it
+    # runs without noise or nudging and the estimate starts on u0
+    traj = simulate_pair(spec, setup.cfg, None, None, None, setup.u0,
+                         setup.u0, 0, record_u=record)
     rep = verify_assumptions(spec, traj, setup.op)
     checks = [
         ("coercivity constant matches its declared value",

@@ -38,9 +38,12 @@ def _int(raw):
 
 def _float(raw):
     try:
-        return float(raw)
+        v = float(raw)
     except ValueError:
         raise ValueError("expected a number, got %r" % raw)
+    if not np.isfinite(v):
+        raise ValueError("expected a finite number, got %r" % raw)
+    return v
 
 
 def _str(raw):
@@ -70,10 +73,8 @@ SCHEMA = {
     "observation.delta": (_float, 0.39, lambda v: v > 0.0, "positive"),
     "noise.kind": (_str, "additive",
                    lambda v: v in ("additive", "state_scaled",
-                                   "attractor_vanishing",
                                    "pointwise_multiplicative"),
-                   "additive, state_scaled, attractor_vanishing or "
-                   "pointwise_multiplicative"),
+                   "additive, state_scaled or pointwise_multiplicative"),
     "noise.sigma": (_float, 0.0, lambda v: v >= 0.0, "nonnegative"),
     "noise.p": (_float, 0.0, lambda v: v in (0.0, 0.5), "0 or 0.5"),
     "noise.spectrum_exponent": (_auto_or_float, "auto", None, None),

@@ -10,7 +10,7 @@ alone; results are aggregated by member index.
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,63 +164,55 @@ class SweepResult:
     eta0_hat: float
 
 
-def sweep(setup_factory, mu_grid, delta_grid, members, master_seed):
+def measured_constants(setup):
+    """(alpha_hat, C_I_hat, eta0_hat) of a set-up, C_I over 32 samples."""
+    alpha = measure_alpha(setup.model)
+    ci = estimate_interp_constant(setup.op, setup.model, samples=32)
+    return alpha, ci, eta0(alpha, ci)
+
+
+def sweep(setups, mu_grid, members, master_seed):
     """Grid over (mu, delta): per cell gamma_fit, floor, blow-up counts,
     and the mu*delta^2 > eta0_hat flag from measured constants.
 
-    setup_factory(mu, delta) -> RunSetup.  C_I is measured on the first
-    cell's operator family per distinct delta; cells whose members blow
-    up beyond 10% are marked invalid.
+    setups holds one RunSetup per delta, in grid order; a cell is its
+    delta's set-up with cfg.mu replaced, since nothing else in a set-up
+    depends on mu.  Cells run mu-major.  The constants are measured on
+    each delta's operator; cells whose members blow up beyond 10% are
+    marked invalid.  The result carries the first delta's constants.
     """
+    consts = [measured_constants(s) for s in setups]
     rows = []
-    alpha_hat = None
-    ci_by_delta = {}
-    eta_by_delta = {}
-    for delta in delta_grid:
-        probe = setup_factory(mu_grid[0], delta)
-        spec = probe.model
-        if alpha_hat is None:
-            alpha_hat = measure_alpha(spec)
-        ci_by_delta[delta] = estimate_interp_constant(probe.op, spec, samples=32)
-        eta_by_delta[delta] = eta0(alpha_hat, ci_by_delta[delta])
     for mu in mu_grid:
-        for delta in delta_grid:
-            setup = setup_factory(mu, delta)
-            row = {"mu": float(mu), "delta": float(delta),
-                   "mu_delta_sq": float(mu) * float(delta) ** 2,
-                   "eta0_hat": eta_by_delta[delta],
-                   "over_threshold": float(mu) * float(delta) ** 2 > eta_by_delta[delta]}
-            try:
-                ens = run_ensemble(setup, members, master_seed)
-                row["blowups"] = ens.blowups
-                row["members"] = members
-                row["valid"] = ens.blowups <= 0.1 * members
-                try:
-                    fit = fit_decay_rate(ens.times, ens.mean_w2_h)
-                    row["gamma_fit"] = fit.gamma_fit
-                    row["fit_residual"] = fit.residual
-                except ValueError as e:
-                    row["gamma_fit"] = float("nan")
-                    row["fit_residual"] = float("nan")
-                    row["error"] = str(e)
-                try:
-                    floor, floor_se = estimate_noise_floor(ens.times, ens.mean_w2_h)
-                    row["floor"] = floor
-                    row["floor_se"] = floor_se
-                except ValueError:
-                    row["floor"] = float("nan")
-                    row["floor_se"] = float("nan")
-            except BlowupError as e:
-                row["blowups"] = members
-                row["members"] = members
-                row["valid"] = False
-                row["gamma_fit"] = float("nan")
-                row["floor"] = float("nan")
-                row["error"] = str(e)
+        for setup, (_, _, eta) in zip(setups, consts):
+            mu_delta_sq = float(mu) * setup.op.delta ** 2
+            row = {"mu": float(mu), "delta": setup.op.delta,
+                   "mu_delta_sq": mu_delta_sq, "eta0_hat": eta,
+                   "over_threshold": mu_delta_sq > eta, "members": members,
+                   "gamma_fit": np.nan, "fit_residual": np.nan,
+                   "floor": np.nan, "floor_se": np.nan}
             rows.append(row)
-    first_delta = delta_grid[0]
-    return SweepResult(rows, alpha_hat, ci_by_delta[first_delta],
-                       eta_by_delta[first_delta])
+            cell = replace(setup, cfg=replace(setup.cfg, mu=mu))
+            try:
+                ens = run_ensemble(cell, members, master_seed)
+            except BlowupError as e:
+                row.update(blowups=members, valid=False, error=str(e))
+                continue
+            row["blowups"] = ens.blowups
+            row["valid"] = ens.blowups <= 0.1 * members
+            try:
+                fit = fit_decay_rate(ens.times, ens.mean_w2_h)
+                row["gamma_fit"] = fit.gamma_fit
+                row["fit_residual"] = fit.residual
+            except ValueError as e:
+                row["error"] = str(e)
+            try:
+                row["floor"], row["floor_se"] = estimate_noise_floor(
+                    ens.times, ens.mean_w2_h)
+            except ValueError:
+                pass
+    alpha_hat, ci, eta = consts[0]
+    return SweepResult(rows, alpha_hat, ci, eta)
 
 
 def measure_alpha(spec):

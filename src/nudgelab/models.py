@@ -149,6 +149,21 @@ def _torus(n):
     return _TORI[n]
 
 
+def _lift_scalar_mode(spec, c):
+    """The fields of a torus model that the scalar coefficient array c
+    spans: c itself on a scalar model, its solenoidal lift
+    (i k_perp/|k|) c on a vector model, and on mhd that lift in the
+    velocity block, then in the magnetic block."""
+    if spec.ncomp == 1:
+        return [c]
+    tor = spec.aux
+    vec = np.stack([tor.rz1 * c, tor.rz2 * c])
+    if spec.ncomp == 2:
+        return [vec]
+    zero = np.zeros_like(vec)
+    return [np.concatenate([vec, zero]), np.concatenate([zero, vec])]
+
+
 # ----------------------------------------------------------------------
 # nonlinearity kernels
 

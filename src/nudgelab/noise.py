@@ -27,7 +27,7 @@ from itertools import islice
 import numpy as np
 
 from .fields import Field, norm_raw, spec_of_id
-from .models import _sine_to_grid, _sine_from_grid
+from .models import _lift_scalar_mode, _sine_to_grid, _sine_from_grid
 
 # Noise directions per stacked product in hs_norm_sq.  Directions are
 # pulled lazily, so no more than this many arrays are alive at once; a
@@ -77,13 +77,12 @@ def make_qspec(spec, exponent="auto", k_q="auto", delta=None):
 
 def _scalar_stream(spec, q, block):
     # block shape (..., 2, N, nx) of standard normals -> Hermitian unit draws
-    tor = spec.aux
     z = (block[..., 0, :, :] + 1j * block[..., 1, :, :]) / np.sqrt(2.0)
     col = z[..., :, 0]
     z[..., :, 0] = (col + np.conj(np.roll(col[..., ::-1], 1, axis=-1))) / np.sqrt(2.0)
     inv_wh = np.where(q.lam > 0.0, 1.0 / np.where(spec.w_h == 0.0, 1.0, spec.w_h), 0.0)
     out = q.lam * inv_wh * z
-    return np.where(spec.mask, out, 0.0), tor
+    return np.where(spec.mask, out, 0.0)
 
 
 def increment_from_noise(q, dt, block):
@@ -100,11 +99,11 @@ def increment_from_noise(q, dt, block):
         return root * q.lam * inv_wh * block
     # block axes: (..., stream, real/imaginary, N, nx)
     if spec.ncomp == 1:
-        out, _ = _scalar_stream(spec, q, block[..., 0, :, :, :])
-        return root * out
+        return root * _scalar_stream(spec, q, block[..., 0, :, :, :])
+    tor = spec.aux
     comps = []
     for s in range(q.nstreams):
-        z, tor = _scalar_stream(spec, q, block[..., s, :, :, :])
+        z = _scalar_stream(spec, q, block[..., s, :, :, :])
         comps.extend([tor.rz1 * z, tor.rz2 * z])
     return root * np.stack(comps, axis=-3)
 
@@ -114,30 +113,32 @@ class NoiseCoefficient:
     """Observation-noise coefficient G_delta(u).
 
     kinds: additive (sigma_delta * dW with sigma_delta = sigma*delta^p),
-    state_scaled (sigma*||u||_H * dW), attractor_vanishing
-    (sigma*||u-a||_H * dW), pointwise_multiplicative (sigma * u.dW by
-    collocation, dealiased).  Linear in dW for every kind.
+    state_scaled (sigma*||u||_H * dW, which vanishes on the attractor
+    {0} of a decaying reference), pointwise_multiplicative (sigma * u.dW
+    by collocation, dealiased).  Linear in dW for every kind; p is read
+    by the additive kind only, so the other kinds take p = 0.
     """
     kind: str
     sigma: float
     p: float = 0.0
     delta: float = 1.0
-    anchor: object = None  # Field for attractor_vanishing; None means 0
 
     @property
     def sigma_delta(self):
         return self.sigma * self.delta ** self.p
 
 
-def make_noise_coefficient(kind, sigma, p=0.0, delta=1.0, anchor=None):
-    if kind not in ("additive", "state_scaled", "pointwise_multiplicative",
-                    "attractor_vanishing"):
+def make_noise_coefficient(kind, sigma, p=0.0, delta=1.0):
+    if kind not in ("additive", "state_scaled", "pointwise_multiplicative"):
         raise ValueError("unknown noise kind %r" % (kind,))
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
     if p not in (0.0, 0.5):
         raise ValueError("p must be 0 or 0.5")
-    return NoiseCoefficient(kind, float(sigma), float(p), float(delta), anchor)
+    if p != 0.0 and kind != "additive":
+        raise ValueError("p scales additive noise only; %s noise needs p = 0"
+                         % kind)
+    return NoiseCoefficient(kind, float(sigma), float(p), float(delta))
 
 
 def _pointwise_product(spec, uc, wc):
@@ -150,12 +151,6 @@ def _pointwise_product(spec, uc, wc):
     return spec.project_raw(tor.from_grid(tor.to_grid(uc) * tor.to_grid(wc)))
 
 
-def _anchor_raw(coef, spec):
-    if coef.anchor is None:
-        return np.zeros(spec.shape, dtype=spec.dtype)
-    return coef.anchor.coeffs if isinstance(coef.anchor, Field) else coef.anchor
-
-
 def apply_G_raw(coef, spec, uc, dw):
     # dw may stack the increments of several members; the factor that
     # depends on u is computed once for all of them
@@ -163,9 +158,6 @@ def apply_G_raw(coef, spec, uc, dw):
         return coef.sigma_delta * dw
     if coef.kind == "state_scaled":
         return (coef.sigma * norm_raw(spec, uc, "H")) * dw
-    if coef.kind == "attractor_vanishing":
-        diff = uc - _anchor_raw(coef, spec)
-        return (coef.sigma * norm_raw(spec, diff, "H")) * dw
     return coef.sigma * _pointwise_product(spec, uc, dw)
 
 
@@ -202,16 +194,8 @@ def noise_directions(q):
             if ix == 0:
                 c[(-iy) % tor.n, 0] = np.conj(val)
             lam = float(q.lam[iy, ix])
-            if spec.ncomp == 1:
-                yield lam, c
-            else:
-                vec = np.stack([tor.rz1 * c, tor.rz2 * c])
-                if spec.ncomp == 2:
-                    yield lam, vec
-                else:
-                    zero = np.zeros_like(vec)
-                    yield lam, np.concatenate([vec, zero])
-                    yield lam, np.concatenate([zero, vec])
+            for f in _lift_scalar_mode(spec, c):
+                yield lam, f
 
 
 def hs_norm_sq(coef, u, q):
@@ -229,9 +213,6 @@ def hs_norm_sq(coef, u, q):
         return coef.sigma_delta ** 2 * q.trace
     if coef.kind == "state_scaled":
         return coef.sigma ** 2 * norm_raw(spec, uc, "H") ** 2 * q.trace
-    if coef.kind == "attractor_vanishing":
-        diff = uc - _anchor_raw(coef, spec)
-        return coef.sigma ** 2 * norm_raw(spec, diff, "H") ** 2 * q.trace
     total = 0.0
     dirs = noise_directions(q)
     for chunk in iter(lambda: list(islice(dirs, _HS_CHUNK)), []):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Field, inner_h_raw, norm_raw, spec_of_id
-from .models import random_field
+from .models import _lift_scalar_mode, random_field
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def make_observation(spec, kind, delta):
     raise ValueError("kind must be modal or volume")
 
 
-def _volume_scalar_full(op, tor, cfull):
+def _volume_scalar_full(op, cfull):
     b = op.data[0]
     m = op.cells
     avg = (b @ cfull @ b.T).real
@@ -93,7 +93,7 @@ def apply_observation_raw(op, spec, c):
         avg = op.cells * np.matmul(cellint, c[..., None])[..., 0]
         return np.matmul(cellint.T, avg[..., None])[..., 0]
     tor = spec.aux
-    out = tor.from_full(_volume_scalar_full(op, tor, tor.full_layout(c)))
+    out = tor.from_full(_volume_scalar_full(op, tor.full_layout(c)))
     return spec.project_raw(out)
 
 
@@ -134,16 +134,7 @@ def _single_mode_probes(spec, op):
         c[iy, ix] = 1.0
         if ix == 0:
             c[(-iy) % tor.n, 0] = 1.0
-        if spec.ncomp == 1:
-            probes.append(spec.project_raw(c))
-        else:
-            vec = np.stack([tor.rz1 * c, tor.rz2 * c])
-            if spec.ncomp == 4:
-                zero = np.zeros_like(vec)
-                probes.append(spec.project_raw(np.concatenate([vec, zero])))
-                probes.append(spec.project_raw(np.concatenate([zero, vec])))
-            else:
-                probes.append(spec.project_raw(vec))
+        probes.extend(spec.project_raw(f) for f in _lift_scalar_mode(spec, c))
     return probes
 
 

@@ -202,15 +202,16 @@ def test_criterion_07_oracle_equivalence():
 def test_criterion_08_threshold_formula():
     exact = eta0(2.0, 4.0) == 0.25
 
-    def factory(mu, delta):
+    def setup(delta):
         spec = build_model("ac_weak", 16, nu=1.0)
         op = make_observation(spec, "modal", delta=delta)
         q = make_qspec(spec)
         coef = make_noise_coefficient("additive", 0.05)
-        return RunSetup(spec, StepConfig(dt=2e-3, T=0.4, mu=mu), op, coef, q,
+        return RunSetup(spec, StepConfig(dt=2e-3, T=0.4, mu=10.0), op, coef, q,
                         random_field(spec, 1), random_field(spec, 2))
 
-    res = sweep(factory, [10.0, 400.0], [0.39, 0.9], members=2, master_seed=3)
+    res = sweep([setup(0.39), setup(0.9)], [10.0, 400.0], members=2,
+                master_seed=3)
     flags_ok = all(r["over_threshold"] == (r["mu_delta_sq"] > r["eta0_hat"])
                    for r in res.rows)
     some = sum(r["over_threshold"] for r in res.rows)

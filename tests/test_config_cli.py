@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nudgelab.cli as cli
-from nudgelab.config import (ConfigError, build_setup, output_directory,
-                             parse_config, render_config)
+from nudgelab.config import (SCHEMA, ConfigError, build_setup,
+                             output_directory, parse_config, render_config)
 from nudgelab.fields import norm
 
 MINIMAL = "model.id = ac_weak\n"
@@ -315,6 +315,8 @@ BUILDER_REJECTS = [
     "model.id = qg\nmodel.n = 7\n",                  # odd torus size
     "model.id = qg\nmodel.n = 2\n",
     "model.id = qg\nmodel.norms = sobolev\n",        # ac_weak only
+    # p scales additive noise only
+    "model.id = ac_weak\nnoise.kind = state_scaled\nnoise.p = 0.5\n",
 ]
 
 
@@ -341,6 +343,69 @@ def test_bad_cli_list_exits_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration") and argv[1] in err
     assert not out.exists()
+
+
+def _without(text, key):
+    return "".join(line + "\n" for line in text.splitlines()
+                   if not line.startswith(key + " "))
+
+
+@pytest.mark.parametrize("line", [
+    "nudging.mu = inf", "noise.sigma = inf", "init.amplitude = inf",
+    "init.w0 = inf", "time.guard = inf", "noise.spectrum_exponent = nan",
+])
+def test_non_finite_value_exits_1(tmp_path, capsys, line):
+    key = line.split()[0]
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "run.cfg", _without(SMALL_RUN, key) + line + "\n",
+              "simulate", "--out-dir", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify",
+                                     "convolution-check"])
+def test_retired_noise_kind_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    text = SMALL_RUN.replace("noise.kind = additive",
+                             "noise.kind = attractor_vanishing")
+    rc = _run(tmp_path, "run.cfg", text, command, "--out-dir", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("invalid configuration")
+    assert not out.exists()
+
+
+def _enumerated(key):
+    """Every value the schema lists for an enumerated key."""
+    _, default, _, what = SCHEMA[key]
+    if isinstance(default, bool):
+        return ["true", "false"]
+    return what.replace(" or ", ", ").split(", ")
+
+
+@pytest.mark.parametrize("key", [
+    "noise.kind", "observation.kind", "nudging.implicit", "model.linear",
+    "model.norms", "noise.p", "output.emit_y",
+])
+def test_every_enumerated_value_changes_output(tmp_path, key):
+    # a value that gives the same bytes as another value changes nothing
+    base = _without("model.id = ac_weak\nmodel.n = 16\nnoise.kind = additive\n"
+                    "noise.sigma = 0.1\nnudging.mu = 20.0\ntime.dt = 2e-3\n"
+                    "time.T = 0.1\nensemble.members = 2\nensemble.seed = 3\n"
+                    "output.stride = 5\n", key)
+    values = _enumerated(key)
+    assert len(values) >= 2
+    outputs = []
+    for i, val in enumerate(values):
+        out = tmp_path / str(i)
+        rc = _run(tmp_path, "run.cfg", base + "%s = %s\n" % (key, val),
+                  "simulate", "--out-dir", str(out))
+        assert rc == 0, val
+        outputs.append(tuple((out / name).read_bytes()
+                             for name in ("series.csv", "ensemble.csv")))
+    assert len(set(outputs)) == len(values), values
 
 
 def test_missing_config_exits_1(tmp_path, capsys):
@@ -401,6 +466,20 @@ def test_verify_report(tmp_path):
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["command"] == "verify"
     assert doc["checks"] and all(doc["checks"].values())
+
+
+def test_verify_ignores_estimate_blowup(tmp_path):
+    # explicit nudging with dt * mu = 5 blows the estimate up; verify
+    # reads the reference alone, so the run completes
+    text = ("model.id = ac_weak\nmodel.n = 16\nnudging.mu = 5000\n"
+            "time.dt = 1e-3\ntime.T = 0.1\ntime.guard = 1e3\n")
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "run.cfg", text, "verify", "--out-dir", str(out))
+    assert rc == 0
+    assert (out / "report.txt").exists()
+    rc = _run(tmp_path, "run.cfg", text, "simulate",
+              "--out-dir", str(tmp_path / "sim"))
+    assert rc == 2
 
 
 def test_verify_check_failure_exits_3(tmp_path, monkeypatch):

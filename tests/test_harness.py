@@ -38,7 +38,7 @@ def _setup(sigma=0.1, mu=20.0, T=0.5, n=16, kind="additive"):
 MANUAL_CASES = (("ac_weak", 16, "additive", "modal", False),
                 ("ac_strong", 16, "state_scaled", "volume", False),
                 ("nse_weak", 8, "pointwise_multiplicative", "modal", True),
-                ("nse_strong", 8, "attractor_vanishing", "volume", False),
+                ("nse_strong", 8, "state_scaled", "volume", False),
                 ("qg", 8, "pointwise_multiplicative", "volume", False),
                 ("mhd", 8, "additive", "modal", True))
 
@@ -295,17 +295,19 @@ def test_envelope_bound_holds_and_is_tight():
 
 # ------------------------------------------------------------------- sweep
 
-def test_sweep_grid_and_threshold_flags():
-    def factory(mu, delta):
-        spec = build_model("ac_weak", 16, nu=1.0)
-        op = make_observation(spec, "modal", delta=delta)
-        q = make_qspec(spec)
-        coef = make_noise_coefficient("additive", 0.05)
-        cfg = StepConfig(dt=2e-3, T=0.4, mu=mu)
-        return RunSetup(spec, cfg, op, q=q, coef=coef,
-                        u0=random_field(spec, 1), v0=random_field(spec, 2))
+def _sweep_setup(mu, delta):
+    spec = build_model("ac_weak", 16, nu=1.0)
+    op = make_observation(spec, "modal", delta=delta)
+    q = make_qspec(spec)
+    coef = make_noise_coefficient("additive", 0.05)
+    cfg = StepConfig(dt=2e-3, T=0.4, mu=mu)
+    return RunSetup(spec, cfg, op, q=q, coef=coef,
+                    u0=random_field(spec, 1), v0=random_field(spec, 2))
 
-    res = sweep(factory, [10.0, 400.0], [0.39, 0.9], members=2, master_seed=3)
+
+def test_sweep_grid_and_threshold_flags():
+    setups = [_sweep_setup(10.0, d) for d in (0.39, 0.9)]
+    res = sweep(setups, [10.0, 400.0], members=2, master_seed=3)
     assert len(res.rows) == 4
     spec = build_model("ac_weak", 16, nu=1.0)
     assert res.alpha_hat == measure_alpha(spec)
@@ -328,14 +330,25 @@ def test_sweep_grid_and_threshold_flags():
 
 
 def test_sweep_rerun_identical():
-    def factory(mu, delta):
-        s = _setup(mu=mu, T=0.2)
-        op = make_observation(s.model, "modal", delta=delta)
-        return RunSetup(s.model, s.cfg, op, s.coef, s.q, s.u0, s.v0)
-
-    a = sweep(factory, [20.0], [0.39], members=4, master_seed=8)
-    b = sweep(factory, [20.0], [0.39], members=4, master_seed=8)
+    s = _setup(mu=20.0, T=0.2)
+    op = make_observation(s.model, "modal", delta=0.39)
+    setups = [RunSetup(s.model, s.cfg, op, s.coef, s.q, s.u0, s.v0)]
+    a = sweep(setups, [20.0], members=4, master_seed=8)
+    b = sweep(setups, [20.0], members=4, master_seed=8)
     assert a.rows == b.rows
+
+
+def test_sweep_cells_equal_fresh_setups():
+    # a cell is its delta's set-up with mu replaced: every row of a 2 x 2
+    # sweep equals a one-cell sweep over a set-up built at that (mu, delta)
+    mus, deltas = [10.0, 400.0], [0.39, 0.9]
+    res = sweep([_sweep_setup(mus[0], d) for d in deltas], mus,
+                members=2, master_seed=3)
+    cells = [(mu, d) for mu in mus for d in deltas]
+    assert [(r["mu"], r["delta"]) for r in res.rows] == cells
+    for row, (mu, d) in zip(res.rows, cells):
+        one = sweep([_sweep_setup(mu, d)], [mu], members=2, master_seed=3)
+        assert one.rows == [row]
 
 
 # ----------------------------------------------------- convolution variance

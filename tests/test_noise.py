@@ -89,11 +89,8 @@ def test_hs_norm_closed_forms_match_assembly(all_models):
     for spec in all_models:
         q = make_qspec(spec)
         u = random_field(spec, 4)
-        anchor = random_field(spec, 5)
         coefs = [make_noise_coefficient("additive", 0.3, p=0.5, delta=0.5),
-                 make_noise_coefficient("state_scaled", 0.2),
-                 make_noise_coefficient("attractor_vanishing", 0.2,
-                                        anchor=anchor)]
+                 make_noise_coefficient("state_scaled", 0.2)]
         if spec.kind == "sine":
             coefs.append(make_noise_coefficient("pointwise_multiplicative", 0.2))
         for coef in coefs:
@@ -174,14 +171,6 @@ def test_state_scaled_vanishes_at_zero():
     assert hs_norm_sq(coef, zero, q) == 0.0
 
 
-def test_attractor_vanishing_at_anchor():
-    spec = build_model("ac_weak", 16)
-    q = make_qspec(spec)
-    a = random_field(spec, 6)
-    coef = make_noise_coefficient("attractor_vanishing", 0.7, anchor=a)
-    assert hs_norm_sq(coef, a, q) == 0.0
-
-
 def test_pointwise_matches_matrix_collocation_oracle():
     # same collocation semantics, direct sine matrices instead of ffts
     spec = build_model("ac_weak", 8)
@@ -223,11 +212,12 @@ def test_state_scaled_hs_homogeneity():
                                                    rel=1e-12)
 
 
-def test_attractor_vanishing_peaks_at_start_on_decay():
+def test_state_scaled_peaks_at_start_on_decay():
+    # noise that vanishes on the attractor {0} of a decaying reference
     from nudgelab.integrate import StepConfig, step_reference
     spec = build_model("ac_strong", 16)
     q = make_qspec(spec)
-    coef = make_noise_coefficient("attractor_vanishing", 0.5)
+    coef = make_noise_coefficient("state_scaled", 0.5)
     u = random_field(spec, 24, h_norm=0.5)      # decays monotonically
     dt = 1e-2
     series = [hs_norm_sq(coef, u, q)]
@@ -240,9 +230,13 @@ def test_attractor_vanishing_peaks_at_start_on_decay():
 
 
 def test_noise_coefficient_validation():
-    with pytest.raises(ValueError):
-        make_noise_coefficient("loud", 0.1)
+    for kind in ("loud", "attractor_vanishing"):
+        with pytest.raises(ValueError):
+            make_noise_coefficient(kind, 0.1)
     with pytest.raises(ValueError):
         make_noise_coefficient("additive", -0.1)
     with pytest.raises(ValueError):
         make_noise_coefficient("additive", 0.1, p=0.3)
+    for kind in ("state_scaled", "pointwise_multiplicative"):
+        with pytest.raises(ValueError, match="additive noise only"):
+            make_noise_coefficient(kind, 0.1, p=0.5)
