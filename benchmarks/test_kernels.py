@@ -3,12 +3,14 @@
     python -m pytest benchmarks -q
 
 Times the per-step kernels the end-to-end benchmark spends its steps in:
-the pointwise Hilbert-Schmidt monitor, each model's nonlinearity, the
+the pointwise Hilbert-Schmidt monitor, each model's nonlinearity on one
+field and on the stack of three that a two-member run steps, the
 dealiased advection of the torus models, and the threaded Monte Carlo
 variance of the stochastic convolution.  pytest collects tests/ only by
 default, so these run only when asked for.
 """
 
+import numpy as np
 import pytest
 
 from nudgelab.harness import convolution_variance_mc
@@ -30,11 +32,17 @@ def test_hs_norm_sq_pointwise_qg(benchmark):
     assert benchmark(hs_norm_sq, coef, u, q) > 0.0
 
 
+@pytest.mark.parametrize("rows", [None, 3])
 @pytest.mark.parametrize("model_id", sorted(SIZES))
-def test_f_raw(benchmark, model_id):
+def test_f_raw(benchmark, model_id, rows):
+    # rows=3: the (3,) + spec.shape stack a 2-member run steps, the
+    # reference in row 0; None: one lone field
     spec = build_model(model_id, SIZES[model_id])
-    c = random_field(spec, 1).coeffs
-    assert benchmark(spec.f_raw, c).shape == spec.shape
+    if rows is None:
+        c = random_field(spec, 1).coeffs
+    else:
+        c = np.stack([random_field(spec, s).coeffs for s in range(1, rows + 1)])
+    assert benchmark(spec.f_raw, c).shape == c.shape
 
 
 def test_torus_advect_nse_strong(benchmark):

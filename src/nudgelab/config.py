@@ -10,6 +10,7 @@ import os
 import numpy as np
 
 from .fields import Field
+from .harness import RunSetup
 from .integrate import StepConfig
 from .models import MODEL_FAMILIES, build_model, random_field
 from .noise import make_noise_coefficient, make_qspec
@@ -182,7 +183,6 @@ def build_setup(values):
     unit-norm rough field on top of u0.  A value the schema accepts
     but a builder rejects is reported as a ConfigError.
     """
-    from .harness import RunSetup
     model = _built("model", build_model, values["model.id"], values["model.n"],
                    nu=values["model.nu"], norms=values["model.norms"],
                    linear=values["model.linear"])

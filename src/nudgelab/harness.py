@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fields import _wsum2, inner_h_raw, norm_raw
-from .integrate import BlowupError, _imex, _noise_source, _rng_for, simulate_members
+from .integrate import BlowupError, _noise_source, _rng_for, simulate_members
 from .models import build_model, random_field
 from .noise import apply_G_raw, increment_from_noise
 from .observe import estimate_interp_constant, eta0
@@ -40,7 +40,6 @@ class EnsembleResult:
     mean_w2_vstar: np.ndarray
     se_w2_h: np.ndarray
     se_w2_vstar: np.ndarray
-    members: int
     member_w_h: np.ndarray     # (included members, steps+1)
     blowups: int
     mean_hs: np.ndarray
@@ -88,7 +87,7 @@ def run_ensemble(setup, members, master_seed, emit_y=False):
         se_h = np.zeros_like(mean_h)
         se_v = np.zeros_like(mean_v)
     first = results[0] if not isinstance(results[0], BlowupError) else None
-    return EnsembleResult(times, mean_h, mean_v, se_h, se_v, members,
+    return EnsembleResult(times, mean_h, mean_v, se_h, se_v,
                           np.stack([r.w_h for r in ok]), blowups,
                           hs.mean(axis=0), first)
 
@@ -222,6 +221,15 @@ def measure_alpha(spec):
     return float(quot.min())
 
 
+def _envelope_grid(samples):
+    """Sample indices of the envelope's coarse grid: every
+    max(samples // 64, 1)-th sample, and the last one."""
+    idx = np.arange(0, samples, max(samples // 64, 1))
+    if idx[-1] != samples - 1:
+        idx = np.append(idx, samples - 1)
+    return idx
+
+
 def _mm_envelope(times, kappa):
     """Smallest (M0, M1) with int_s^t kappa <= M0 (t-s) + M1 on a coarse
     grid of (s, t) pairs; ties broken toward the smallest M0."""
@@ -232,10 +240,7 @@ def _mm_envelope(times, kappa):
     dt = np.diff(times)
     cum = np.concatenate([[0.0], np.cumsum(kappa[:-1] * dt)])
     total = float(cum[-1])
-    stride = max(len(times) // 64, 1)
-    idx = np.arange(0, len(times), stride)
-    if idx[-1] != len(times) - 1:
-        idx = np.append(idx, len(times) - 1)
+    idx = _envelope_grid(len(times))
     ts = times[idx]
     ks = cum[idx]
     ii, jj = np.triu_indices(len(idx), k=1)
@@ -370,9 +375,8 @@ def verify_assumptions(spec, traj, op, samples=24, seed=1234):
     eps = _epsilon_hat(spec, traj_states, samples, seed)
     ratio = _a2_ratio(spec, samples, seed)
     refined = _a2_ratio(_refined_spec(spec, 2 * spec.n), samples, seed)
-    stride = max(len(traj.times) // 64, 1)
-    k = len(range(0, len(traj.times), stride))
-    npairs = k * (k + 1) // 2
+    k = len(_envelope_grid(len(traj.times)))
+    npairs = k * (k - 1) // 2
     return AssumptionReport(
         spec.model_id, alpha_hat, spec.alpha, ci, eta0(alpha_hat, ci),
         m0, m1, total, eps, alpha_hat / 4.0, cancel, ratio, refined,
@@ -450,8 +454,10 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
     times, over many paths.
 
     Member m draws its whole horizon in one call from the spawn_key=(m,)
-    stream and steps through the same increment and resolvent operations
-    as the single-path routine, so one path here is bit-identical to it.
+    stream and steps z <- (z + mu G dW) r, r = 1/(1 + dt a), the update
+    simulate_members gives the estimate of the linear model started from
+    zero with no observation, so one path here is bit-identical to the
+    v_path of that run.
     Paths run in chunks: a pool of one thread per available CPU draws
     the next chunk while the current one steps, so two chunks of
     paths x steps x modes doubles are alive at once.  Every path's draw
@@ -491,7 +497,7 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
             z = np.zeros((b, spec.n))
             for step in range(1, n + 1):
                 dw = increment_from_noise(q, dt, blocks[:, step - 1])
-                z = _imex(z, denom, cfg.mu * apply_G_raw(coef, spec, zero_u, dw))
+                z = (z + cfg.mu * apply_G_raw(coef, spec, zero_u, dw)) * denom
                 if step in probe_at:
                     i = probe_at[step]
                     sum2[i] += (z ** 2).sum(axis=0)

@@ -263,7 +263,7 @@ def convolution_mc_serial(spec, cfg, coef, q, probe_times, paths,
     drawn in turn on the calling thread into a step-major (n, b, N)
     buffer, then stepped as one stack; returns (var, se)."""
     from nudgelab.harness import member_seed
-    from nudgelab.integrate import _imex, _rng_for
+    from nudgelab.integrate import _rng_for
     from nudgelab.noise import apply_G_raw, increment_from_noise
     n, dt = cfg.nsteps, cfg.dt
     steps = [int(round(t / dt)) for t in probe_times]
@@ -281,7 +281,7 @@ def convolution_mc_serial(spec, cfg, coef, q, probe_times, paths,
         z = np.zeros((b, spec.n))
         for step in range(1, n + 1):
             dw = increment_from_noise(q, dt, blocks[step - 1])
-            z = _imex(z, denom, cfg.mu * apply_G_raw(coef, spec, zero_u, dw))
+            z = (z + cfg.mu * apply_G_raw(coef, spec, zero_u, dw)) * denom
             if step in steps:
                 i = steps.index(step)
                 sum2[i] += (z ** 2).sum(axis=0)

@@ -1,19 +1,20 @@
 """Ensemble aggregation, rate fitting, and the (mu, delta) sweep."""
 
 import sys
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import nudgelab.harness as H
-from nudgelab.fields import norm_raw
+from nudgelab.fields import Field, norm_raw
 from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               estimate_noise_floor, fit_decay_rate,
                               imex_convolution_variance, measure_alpha,
                               member_seed, run_ensemble, sweep, tail_sup)
 from nudgelab.integrate import (BlowupError, StepConfig, _noise_source,
-                                simulate_members, simulate_pair,
-                                step_reference, stochastic_convolution)
+                                simulate_members, simulate_pair)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
 from nudgelab.observe import estimate_interp_constant, eta0, make_observation
@@ -97,7 +98,7 @@ def test_ensemble_zero_noise_collapses():
 def test_ensemble_single_member_se_zero():
     ens = run_ensemble(_setup(), 1, 0)
     assert np.all(ens.se_w2_h == 0.0)
-    assert ens.members == 1 and not ens.partial
+    assert ens.member_w_h.shape[0] == 1 and not ens.partial
 
 
 def test_ensemble_emit_y_changes_nothing():
@@ -131,16 +132,17 @@ def _final_v_accumulators(setup, seeds):
     return accs
 
 
-def test_ensemble_counts_partial_blowups():
+@pytest.mark.parametrize("implicit", [False, True])
+def test_ensemble_counts_partial_blowups(implicit):
+    # implicit nudging keeps one resolvent per row, pruned with its row
     base = _setup(sigma=1.0)
+    base = replace(base, cfg=replace(base.cfg, implicit_nudging=implicit))
     seeds = [member_seed(9, m) for m in range(6)]
     accs = _final_v_accumulators(base, seeds)
     ranked = sorted(accs)
     guard = 0.5 * (ranked[2] + ranked[3])
-    cfg = StepConfig(dt=base.cfg.dt, T=base.cfg.T, mu=base.cfg.mu,
-                     blowup_guard=guard)
-    setup = RunSetup(base.model, cfg, base.op, base.coef, base.q, base.u0,
-                     base.v0)
+    cfg = replace(base.cfg, blowup_guard=guard)
+    setup = replace(base, cfg=cfg)
     ens = run_ensemble(setup, 6, 9)
     survivors = [m for m in range(6) if accs[m] <= guard]
     assert ens.blowups == 3 and ens.partial
@@ -167,7 +169,9 @@ def test_ensemble_counts_partial_blowups():
 
 def test_ensemble_all_blowups_reraise():
     base = _setup()
-    u1 = step_reference(base.u0, base.cfg.dt)
+    one = replace(base.cfg, T=base.cfg.dt)
+    u1 = simulate_pair(base.model, one, None, None, None, base.u0, base.u0,
+                       0).u_final
     first_acc = base.cfg.dt * norm_raw(base.model, u1.coeffs, "V") ** 2
     cfg = StepConfig(dt=base.cfg.dt, T=base.cfg.T, mu=base.cfg.mu,
                      blowup_guard=0.5 * first_acc)
@@ -293,6 +297,20 @@ def test_envelope_bound_holds_and_is_tight():
         assert obj <= cand * t[-1] + max(float(need), 0.0) + 1e-9
 
 
+@pytest.mark.parametrize("samples,pairs", [(51, 1275), (129, 2080),
+                                           (130, 2145)])
+def test_verify_counts_the_envelope_grid_pairs(samples, pairs):
+    # stride max(samples // 64, 1) plus the last sample when the stride
+    # misses it: 51 and 129 samples end on the stride, 130 does not
+    spec = build_model("ac_weak", 16, nu=1.0)
+    op = make_observation(spec, "modal", delta=0.39)
+    times = np.linspace(0.0, 1.0, samples)
+    traj = SimpleNamespace(times=times, kappa=1.0 + times, u_path=None)
+    rep = H.verify_assumptions(spec, traj, op, samples=4)
+    assert rep.samples["pairs"] == pairs
+    assert "constrained fit on %d grid pairs" % pairs in "\n".join(rep.lines())
+
+
 # ------------------------------------------------------------------- sweep
 
 def _sweep_setup(mu, delta):
@@ -354,15 +372,17 @@ def test_sweep_cells_equal_fresh_setups():
 # ----------------------------------------------------- convolution variance
 
 def test_convolution_mc_single_path_bit_identical():
-    spec = build_model("ac_weak", 8, nu=1.0)
+    # one path is the estimate of the linear model from zero, un-nudged
+    spec = build_model("ac_weak", 8, nu=1.0, linear=True)
     q = make_qspec(spec)
     coef = make_noise_coefficient("additive", 0.2)
     cfg = StepConfig(dt=1e-2, T=0.2, mu=15.0)
     probes = [0.1, 0.2]
     _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes,
                                          paths=1, master_seed=42, chunk=1)
-    _, z_path = stochastic_convolution(spec, cfg, coef, q, None,
-                                       member_seed(42, 0))
+    zero = Field(spec.model_id, np.zeros(spec.shape))
+    z_path = simulate_pair(spec, cfg, None, coef, q, zero, zero,
+                           member_seed(42, 0), record_v=True).v_path
     for i, t in enumerate(probes):
         step = int(round(t / cfg.dt))
         assert np.array_equal(var[i], z_path[step] ** 2)

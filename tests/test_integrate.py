@@ -6,8 +6,8 @@ import pytest
 
 import oracles as O
 from nudgelab.fields import Field, norm
-from nudgelab.integrate import (BlowupError, StepConfig, simulate_pair,
-                                step_reference, stochastic_convolution)
+from nudgelab.integrate import (BlowupError, StepConfig, simulate_members,
+                                simulate_pair, _noise_source)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
 from nudgelab.observe import make_observation
@@ -38,16 +38,37 @@ def test_linear_mode_recursion_exact():
     assert np.max(np.abs(got - want)) < 1e-15
 
 
-def test_step_reference_matches_pair_u():
-    spec, op, q, coef, cfg = _setup(sigma=0.3, mu=10.0)
+@pytest.mark.parametrize("implicit", [False, True])
+def test_reference_ignores_coupling_and_noise(implicit):
+    # coupling and noise never touch the reference trajectory: a noisy,
+    # nudged run's reference equals a reference-only run's, bit for bit
+    spec, op, q, coef, cfg = _setup(sigma=0.3, mu=10.0,
+                                    implicit_nudging=implicit)
     u0 = random_field(spec, 0)
     v0 = random_field(spec, 1)
     res = simulate_pair(spec, cfg, op, coef, q, u0, v0, 5)
-    u = u0
-    for _ in range(cfg.nsteps):
-        u = step_reference(u, cfg.dt)
-    # coupling and noise never touch the reference trajectory
-    assert np.allclose(res.u_final.coeffs, u.coeffs, atol=1e-15)
+    alone = simulate_pair(spec, cfg, None, None, None, u0, u0, 0)
+    assert np.array_equal(res.u_final.coeffs, alone.u_final.coeffs)
+    assert np.array_equal(res.u_h, alone.u_h)
+    assert np.array_equal(res.kappa, alone.kappa)
+
+
+def test_one_nonlinearity_call_per_step(monkeypatch):
+    # the reference and every member step in one stacked call
+    spec, op, q, coef, cfg = _setup(sigma=0.3, mu=10.0, T=0.1)
+    calls = []
+    f_raw = spec.f_raw
+
+    def counted(x):
+        calls.append(x.shape)
+        return f_raw(x)
+
+    monkeypatch.setattr(spec, "f_raw", counted)
+    res = simulate_members(spec, cfg, op, coef, q, random_field(spec, 0),
+                           random_field(spec, 1),
+                           [_noise_source(s, q) for s in range(3)])
+    assert not any(isinstance(r, BlowupError) for r in res)
+    assert calls == [(4,) + spec.shape] * cfg.nsteps
 
 
 def test_same_fixed_point_is_exact():
@@ -200,11 +221,15 @@ def test_implicit_nudging_stable_at_large_mu_dt():
 
 
 def test_convolution_matches_scalar_recursion():
-    spec = build_model("ac_weak", 8)
+    # the stochastic convolution is the estimate of the linear model
+    # started from zero with no observation
+    spec = build_model("ac_weak", 8, linear=True)
     q = make_qspec(spec, delta=0.39)
     coef = make_noise_coefficient("additive", 0.3)
     cfg = StepConfig(dt=1e-2, T=0.2, mu=12.0)
-    times, zp = stochastic_convolution(spec, cfg, coef, q, None, 9)
+    zero = Field(spec.model_id, np.zeros(8))
+    zp = simulate_pair(spec, cfg, None, coef, q, zero, zero, 9,
+                       record_v=True).v_path
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
     z = np.zeros(8)
     for i in range(cfg.nsteps):
