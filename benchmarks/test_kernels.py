@@ -29,7 +29,7 @@ def test_hs_norm_sq_pointwise_qg(benchmark):
     q = make_qspec(spec, delta=0.39)
     coef = make_noise_coefficient("pointwise_multiplicative", 0.05)
     u = random_field(spec, 1)
-    assert benchmark(hs_norm_sq, coef, u, q) > 0.0
+    assert benchmark(hs_norm_sq, coef, spec, u, q) > 0.0
 
 
 @pytest.mark.parametrize("rows", [None, 3])
@@ -39,15 +39,15 @@ def test_f_raw(benchmark, model_id, rows):
     # reference in row 0; None: one lone field
     spec = build_model(model_id, SIZES[model_id])
     if rows is None:
-        c = random_field(spec, 1).coeffs
+        c = random_field(spec, 1)
     else:
-        c = np.stack([random_field(spec, s).coeffs for s in range(1, rows + 1)])
+        c = np.stack([random_field(spec, s) for s in range(1, rows + 1)])
     assert benchmark(spec.f_raw, c).shape == c.shape
 
 
 def test_torus_advect_nse_strong(benchmark):
     spec = build_model("nse_strong", 32)
-    c = random_field(spec, 1).coeffs
+    c = random_field(spec, 1)
     assert benchmark(spec.aux.advect, c, c).shape == spec.shape
 
 

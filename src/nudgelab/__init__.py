@@ -1,11 +1,11 @@
 """Synchronization experiments for nudging-based data assimilation of
 semilinear parabolic equations with noisy coarse observations."""
 
-from .fields import Field, ModelSpec, inner_h, norm, spec_of_id
+from .fields import ModelSpec
 from .models import build_model, random_field
-from .observe import (ObservationOperator, apply_observation,
-                      estimate_interp_constant, eta0, make_observation)
-from .noise import (NoiseCoefficient, QSpec, apply_G, hs_norm_sq,
+from .observe import (ObservationOperator, estimate_interp_constant, eta0,
+                      make_observation)
+from .noise import (NoiseCoefficient, QSpec, hs_norm_sq,
                     make_noise_coefficient, make_qspec, noise_directions)
 from .integrate import BlowupError, StepConfig, simulate_pair
 from .harness import (RunSetup, convolution_variance_mc, estimate_noise_floor,
@@ -14,11 +14,11 @@ from .harness import (RunSetup, convolution_variance_mc, estimate_noise_floor,
 from .config import ConfigError, build_setup, parse_config, render_config
 
 __all__ = [
-    "Field", "ModelSpec", "inner_h", "norm", "spec_of_id",
+    "ModelSpec",
     "build_model", "random_field",
-    "ObservationOperator", "apply_observation", "estimate_interp_constant",
-    "eta0", "make_observation",
-    "NoiseCoefficient", "QSpec", "apply_G", "hs_norm_sq",
+    "ObservationOperator", "estimate_interp_constant", "eta0",
+    "make_observation",
+    "NoiseCoefficient", "QSpec", "hs_norm_sq",
     "make_noise_coefficient", "make_qspec", "noise_directions",
     "BlowupError", "StepConfig", "simulate_pair",
     "RunSetup", "convolution_variance_mc", "estimate_noise_floor",

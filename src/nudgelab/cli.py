@@ -83,6 +83,8 @@ def _load_values(path, args):
             raise ConfigError(["--members must be at least 1"])
         values["ensemble.members"] = args.members
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(["--seed must be nonnegative"])
         values["ensemble.seed"] = args.seed
     if args.out_dir is not None:
         values["output.directory"] = args.out_dir
@@ -142,7 +144,7 @@ def _stride_idx(n_rows, stride):
 def _require_unobserved_mode(setup):
     """eta0 needs C_I > 0; a modal observation of every mode has C_I = 0."""
     op = setup.op
-    if op.kind == "modal" and np.array_equal(op.data[0], setup.model.mask):
+    if op.kind == "modal" and np.array_equal(op.data, setup.model.mask):
         raise ConfigError(["observation: model.n = %d and K(delta) = %d leave "
                            "no unobserved mode, so C_I = 0 and eta0 is "
                            "undefined" % (setup.model.n, op.cutoff)])

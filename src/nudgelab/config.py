@@ -9,7 +9,6 @@ import os
 
 import numpy as np
 
-from .fields import Field
 from .harness import RunSetup
 from .integrate import StepConfig
 from .models import MODEL_FAMILIES, build_model, random_field
@@ -87,8 +86,8 @@ SCHEMA = {
     "time.T": (_float, 1.0, lambda v: v > 0.0, "positive"),
     "time.guard": (_float, 1e6, lambda v: v > 0.0, "positive"),
     "ensemble.members": (_int, 1, lambda v: v >= 1, "at least 1"),
-    "ensemble.seed": (_int, 0, None, None),
-    "init.seed": (_int, 0, None, None),
+    "ensemble.seed": (_int, 0, lambda v: v >= 0, "nonnegative"),
+    "init.seed": (_int, 0, lambda v: v >= 0, "nonnegative"),
     "init.amplitude": (_float, 1.0, lambda v: v >= 0.0, "nonnegative"),
     "init.w0": (_float, 1.0, lambda v: v >= 0.0, "nonnegative"),
     "output.directory": (_str, "", None, None),
@@ -179,9 +178,9 @@ def _built(section, builder, *args, **kwargs):
 def build_setup(values):
     """Construct every run object a config describes.
 
-    Returns a harness RunSetup; the initial error is w0 times a
-    unit-norm rough field on top of u0.  A value the schema accepts
-    but a builder rejects is reported as a ConfigError.
+    Returns a harness RunSetup with read-only u0 and v0; the initial
+    error is w0 times a unit-norm rough field on top of u0.  A value the
+    schema accepts but a builder rejects is reported as a ConfigError.
     """
     model = _built("model", build_model, values["model.id"], values["model.n"],
                    nu=values["model.nu"], norms=values["model.norms"],
@@ -200,10 +199,11 @@ def build_setup(values):
                  blowup_guard=values["time.guard"])
     u0 = random_field(model, (values["init.seed"], 0),
                       h_norm=values["init.amplitude"])
+    v0 = u0
     if values["init.w0"] > 0.0:
         bump = random_field(model, (values["init.seed"], 1), h_norm=1.0)
-        v0 = Field(model.model_id,
-                   u0.coeffs + values["init.w0"] * bump.coeffs)
-    else:
-        v0 = Field(model.model_id, np.array(u0.coeffs))
+        v0 = u0 + values["init.w0"] * bump
+    # every member and sweep cell shares these arrays
+    u0.setflags(write=False)
+    v0.setflags(write=False)
     return RunSetup(model, cfg, op, coef, q, u0, v0)

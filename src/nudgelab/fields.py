@@ -11,15 +11,13 @@ every retained mode.  The linear operator A acts mode-wise through
 a(k) > 0; coercivity <Af, f> >= alpha ||f||_V^2 then holds with
 alpha = min_k a(k) w_H(k)^2 / w_V(k)^2.
 
-Fields are immutable values: coefficient arrays are copied on
-construction and marked read-only.  norm_raw also takes a stack of
-coefficient arrays on leading axes and returns one norm per field, which
-is how the ensemble integrator measures all its members at once.
+A field is a raw coefficient array, passed with its ModelSpec.  norm_raw
+also takes a stack of arrays on leading axes and returns one norm per
+field, which is how the ensemble integrator measures all its members at
+once.
 """
 
 import numpy as np
-
-_REGISTRY = {}
 
 
 class ModelSpec:
@@ -85,40 +83,6 @@ class ModelSpec:
         return "ModelSpec(%s)" % self.model_id
 
 
-def register_model(spec):
-    """Register a ModelSpec under its model_id; first registration wins."""
-    return _REGISTRY.setdefault(spec.model_id, spec)
-
-
-def spec_of_id(model_id):
-    try:
-        return _REGISTRY[model_id]
-    except KeyError:
-        raise KeyError("unknown model_id %r" % (model_id,))
-
-
-class Field:
-    """Immutable spectral coefficient vector tagged by its model."""
-
-    __slots__ = ("model_id", "coeffs")
-
-    def __init__(self, model_id, coeffs):
-        spec = spec_of_id(model_id)
-        arr = np.array(coeffs, dtype=spec.dtype, copy=True)
-        if arr.shape != spec.shape:
-            raise ValueError("coefficient shape %s does not match model %s (%s)"
-                             % (arr.shape, model_id, spec.shape))
-        arr.setflags(write=False)
-        object.__setattr__(self, "model_id", model_id)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Field is immutable")
-
-    def __repr__(self):
-        return "Field(%s)" % self.model_id
-
-
 def _wsum2(spec, a, w):
     # sum of mult * w^2 * |a_k|^2 over stored modes (and components), one
     # sum per field of a stack (a single vector component counts as one
@@ -132,12 +96,6 @@ def _wsum2(spec, a, w):
     return np.sum((spec.mult * (w * w) * mag).reshape(lead + (-1,)), axis=-1)
 
 
-def norm(f, space):
-    """Weighted l2 norm of a Field in H, V or Vstar."""
-    spec = spec_of_id(f.model_id)
-    return float(np.sqrt(_wsum2(spec, f.coeffs, spec.weights(space))))
-
-
 def norm_raw(spec, arr, space):
     """Norm of a raw coefficient array as a float, or an array of norms
     for a stack of arrays on leading axes."""
@@ -145,18 +103,9 @@ def norm_raw(spec, arr, space):
     return float(r) if r.ndim == 0 else r
 
 
-def inner_h(f, g):
-    """H inner product; symmetric, inner_h(f, f) = norm(f, 'H')**2.
-
-    It also serves as the duality pairing <f, g> between V* and V: the
-    pairing is realized with the H weights in coefficients.
-    """
-    if f.model_id != g.model_id:
-        raise ValueError("model mismatch: %s vs %s" % (f.model_id, g.model_id))
-    return inner_h_raw(spec_of_id(f.model_id), f.coeffs, g.coeffs)
-
-
 def inner_h_raw(spec, a, b):
+    """H inner product of two raw arrays, which is also the V*-V duality
+    pairing: the pairing is realized with the H weights in coefficients."""
     w2 = spec.w_h * spec.w_h
     if np.iscomplexobj(a):
         prod = (a * np.conj(b)).real

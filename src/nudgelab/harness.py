@@ -274,11 +274,10 @@ def _a2_ratio(spec, samples, seed):
     for i in range(samples):
         u = random_field(spec, (seed, 3 * i), smoothness=1.0)
         v = random_field(spec, (seed, 3 * i + 1), smoothness=1.0)
-        fu = spec.f_raw(u.coeffs)
-        fv = spec.f_raw(v.coeffs)
+        fu = spec.f_raw(u)
+        fv = spec.f_raw(v)
         num = norm_raw(spec, fu - fv, "Vstar")
-        nb_u, nb_v, nb_d = (np.sqrt(_wsum2(spec, c, w)) for c in
-                            (u.coeffs, v.coeffs, u.coeffs - v.coeffs))
+        nb_u, nb_v, nb_d = (np.sqrt(_wsum2(spec, c, w)) for c in (u, v, u - v))
         den = (1.0 + nb_u ** rho + nb_v ** rho) * nb_d
         if den > 0.0:
             best = max(best, num / den)
@@ -289,9 +288,9 @@ def _cancellation_residual(spec, samples, seed):
     worst = 0.0
     for i in range(samples):
         u = random_field(spec, (seed, i), smoothness=0.8)
-        fu = spec.f_raw(u.coeffs)
-        num = abs(inner_h_raw(spec, fu, u.coeffs))
-        den = norm_raw(spec, fu, "Vstar") * norm_raw(spec, u.coeffs, "V")
+        fu = spec.f_raw(u)
+        num = abs(inner_h_raw(spec, fu, u))
+        den = norm_raw(spec, fu, "Vstar") * norm_raw(spec, u, "V")
         if den > 0.0:
             worst = max(worst, num / den)
     return worst
@@ -302,7 +301,7 @@ def _epsilon_hat(spec, traj_states, samples, seed):
     worst = 0.0
     states = list(traj_states)
     for i in range(samples):
-        states.append(random_field(spec, (seed, 100 + i)).coeffs)
+        states.append(random_field(spec, (seed, 100 + i)))
     for c in states:
         fu = spec.f_raw(c)
         lhs = inner_h_raw(spec, fu, c)
@@ -496,7 +495,7 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
                                         min(chunk, paths - done - b), (n, spec.n))
             z = np.zeros((b, spec.n))
             for step in range(1, n + 1):
-                dw = increment_from_noise(q, dt, blocks[:, step - 1])
+                dw = increment_from_noise(spec, q, dt, blocks[:, step - 1])
                 z = (z + cfg.mu * apply_G_raw(coef, spec, zero_u, dw)) * denom
                 if step in probe_at:
                     i = probe_at[step]

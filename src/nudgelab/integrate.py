@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, norm_raw
+from .fields import norm_raw
 from .noise import apply_G_raw, hs_norm_sq, increment_from_noise
 from .observe import apply_observation_raw
 
@@ -101,8 +101,8 @@ class SimResult:
     v_h: np.ndarray
     hs: np.ndarray
     kappa: np.ndarray
-    u_final: Field
-    v_final: Field
+    u_final: np.ndarray
+    v_final: np.ndarray
     dy_h: np.ndarray = None
     y_h: np.ndarray = None
     u_path: np.ndarray = None
@@ -137,7 +137,7 @@ def simulate_members(spec, cfg, op, coef, q, u0, v0, sources, emit_y=False,
     a reference blow-up ends every member still running.
     """
     members = len(sources)
-    x = np.stack([u0.coeffs] + [v0.coeffs] * members)
+    x = np.stack([u0] + [v0] * members)
     n = cfg.nsteps
     dt = cfg.dt
     mu = cfg.mu
@@ -145,7 +145,7 @@ def simulate_members(spec, cfg, op, coef, q, u0, v0, sources, emit_y=False,
     implicit = cfg.implicit_nudging and op is not None and op.kind == "modal" and mu > 0.0
     if implicit:
         # one resolvent per row: the estimates' also holds the mu I_d part
-        inv_v = 1.0 / (1.0 + dt * spec.a + dt * mu * op.data[0])
+        inv_v = 1.0 / (1.0 + dt * spec.a + dt * mu * op.data)
         inv = np.stack([np.broadcast_to(r, spec.shape)
                         for r in [inv] + [inv_v] * members])
 
@@ -173,7 +173,7 @@ def simulate_members(spec, cfg, op, coef, q, u0, v0, sources, emit_y=False,
         v_h[live, i] = h[1:]
         kap[i] = spec.kappa_raw(x[0])
         if noisy:
-            hs[i] = hs_norm_sq(coef, x[0], q)
+            hs[i] = hs_norm_sq(coef, spec, x[0], q)
         if u_path is not None:
             u_path[i] = x[0]
         if v_path is not None:
@@ -187,7 +187,7 @@ def simulate_members(spec, cfg, op, coef, q, u0, v0, sources, emit_y=False,
         gdw = 0.0
         if q is not None:
             block = np.stack([sources[m](i - 1) for m in live])
-            dw = increment_from_noise(q, dt, block)
+            dw = increment_from_noise(spec, q, dt, block)
             if noisy:
                 gdw = apply_G_raw(coef, spec, x[0], dw)
         rhs = x + dt * spec.f_raw(x)
@@ -227,13 +227,13 @@ def simulate_members(spec, cfg, op, coef, q, u0, v0, sources, emit_y=False,
         record(i, x)
 
     times = np.arange(n + 1) * dt
-    u_final = Field(spec.model_id, x[0])
+    u_final = x[0]
     results = [errors.get(m) for m in range(members)]
     for k, m in enumerate(live):
         if results[m] is None:
             results[m] = SimResult(
                 times, w_h[m], w_vstar[m], u_h, v_h[m], hs, kap, u_final,
-                Field(spec.model_id, x[1 + k]),
+                x[1 + k],
                 dy_h if m == 0 else None, y_h if m == 0 else None,
                 u_path, None if v_path is None else v_path[:, m])
     return results

@@ -18,12 +18,14 @@ mhd (velocity/magnetic pair with the induction-equation coupling).
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import Field, ModelSpec, _wsum2, norm_raw, register_model, spec_of_id
+from .fields import ModelSpec, _wsum2, norm_raw
 
 _SQRT2 = np.sqrt(2.0)
 
 
 MODEL_FAMILIES = ("ac_weak", "ac_strong", "nse_weak", "nse_strong", "qg", "mhd")
+# model tag -> ModelSpec, so equal build_model arguments give the same object
+_BUILT = {}
 
 
 # ----------------------------------------------------------------------
@@ -243,16 +245,12 @@ def build_model(model_id, n, nu=1.0, norms="homogeneous", linear=False):
     if linear:
         tag += ",linear"
     tag += "]"
-    try:
-        return spec_of_id(tag)
-    except KeyError:
-        pass
-
-    if model_id in ("ac_weak", "ac_strong"):
-        spec = _build_ac(tag, model_id, n, nu, norms, linear)
-    else:
-        spec = _build_torus_model(tag, model_id, n, nu, linear)
-    return register_model(spec)
+    if tag not in _BUILT:
+        if model_id in ("ac_weak", "ac_strong"):
+            _BUILT[tag] = _build_ac(tag, model_id, n, nu, norms, linear)
+        else:
+            _BUILT[tag] = _build_torus_model(tag, model_id, n, nu, linear)
+    return _BUILT[tag]
 
 
 def _build_ac(tag, model_id, n, nu, norms, linear):
@@ -342,7 +340,7 @@ def _build_torus_model(tag, model_id, n, nu, linear):
 # random initial data
 
 def random_field(spec, seed, h_norm=1.0, smoothness=None):
-    """Smooth random Field with the requested H norm, deterministic in seed."""
+    """Smooth random array with the requested H norm, deterministic in seed."""
     rng = np.random.default_rng(seed)
     if spec.kind == "sine":
         s = 1.0 if smoothness is None else smoothness
@@ -361,4 +359,4 @@ def random_field(spec, seed, h_norm=1.0, smoothness=None):
     h = norm_raw(spec, c, "H")
     if h == 0.0:
         raise ValueError("degenerate random draw")
-    return Field(spec.model_id, c * (h_norm / h))
+    return c * (h_norm / h)

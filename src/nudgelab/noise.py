@@ -8,7 +8,8 @@ E <dW, e_k>_H <dW, e_j>_H = dt lambda_k^2 delta_jk holds in every model
 regardless of its norm weights.  Vector models receive noise through
 the solenoidal multiplier i k_perp/|k| (a per-mode isometry), keeping
 increments divergence-free; the four-component model draws two
-independent streams, velocity block first.
+independent streams, velocity block first.  Kernels take the ModelSpec
+with raw arrays; a QSpec holds the covariance only.
 
 The draw block consumed per step has a fixed shape, so a whole-horizon
 bulk draw slices into the same per-step increments as repeated calls;
@@ -26,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .fields import Field, norm_raw, spec_of_id
+from .fields import norm_raw
 from .models import _lift_scalar_mode, _sine_to_grid, _sine_from_grid
 
 # Noise directions per stacked product in hs_norm_sq.  Directions are
@@ -39,7 +40,6 @@ _HS_CHUNK = 16
 @dataclass(frozen=True)
 class QSpec:
     """Diagonal trace-class covariance: Q e_k = lambda_k^2 e_k, rank K_Q."""
-    model_id: str
     lam: np.ndarray = field(repr=False)
     rank: int = 0
     nstreams: int = 1
@@ -72,7 +72,7 @@ def make_qspec(spec, exponent="auto", k_q="auto", delta=None):
         draw_shape = (spec.n,)
     else:
         draw_shape = (nstreams, 2) + lam.shape
-    return QSpec(spec.model_id, lam, rank, nstreams, trace, draw_shape)
+    return QSpec(lam, rank, nstreams, trace, draw_shape)
 
 
 def _scalar_stream(spec, q, block):
@@ -85,14 +85,13 @@ def _scalar_stream(spec, q, block):
     return np.where(spec.mask, out, 0.0)
 
 
-def increment_from_noise(q, dt, block):
+def increment_from_noise(spec, q, dt, block):
     """The Q-Wiener increment determined by a raw standard-normal block.
 
     A stack of blocks on leading axes gives the stack of increments.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    spec = spec_of_id(q.model_id)
     root = np.sqrt(dt)
     if spec.kind == "sine":
         inv_wh = np.where(q.lam > 0.0, 1.0 / spec.w_h, 0.0)
@@ -152,8 +151,8 @@ def _pointwise_product(spec, uc, wc):
 
 
 def apply_G_raw(coef, spec, uc, dw):
-    # dw may stack the increments of several members; the factor that
-    # depends on u is computed once for all of them
+    """G_delta(u) applied to dw, linear in dw; dw may stack the increments
+    of several members, and the factor that depends on u is computed once."""
     if coef.kind == "additive":
         return coef.sigma_delta * dw
     if coef.kind == "state_scaled":
@@ -161,21 +160,12 @@ def apply_G_raw(coef, spec, uc, dw):
     return coef.sigma * _pointwise_product(spec, uc, dw)
 
 
-def apply_G(coef, u, dw):
-    """G_delta(u) applied to the noise direction dw; linear in dw."""
-    spec = spec_of_id(u.model_id)
-    if dw.model_id != u.model_id:
-        raise ValueError("dw and u must share a model")
-    return Field(u.model_id, apply_G_raw(coef, spec, u.coeffs, dw.coeffs))
-
-
-def noise_directions(q):
+def noise_directions(spec, q):
     """The real H-orthonormal directions spanned by Q, with their lambdas.
 
     Yields (lam, raw array); used for dense assembly of G and for the
     Hilbert-Schmidt sum of the pointwise kind.
     """
-    spec = spec_of_id(q.model_id)
     if spec.kind == "sine":
         for k in np.flatnonzero(q.lam > 0.0):
             c = np.zeros(spec.shape)
@@ -198,7 +188,7 @@ def noise_directions(q):
                 yield lam, f
 
 
-def hs_norm_sq(coef, u, q):
+def hs_norm_sq(coef, spec, uc, q):
     """||G_delta(u)||^2 in the Hilbert-Schmidt norm over Q^(1/2)H -> H.
 
     Closed forms for the kinds that scale dW; the pointwise kind sums
@@ -207,14 +197,12 @@ def hs_norm_sq(coef, u, q):
     runs in direction order, so it is bit-identical to evaluating one
     direction at a time.
     """
-    spec = spec_of_id(q.model_id)
-    uc = u.coeffs if isinstance(u, Field) else np.asarray(u)
     if coef.kind == "additive":
         return coef.sigma_delta ** 2 * q.trace
     if coef.kind == "state_scaled":
         return coef.sigma ** 2 * norm_raw(spec, uc, "H") ** 2 * q.trace
     total = 0.0
-    dirs = noise_directions(q)
+    dirs = noise_directions(spec, q)
     for chunk in iter(lambda: list(islice(dirs, _HS_CHUNK)), []):
         lams, stack = zip(*chunk)
         norms = norm_raw(spec, _pointwise_product(spec, uc, np.stack(stack)), "H")

@@ -11,25 +11,28 @@ not a projection.  Both satisfy the bilinear estimate
     <f - I_delta f, g>  <=  C_I delta ||f||_H ||g||_V,
 
 whose constant is measured, not assumed; eta0 = 2 alpha / C_I^2 is the
-well-posedness threshold for mu delta^2.
+well-posedness threshold for mu delta^2.  Operators act on raw
+coefficient arrays together with the model's spec.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Field, inner_h_raw, norm_raw, spec_of_id
+from .fields import inner_h_raw, norm_raw
 from .models import _lift_scalar_mode, random_field
 
 
 @dataclass(frozen=True)
 class ObservationOperator:
+    """I_delta for one model; data is the kept-mode mask (modal), the
+    cell integrals (1D volume) or the cell-average matrix (2D volume)."""
     kind: str
     delta: float
     model_id: str
     cutoff: int = 0          # modal: retained-mode bound K(delta)
     cells: int = 0           # volume: cells per axis
-    data: tuple = field(default=(), repr=False, compare=False)
+    data: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def make_observation(spec, kind, delta):
@@ -44,7 +47,7 @@ def make_observation(spec, kind, delta):
         kabs = spec.params["kabs"]
         keep = (kabs <= cut) & spec.mask
         return ObservationOperator(kind, float(delta), spec.model_id,
-                                   cutoff=cut, data=(keep,))
+                                   cutoff=cut, data=keep)
     if kind == "volume":
         m = int(round(domain / delta))
         if m < 1:
@@ -57,7 +60,7 @@ def make_observation(spec, kind, delta):
             cellint = np.sqrt(2.0) * (np.cos(kpi * edges[:-1, None])
                                       - np.cos(kpi * edges[1:, None])) / kpi
             return ObservationOperator(kind, float(delta), spec.model_id,
-                                       cells=m, data=(cellint,))
+                                       cells=m, data=cellint)
         width = domain / m
         left = np.arange(m) * width
         kfull = np.fft.fftfreq(spec.aux.n, d=1.0 / spec.aux.n)
@@ -69,12 +72,12 @@ def make_observation(spec, kind, delta):
             else:
                 b[:, j] = np.exp(1j * k * left) * (np.expm1(1j * k * width)) / (1j * k * width)
         return ObservationOperator(kind, float(delta), spec.model_id,
-                                   cells=m, data=(b,))
+                                   cells=m, data=b)
     raise ValueError("kind must be modal or volume")
 
 
 def _volume_scalar_full(op, cfull):
-    b = op.data[0]
+    b = op.data
     m = op.cells
     avg = (b @ cfull @ b.T).real
     return (b.conj().T @ avg @ b.conj()) / (m * m)
@@ -82,28 +85,18 @@ def _volume_scalar_full(op, cfull):
 
 def apply_observation_raw(op, spec, c):
     """I_delta applied to a raw coefficient array, or to each array of a
-    stack on leading axes."""
+    stack on leading axes; linear, and for the modal kind idempotent."""
     if op.kind == "modal":
-        keep = op.data[0]
+        keep = op.data
         return np.where(keep, c, 0.0) if spec.kind == "torus" else c * keep
     if spec.kind == "sine":
         # stacked matrix-vector products: a stack as one matrix-matrix
         # product would round differently from the single-field case
-        cellint = op.data[0]
-        avg = op.cells * np.matmul(cellint, c[..., None])[..., 0]
-        return np.matmul(cellint.T, avg[..., None])[..., 0]
+        avg = op.cells * np.matmul(op.data, c[..., None])[..., 0]
+        return np.matmul(op.data.T, avg[..., None])[..., 0]
     tor = spec.aux
     out = tor.from_full(_volume_scalar_full(op, tor.full_layout(c)))
     return spec.project_raw(out)
-
-
-def apply_observation(op, f):
-    """I_delta f; linear, and for the modal kind idempotent."""
-    if f.model_id != op.model_id:
-        raise ValueError("field model %s does not match operator model %s"
-                         % (f.model_id, op.model_id))
-    spec = spec_of_id(f.model_id)
-    return Field(f.model_id, apply_observation_raw(op, spec, f.coeffs))
 
 
 def _quotient(op, spec, fc, gc):
@@ -152,7 +145,7 @@ def estimate_interp_constant(op, spec, samples=64, seed=0):
     for i in range(samples):
         f = random_field(spec, (seed, 2 * i), smoothness=0.5)
         g = random_field(spec, (seed, 2 * i + 1), smoothness=0.5)
-        best = max(best, _quotient(op, spec, f.coeffs, g.coeffs))
+        best = max(best, _quotient(op, spec, f, g))
     for c in _single_mode_probes(spec, op):
         if norm_raw(spec, c, "H") == 0.0:
             continue

@@ -244,15 +244,14 @@ def nudged_mode_path(a, dt, mu, u0, v0, nsteps, implicit=False):
     return np.array(us), np.array(vs)
 
 
-def hs_pointwise_per_direction(coef, u, q):
+def hs_pointwise_per_direction(coef, spec, u, q):
     """Hilbert-Schmidt norm of the pointwise kind, one noise direction
     (one collocation product, one norm) at a time, in direction order."""
-    from nudgelab.fields import norm_raw, spec_of_id
+    from nudgelab.fields import norm_raw
     from nudgelab.noise import _pointwise_product, noise_directions
-    spec = spec_of_id(q.model_id)
     total = 0.0
-    for lam, dirc in noise_directions(q):
-        g = _pointwise_product(spec, u.coeffs, dirc)
+    for lam, dirc in noise_directions(spec, q):
+        g = _pointwise_product(spec, u, dirc)
         total += lam * lam * norm_raw(spec, g, "H") ** 2
     return coef.sigma ** 2 * total
 
@@ -280,7 +279,7 @@ def convolution_mc_serial(spec, cfg, coef, q, probe_times, paths,
             blocks[:, j, :] = rng.standard_normal((n, spec.n))
         z = np.zeros((b, spec.n))
         for step in range(1, n + 1):
-            dw = increment_from_noise(q, dt, blocks[step - 1])
+            dw = increment_from_noise(spec, q, dt, blocks[step - 1])
             z = (z + cfg.mu * apply_G_raw(coef, spec, zero_u, dw)) * denom
             if step in steps:
                 i = steps.index(step)

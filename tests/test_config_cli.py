@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import nudgelab.cli as cli
 from nudgelab.config import (SCHEMA, ConfigError, build_setup,
                              output_directory, parse_config, render_config)
-from nudgelab.fields import norm
+from nudgelab.fields import norm_raw
+from nudgelab.models import build_model
 
 MINIMAL = "model.id = ac_weak\n"
 
@@ -124,15 +125,23 @@ def test_build_setup_objects():
     assert setup.coef.kind == "additive" and setup.coef.sigma == 0.05
     assert setup.cfg.dt == 2e-3 and setup.cfg.mu == 20.0
     # v0 sits at distance w0 from u0 in H
-    from nudgelab.fields import Field
-    w = Field(setup.model.model_id, setup.v0.coeffs - setup.u0.coeffs)
-    assert abs(norm(w, "H") - v["init.w0"]) < 1e-12
+    w = setup.v0 - setup.u0
+    assert abs(norm_raw(setup.model, w, "H") - v["init.w0"]) < 1e-12
+
+
+def test_equal_arguments_share_one_model():
+    # a callback wrapped on one build (a tracer, say) is seen by every
+    # later build_model and build_setup with the same model keys
+    assert build_model("qg", 8) is build_model("qg", 8, nu=1.0)
+    assert build_model("qg", 8) is not build_model("qg", 8, linear=True)
+    v = parse_config(SMALL_RUN)
+    assert build_setup(v).model is build_setup(dict(v)).model
 
 
 def test_build_setup_zero_initial_error():
     v = parse_config(MINIMAL + "init.w0 = 0.0\n")
     setup = build_setup(v)
-    assert np.array_equal(setup.u0.coeffs, setup.v0.coeffs)
+    assert np.array_equal(setup.u0, setup.v0)
 
 
 # --------------------------------------------------------------------- cli
@@ -362,6 +371,25 @@ def test_non_finite_value_exits_1(tmp_path, capsys, line):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify",
+                                     "convolution-check"])
+@pytest.mark.parametrize("line,argv", [
+    pytest.param("ensemble.seed = -1", (), id="ensemble.seed"),
+    pytest.param("init.seed = -3", (), id="init.seed"),
+    pytest.param("ensemble.seed = 3", ("--seed", "-5"), id="--seed"),
+])
+def test_negative_seed_exits_1(tmp_path, capsys, command, line, argv):
+    key = line.split()[0]
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "run.cfg", _without(SMALL_RUN, key) + line + "\n",
+              command, *argv, "--out-dir", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration")
+    assert (argv[0] if argv else key) in err
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nudgelab.harness as H
-from nudgelab.fields import Field, norm_raw
+from nudgelab.fields import norm_raw
 from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               estimate_noise_floor, fit_decay_rate,
                               imex_convolution_variance, measure_alpha,
@@ -71,8 +71,7 @@ def test_ensemble_matches_manual_members():
         for name in ("w_vstar", "u_h", "v_h", "hs", "kappa", "dy_h", "y_h"):
             assert np.array_equal(getattr(ens.first, name),
                                   getattr(solo[0], name)), mid
-        assert np.array_equal(ens.first.v_final.coeffs,
-                              solo[0].v_final.coeffs), mid
+        assert np.array_equal(ens.first.v_final, solo[0].v_final), mid
         assert not np.array_equal(ens.member_w_h[1], ens.member_w_h[2]), mid
         w2 = ens.member_w_h ** 2
         assert np.allclose(ens.mean_w2_h, w2.mean(axis=0), rtol=1e-15)
@@ -172,7 +171,7 @@ def test_ensemble_all_blowups_reraise():
     one = replace(base.cfg, T=base.cfg.dt)
     u1 = simulate_pair(base.model, one, None, None, None, base.u0, base.u0,
                        0).u_final
-    first_acc = base.cfg.dt * norm_raw(base.model, u1.coeffs, "V") ** 2
+    first_acc = base.cfg.dt * norm_raw(base.model, u1, "V") ** 2
     cfg = StepConfig(dt=base.cfg.dt, T=base.cfg.T, mu=base.cfg.mu,
                      blowup_guard=0.5 * first_acc)
     setup = RunSetup(base.model, cfg, base.op, base.coef, base.q, base.u0,
@@ -380,7 +379,7 @@ def test_convolution_mc_single_path_bit_identical():
     probes = [0.1, 0.2]
     _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes,
                                          paths=1, master_seed=42, chunk=1)
-    zero = Field(spec.model_id, np.zeros(spec.shape))
+    zero = np.zeros(spec.shape)
     z_path = simulate_pair(spec, cfg, None, coef, q, zero, zero,
                            member_seed(42, 0), record_v=True).v_path
     for i, t in enumerate(probes):

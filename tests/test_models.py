@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles as O
-from nudgelab.fields import Field, inner_h, norm
+from nudgelab.fields import inner_h_raw, norm_raw
 from nudgelab.models import (_sine_from_grid, _sine_to_grid, build_model,
                              random_field)
 from nudgelab.noise import increment_from_noise, make_qspec
@@ -47,8 +47,8 @@ def test_nse_matches_convolution_oracle():
     spec = build_model("nse_weak", 8)
     for s in range(3):
         u = random_field(spec, s)
-        impl = spec.f_raw(u.coeffs)
-        o1, o2 = O.nse_rhs_modes(spec, u.coeffs[0], u.coeffs[1])
+        impl = spec.f_raw(u)
+        o1, o2 = O.nse_rhs_modes(spec, u[0], u[1])
         want = np.stack([O.to_layout(spec, o1), O.to_layout(spec, o2)])
         assert _rel(impl, want) < 1e-12
 
@@ -57,8 +57,8 @@ def test_qg_matches_convolution_oracle():
     spec = build_model("qg", 8)
     for s in range(3):
         th = random_field(spec, s)
-        impl = spec.f_raw(th.coeffs)
-        want = O.to_layout(spec, O.qg_rhs_modes(spec, th.coeffs))
+        impl = spec.f_raw(th)
+        want = O.to_layout(spec, O.qg_rhs_modes(spec, th))
         assert _rel(impl, want) < 1e-12
 
 
@@ -66,8 +66,8 @@ def test_mhd_matches_convolution_oracle():
     spec = build_model("mhd", 8)
     for s in range(3):
         z = random_field(spec, s)
-        impl = spec.f_raw(z.coeffs)
-        parts = O.mhd_rhs_modes(spec, *z.coeffs)
+        impl = spec.f_raw(z)
+        parts = O.mhd_rhs_modes(spec, *z)
         want = np.stack([O.to_layout(spec, p) for p in parts])
         assert _rel(impl, want) < 1e-12
 
@@ -76,7 +76,7 @@ def test_strong_nse_projected_kernel_matches_weak():
     w = build_model("nse_weak", 16)
     s = build_model("nse_strong", 16)
     u = random_field(w, 5)
-    assert np.allclose(w.f_raw(u.coeffs), s.f_raw(u.coeffs), atol=1e-15)
+    assert np.allclose(w.f_raw(u), s.f_raw(u), atol=1e-15)
 
 
 def test_advective_cancellation(all_models):
@@ -85,9 +85,9 @@ def test_advective_cancellation(all_models):
             continue
         for s in range(10):
             u = random_field(spec, (20, s))
-            f = Field(spec.model_id, spec.f_raw(u.coeffs))
-            num = abs(inner_h(f, u))
-            den = norm(f, "Vstar") * norm(u, "V")
+            f = spec.f_raw(u)
+            num = abs(inner_h_raw(spec, f, u))
+            den = norm_raw(spec, f, "Vstar") * norm_raw(spec, u, "V")
             assert num / den < 1e-10, spec.model_id
 
 
@@ -102,14 +102,14 @@ def test_kappa_weak_ac_explicit():
 def test_kappa_strong_ac_explicit():
     spec = build_model("ac_strong", 16)
     u = random_field(spec, 6)
-    want = (1.0 + (1.0 + norm(u, "H") ** 2) * norm(u, "V") ** 2)
-    assert spec.kappa_raw(u.coeffs) == pytest.approx(want, rel=1e-12)
+    want = 1.0 + (1.0 + norm_raw(spec, u, "H") ** 2) * norm_raw(spec, u, "V") ** 2
+    assert spec.kappa_raw(u) == pytest.approx(want, rel=1e-12)
 
 
 def test_kappa_nonnegative_everywhere(all_models):
     for spec in all_models:
         u = random_field(spec, 7)
-        assert spec.kappa_raw(u.coeffs) >= 0.0
+        assert spec.kappa_raw(u) >= 0.0
 
 
 def test_riesz_multiplier_isometry_and_divergence():
@@ -138,8 +138,8 @@ def test_leray_projection_idempotent_and_kills_gradients():
 def test_linear_variant_drops_f():
     spec = build_model("nse_weak", 16, linear=True)
     u = random_field(spec, 10)
-    assert np.all(spec.f_raw(u.coeffs) == 0.0)
-    assert spec.kappa_raw(u.coeffs) == 0.0
+    assert np.all(spec.f_raw(u) == 0.0)
+    assert spec.kappa_raw(u) == 0.0
 
 
 def test_registry_returns_cached_instance():
@@ -175,7 +175,7 @@ def test_grid_roundtrip(all_models):
     # sine: the doubled collocation grid; torus: the N x N grid, with the
     # model's constraints imposed again on the way back
     for spec in all_models:
-        c = random_field(spec, 11).coeffs
+        c = random_field(spec, 11)
         if spec.kind == "sine":
             back = _sine_from_grid(_sine_to_grid(c, 2 * spec.n), spec.n)
         else:
@@ -188,14 +188,14 @@ def test_torus_kernels_meet_constraints(model_id):
     spec = build_model(model_id, 16)
     rng = np.random.default_rng(15)
     raw = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    u = random_field(spec, 16).coeffs
+    u = random_field(spec, 16)
     q = make_qspec(spec)
     outputs = {
         "project_raw": spec.project_raw(raw),
         "random_field": u,
         "f_raw": spec.f_raw(u),
         "increment_from_noise": increment_from_noise(
-            q, 0.01, rng.standard_normal(q.draw_shape)),
+            spec, q, 0.01, rng.standard_normal(q.draw_shape)),
     }
     for name, c in outputs.items():
         assert np.max(np.abs(c)) > 0.0, name
@@ -204,14 +204,14 @@ def test_torus_kernels_meet_constraints(model_id):
 
 def test_constraint_oracle_catches_band_violation():
     spec = build_model("nse_weak", 16)
-    bad = np.array(random_field(spec, 12).coeffs)
+    bad = random_field(spec, 12)
     bad[0, 0, spec.n // 2] = 1.0          # outside the dealias band
     assert "band" in O.torus_constraints(spec, bad)
 
 
 def test_constraint_oracle_catches_mean_component():
     spec = build_model("qg", 16)
-    bad = np.array(random_field(spec, 13).coeffs)
+    bad = random_field(spec, 13)
     bad[0, 0] += 0.5
     assert O.torus_constraints(spec, bad) == ["mean"]
 
@@ -219,7 +219,7 @@ def test_constraint_oracle_catches_mean_component():
 def test_random_field_normalization(all_models):
     for spec in all_models:
         u = random_field(spec, 14, h_norm=2.5)
-        assert norm(u, "H") == pytest.approx(2.5, rel=1e-12)
+        assert norm_raw(spec, u, "H") == pytest.approx(2.5, rel=1e-12)
 
 
 def test_build_model_rejects_bad_arguments():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from nudgelab.fields import Field, norm, norm_raw
+from nudgelab.fields import norm_raw
 from nudgelab.models import build_model, random_field
-from nudgelab.noise import (_HS_CHUNK, apply_G, hs_norm_sq,
+from nudgelab.noise import (_HS_CHUNK, apply_G_raw, hs_norm_sq,
                             increment_from_noise, make_noise_coefficient,
                             make_qspec, noise_directions)
 from oracles import hs_pointwise_per_direction
@@ -41,7 +41,7 @@ def test_increment_mean_square_matches_spectrum():
     n_draw = 4000
     acc = np.zeros(16)
     for _ in range(n_draw):
-        dw = increment_from_noise(q, dt, rng.standard_normal(q.draw_shape))
+        dw = increment_from_noise(spec, q, dt, rng.standard_normal(q.draw_shape))
         acc += (spec.w_h * dw) ** 2
     acc /= n_draw * dt
     se = q.lam ** 2 * np.sqrt(2.0 / n_draw)
@@ -56,7 +56,7 @@ def test_increment_trace_identity():
     n_draw = 2000
     tot = 0.0
     for _ in range(n_draw):
-        dw = increment_from_noise(q, dt, rng.standard_normal(q.draw_shape))
+        dw = increment_from_noise(spec, q, dt, rng.standard_normal(q.draw_shape))
         tot += norm_raw(spec, dw, "H") ** 2
     tot /= n_draw * dt
     assert tot == pytest.approx(q.trace, rel=0.1)
@@ -78,11 +78,11 @@ def test_bulk_draws_slice_to_per_step_draws():
 def test_noise_directions_are_h_orthonormal(all_models):
     for spec in all_models:
         q = make_qspec(spec)
-        dirs = list(noise_directions(q))
+        dirs = list(noise_directions(spec, q))
         assert len(dirs) > 0
         for lam, raw in dirs[:6]:
-            f = Field(spec.model_id, raw)
-            assert norm(f, "H") == pytest.approx(1.0, rel=1e-10), spec.model_id
+            assert norm_raw(spec, raw, "H") == pytest.approx(1.0, rel=1e-10), \
+                spec.model_id
 
 
 def test_hs_norm_closed_forms_match_assembly(all_models):
@@ -95,10 +95,10 @@ def test_hs_norm_closed_forms_match_assembly(all_models):
             coefs.append(make_noise_coefficient("pointwise_multiplicative", 0.2))
         for coef in coefs:
             want = 0.0
-            for lam, raw in noise_directions(q):
-                img = apply_G(coef, u, Field(spec.model_id, raw))
-                want += lam ** 2 * norm(img, "H") ** 2
-            got = hs_norm_sq(coef, u, q)
+            for lam, raw in noise_directions(spec, q):
+                img = apply_G_raw(coef, spec, u, raw)
+                want += lam ** 2 * norm_raw(spec, img, "H") ** 2
+            got = hs_norm_sq(coef, spec, u, q)
             assert got == pytest.approx(want, rel=1e-10), (spec.model_id,
                                                            coef.kind)
 
@@ -108,9 +108,9 @@ def test_pointwise_hs_on_torus_matches_assembly():
     q = make_qspec(spec)
     u = random_field(spec, 9)
     coef = make_noise_coefficient("pointwise_multiplicative", 0.3)
-    want = sum(lam ** 2 * norm(apply_G(coef, u, Field(spec.model_id, raw)), "H") ** 2
-               for lam, raw in noise_directions(q))
-    assert hs_norm_sq(coef, u, q) == pytest.approx(want, rel=1e-10)
+    want = sum(lam ** 2 * norm_raw(spec, apply_G_raw(coef, spec, u, raw), "H")
+               ** 2 for lam, raw in noise_directions(spec, q))
+    assert hs_norm_sq(coef, spec, u, q) == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("model_id", ["nse_weak", "nse_strong", "mhd"])
@@ -119,10 +119,10 @@ def test_pointwise_hs_vector_models_match_assembly(model_id):
     q = make_qspec(spec)
     u = random_field(spec, 9)
     coef = make_noise_coefficient("pointwise_multiplicative", 0.3)
-    want = sum(lam ** 2 * norm(apply_G(coef, u, Field(spec.model_id, raw)), "H") ** 2
-               for lam, raw in noise_directions(q))
+    want = sum(lam ** 2 * norm_raw(spec, apply_G_raw(coef, spec, u, raw), "H")
+               ** 2 for lam, raw in noise_directions(spec, q))
     assert want > 0.0
-    assert hs_norm_sq(coef, u, q) == pytest.approx(want, rel=1e-10)
+    assert hs_norm_sq(coef, spec, u, q) == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("model_id", ["ac_weak", "qg", "mhd"])
@@ -130,8 +130,8 @@ def test_pointwise_hs_rank_zero_is_zero(model_id):
     spec = build_model(model_id, 8)
     q = make_qspec(spec, k_q=0)
     coef = make_noise_coefficient("pointwise_multiplicative", 0.3)
-    assert list(noise_directions(q)) == []
-    assert hs_norm_sq(coef, random_field(spec, 9), q) == 0.0
+    assert list(noise_directions(spec, q)) == []
+    assert hs_norm_sq(coef, spec, random_field(spec, 9), q) == 0.0
 
 
 # grids with more noise directions than one stack of the kernel
@@ -145,11 +145,12 @@ def test_pointwise_hs_stacked_equals_per_direction_bitwise(model_id, n, k_q):
     spec = build_model(model_id, n)
     q = make_qspec(spec, k_q=k_q)
     if k_q == "auto":
-        assert len(list(noise_directions(q))) > _HS_CHUNK
+        assert len(list(noise_directions(spec, q))) > _HS_CHUNK
     coef = make_noise_coefficient("pointwise_multiplicative", 0.7)
     for seed in (31, 32):
         u = random_field(spec, seed)
-        assert hs_norm_sq(coef, u, q) == hs_pointwise_per_direction(coef, u, q)
+        assert hs_norm_sq(coef, spec, u, q) == \
+            hs_pointwise_per_direction(coef, spec, u, q)
 
 
 def test_sigma_delta_applies_to_additive_only():
@@ -163,12 +164,11 @@ def test_state_scaled_vanishes_at_zero():
     spec = build_model("ac_weak", 16)
     q = make_qspec(spec)
     coef = make_noise_coefficient("state_scaled", 0.7)
-    zero = Field(spec.model_id, np.zeros(16))
+    zero = np.zeros(16)
     rng = np.random.default_rng(2)
-    dw = Field(spec.model_id,
-               increment_from_noise(q, 0.01, rng.standard_normal(q.draw_shape)))
-    assert norm(apply_G(coef, zero, dw), "H") == 0.0
-    assert hs_norm_sq(coef, zero, q) == 0.0
+    dw = increment_from_noise(spec, q, 0.01, rng.standard_normal(q.draw_shape))
+    assert norm_raw(spec, apply_G_raw(coef, spec, zero, dw), "H") == 0.0
+    assert hs_norm_sq(coef, spec, zero, q) == 0.0
 
 
 def test_pointwise_matches_matrix_collocation_oracle():
@@ -177,14 +177,14 @@ def test_pointwise_matches_matrix_collocation_oracle():
     u = random_field(spec, 20)
     w = random_field(spec, 21)
     coef = make_noise_coefficient("pointwise_multiplicative", 1.0)
-    got = apply_G(coef, u, w).coeffs
+    got = apply_G_raw(coef, spec, u, w)
     n = 8
     m = 2 * n
     x = np.arange(1, m + 1) / (m + 1.0)
     k = np.arange(1, m + 1)
     syn = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
-    pad = np.concatenate([u.coeffs, np.zeros(m - n)])
-    pad_w = np.concatenate([w.coeffs, np.zeros(m - n)])
+    pad = np.concatenate([u, np.zeros(m - n)])
+    pad_w = np.concatenate([w, np.zeros(m - n)])
     prod = (syn @ pad) * (syn @ pad_w)
     want = (syn.T @ prod)[:n] / (m + 1.0)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -196,10 +196,10 @@ def test_pointwise_hs_dense_frobenius_oracle():
     q = make_qspec(spec)
     u = random_field(spec, 22)
     coef = make_noise_coefficient("pointwise_multiplicative", 0.6)
-    want = sum(lam ** 2 * norm(apply_G(coef, u, Field(spec.model_id, raw)),
-                               "H") ** 2
-               for lam, raw in noise_directions(q))
-    assert hs_norm_sq(coef, u, q) == pytest.approx(want, rel=1e-12)
+    want = sum(lam ** 2 * norm_raw(spec, apply_G_raw(coef, spec, u, raw),
+                                   "H") ** 2
+               for lam, raw in noise_directions(spec, q))
+    assert hs_norm_sq(coef, spec, u, q) == pytest.approx(want, rel=1e-12)
 
 
 def test_state_scaled_hs_homogeneity():
@@ -208,8 +208,8 @@ def test_state_scaled_hs_homogeneity():
     q = make_qspec(spec)
     u = random_field(spec, 23, h_norm=2.0)
     coef = make_noise_coefficient("state_scaled", 1.0)
-    assert hs_norm_sq(coef, u, q) == pytest.approx(4.0 * np.sum(q.lam ** 2),
-                                                   rel=1e-12)
+    assert hs_norm_sq(coef, spec, u, q) == pytest.approx(
+        4.0 * np.sum(q.lam ** 2), rel=1e-12)
 
 
 def test_state_scaled_peaks_at_start_on_decay():
@@ -221,7 +221,7 @@ def test_state_scaled_peaks_at_start_on_decay():
     u0 = random_field(spec, 24, h_norm=0.5)     # decays monotonically
     cfg = StepConfig(dt=1e-2, T=0.5)
     res = simulate_pair(spec, cfg, None, None, None, u0, u0, 0, record_u=True)
-    series = np.array([hs_norm_sq(coef, u, q) for u in res.u_path])
+    series = np.array([hs_norm_sq(coef, spec, u, q) for u in res.u_path])
     assert np.argmax(series) == 0
     assert np.all(np.diff(series) <= 1e-14)
 
