@@ -4,7 +4,8 @@
 
 Times the per-step kernels the end-to-end benchmark spends its steps in:
 the pointwise Hilbert-Schmidt monitor, each model's nonlinearity on one
-field and on the stack of three that a two-member run steps, the
+field, on the stack of three that a two-member run steps and on the
+stack of thirteen that a 3 x 2 sweep of two members steps, the
 dealiased advection of the torus models, and the threaded Monte Carlo
 variance of the stochastic convolution.  pytest collects tests/ only by
 default, so these run only when asked for.
@@ -32,11 +33,13 @@ def test_hs_norm_sq_pointwise_qg(benchmark):
     assert benchmark(hs_norm_sq, coef, spec, u, q) > 0.0
 
 
-@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("rows", [None, 3, 13])
 @pytest.mark.parametrize("model_id", sorted(SIZES))
 def test_f_raw(benchmark, model_id, rows):
     # rows=3: the (3,) + spec.shape stack a 2-member run steps, the
-    # reference in row 0; None: one lone field
+    # reference in row 0; rows=13: the stack of a 3 x 2 (mu, delta) sweep
+    # of 2 members, one shared reference and 12 estimates; None: one lone
+    # field
     spec = build_model(model_id, SIZES[model_id])
     if rows is None:
         c = random_field(spec, 1)

@@ -18,7 +18,7 @@ from .config import ConfigError, build_setup, output_directory, parse_config, re
 from .harness import (convolution_variance_mc, imex_convolution_variance,
                       measured_constants, probe_steps, run_ensemble,
                       sweep, verify_assumptions)
-from .integrate import BlowupError, simulate_pair
+from .integrate import BlowupError, simulate_members
 
 FMT = "%.17e"
 
@@ -282,10 +282,12 @@ def _cmd_verify(args, values):
     os.makedirs(out_dir, exist_ok=True)
     spec = setup.model
     record = spec.dof * (setup.cfg.nsteps + 1) <= 5_000_000
-    # the report reads only the reference (times, kappa, u_path), so it
-    # runs without noise or nudging and the estimate starts on u0
-    traj = simulate_pair(spec, setup.cfg, None, None, None, setup.u0,
-                         setup.u0, 0, record_u=record)
+    # the report reads only the reference (times, kappa, u_path), so the
+    # reference steps alone: no groups, no estimates
+    traj, _ = simulate_members(spec, setup.cfg, [], setup.u0, None, [],
+                               record_u=record)
+    if isinstance(traj, BlowupError):
+        raise traj
     rep = verify_assumptions(spec, traj, setup.op)
     checks = [
         ("coercivity constant matches its declared value",

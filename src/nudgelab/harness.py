@@ -5,17 +5,21 @@ noise streams, derived from the master seed by spawn keys, so results
 are reproducible bit-for-bit.  Members step in lockstep: the reference
 is integrated once, and every member's estimate advances in one stacked
 array, with each member's numbers byte-identical to a run of that member
-alone; results are aggregated by member index.
+alone; results are aggregated by member index.  A (mu, delta) sweep is
+one such lockstep run over the whole grid: its cells share one
+reference and one draw per member and step, and each cell is aggregated
+as its own ensemble.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import _wsum2, inner_h_raw, norm_raw
-from .integrate import BlowupError, _noise_source, _rng_for, simulate_members
+from .integrate import (BlowupError, Group, _noise_source, _rng_for,
+                        simulate_members)
 from .models import build_model, random_field
 from .noise import apply_G_raw, increment_from_noise
 from .observe import estimate_interp_constant, eta0
@@ -60,19 +64,28 @@ def run_ensemble(setup, members, master_seed, emit_y=False):
     emit_y turns on observation-path bookkeeping for member 0 only; it
     draws nothing extra, so results match the emit_y=False run exactly.
     """
-    if members < 1:
-        raise ValueError("need at least one member")
-    sources = [_noise_source(member_seed(master_seed, m), setup.q)
-               for m in range(members)]
-    results = simulate_members(setup.model, setup.cfg, setup.op, setup.coef,
-                               setup.q, setup.u0, setup.v0, sources,
-                               emit_y=emit_y)
+    _, [[cell]] = simulate_members(
+        setup.model, setup.cfg,
+        [Group(setup.op, setup.coef, setup.q, (setup.cfg.mu,))],
+        setup.u0, setup.v0, _member_sources(setup.q, members, master_seed),
+        emit_y=emit_y)
+    return _aggregate(cell)
+
+
+def _member_sources(q, members, master_seed):
+    return [_noise_source(member_seed(master_seed, m), q)
+            for m in range(members)]
+
+
+def _aggregate(results):
+    """EnsembleResult of one cell's member results (SimResult or
+    BlowupError, by member index); raises BlowupError when every member
+    blew up."""
     ok = [r for r in results if not isinstance(r, BlowupError)]
-    blowups = members - len(ok)
     if not ok:
-        first_err = next(r for r in results if isinstance(r, BlowupError))
-        raise BlowupError("every member's " + first_err.which, first_err.step,
-                          first_err.t, first_err.accumulator)
+        err = results[0]
+        raise BlowupError("every member's " + err.which, err.step, err.t,
+                          err.accumulator)
     times = ok[0].times
     w2h = np.stack([r.w_h ** 2 for r in ok])
     w2v = np.stack([r.w_vstar ** 2 for r in ok])
@@ -88,8 +101,8 @@ def run_ensemble(setup, members, master_seed, emit_y=False):
         se_v = np.zeros_like(mean_v)
     first = results[0] if not isinstance(results[0], BlowupError) else None
     return EnsembleResult(times, mean_h, mean_v, se_h, se_v,
-                          np.stack([r.w_h for r in ok]), blowups,
-                          hs.mean(axis=0), first)
+                          np.stack([r.w_h for r in ok]),
+                          len(results) - m_eff, hs.mean(axis=0), first)
 
 
 @dataclass
@@ -170,20 +183,56 @@ def measured_constants(setup):
     return alpha, ci, eta0(alpha, ci)
 
 
+def _require_shared_reference(setups):
+    """Refuse sweep set-ups that would not step one and the same
+    reference with one and the same draws."""
+    if not setups:
+        raise ValueError("sweep needs at least one set-up")
+
+    def key(s):
+        return {"model": s.model, "dt": s.cfg.dt, "T": s.cfg.T,
+                "implicit_nudging": s.cfg.implicit_nudging,
+                "blowup_guard": s.cfg.blowup_guard,
+                "noise kind": None if s.coef is None else s.coef.kind,
+                "draw_shape": None if s.q is None else s.q.draw_shape}
+
+    base = key(setups[0])
+    for s in setups[1:]:
+        other = key(s)
+        differ = [k for k in base if other[k] != base[k]]
+        differ += [name for name in ("u0", "v0") if not np.array_equal(
+            getattr(s, name), getattr(setups[0], name))]
+        if differ:
+            raise ValueError("sweep set-ups share one reference; these "
+                             "differ between deltas: %s" % ", ".join(differ))
+
+
 def sweep(setups, mu_grid, members, master_seed):
     """Grid over (mu, delta): per cell gamma_fit, floor, blow-up counts,
     and the mu*delta^2 > eta0_hat flag from measured constants.
 
     setups holds one RunSetup per delta, in grid order; a cell is its
     delta's set-up with cfg.mu replaced, since nothing else in a set-up
-    depends on mu.  Cells run mu-major.  The constants are measured on
-    each delta's operator; cells whose members blow up beyond 10% are
-    marked invalid.  The result carries the first delta's constants.
+    depends on mu.  Every cell shares one reference, stepped once, and
+    member m's noise block of each step is drawn once and drives member
+    m in every cell: the whole grid is one lockstep integration, each
+    cell's numbers bit-identical to an ensemble run of that cell alone.
+    So the set-ups must agree in everything but the observation and the
+    noise coefficient and covariance (ValueError otherwise).  Cells run
+    mu-major.  The constants are measured on each delta's operator;
+    cells whose members blow up beyond 10% are marked invalid.  The
+    result carries the first delta's constants.
     """
+    _require_shared_reference(setups)
     consts = [measured_constants(s) for s in setups]
+    base = setups[0]
+    groups = [Group(s.op, s.coef, s.q, tuple(mu_grid)) for s in setups]
+    _, cells = simulate_members(
+        base.model, base.cfg, groups, base.u0, base.v0,
+        _member_sources(base.q, members, master_seed))
     rows = []
-    for mu in mu_grid:
-        for setup, (_, _, eta) in zip(setups, consts):
+    for k, mu in enumerate(mu_grid):
+        for setup, (_, _, eta), by_mu in zip(setups, consts, cells):
             mu_delta_sq = float(mu) * setup.op.delta ** 2
             row = {"mu": float(mu), "delta": setup.op.delta,
                    "mu_delta_sq": mu_delta_sq, "eta0_hat": eta,
@@ -191,9 +240,8 @@ def sweep(setups, mu_grid, members, master_seed):
                    "gamma_fit": np.nan, "fit_residual": np.nan,
                    "floor": np.nan, "floor_se": np.nan}
             rows.append(row)
-            cell = replace(setup, cfg=replace(setup.cfg, mu=mu))
             try:
-                ens = run_ensemble(cell, members, master_seed)
+                ens = _aggregate(by_mu[k])
             except BlowupError as e:
                 row.update(blowups=members, valid=False, error=str(e))
                 continue

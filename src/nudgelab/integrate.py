@@ -15,9 +15,14 @@ restriction.  The stochastic convolution is the v update with F = 0 (a
 linear model), no observation and u = v = 0 at the start.
 
 There is one stepping loop, simulate_members: the reference and all
-estimates advance together as one stack, the reference in row 0 and
-member m in row 1 + m, each member drawing from its own noise source;
-simulate_pair is its one-member case.
+estimates advance together as one stack, the reference in row 0.  The
+estimates come in groups, one per observation scale (its operator,
+noise coefficient and covariance), each holding one cell per nudging
+strength mu and one estimate per member in every cell; a (mu, delta)
+sweep is one such run.  Member m draws from its own noise source once
+per step, and that draw drives member m in every cell.  An ensemble is
+the one-group, one-cell case, simulate_pair the one-member case of that,
+and a run with no groups steps the reference alone.
 
 Blow-up is a monitored abort, never a silent NaN: the discrete
 L^2(0,t;V) accumulator of either trajectory exceeding the guard raises
@@ -26,7 +31,8 @@ drops out, with the error as its result).
 
 The only randomness consumed is one fixed-shape standard-normal block
 per member and step whenever a QSpec is supplied (even at sigma = 0, so
-runs that differ only in sigma share their noise realizations).
+runs that differ only in sigma share their noise realizations); every
+cell and group reads the same block.
 """
 
 from dataclasses import dataclass
@@ -91,9 +97,34 @@ def _noise_source(seed, q):
     return lambda i: rng.standard_normal(q.draw_shape)
 
 
+@dataclass(frozen=True)
+class Group:
+    """One observation scale of a lockstep run: its operator, noise
+    coefficient and covariance, and the nudging strength mu of each of
+    its cells.  Every cell holds one estimate per noise source."""
+    op: object
+    coef: object
+    q: object
+    mus: tuple
+
+    def __post_init__(self):
+        if any(mu < 0.0 for mu in self.mus):
+            raise ValueError("mu must be nonnegative")
+
+
+@dataclass
+class ReferencePath:
+    """Per-step series of the reference alone (all samples, stride 1)."""
+    times: np.ndarray
+    u_h: np.ndarray
+    kappa: np.ndarray
+    u_final: np.ndarray
+    u_path: np.ndarray = None
+
+
 @dataclass
 class SimResult:
-    """Per-step error series of one coupled run (all samples, stride 1)."""
+    """Per-step error series of one estimate (all samples, stride 1)."""
     times: np.ndarray
     w_h: np.ndarray
     w_vstar: np.ndarray
@@ -112,128 +143,185 @@ class SimResult:
 def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, emit_y=False,
                   record_u=False, record_v=False):
     """Integrate the coupled pair over [0, T]; deterministic given seed."""
-    res, = simulate_members(model, cfg, op, coef, q, u0, v0,
-                            [_noise_source(seed, q)],
-                            emit_y=emit_y, record_u=record_u, record_v=record_v)
+    _, [[[res]]] = simulate_members(
+        model, cfg, [Group(op, coef, q, (cfg.mu,))], u0, v0,
+        [_noise_source(seed, q)], emit_y=emit_y, record_u=record_u,
+        record_v=record_v)
     if isinstance(res, BlowupError):
         raise res
     return res
 
 
-def simulate_members(spec, cfg, op, coef, q, u0, v0, sources, emit_y=False,
+def simulate_members(spec, cfg, groups, u0, v0, sources, emit_y=False,
                      record_u=False, record_v=False):
-    """Integrate one reference and len(sources) estimates in lockstep.
+    """Integrate one reference and, per cell of every group, one estimate
+    per source, all in lockstep.
 
-    Member m draws its noise from sources[m] (step index -> raw block).
-    The reference (row 0) and the estimates advance as one
-    (1 + members,) + spec.shape stack, so every kernel runs once per step
-    for all of them; what depends on u alone (kappa, the Hilbert-Schmidt
-    norm, the state factor of G(u), the implicit pull) runs once on row
-    0.  Each member's numbers are bit-identical to a run of it alone.
-    emit_y keeps the observation path of member 0.
+    cfg gives dt, T, implicit_nudging and blowup_guard; each cell nudges
+    with its own mu (cfg.mu is not read).  Member m draws its noise from
+    sources[m] (step index -> raw block) once per step, and that block
+    drives member m in every cell.  The reference (row 0) and the
+    estimates (group-major, then cell, then member) advance as one
+    stack, so the nonlinearity, the norms and kappa run once per step for
+    all of them; increment, G(u) dW, the observation and the
+    Hilbert-Schmidt norm run once per group.  Each estimate's numbers are
+    bit-identical to a run of it alone.  With no groups the reference
+    steps alone.  emit_y keeps the observation path of member 0 in every
+    group.
 
-    Returns one SimResult per member, or the BlowupError that ended it;
-    a member whose accumulator leaves the guard drops out of the stack,
-    a reference blow-up ends every member still running.
+    Returns (reference, results): the ReferencePath, or the BlowupError
+    that ended it, and results[g][k][m], the SimResult of member m in
+    cell k of group g or the BlowupError that ended it.  An estimate
+    whose accumulator leaves the guard drops out of the stack; a
+    reference blow-up ends every estimate still running.
     """
+    if groups and not sources:
+        raise ValueError("need at least one member")
     members = len(sources)
-    x = np.stack([u0] + [v0] * members)
     n = cfg.nsteps
     dt = cfg.dt
-    mu = cfg.mu
-    inv = 1.0 / (1.0 + dt * spec.a)
-    implicit = cfg.implicit_nudging and op is not None and op.kind == "modal" and mu > 0.0
-    if implicit:
-        # one resolvent per row: the estimates' also holds the mu I_d part
-        inv_v = 1.0 / (1.0 + dt * spec.a + dt * mu * op.data)
-        inv = np.stack([np.broadcast_to(r, spec.shape)
-                        for r in [inv] + [inv_v] * members])
+    cells = [(g, k, mu) for g, grp in enumerate(groups)
+             for k, mu in enumerate(grp.mus)]
+    rows = len(cells) * members
+    row_cells = [cell for cell in cells for _ in range(members)]
+    row_member = np.tile(np.arange(members), len(cells))
+    row_group = np.array([g for g, _, _ in row_cells], dtype=int)
+    x = np.stack([u0] + [v0] * rows)
+    implicit = [cfg.implicit_nudging and grp.op is not None
+                and grp.op.kind == "modal" for grp in groups]
+    noisy = [grp.coef is not None and grp.coef.sigma > 0.0
+             and grp.q is not None for grp in groups]
+    pulled = [grp.op is not None and any(mu > 0.0 for mu in grp.mus)
+              for grp in groups]
+    draws = any(grp.q is not None for grp in groups)
+    # per stack row, Python floats as a scalar-mu run would form them: the
+    # mu of the noise term and the factor of the pull (a cell with mu = 0
+    # in a pulled group adds a zero pull)
+    col = (-1,) + (1,) * len(spec.shape)
+    mu_col = np.array([0.0] + [mu for _, _, mu in row_cells]).reshape(col)
+    pull_col = np.array([0.0] + [dt * mu if implicit[g] else -dt * mu
+                                 for g, _, mu in row_cells]).reshape(col)
+    inv_ref = 1.0 / (1.0 + dt * spec.a)
+    inv = inv_ref
+    if any(implicit[g] and mu > 0.0 for g, _, mu in cells):
+        # one resolvent per row: an implicitly nudged row's also holds its
+        # mu I_d part
+        inv = np.stack([np.broadcast_to(r, spec.shape) for r in [inv_ref] + [
+            1.0 / (1.0 + dt * spec.a + dt * mu * groups[g].op.data)
+            if implicit[g] and mu > 0.0 else inv_ref
+            for g, _, mu in row_cells]])
 
-    noisy = coef is not None and coef.sigma > 0.0 and q is not None
-    live = np.arange(members)          # member index of each estimate row
+    def layout(row_id):
+        # the members still drawn, and per group its stack rows with the
+        # drawn position of each row's member (None: no row left)
+        drawn = np.unique(row_member[row_id])
+        pos = np.searchsorted(drawn, row_member[row_id])
+        b = np.searchsorted(row_group[row_id],
+                            np.arange(len(groups) + 1)).tolist()
+        return drawn.tolist(), [(slice(1 + lo, 1 + hi), pos[lo:hi])
+                                if hi > lo else None for lo, hi in zip(b, b[1:])]
+
+    row_id = np.arange(rows)           # original index of each estimate row
+    drawn, spans = layout(row_id)
     errors = {}
-    w_h = np.empty((members, n + 1))
-    w_vstar = np.empty((members, n + 1))
-    v_h = np.empty((members, n + 1))
+    ref_error = None
+    w_h = np.empty((rows, n + 1))
+    w_vstar = np.empty((rows, n + 1))
+    v_h = np.empty((rows, n + 1))
     u_h = np.empty(n + 1)
-    hs = np.zeros(n + 1)
+    hs = np.zeros((len(groups), n + 1))
     kap = np.empty(n + 1)
-    dy_h = np.zeros(n + 1) if emit_y else None
-    y_h = np.zeros(n + 1) if emit_y else None
+    dy_h = np.zeros((len(groups), n + 1)) if emit_y else None
+    y_h = np.zeros((len(groups), n + 1)) if emit_y else None
     u_path = np.empty((n + 1,) + spec.shape, dtype=spec.dtype) if record_u else None
-    v_path = np.empty((n + 1, members) + spec.shape, dtype=spec.dtype) if record_v else None
-    y = np.zeros(spec.shape, dtype=spec.dtype) if emit_y else None
+    v_path = np.empty((n + 1, rows) + spec.shape, dtype=spec.dtype) if record_v else None
+    y = [np.zeros(spec.shape, dtype=spec.dtype)] * len(groups) if emit_y else None
 
     def record(i, x):
-        wc = x[0] - x[1:]
-        w_h[live, i] = norm_raw(spec, wc, "H")
-        w_vstar[live, i] = norm_raw(spec, wc, "Vstar")
+        if rows:
+            wc = x[0] - x[1:]
+            w_h[row_id, i] = norm_raw(spec, wc, "H")
+            w_vstar[row_id, i] = norm_raw(spec, wc, "Vstar")
         h = norm_raw(spec, x, "H")
         u_h[i] = h[0]
-        v_h[live, i] = h[1:]
+        v_h[row_id, i] = h[1:]
         kap[i] = spec.kappa_raw(x[0])
-        if noisy:
-            hs[i] = hs_norm_sq(coef, spec, x[0], q)
+        for g, grp in enumerate(groups):
+            if noisy[g] and spans[g] is not None:
+                hs[g, i] = hs_norm_sq(grp.coef, spec, x[0], grp.q)
         if u_path is not None:
             u_path[i] = x[0]
         if v_path is not None:
-            v_path[i, live] = x[1:]
+            v_path[i, row_id] = x[1:]
 
     record(0, x)
     # per row in Python floats: x ** 2 is pow(), which an array square
     # (x * x) does not always match in the last bit
-    acc = [0.0] * (1 + members)
+    acc = [0.0] * (1 + rows)
     for i in range(1, n + 1):
-        gdw = 0.0
-        if q is not None:
-            block = np.stack([sources[m](i - 1) for m in live])
-            dw = increment_from_noise(spec, q, dt, block)
-            if noisy:
-                gdw = apply_G_raw(coef, spec, x[0], dw)
+        if draws and drawn:
+            block = np.stack([sources[m](i - 1) for m in drawn])
         rhs = x + dt * spec.f_raw(x)
-        rhs[1:] += mu * gdw
-        if implicit:
-            # pull toward the advanced reference: u == v then stays a fixed
-            # point and each kept mode contracts by 1/(1 + dt*a + dt*mu)
-            rhs[1:] += dt * mu * apply_observation_raw(op, spec, rhs[0] * inv[0])
-        elif op is not None and mu > 0.0:
-            # adding (-dt*mu) * x rounds exactly like subtracting dt*mu*x
-            rhs[1:] += -dt * mu * apply_observation_raw(op, spec, x[1:] - x[0])
-        if emit_y and op is not None and live[0] == 0:
-            # dy = I_delta u dt + G(u) dW (the noise term carries no mu)
-            dy = dt * apply_observation_raw(op, spec, x[0])
-            if noisy:
-                dy = dy + gdw[0]
-            y = y + dy
-            dy_h[i] = norm_raw(spec, dy, "H")
-            y_h[i] = norm_raw(spec, y, "H")
+        for g, grp in enumerate(groups):
+            if spans[g] is None:
+                continue
+            s, take = spans[g]
+            if noisy[g]:
+                gdw = apply_G_raw(grp.coef, spec, x[0],
+                                  increment_from_noise(spec, grp.q, dt, block))
+                rhs[s] += mu_col[s] * gdw[take]
+            if pulled[g]:
+                # implicit: pull toward the advanced reference, so u == v
+                # stays a fixed point and each kept mode contracts by
+                # 1/(1 + dt*a + dt*mu); explicit: adding (-dt*mu) * x
+                # rounds exactly like subtracting dt*mu*x
+                gap = rhs[0] * inv_ref if implicit[g] else x[s] - x[0]
+                rhs[s] += pull_col[s] * apply_observation_raw(grp.op, spec, gap)
+            if emit_y and grp.op is not None and drawn[0] == 0:
+                # dy = I_delta u dt + G(u) dW (the noise term carries no mu)
+                dy = dt * apply_observation_raw(grp.op, spec, x[0])
+                if noisy[g]:
+                    dy = dy + gdw[0]
+                y[g] = y[g] + dy
+                dy_h[g, i] = norm_raw(spec, dy, "H")
+                y_h[g, i] = norm_raw(spec, y[g], "H")
         x = rhs * inv
         t = i * dt
         acc = [a + dt * v ** 2 for a, v in zip(acc, norm_raw(spec, x, "V").tolist())]
         # "not <=" also catches NaN and inf
         if not acc[0] <= cfg.blowup_guard:
-            errors.update((m, BlowupError("reference", i, t, acc[0])) for m in live)
+            ref_error = BlowupError("reference", i, t, acc[0])
+            errors.update((r, ref_error) for r in row_id.tolist())
             break
         ok = [a <= cfg.blowup_guard for a in acc[1:]]
         if not all(ok):
-            errors.update((m, BlowupError("assimilated", i, t, a))
-                          for m, a, good in zip(live, acc[1:], ok) if not good)
+            errors.update((r, BlowupError("assimilated", i, t, a))
+                          for r, a, good in zip(row_id.tolist(), acc[1:], ok)
+                          if not good)
             if not any(ok):
                 break
             keep = [True] + ok
-            live, x, acc = live[ok], x[keep], [a for a, good in zip(acc, keep) if good]
-            if implicit:
+            row_id, x = row_id[ok], x[keep]
+            acc = [a for a, good in zip(acc, keep) if good]
+            mu_col, pull_col = mu_col[keep], pull_col[keep]
+            if inv is not inv_ref:
                 inv = inv[keep]
+            drawn, spans = layout(row_id)
         record(i, x)
 
     times = np.arange(n + 1) * dt
     u_final = x[0]
-    results = [errors.get(m) for m in range(members)]
-    for k, m in enumerate(live):
-        if results[m] is None:
-            results[m] = SimResult(
-                times, w_h[m], w_vstar[m], u_h, v_h[m], hs, kap, u_final,
-                x[1 + k],
-                dy_h if m == 0 else None, y_h if m == 0 else None,
-                u_path, None if v_path is None else v_path[:, m])
-    return results
+    reference = ref_error or ReferencePath(times, u_h, kap, u_final, u_path)
+    stack_row = {r: 1 + k for k, r in enumerate(row_id.tolist())}
+    results = [[[None] * members for _ in grp.mus] for grp in groups]
+    for r, ((g, k, _), m) in enumerate(zip(row_cells, row_member.tolist())):
+        res = errors.get(r)
+        if res is None:
+            first = emit_y and m == 0
+            res = SimResult(
+                times, w_h[r], w_vstar[r], u_h, v_h[r], hs[g], kap, u_final,
+                x[stack_row[r]], dy_h[g] if first else None,
+                y_h[g] if first else None, u_path,
+                None if v_path is None else v_path[:, r])
+        results[g][k][m] = res
+    return reference, results

@@ -3,10 +3,10 @@
 Everything here is deliberately slow and structure-free: direct
 convolution sums over wavevectors, trigonometric product identities,
 per-cell Gauss quadrature.  None of it shares code with the package
-beyond basic array layout conventions, except hs_pointwise_per_direction
-and convolution_mc_serial, the one-at-a-time forms of computations the
-package runs in stacks or on threads, which must reproduce them bit for
-bit.
+beyond basic array layout conventions, except hs_pointwise_per_direction,
+convolution_mc_serial and sweep_per_cell, the one-at-a-time forms of
+computations the package runs in stacks or on threads, which must
+reproduce them bit for bit.
 """
 
 import numpy as np
@@ -289,3 +289,44 @@ def convolution_mc_serial(spec, cfg, coef, q, probe_times, paths,
     var = sum2 / paths
     m4 = sum4 / paths
     return var, np.sqrt(np.maximum(m4 - var ** 2, 0.0) / paths)
+
+
+def sweep_per_cell(setups, mu_grid, members, master_seed):
+    """The rows of the (mu, delta) sweep, one cell at a time: a separate
+    ensemble per cell, with its own reference and its own draws, then the
+    rate fit and the noise floor of its mean-square error."""
+    from dataclasses import replace
+    from nudgelab.harness import (estimate_noise_floor, fit_decay_rate,
+                                  measured_constants, run_ensemble)
+    from nudgelab.integrate import BlowupError
+    consts = [measured_constants(s) for s in setups]
+    rows = []
+    for mu in mu_grid:
+        for setup, (_, _, eta) in zip(setups, consts):
+            mu_delta_sq = float(mu) * setup.op.delta ** 2
+            row = {"mu": float(mu), "delta": setup.op.delta,
+                   "mu_delta_sq": mu_delta_sq, "eta0_hat": eta,
+                   "over_threshold": mu_delta_sq > eta, "members": members,
+                   "gamma_fit": np.nan, "fit_residual": np.nan,
+                   "floor": np.nan, "floor_se": np.nan}
+            rows.append(row)
+            cell = replace(setup, cfg=replace(setup.cfg, mu=mu))
+            try:
+                ens = run_ensemble(cell, members, master_seed)
+            except BlowupError as e:
+                row.update(blowups=members, valid=False, error=str(e))
+                continue
+            row["blowups"] = ens.blowups
+            row["valid"] = ens.blowups <= 0.1 * members
+            try:
+                fit = fit_decay_rate(ens.times, ens.mean_w2_h)
+                row["gamma_fit"] = fit.gamma_fit
+                row["fit_residual"] = fit.residual
+            except ValueError as e:
+                row["error"] = str(e)
+            try:
+                row["floor"], row["floor_se"] = estimate_noise_floor(
+                    ens.times, ens.mean_w2_h)
+            except ValueError:
+                pass
+    return rows

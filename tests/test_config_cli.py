@@ -496,6 +496,25 @@ def test_verify_report(tmp_path):
     assert doc["checks"] and all(doc["checks"].values())
 
 
+def test_verify_steps_the_reference_alone(tmp_path, monkeypatch):
+    # the report reads the reference only: every stepped stack holds just
+    # it (the assumption checks call f_raw on lone fields)
+    spec = build_setup(parse_config(SMALL_RUN)).model
+    stacks = []
+    f_raw = spec.f_raw
+
+    def counted(x):
+        if x.ndim > len(spec.shape):
+            stacks.append(x.shape)
+        return f_raw(x)
+
+    monkeypatch.setattr(spec, "f_raw", counted)
+    rc = _run(tmp_path, "run.cfg", SMALL_RUN, "verify",
+              "--out-dir", str(tmp_path / "out"))
+    assert rc == 0
+    assert stacks == [(1,) + spec.shape] * 100
+
+
 def test_verify_ignores_estimate_blowup(tmp_path):
     # explicit nudging with dt * mu = 5 blows the estimate up; verify
     # reads the reference alone, so the run completes

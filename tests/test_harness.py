@@ -13,8 +13,9 @@ from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               estimate_noise_floor, fit_decay_rate,
                               imex_convolution_variance, measure_alpha,
                               member_seed, run_ensemble, sweep, tail_sup)
-from nudgelab.integrate import (BlowupError, StepConfig, _noise_source,
-                                simulate_members, simulate_pair)
+from nudgelab.integrate import (BlowupError, Group, StepConfig,
+                                _noise_source, simulate_members,
+                                simulate_pair)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
 from nudgelab.observe import estimate_interp_constant, eta0, make_observation
@@ -152,9 +153,9 @@ def test_ensemble_counts_partial_blowups(implicit):
         assert np.array_equal(ens.member_w_h[row], solo.w_h)
     assert (ens.first is None) == (0 not in survivors)
     # a dropped member ends with the error its own run raises
-    batch = simulate_members(setup.model, cfg, setup.op, setup.coef, setup.q,
-                             setup.u0, setup.v0,
-                             [_noise_source(s, setup.q) for s in seeds])
+    _, [[batch]] = simulate_members(
+        setup.model, cfg, [Group(setup.op, setup.coef, setup.q, (cfg.mu,))],
+        setup.u0, setup.v0, [_noise_source(s, setup.q) for s in seeds])
     for m, res in enumerate(batch):
         if m in survivors:
             continue
@@ -357,15 +358,141 @@ def test_sweep_rerun_identical():
 
 def test_sweep_cells_equal_fresh_setups():
     # a cell is its delta's set-up with mu replaced: every row of a 2 x 2
-    # sweep equals a one-cell sweep over a set-up built at that (mu, delta)
+    # sweep equals the per-cell oracle run over set-ups built at each
+    # (mu, delta)
     mus, deltas = [10.0, 400.0], [0.39, 0.9]
     res = sweep([_sweep_setup(mus[0], d) for d in deltas], mus,
                 members=2, master_seed=3)
     cells = [(mu, d) for mu in mus for d in deltas]
     assert [(r["mu"], r["delta"]) for r in res.rows] == cells
     for row, (mu, d) in zip(res.rows, cells):
-        one = sweep([_sweep_setup(mu, d)], [mu], members=2, master_seed=3)
-        assert one.rows == [row]
+        _assert_rows_equal([row], O.sweep_per_cell([_sweep_setup(mu, d)],
+                                                   [mu], 2, 3))
+
+
+def _assert_rows_equal(got, want):
+    # NaN-aware: an unfitted cell holds NaN, which equals nothing
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key, val in w.items():
+            same = g[key] == val or (isinstance(val, float) and np.isnan(val)
+                                     and np.isnan(g[key]))
+            assert same, (key, g[key], val)
+
+
+def _grid_setups(mid, n, obs, deltas, kind="additive", sigma=0.05, p=0.0,
+                 implicit=False, dt=2e-3, T=0.4, guard=1e6):
+    # one set-up per delta; u0 and v0 are built apart for each, equal in
+    # value, as the CLI builds them
+    spec = build_model(mid, n, nu=1.0)
+    cfg = StepConfig(dt=dt, T=T, mu=0.0, implicit_nudging=implicit,
+                     blowup_guard=guard)
+    return [RunSetup(spec, cfg, make_observation(spec, obs, delta=d),
+                     make_noise_coefficient(kind, sigma, p=p, delta=d),
+                     make_qspec(spec, delta=d), random_field(spec, 1),
+                     random_field(spec, 2)) for d in deltas]
+
+
+def _partial_blowup_case():
+    # a guard between the third and fourth of six members' accumulators
+    # in the (20, 0.39) cell: some, not all, of its members blow up
+    setups = _grid_setups("ac_weak", 16, "modal", [0.39, 0.9], sigma=1.0,
+                          dt=1e-3, T=0.5)
+    cell = replace(setups[0], cfg=replace(setups[0].cfg, mu=20.0))
+    ranked = sorted(_final_v_accumulators(
+        cell, [member_seed(9, m) for m in range(6)]))
+    guard = 0.5 * (ranked[2] + ranked[3])
+    return ([replace(s, cfg=replace(s.cfg, blowup_guard=guard))
+             for s in setups], [20.0, 60.0], 6, 9)
+
+
+SWEEP_CASES = {
+    "ac_weak-modal-2x2": lambda: (
+        _grid_setups("ac_weak", 16, "modal", [0.39, 0.9]), [10.0, 400.0],
+        2, 3),
+    "nse_strong-n8-volume-3x2": lambda: (
+        _grid_setups("nse_strong", 8, "volume", [0.39, 0.8], sigma=0.02,
+                     dt=1e-3, T=0.05), [10.0, 50.0, 200.0], 2, 4),
+    "implicit-modal-mu0": lambda: (
+        _grid_setups("ac_weak", 16, "modal", [0.39, 0.9], implicit=True,
+                     dt=1e-2, T=0.5), [0.0, 500.0], 3, 5),
+    "qg-n8-pointwise": lambda: (
+        _grid_setups("qg", 8, "volume", [0.8, 1.6],
+                     kind="pointwise_multiplicative", sigma=0.2, dt=1e-3,
+                     T=0.05), [10.0, 100.0], 2, 6),
+    "additive-p0.5": lambda: (
+        _grid_setups("ac_weak", 16, "volume", [0.2, 0.5], sigma=0.3, p=0.5),
+        [10.0, 80.0], 3, 7),
+    "partial-blowups": _partial_blowup_case,
+    # explicit nudging at dt * mu = 5 diverges: every member of both
+    # mu = 500 cells blows up, the mu = 10 cells run through
+    "cell-all-blowups": lambda: (
+        _grid_setups("ac_weak", 16, "modal", [0.39, 0.9], dt=1e-2, T=0.5,
+                     guard=1e8), [10.0, 500.0], 2, 3),
+    "reference-blowup": lambda: (
+        _grid_setups("ac_weak", 16, "modal", [0.39, 0.9], guard=1e-12),
+        [10.0, 400.0], 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_rows_equal_per_cell_oracle(case):
+    setups, mus, members, seed = SWEEP_CASES[case]()
+    rows = sweep(setups, mus, members, seed).rows
+    _assert_rows_equal(rows, O.sweep_per_cell(setups, mus, members, seed))
+    blowups = [r["blowups"] for r in rows]
+    if case == "partial-blowups":
+        assert any(0 < b < members for b in blowups)
+    if case == "cell-all-blowups":
+        lost = [r for r in rows if r["blowups"] == members]
+        assert len(lost) == 2 and all(r["mu"] == 500.0 for r in lost)
+        assert all("every member's assimilated" in r["error"] for r in lost)
+    if case == "reference-blowup":
+        assert all(not r["valid"] for r in rows)
+        assert all("every member's reference" in r["error"] for r in rows)
+
+
+def test_sweep_steps_one_stack(monkeypatch):
+    # 3 x 2 cells, 2 members: the reference and all 12 estimates step as
+    # one 13-row stack, and kappa runs once per sample on the reference
+    setups = _grid_setups("nse_strong", 8, "volume", [0.39, 0.8], sigma=0.02,
+                          dt=1e-3, T=0.02)
+    spec = setups[0].model
+    shapes, kappas = [], []
+    f_raw, kappa_raw = spec.f_raw, spec.kappa_raw
+    monkeypatch.setattr(spec, "f_raw",
+                        lambda x: shapes.append(x.shape) or f_raw(x))
+    monkeypatch.setattr(spec, "kappa_raw",
+                        lambda x: kappas.append(x.shape) or kappa_raw(x))
+    res = sweep(setups, [10.0, 50.0, 200.0], members=2, master_seed=3)
+    assert all(r["blowups"] == 0 for r in res.rows)
+    nsteps = setups[0].cfg.nsteps
+    assert shapes == [(1 + 6 * 2,) + spec.shape] * nsteps
+    assert kappas == [spec.shape] * (nsteps + 1)
+
+
+SWEEP_REFUSALS = {
+    "model": lambda s: replace(s, model=build_model("ac_weak", 8, nu=1.0)),
+    "dt": lambda s: replace(s, cfg=replace(s.cfg, dt=1e-3)),
+    "T": lambda s: replace(s, cfg=replace(s.cfg, T=0.2)),
+    "implicit_nudging": lambda s: replace(
+        s, cfg=replace(s.cfg, implicit_nudging=True)),
+    "blowup_guard": lambda s: replace(s, cfg=replace(s.cfg, blowup_guard=1e3)),
+    "noise kind": lambda s: replace(
+        s, coef=make_noise_coefficient("state_scaled", 0.05)),
+    "draw_shape": lambda s: replace(s, q=replace(s.q, draw_shape=(32,))),
+    "u0": lambda s: replace(s, u0=random_field(s.model, 9)),
+    "v0": lambda s: replace(s, v0=random_field(s.model, 9)),
+}
+
+
+@pytest.mark.parametrize("what", sorted(SWEEP_REFUSALS))
+def test_sweep_refuses_setups_without_a_shared_reference(what):
+    first, second = _grid_setups("ac_weak", 16, "modal", [0.39, 0.9])
+    with pytest.raises(ValueError, match="differ between deltas: %s$" % what):
+        sweep([first, SWEEP_REFUSALS[what](second)], [10.0], members=2,
+              master_seed=3)
 
 
 # ----------------------------------------------------- convolution variance

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import oracles as O
-from nudgelab.integrate import (BlowupError, StepConfig, simulate_members,
-                                simulate_pair, _noise_source)
+from nudgelab.integrate import (BlowupError, Group, StepConfig,
+                                simulate_members, simulate_pair,
+                                _noise_source)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
 from nudgelab.observe import make_observation
@@ -62,11 +63,50 @@ def test_one_nonlinearity_call_per_step(monkeypatch):
         return f_raw(x)
 
     monkeypatch.setattr(spec, "f_raw", counted)
-    res = simulate_members(spec, cfg, op, coef, q, random_field(spec, 0),
-                           random_field(spec, 1),
-                           [_noise_source(s, q) for s in range(3)])
+    _, [[res]] = simulate_members(spec, cfg, [Group(op, coef, q, (cfg.mu,))],
+                                  random_field(spec, 0), random_field(spec, 1),
+                                  [_noise_source(s, q) for s in range(3)])
     assert not any(isinstance(r, BlowupError) for r in res)
     assert calls == [(4,) + spec.shape] * cfg.nsteps
+
+
+@pytest.mark.parametrize("mid,n,kind,obs,implicit,deltas", [
+    ("ac_weak", 16, "additive", "modal", True, (0.2, 0.39)),
+    ("qg", 8, "pointwise_multiplicative", "volume", False, (0.8, 1.6)),
+    ("nse_weak", 8, "state_scaled", "modal", False, (0.8, 1.6))])
+def test_grouped_members_equal_solo_runs(mid, n, kind, obs, implicit, deltas):
+    # two observation scales, mu = 0 among the cells: every estimate of
+    # the grouped run, and its group's monitors, equal its run alone
+    spec = build_model(mid, n)
+    cfg = StepConfig(dt=1e-3, T=0.03, implicit_nudging=implicit)
+    p = 0.5 if kind == "additive" else 0.0
+    groups = [Group(make_observation(spec, obs, d),
+                    make_noise_coefficient(kind, 0.3, p=p, delta=d),
+                    make_qspec(spec, delta=d), (0.0, 40.0, 15.0))
+              for d in deltas]
+    u0, v0 = random_field(spec, 0), random_field(spec, 1)
+    seeds = [21, 22]
+    ref, res = simulate_members(spec, cfg, groups, u0, v0,
+                                [_noise_source(s, groups[0].q) for s in seeds],
+                                emit_y=True)
+    for grp, cells in zip(groups, res):
+        for mu, by_member in zip(grp.mus, cells):
+            for m, got in enumerate(by_member):
+                solo = simulate_pair(spec, StepConfig(
+                    dt=cfg.dt, T=cfg.T, mu=mu, implicit_nudging=implicit),
+                    grp.op, grp.coef, grp.q, u0, v0, seeds[m],
+                    emit_y=m == 0)
+                for name in ("w_h", "w_vstar", "u_h", "v_h", "hs", "kappa",
+                             "v_final", "dy_h", "y_h"):
+                    want = getattr(solo, name)
+                    assert (want is None) == (getattr(got, name) is None)
+                    assert want is None or np.array_equal(
+                        getattr(got, name), want), (mu, m, name)
+    assert np.array_equal(ref.u_h, solo.u_h)
+    assert np.array_equal(ref.u_final, solo.u_final)
+    if kind == "additive":
+        # sigma_delta = sigma * delta^p: each group has its own monitor
+        assert not np.array_equal(res[0][0][0].hs, res[1][0][0].hs)
 
 
 def test_same_fixed_point_is_exact():
