@@ -17,8 +17,8 @@ from . import __version__
 from .config import ConfigError, build_setup, output_directory, parse_config, render_config
 from .harness import (convolution_variance_mc, imex_convolution_variance,
                       measured_constants, probe_steps, run_ensemble,
-                      sweep, verify_assumptions)
-from .integrate import BlowupError, simulate_members
+                      sweep, verify_assumptions, verify_record)
+from .integrate import EVERY_STEP, BlowupError, simulate_members
 
 FMT = "%.17e"
 
@@ -116,19 +116,26 @@ def _csv(path, header, columns):
     _write(path, "\n".join(rows) + "\n")
 
 
-def _timing(setup_s, integrate_s, output_s, member_steps):
-    """Where a command's time went: perf_counter seconds per phase, and the
-    member-steps it scheduled.  Kept out of every CSV."""
-    return {"timing": {"setup_s": round(setup_s, 6),
-                       "integrate_s": round(integrate_s, 6),
-                       "output_s": round(output_s, 6)},
-            "member_steps": member_steps}
+class _Clock:
+    """Where a command's time goes: lap(phase) books the perf_counter
+    seconds since the previous lap (or the start) in timing, which the
+    manifest carries and no CSV file."""
+
+    def __init__(self):
+        self.start, self.timing, self.last = time.time(), {}, time.perf_counter()
+
+    def lap(self, phase):
+        now = time.perf_counter()
+        self.timing[phase], self.last = round(now - self.last, 6), now
 
 
-def _manifest(out_dir, command, values, extra, t0):
+def _manifest(out_dir, command, values, extra, clock, member_steps):
+    """manifest.json: the run's config, extra, and clock's timing with the
+    member-steps the command scheduled."""
     doc = {"tool": "nudgelab", "version": __version__, "command": command,
            "config_text": render_config(values),
-           "wall_seconds": round(time.time() - t0, 3)}
+           "wall_seconds": round(time.time() - clock.start, 3),
+           "timing": clock.timing, "member_steps": member_steps}
     doc.update(extra)
     _write(os.path.join(out_dir, "manifest.json"),
            json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -176,46 +183,45 @@ def _checked_setup(values):
 
 
 def _cmd_simulate(args, values):
-    t0 = time.time()
-    clock = time.perf_counter()
+    clock = _Clock()
     setup = _checked_setup(values)
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
     members = values["ensemble.members"]
     seed = values["ensemble.seed"]
+    clock.lap("setup_s")
     extra = dict(zip(("alpha_hat", "c_i_hat", "eta0_hat"),
                      measured_constants(setup)))
-    setup_s = time.perf_counter() - clock
-    clock = time.perf_counter()
-    ens = run_ensemble(setup, members, seed, emit_y=values["output.emit_y"])
-    integrate_s = time.perf_counter() - clock
-    clock = time.perf_counter()
-    idx = _stride_idx(len(ens.times), values["output.stride"])
+    clock.lap("constants_s")
+    # the files are written at the stride rows only, so only those steps
+    # are recorded
+    names = [*EVERY_STEP, "dy_h", "y_h"] if values["output.emit_y"] else EVERY_STEP
+    ens = run_ensemble(setup, members, seed, dict.fromkeys(names, _stride_idx(
+        setup.cfg.nsteps + 1, values["output.stride"])))
+    clock.lap("integrate_s")
     first = ens.first
     if first is not None:
         header = ["t", "w_H", "w_Vstar", "u_H", "v_H", "hs_norm_sq", "kappa"]
-        cols = [first.times[idx], first.w_h[idx], first.w_vstar[idx],
-                first.u_h[idx], first.v_h[idx], first.hs[idx],
-                first.kappa[idx]]
+        cols = [first.times, first.w_h, first.w_vstar, first.u_h, first.v_h,
+                first.hs, first.kappa]
         if values["output.emit_y"]:
             header += ["dy_H", "y_H"]
-            cols += [first.dy_h[idx], first.y_h[idx]]
+            cols += [first.dy_h, first.y_h]
         _csv(os.path.join(out_dir, "series.csv"), header, cols)
     if members > 1:
         _csv(os.path.join(out_dir, "ensemble.csv"),
              ["t", "mean_w2_H", "se_w2_H", "mean_w2_Vstar", "se_w2_Vstar",
               "mean_hs_norm_sq"],
-             [ens.times[idx], ens.mean_w2_h[idx], ens.se_w2_h[idx],
-              ens.mean_w2_vstar[idx], ens.se_w2_vstar[idx],
-              ens.mean_hs[idx]])
+             [ens.times, ens.mean_w2_h, ens.se_w2_h, ens.mean_w2_vstar,
+              ens.se_w2_vstar, ens.mean_hs])
     _write(os.path.join(out_dir, "plot_series.py"), PLOT_SCRIPT)
     extra.update({"master_seed": seed, "members": members,
                   "blowups": ens.blowups, "partial": ens.partial,
                   "files": sorted(f for f in os.listdir(out_dir)
                                   if f.endswith(".csv"))})
-    extra.update(_timing(setup_s, integrate_s, time.perf_counter() - clock,
-                         members * setup.cfg.nsteps))
-    _manifest(out_dir, "simulate", values, extra, t0)
+    clock.lap("output_s")
+    _manifest(out_dir, "simulate", values, extra, clock,
+              members * setup.cfg.nsteps)
     w_end = float(ens.mean_w2_h[-1])
     print("simulate: %d member(s), %d blow-up(s), final mean |w|_H^2 = %.6e"
           % (members, ens.blowups, w_end))
@@ -224,8 +230,7 @@ def _cmd_simulate(args, values):
 
 
 def _cmd_sweep(args, values):
-    t0 = time.time()
-    clock = time.perf_counter()
+    clock = _Clock()
     mu_grid = _grid(args.mu_grid, "--mu-grid") if args.mu_grid \
         else [values["nudging.mu"]]
     delta_grid = _grid(args.delta_grid, "--delta-grid") if args.delta_grid \
@@ -238,12 +243,12 @@ def _cmd_sweep(args, values):
     # directory exists; the refusals depend on delta, never on mu
     setups = [_checked_setup({**values, "observation.delta": d})
               for d in delta_grid]
-    setup_s = time.perf_counter() - clock
-    clock = time.perf_counter()
+    clock.lap("setup_s")
+    consts = [measured_constants(s) for s in setups]
+    clock.lap("constants_s")
     res = sweep(setups, mu_grid, values["ensemble.members"],
-                values["ensemble.seed"])
-    integrate_s = time.perf_counter() - clock
-    clock = time.perf_counter()
+                values["ensemble.seed"], consts)
+    clock.lap("integrate_s")
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
     header = ["mu", "delta", "mu_delta_sq", "eta0_hat", "over_threshold",
@@ -264,10 +269,9 @@ def _cmd_sweep(args, values):
              "delta_grid": delta_grid,
              "master_seed": values["ensemble.seed"],
              "members": values["ensemble.members"]}
-    extra.update(_timing(setup_s, integrate_s, time.perf_counter() - clock,
-                         values["ensemble.members"] * len(res.rows)
-                         * setups[0].cfg.nsteps))
-    _manifest(out_dir, "sweep", values, extra, t0)
+    clock.lap("output_s")
+    _manifest(out_dir, "sweep", values, extra, clock,
+              values["ensemble.members"] * len(res.rows) * setups[0].cfg.nsteps)
     flagged = sum(1 for r in res.rows if r["over_threshold"])
     print("sweep: %d cells (%d over the mu*delta^2 threshold), eta0_hat = %.4g"
           % (len(res.rows), flagged, res.eta0_hat))
@@ -276,19 +280,21 @@ def _cmd_sweep(args, values):
 
 
 def _cmd_verify(args, values):
-    t0 = time.time()
+    clock = _Clock()
     setup = _checked_setup(values)
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
     spec = setup.model
-    record = spec.dof * (setup.cfg.nsteps + 1) <= 5_000_000
-    # the report reads only the reference (times, kappa, u_path), so the
-    # reference steps alone: no groups, no estimates
+    clock.lap("setup_s")
+    # the report reads only the reference (times, kappa, a few states), so
+    # the reference steps alone: no groups, no estimates
     traj, _ = simulate_members(spec, setup.cfg, [], setup.u0, None, [],
-                               record_u=record)
+                               verify_record(setup.cfg.nsteps))
     if isinstance(traj, BlowupError):
         raise traj
+    clock.lap("integrate_s")
     rep = verify_assumptions(spec, traj, setup.op)
+    clock.lap("constants_s")
     checks = [
         ("coercivity constant matches its declared value",
          abs(rep.alpha_hat - rep.alpha_declared) <= 1e-9),
@@ -309,11 +315,12 @@ def _cmd_verify(args, values):
         lines.append("  [%s] %s" % ("pass" if ok else "FAIL", name))
     report = "\n".join(lines) + "\n"
     _write(os.path.join(out_dir, "report.txt"), report)
+    clock.lap("output_s")
     _manifest(out_dir, "verify", values,
               {"alpha_hat": rep.alpha_hat, "c_i_hat": rep.c_i_hat,
                "eta0_hat": rep.eta0_hat, "m0": rep.m0, "m1": rep.m1,
                "epsilon_hat": rep.epsilon_hat,
-               "checks": {name: bool(ok) for name, ok in checks}}, t0)
+               "checks": {name: bool(ok) for name, ok in checks}}, clock, 0)
     sys.stdout.write(report)
     failed = [name for name, ok in checks if not ok]
     if args.check and failed:
@@ -329,7 +336,7 @@ def _deviation_se(value, reference, se):
 
 
 def _cmd_convolution(args, values):
-    t0 = time.time()
+    clock = _Clock()
     setup = build_setup(values)
     spec = setup.model
     if spec.kind != "sine":
@@ -358,9 +365,11 @@ def _cmd_convolution(args, values):
         raise ConfigError(["--paths must be at least 2"])
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
+    clock.lap("setup_s")
     ts, var, se = convolution_variance_mc(spec, cfg, setup.coef,
                                           setup.q, times, args.paths,
                                           values["ensemble.seed"])
+    clock.lap("integrate_s")
     mu = cfg.mu
     sig = setup.coef.sigma_delta
     scheme = imex_convolution_variance(spec, setup.q, setup.coef, mu, cfg.dt,
@@ -383,12 +392,13 @@ def _cmd_convolution(args, values):
                          % (FMT % t, k, FMT % var[i, j], FMT % se[i, j],
                             FMT % exact, dev))
     _write(os.path.join(out_dir, "convolution.csv"), "\n".join(lines) + "\n")
+    clock.lap("output_s")
     _manifest(out_dir, "convolution-check", values,
               {"paths": args.paths, "modes": modes,
                "times": [float(t) for t in ts],
                "worst_deviation_discrete_se": worst_discrete,
                "worst_deviation_se": worst, "continuous_gap_rel": gap,
-               "master_seed": values["ensemble.seed"]}, t0)
+               "master_seed": values["ensemble.seed"]}, clock, args.paths * n)
     print("convolution-check: %d paths, worst deviation %.2f s.e. from the "
           "scheme's variance; continuous time: %.2f s.e., discretization "
           "gap %.2e relative" % (args.paths, worst_discrete, worst, gap))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import _wsum2, inner_h_raw, norm_raw
-from .integrate import (BlowupError, Group, _noise_source, _rng_for,
-                        simulate_members)
+from .integrate import (EVERY_STEP, BlowupError, Group, _noise_source,
+                        _rng_for, simulate_members)
 from .models import build_model, random_field
 from .noise import apply_G_raw, increment_from_noise
 from .observe import estimate_interp_constant, eta0
@@ -44,7 +44,7 @@ class EnsembleResult:
     mean_w2_vstar: np.ndarray
     se_w2_h: np.ndarray
     se_w2_vstar: np.ndarray
-    member_w_h: np.ndarray     # (included members, steps+1)
+    member_w_h: np.ndarray     # (included members, recorded steps)
     blowups: int
     mean_hs: np.ndarray
     first: object              # SimResult of member 0, None if it blew up
@@ -58,17 +58,15 @@ def member_seed(master_seed, member):
     return np.random.SeedSequence(master_seed, spawn_key=(member,))
 
 
-def run_ensemble(setup, members, master_seed, emit_y=False):
+def run_ensemble(setup, members, master_seed, record=EVERY_STEP):
     """Monte Carlo over noise realizations; deterministic in master_seed.
-
-    emit_y turns on observation-path bookkeeping for member 0 only; it
-    draws nothing extra, so results match the emit_y=False run exactly.
-    """
+    Every statistic is formed at the steps of record, the request of
+    integrate.simulate_members, and keeps its bits whatever else it asks."""
     _, [[cell]] = simulate_members(
         setup.model, setup.cfg,
         [Group(setup.op, setup.coef, setup.q, (setup.cfg.mu,))],
         setup.u0, setup.v0, _member_sources(setup.q, members, master_seed),
-        emit_y=emit_y)
+        record)
     return _aggregate(cell)
 
 
@@ -77,32 +75,34 @@ def _member_sources(q, members, master_seed):
             for m in range(members)]
 
 
-def _aggregate(results):
-    """EnsembleResult of one cell's member results (SimResult or
-    BlowupError, by member index); raises BlowupError when every member
-    blew up."""
-    ok = [r for r in results if not isinstance(r, BlowupError)]
-    if not ok:
-        err = results[0]
+def _aggregate(cell):
+    """EnsembleResult of one cell (a CellResult) over the members that did
+    not blow up, None where it recorded no series; raises BlowupError when
+    every member blew up."""
+    ok = np.array([e is None for e in cell.errors])
+    if not ok.any():
+        err = cell.errors[0]
         raise BlowupError("every member's " + err.which, err.step, err.t,
                           err.accumulator)
-    times = ok[0].times
-    w2h = np.stack([r.w_h ** 2 for r in ok])
-    w2v = np.stack([r.w_vstar ** 2 for r in ok])
-    hs = np.stack([r.hs for r in ok])
-    m_eff = len(ok)
-    mean_h = w2h.mean(axis=0)
-    mean_v = w2v.mean(axis=0)
-    if m_eff > 1:
-        se_h = w2h.std(axis=0, ddof=1) / np.sqrt(m_eff)
-        se_v = w2v.std(axis=0, ddof=1) / np.sqrt(m_eff)
-    else:
-        se_h = np.zeros_like(mean_h)
-        se_v = np.zeros_like(mean_v)
-    first = results[0] if not isinstance(results[0], BlowupError) else None
-    return EnsembleResult(times, mean_h, mean_v, se_h, se_v,
-                          np.stack([r.w_h for r in ok]),
-                          len(results) - m_eff, hs.mean(axis=0), first)
+    m_eff = int(ok.sum())
+
+    def mean_se(w):
+        # mean over members of the squared series, and its standard error
+        w2 = w[ok] ** 2
+        se = (w2.std(axis=0, ddof=1) / np.sqrt(m_eff) if m_eff > 1
+              else np.zeros(w2.shape[1]))
+        return w2.mean(axis=0), se
+
+    (mean_h, se_h), (mean_v, se_v) = ((None, None) if w is None else mean_se(w)
+                                      for w in (cell.w_h, cell.w_vstar))
+    # hs is the group's, the same for every member; the mean of m_eff
+    # equal copies can differ from it in the last bit, and is what the
+    # ensemble digests pin
+    mean_hs = None if cell.hs is None else np.stack([cell.hs] * m_eff).mean(axis=0)
+    return EnsembleResult(cell.times, mean_h, mean_v, se_h, se_v,
+                          None if cell.w_h is None else cell.w_h[ok],
+                          len(ok) - m_eff, mean_hs,
+                          cell.member(0) if ok[0] else None)
 
 
 @dataclass
@@ -207,7 +207,7 @@ def _require_shared_reference(setups):
                              "differ between deltas: %s" % ", ".join(differ))
 
 
-def sweep(setups, mu_grid, members, master_seed):
+def sweep(setups, mu_grid, members, master_seed, consts=None):
     """Grid over (mu, delta): per cell gamma_fit, floor, blow-up counts,
     and the mu*delta^2 > eta0_hat flag from measured constants.
 
@@ -219,17 +219,19 @@ def sweep(setups, mu_grid, members, master_seed):
     cell's numbers bit-identical to an ensemble run of that cell alone.
     So the set-ups must agree in everything but the observation and the
     noise coefficient and covariance (ValueError otherwise).  Cells run
-    mu-major.  The constants are measured on each delta's operator;
-    cells whose members blow up beyond 10% are marked invalid.  The
-    result carries the first delta's constants.
+    mu-major.  The constants are measured on each delta's operator
+    (consts: their measured_constants, when already measured); cells
+    whose members blow up beyond 10% are marked invalid.  The result
+    carries the first delta's constants.  The run records only the
+    members' w_h, at every step: the fit and the floor read nothing else.
     """
     _require_shared_reference(setups)
-    consts = [measured_constants(s) for s in setups]
+    consts = consts or [measured_constants(s) for s in setups]
     base = setups[0]
     groups = [Group(s.op, s.coef, s.q, tuple(mu_grid)) for s in setups]
     _, cells = simulate_members(
         base.model, base.cfg, groups, base.u0, base.v0,
-        _member_sources(base.q, members, master_seed))
+        _member_sources(base.q, members, master_seed), {"w_h": None})
     rows = []
     for k, mu in enumerate(mu_grid):
         for setup, (_, _, eta), by_mu in zip(setups, consts, cells):
@@ -401,11 +403,21 @@ class AssumptionReport:
         return out
 
 
+def verify_record(nsteps):
+    """What verify_assumptions reads of an nsteps-step run: kappa at every
+    step and about 9 states, one every max((nsteps + 1) // 8, 1) steps."""
+    return {"kappa": None,
+            "u_path": range(0, nsteps + 1, max((nsteps + 1) // 8, 1))}
+
+
 def verify_assumptions(spec, traj, op, samples=24, seed=1234):
     """Estimate every structural constant on a simulated trajectory.
 
-    traj is a SimResult (times and kappa series are read from it); op is
-    the observation operator whose interpolation constant is measured.
+    traj is a SimResult recorded as verify_record asks: the drift
+    envelope reads its times and kappa, and the energy inequality is
+    probed on each state of its u_path (if any) besides random fields;
+    op is the observation operator whose interpolation constant is
+    measured.
     """
     alpha_hat = measure_alpha(spec)
     ci = estimate_interp_constant(op, spec, samples=samples)
@@ -415,11 +427,8 @@ def verify_assumptions(spec, traj, op, samples=24, seed=1234):
     if spec.kind == "torus" and not spec.params.get("linear", False):
         cancel_n = samples
         cancel = _cancellation_residual(spec, samples, seed)
-    traj_states = []
-    if traj.u_path is not None:
-        stride = max(len(traj.u_path) // 8, 1)
-        traj_states = [traj.u_path[i] for i in range(0, len(traj.u_path), stride)]
-    eps = _epsilon_hat(spec, traj_states, samples, seed)
+    eps = _epsilon_hat(spec, [] if traj.u_path is None else traj.u_path,
+                       samples, seed)
     ratio = _a2_ratio(spec, samples, seed)
     refined = _a2_ratio(_refined_spec(spec, 2 * spec.n), samples, seed)
     k = len(_envelope_grid(len(traj.times)))

@@ -27,7 +27,7 @@ and a run with no groups steps the reference alone.
 Blow-up is a monitored abort, never a silent NaN: the discrete
 L^2(0,t;V) accumulator of either trajectory exceeding the guard raises
 BlowupError with the step index (in an ensemble the member that blew up
-drops out, with the error as its result).
+drops out, and its cell keeps the error).
 
 The only randomness consumed is one fixed-shape standard-normal block
 per member and step whenever a QSpec is supplied (even at sigma = 0, so
@@ -35,7 +35,8 @@ runs that differ only in sigma share their noise realizations); every
 cell and group reads the same block.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -112,48 +113,64 @@ class Group:
             raise ValueError("mu must be nonnegative")
 
 
-@dataclass
-class ReferencePath:
-    """Per-step series of the reference alone (all samples, stride 1)."""
-    times: np.ndarray
-    u_h: np.ndarray
-    kappa: np.ndarray
-    u_final: np.ndarray
-    u_path: np.ndarray = None
+# the library default record request: every scalar monitor at every step
+EVERY_STEP = MappingProxyType(dict.fromkeys(
+    ("w_h", "w_vstar", "u_h", "v_h", "hs", "kappa")))
+# a cell's fields with a member axis, and those of its group
+_PER_MEMBER = ("w_h", "w_vstar", "v_h", "v_final", "v_path")
+_PER_GROUP = ("hs", "dy_h", "y_h")
 
 
 @dataclass
 class SimResult:
-    """Per-step error series of one estimate (all samples, stride 1)."""
+    """Recorded series of one estimate, or of the reference alone (its
+    v_final None): the scalar ones at times, the state paths at the steps
+    their request listed; None for a series the request did not name."""
     times: np.ndarray
-    w_h: np.ndarray
-    w_vstar: np.ndarray
-    u_h: np.ndarray
-    v_h: np.ndarray
-    hs: np.ndarray
-    kappa: np.ndarray
     u_final: np.ndarray
     v_final: np.ndarray
+    w_h: np.ndarray = None
+    w_vstar: np.ndarray = None
+    u_h: np.ndarray = None
+    v_h: np.ndarray = None
+    hs: np.ndarray = None
+    kappa: np.ndarray = None
     dy_h: np.ndarray = None
     y_h: np.ndarray = None
     u_path: np.ndarray = None
     v_path: np.ndarray = None
 
 
-def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, emit_y=False,
-                  record_u=False, record_v=False):
-    """Integrate the coupled pair over [0, T]; deterministic given seed."""
-    _, [[[res]]] = simulate_members(
+@dataclass
+class CellResult(SimResult):
+    """The estimates of one cell, a member axis first in w_h, w_vstar,
+    v_h, v_final and v_path; the reference's u_h, kappa, u_final and
+    u_path and the group's hs are shared, dy_h and y_h are member 0's.
+    errors[m] is the BlowupError that ended member m, or None; an ended
+    member's series read NaN from its blow-up on."""
+    errors: list = None
+
+    def member(self, m):
+        """SimResult of member m; raises the BlowupError that ended it."""
+        if self.errors[m] is not None:
+            raise self.errors[m]
+        own = {f.name: getattr(self, f.name) for f in fields(SimResult)}
+        own.update((f, own[f][m]) for f in _PER_MEMBER if own[f] is not None)
+        if m:
+            own.update(dy_h=None, y_h=None)
+        return SimResult(**own)
+
+
+def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, record=EVERY_STEP):
+    """Integrate the coupled pair over [0, T]; deterministic given seed.
+    record is the request of simulate_members."""
+    _, [[cell]] = simulate_members(
         model, cfg, [Group(op, coef, q, (cfg.mu,))], u0, v0,
-        [_noise_source(seed, q)], emit_y=emit_y, record_u=record_u,
-        record_v=record_v)
-    if isinstance(res, BlowupError):
-        raise res
-    return res
+        [_noise_source(seed, q)], record)
+    return cell.member(0)
 
 
-def simulate_members(spec, cfg, groups, u0, v0, sources, emit_y=False,
-                     record_u=False, record_v=False):
+def simulate_members(spec, cfg, groups, u0, v0, sources, record=EVERY_STEP):
     """Integrate one reference and, per cell of every group, one estimate
     per source, all in lockstep.
 
@@ -166,20 +183,35 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, emit_y=False,
     all of them; increment, G(u) dW, the observation and the
     Hilbert-Schmidt norm run once per group.  Each estimate's numbers are
     bit-identical to a run of it alone.  With no groups the reference
-    steps alone.  emit_y keeps the observation path of member 0 in every
-    group.
+    steps alone.
 
-    Returns (reference, results): the ReferencePath, or the BlowupError
-    that ended it, and results[g][k][m], the SimResult of member m in
-    cell k of group g or the BlowupError that ended it.  An estimate
-    whose accumulator leaves the guard drops out of the stack; a
-    reference blow-up ends every estimate still running.
+    record maps each result field to keep to its step indices (None:
+    every step): the scalar monitors of EVERY_STEP and member 0's
+    observation path dy_h, y_h, all at the same steps, and the states
+    u_path, v_path.  A monitor runs only at the steps asking for it; as
+    a value at step i depends only on the state at step i, it has the
+    bits of an every-step run.  The blow-up accumulator and the running
+    sum y behind dy_h, y_h run at every step.
+
+    Returns (reference, results): the reference's SimResult, or the
+    BlowupError that ended it, and results[g][k], the CellResult of cell
+    k of group g.  An estimate whose accumulator leaves the guard drops
+    out of the stack; a reference blow-up ends every estimate still
+    running.
     """
     if groups and not sources:
         raise ValueError("need at least one member")
     members = len(sources)
     n = cfg.nsteps
     dt = cfg.dt
+    steps = {f: np.arange(n + 1) if at is None
+             else np.unique(np.asarray(at, dtype=int)) for f, at in record.items()}
+    paths = ("u_path", "v_path")
+    if (not set(steps) <= {*EVERY_STEP, "dy_h", "y_h", *paths}
+            or any(s.size and not 0 <= s[0] <= s[-1] <= n for s in steps.values())
+            or len({s.tobytes() for f, s in steps.items() if f not in paths}) > 1):
+        raise ValueError("cannot record %r over %d steps" % (record, n))
+    at = next((s for f, s in steps.items() if f not in paths), np.arange(0))
     cells = [(g, k, mu) for g, grp in enumerate(groups)
              for k, mu in enumerate(grp.mus)]
     rows = len(cells) * members
@@ -225,34 +257,42 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, emit_y=False,
     drawn, spans = layout(row_id)
     errors = {}
     ref_error = None
-    w_h = np.empty((rows, n + 1))
-    w_vstar = np.empty((rows, n + 1))
-    v_h = np.empty((rows, n + 1))
-    u_h = np.empty(n + 1)
-    hs = np.zeros((len(groups), n + 1))
-    kap = np.empty(n + 1)
-    dy_h = np.zeros((len(groups), n + 1)) if emit_y else None
-    y_h = np.zeros((len(groups), n + 1)) if emit_y else None
-    u_path = np.empty((n + 1,) + spec.shape, dtype=spec.dtype) if record_u else None
-    v_path = np.empty((n + 1, rows) + spec.shape, dtype=spec.dtype) if record_v else None
-    y = [np.zeros(spec.shape, dtype=spec.dtype)] * len(groups) if emit_y else None
+    slot = {s: j for j, s in enumerate(at.tolist())}      # step -> column
+    u_at, v_at = ({s: j for j, s in enumerate(steps[f].tolist())}
+                  if f in steps else {} for f in paths)
+    # the requested arrays: NaN until recorded, but hs (0 on a noiseless
+    # group) and the observation path (0 at t = 0) start at 0
+    nc, ng = len(at), len(groups)
+    rec = {f: np.full(shape, 0.0 if f in _PER_GROUP else np.nan,
+                      dtype=spec.dtype if f in paths else float)
+           for f, shape in (("w_h", (rows, nc)), ("w_vstar", (rows, nc)),
+                            ("v_h", (rows, nc)), ("u_h", nc), ("kappa", nc),
+                            ("hs", (ng, nc)), ("dy_h", (ng, nc)),
+                            ("y_h", (ng, nc)),
+                            ("u_path", (len(u_at),) + spec.shape),
+                            ("v_path", (rows, len(v_at)) + spec.shape))
+           if f in steps}
+    y = [np.zeros(spec.shape, dtype=spec.dtype)] * ng
 
     def record(i, x):
-        if rows:
+        j = slot.get(i)
+        if j is not None:
             wc = x[0] - x[1:]
-            w_h[row_id, i] = norm_raw(spec, wc, "H")
-            w_vstar[row_id, i] = norm_raw(spec, wc, "Vstar")
-        h = norm_raw(spec, x, "H")
-        u_h[i] = h[0]
-        v_h[row_id, i] = h[1:]
-        kap[i] = spec.kappa_raw(x[0])
-        for g, grp in enumerate(groups):
-            if noisy[g] and spans[g] is not None:
-                hs[g, i] = hs_norm_sq(grp.coef, spec, x[0], grp.q)
-        if u_path is not None:
-            u_path[i] = x[0]
-        if v_path is not None:
-            v_path[i, row_id] = x[1:]
+            for f, z, space in (("w_h", wc, "H"), ("w_vstar", wc, "Vstar"),
+                                ("v_h", x[1:], "H")):
+                if rows and f in rec:
+                    rec[f][row_id, j] = norm_raw(spec, z, space)
+            if "u_h" in rec:
+                rec["u_h"][j] = norm_raw(spec, x[0], "H")
+            if "kappa" in rec:
+                rec["kappa"][j] = spec.kappa_raw(x[0])
+            for g, grp in enumerate(groups):
+                if "hs" in rec and noisy[g] and spans[g] is not None:
+                    rec["hs"][g, j] = hs_norm_sq(grp.coef, spec, x[0], grp.q)
+        if i in u_at:
+            rec["u_path"][u_at[i]] = x[0]
+        if i in v_at:
+            rec["v_path"][row_id, v_at[i]] = x[1:]
 
     record(0, x)
     # per row in Python floats: x ** 2 is pow(), which an array square
@@ -277,14 +317,16 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, emit_y=False,
                 # rounds exactly like subtracting dt*mu*x
                 gap = rhs[0] * inv_ref if implicit[g] else x[s] - x[0]
                 rhs[s] += pull_col[s] * apply_observation_raw(grp.op, spec, gap)
-            if emit_y and grp.op is not None and drawn[0] == 0:
+            if ("dy_h" in rec or "y_h" in rec) and grp.op is not None \
+                    and drawn[0] == 0:
                 # dy = I_delta u dt + G(u) dW (the noise term carries no mu)
                 dy = dt * apply_observation_raw(grp.op, spec, x[0])
                 if noisy[g]:
                     dy = dy + gdw[0]
                 y[g] = y[g] + dy
-                dy_h[g, i] = norm_raw(spec, dy, "H")
-                y_h[g, i] = norm_raw(spec, y[g], "H")
+                for f, z in (("dy_h", dy), ("y_h", y[g])):
+                    if f in rec and i in slot:
+                        rec[f][g, slot[i]] = norm_raw(spec, z, "H")
         x = rhs * inv
         t = i * dt
         acc = [a + dt * v ** 2 for a, v in zip(acc, norm_raw(spec, x, "V").tolist())]
@@ -298,10 +340,10 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, emit_y=False,
             errors.update((r, BlowupError("assimilated", i, t, a))
                           for r, a, good in zip(row_id.tolist(), acc[1:], ok)
                           if not good)
-            if not any(ok):
-                break
             keep = [True] + ok
             row_id, x = row_id[ok], x[keep]
+            if not row_id.size:
+                break
             acc = [a for a, good in zip(acc, keep) if good]
             mu_col, pull_col = mu_col[keep], pull_col[keep]
             if inv is not inv_ref:
@@ -309,19 +351,17 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, emit_y=False,
             drawn, spans = layout(row_id)
         record(i, x)
 
-    times = np.arange(n + 1) * dt
-    u_final = x[0]
-    reference = ref_error or ReferencePath(times, u_h, kap, u_final, u_path)
-    stack_row = {r: 1 + k for k, r in enumerate(row_id.tolist())}
-    results = [[[None] * members for _ in grp.mus] for grp in groups]
-    for r, ((g, k, _), m) in enumerate(zip(row_cells, row_member.tolist())):
-        res = errors.get(r)
-        if res is None:
-            first = emit_y and m == 0
-            res = SimResult(
-                times, w_h[r], w_vstar[r], u_h, v_h[r], hs[g], kap, u_final,
-                x[stack_row[r]], dy_h[g] if first else None,
-                y_h[g] if first else None, u_path,
-                None if v_path is None else v_path[:, r])
-        results[g][k][m] = res
+    times = at * dt
+    reference = ref_error or SimResult(times, x[0], None, u_h=rec.get("u_h"),
+                                       kappa=rec.get("kappa"),
+                                       u_path=rec.get("u_path"))
+    rec["v_final"] = np.full((rows,) + spec.shape, np.nan, dtype=spec.dtype)
+    rec["v_final"][row_id] = x[1:]
+    results = [[] for _ in groups]
+    for c, (g, _, _) in enumerate(cells):
+        part = slice(c * members, (c + 1) * members)
+        results[g].append(CellResult(
+            times, x[0], errors=[errors.get(r) for r in range(rows)[part]],
+            **{f: a[part] if f in _PER_MEMBER else a[g] if f in _PER_GROUP
+               else a for f, a in rec.items()}))
     return reference, results

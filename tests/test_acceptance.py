@@ -16,7 +16,7 @@ from nudgelab.fields import inner_h_raw, norm_raw
 from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               fit_decay_rate, estimate_noise_floor,
                               run_ensemble, sweep, tail_sup,
-                              verify_assumptions)
+                              verify_assumptions, verify_record)
 from nudgelab.integrate import StepConfig, simulate_pair
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
@@ -226,16 +226,17 @@ def test_criterion_09_assumption_verifier():
     op = make_observation(spec, "modal", delta=DELTA)
     cfg = StepConfig(dt=2e-3, T=1.0, mu=0.0)
     u0 = random_field(spec, (9, 0))
-    res = simulate_pair(spec, cfg, op, None, None, u0, u0, 0, record_u=True)
+    res = simulate_pair(spec, cfg, op, None, None, u0, u0, 0,
+                        verify_record(cfg.nsteps))
     rep = verify_assumptions(spec, res, op)
     flat = rep.m0 <= 1e-2 * rep.m1 / cfg.T
     alpha_ok = abs(rep.alpha_hat - rep.alpha_declared) <= 1e-9
 
     lin = build_model("nse_weak", 32, nu=1.0, linear=True)
     lop = make_observation(lin, "modal", delta=DELTA)
-    lres = simulate_pair(lin, StepConfig(dt=2e-3, T=0.5, mu=0.0),
-                         lop, None, None, random_field(lin, 1),
-                         random_field(lin, 1), 0, record_u=True)
+    lcfg = StepConfig(dt=2e-3, T=0.5, mu=0.0)
+    lres = simulate_pair(lin, lcfg, lop, None, None, random_field(lin, 1),
+                         random_field(lin, 1), 0, verify_record(lcfg.nsteps))
     lrep = verify_assumptions(lin, lres, lop)
     zero_ok = lrep.m0 == 0.0 and lrep.m1 == 0.0
 

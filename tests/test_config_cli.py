@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nudgelab.cli as cli
+import nudgelab.harness as H
+import nudgelab.integrate as I
 from nudgelab.config import (SCHEMA, ConfigError, build_setup,
                              output_directory, parse_config, render_config)
 from nudgelab.fields import norm_raw
@@ -173,9 +175,12 @@ def test_simulate_writes_outputs(tmp_path):
     assert "ensemble.members = 2" in doc["config_text"]
 
 
-def _assert_timing(out, member_steps):
+PHASES = ["constants_s", "integrate_s", "output_s", "setup_s"]
+
+
+def _assert_timing(out, member_steps, phases=PHASES):
     doc = json.loads((out / "manifest.json").read_text())
-    assert sorted(doc["timing"]) == ["integrate_s", "output_s", "setup_s"]
+    assert sorted(doc["timing"]) == phases
     assert all(v >= 0.0 for v in doc["timing"].values())
     assert doc["member_steps"] == member_steps
 
@@ -494,6 +499,8 @@ def test_verify_report(tmp_path):
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["command"] == "verify"
     assert doc["checks"] and all(doc["checks"].values())
+    # the reference alone steps: no member-steps
+    _assert_timing(out, 0)
 
 
 def test_verify_steps_the_reference_alone(tmp_path, monkeypatch):
@@ -513,6 +520,92 @@ def test_verify_steps_the_reference_alone(tmp_path, monkeypatch):
               "--out-dir", str(tmp_path / "out"))
     assert rc == 0
     assert stacks == [(1,) + spec.shape] * 100
+
+
+def test_verify_keeps_its_states_on_a_long_large_run(tmp_path, monkeypatch):
+    # mhd n=64 over 600 steps: all 601 states would take 81 MB (dof * 601
+    # is past 5e6); verify records only the 9 the energy probe reads
+    text = ("model.id = mhd\nmodel.n = 64\ntime.dt = 1e-3\ntime.T = 0.6\n")
+    spec = build_setup(parse_config(text)).model
+    assert spec.dof * 601 > 5_000_000
+    seen = []
+    real = H._epsilon_hat
+
+    def counted(spec, traj_states, samples, seed):
+        seen.append(len(traj_states))
+        return real(spec, traj_states, samples, seed)
+
+    monkeypatch.setattr(H, "_epsilon_hat", counted)
+    rc = _run(tmp_path, "run.cfg", text, "verify",
+              "--out-dir", str(tmp_path / "out"))
+    assert rc == 0
+    assert seen == [len(range(0, 601, 601 // 8))] == [9]
+
+
+QG_POINTWISE = ("model.id = qg\nmodel.n = 8\nobservation.kind = volume\n"
+                "noise.kind = pointwise_multiplicative\nnoise.sigma = 0.1\n"
+                "nudging.mu = 20\ntime.dt = 1e-3\ntime.T = 0.055\n"
+                "ensemble.members = 2\n")
+
+
+def _count_monitors(monkeypatch, text):
+    # every kappa_raw call on the run's (cached) spec and every
+    # hs_norm_sq call of the stepping loop
+    spec = build_setup(parse_config(text)).model
+    calls = {"kappa": 0, "hs": 0}
+    kappa_raw, hs_norm_sq = spec.kappa_raw, I.hs_norm_sq
+
+    def kappa(x):
+        calls["kappa"] += 1
+        return kappa_raw(x)
+
+    def hs(*args):
+        calls["hs"] += 1
+        return hs_norm_sq(*args)
+
+    monkeypatch.setattr(spec, "kappa_raw", kappa)
+    monkeypatch.setattr(I, "hs_norm_sq", hs)
+    return calls
+
+
+def test_monitors_run_only_where_an_output_reads_them(tmp_path, monkeypatch):
+    # simulate writes the stride rows only; sweep reads the members' w_h
+    calls = _count_monitors(monkeypatch, QG_POINTWISE)
+    rc = _run(tmp_path, "run.cfg", QG_POINTWISE + "output.stride = 10\n",
+              "simulate", "--out-dir", str(tmp_path / "sim"))
+    assert rc == 0
+    rows = len(cli._stride_idx(55 + 1, 10))
+    assert rows == 7
+    assert calls == {"kappa": rows, "hs": rows}
+    calls.update(kappa=0, hs=0)
+    rc = _run(tmp_path, "run.cfg", QG_POINTWISE, "sweep", "--mu-grid",
+              "10,40", "--delta-grid", "0.39,0.8",
+              "--out-dir", str(tmp_path / "sweep"))
+    assert rc == 0
+    assert calls == {"kappa": 0, "hs": 0}
+
+
+@pytest.mark.parametrize("text", [QG_POINTWISE + "output.emit_y = true\n",
+                                  SMALL_RUN.replace("time.T = 0.2\n",
+                                                    "time.T = 0.11\n").replace(
+                                      "output.stride = 10\n", "")],
+                         ids=["qg-pointwise-emit_y", "ac_weak-additive"])
+def test_stride_rows_equal_the_every_step_rows(tmp_path, text):
+    # a value at step i depends only on the state at step i: recording the
+    # stride rows alone keeps their bytes
+    lines = {}
+    for stride in (10, 1):
+        out = tmp_path / ("s%d" % stride)
+        rc = _run(tmp_path, "run.cfg", text + "output.stride = %d\n" % stride,
+                  "simulate", "--out-dir", str(out))
+        assert rc == 0
+        lines[stride] = {name: (out / name).read_text().splitlines()
+                         for name in ("series.csv", "ensemble.csv")}
+    for name, every in lines[1].items():
+        strided = lines[10][name]
+        idx = cli._stride_idx(len(every) - 1, 10)
+        assert len(strided) == 1 + len(idx) < len(every)
+        assert strided == [every[0]] + [every[1 + i] for i in idx]
 
 
 def test_verify_ignores_estimate_blowup(tmp_path):
@@ -560,6 +653,8 @@ def test_convolution_check(tmp_path):
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["paths"] == 400
     assert doc["times"] == [62 * 2e-3, 125 * 2e-3, 250 * 2e-3]
+    # no constants are measured; each path steps the whole horizon
+    _assert_timing(out, 400 * 250, ["integrate_s", "output_s", "setup_s"])
     assert 0.0 <= doc["worst_deviation_discrete_se"] <= 3.0
     assert abs(doc["worst_deviation_se"] - max(devs)) <= 5e-4
     assert 0.0 < doc["continuous_gap_rel"] < 0.2

@@ -13,7 +13,7 @@ from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               estimate_noise_floor, fit_decay_rate,
                               imex_convolution_variance, measure_alpha,
                               member_seed, run_ensemble, sweep, tail_sup)
-from nudgelab.integrate import (BlowupError, Group, StepConfig,
+from nudgelab.integrate import (EVERY_STEP, BlowupError, Group, StepConfig,
                                 _noise_source, simulate_members,
                                 simulate_pair)
 from nudgelab.models import build_model, random_field
@@ -21,6 +21,10 @@ from nudgelab.noise import make_noise_coefficient, make_qspec
 from nudgelab.observe import estimate_interp_constant, eta0, make_observation
 
 import oracles as O
+
+
+# every scalar series, and member 0's observation path
+WITH_Y = {**EVERY_STEP, "dy_h": None, "y_h": None}
 
 
 def _setup(sigma=0.1, mu=20.0, T=0.5, n=16, kind="additive"):
@@ -63,9 +67,10 @@ def test_ensemble_matches_manual_members():
     for mid, setup in _manual_setups():
         spec, cfg, op, coef, q = (setup.model, setup.cfg, setup.op,
                                   setup.coef, setup.q)
-        ens = run_ensemble(setup, 3, 11, emit_y=True)
+        ens = run_ensemble(setup, 3, 11, WITH_Y)
         solo = [simulate_pair(spec, cfg, op, coef, q, setup.u0, setup.v0,
-                              member_seed(11, m), emit_y=m == 0)
+                              member_seed(11, m),
+                              WITH_Y if m == 0 else EVERY_STEP)
                 for m in range(3)]
         for m in range(3):
             assert np.array_equal(ens.member_w_h[m], solo[m].w_h), mid
@@ -104,7 +109,7 @@ def test_ensemble_single_member_se_zero():
 def test_ensemble_emit_y_changes_nothing():
     setup = _setup()
     plain = run_ensemble(setup, 2, 7)
-    with_y = run_ensemble(setup, 2, 7, emit_y=True)
+    with_y = run_ensemble(setup, 2, 7, WITH_Y)
     assert plain.first.dy_h is None
     assert with_y.first.dy_h is not None and with_y.first.y_h is not None
     assert np.array_equal(plain.mean_w2_h, with_y.mean_w2_h)
@@ -124,7 +129,7 @@ def _final_v_accumulators(setup, seeds):
     accs = []
     for seed in seeds:
         res = simulate_pair(setup.model, setup.cfg, setup.op, setup.coef,
-                            setup.q, setup.u0, setup.v0, seed, record_v=True)
+                            setup.q, setup.u0, setup.v0, seed, {"v_path": None})
         acc = 0.0
         for vc in res.v_path[1:]:
             acc += setup.cfg.dt * norm_raw(setup.model, vc, "V") ** 2
@@ -156,7 +161,7 @@ def test_ensemble_counts_partial_blowups(implicit):
     _, [[batch]] = simulate_members(
         setup.model, cfg, [Group(setup.op, setup.coef, setup.q, (cfg.mu,))],
         setup.u0, setup.v0, [_noise_source(s, setup.q) for s in seeds])
-    for m, res in enumerate(batch):
+    for m, res in enumerate(batch.errors):
         if m in survivors:
             continue
         with pytest.raises(BlowupError) as err:
@@ -165,6 +170,12 @@ def test_ensemble_counts_partial_blowups(implicit):
         assert isinstance(res, BlowupError) and res.which == "assimilated"
         assert (res.step, res.t, res.accumulator) == \
             (err.value.step, err.value.t, err.value.accumulator)
+        # its series read NaN from the step it blew up at
+        assert np.all(np.isfinite(batch.w_h[m, :res.step]))
+        assert np.all(np.isnan(batch.w_h[m, res.step:]))
+        with pytest.raises(BlowupError) as again:
+            batch.member(m)
+        assert again.value is res
 
 
 def test_ensemble_all_blowups_reraise():
@@ -455,7 +466,7 @@ def test_sweep_rows_equal_per_cell_oracle(case):
 
 def test_sweep_steps_one_stack(monkeypatch):
     # 3 x 2 cells, 2 members: the reference and all 12 estimates step as
-    # one 13-row stack, and kappa runs once per sample on the reference
+    # one 13-row stack, and kappa, which no sweep output reads, never runs
     setups = _grid_setups("nse_strong", 8, "volume", [0.39, 0.8], sigma=0.02,
                           dt=1e-3, T=0.02)
     spec = setups[0].model
@@ -469,7 +480,7 @@ def test_sweep_steps_one_stack(monkeypatch):
     assert all(r["blowups"] == 0 for r in res.rows)
     nsteps = setups[0].cfg.nsteps
     assert shapes == [(1 + 6 * 2,) + spec.shape] * nsteps
-    assert kappas == [spec.shape] * (nsteps + 1)
+    assert kappas == []
 
 
 SWEEP_REFUSALS = {
@@ -508,7 +519,7 @@ def test_convolution_mc_single_path_bit_identical():
                                          paths=1, master_seed=42, chunk=1)
     zero = np.zeros(spec.shape)
     z_path = simulate_pair(spec, cfg, None, coef, q, zero, zero,
-                           member_seed(42, 0), record_v=True).v_path
+                           member_seed(42, 0), {"v_path": None}).v_path
     for i, t in enumerate(probes):
         step = int(round(t / cfg.dt))
         assert np.array_equal(var[i], z_path[step] ** 2)

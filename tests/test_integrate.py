@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 import oracles as O
-from nudgelab.integrate import (BlowupError, Group, StepConfig,
+from nudgelab.integrate import (EVERY_STEP, BlowupError, Group, StepConfig,
                                 simulate_members, simulate_pair,
                                 _noise_source)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
 from nudgelab.observe import make_observation
+
+
+# every scalar series, and member 0's observation path
+WITH_Y = {**EVERY_STEP, "dy_h": None, "y_h": None}
 
 
 def _setup(mid="ac_weak", n=16, sigma=0.0, mu=0.0, dt=1e-2, T=0.5, **kw):
@@ -31,7 +35,7 @@ def test_linear_mode_recursion_exact():
     cfg = StepConfig(dt=2e-2, T=0.4, mu=0.0)
     u0 = np.zeros(8)
     u0[2] = 1.0
-    res = simulate_pair(spec, cfg, op, coef, q, u0, u0, 0, record_u=True)
+    res = simulate_pair(spec, cfg, op, coef, q, u0, u0, 0, {"u_path": None})
     want = O.imex_mode_path(spec.a[2], cfg.dt, cfg.nsteps)
     got = np.array([res.u_path[i][2] for i in range(cfg.nsteps + 1)])
     assert np.max(np.abs(got - want)) < 1e-15
@@ -63,10 +67,10 @@ def test_one_nonlinearity_call_per_step(monkeypatch):
         return f_raw(x)
 
     monkeypatch.setattr(spec, "f_raw", counted)
-    _, [[res]] = simulate_members(spec, cfg, [Group(op, coef, q, (cfg.mu,))],
-                                  random_field(spec, 0), random_field(spec, 1),
-                                  [_noise_source(s, q) for s in range(3)])
-    assert not any(isinstance(r, BlowupError) for r in res)
+    _, [[cell]] = simulate_members(spec, cfg, [Group(op, coef, q, (cfg.mu,))],
+                                   random_field(spec, 0), random_field(spec, 1),
+                                   [_noise_source(s, q) for s in range(3)])
+    assert cell.errors == [None] * 3
     assert calls == [(4,) + spec.shape] * cfg.nsteps
 
 
@@ -88,14 +92,15 @@ def test_grouped_members_equal_solo_runs(mid, n, kind, obs, implicit, deltas):
     seeds = [21, 22]
     ref, res = simulate_members(spec, cfg, groups, u0, v0,
                                 [_noise_source(s, groups[0].q) for s in seeds],
-                                emit_y=True)
+                                WITH_Y)
     for grp, cells in zip(groups, res):
-        for mu, by_member in zip(grp.mus, cells):
-            for m, got in enumerate(by_member):
+        for mu, cell in zip(grp.mus, cells):
+            for m in range(len(seeds)):
+                got = cell.member(m)
                 solo = simulate_pair(spec, StepConfig(
                     dt=cfg.dt, T=cfg.T, mu=mu, implicit_nudging=implicit),
                     grp.op, grp.coef, grp.q, u0, v0, seeds[m],
-                    emit_y=m == 0)
+                    WITH_Y if m == 0 else EVERY_STEP)
                 for name in ("w_h", "w_vstar", "u_h", "v_h", "hs", "kappa",
                              "v_final", "dy_h", "y_h"):
                     want = getattr(solo, name)
@@ -106,7 +111,46 @@ def test_grouped_members_equal_solo_runs(mid, n, kind, obs, implicit, deltas):
     assert np.array_equal(ref.u_final, solo.u_final)
     if kind == "additive":
         # sigma_delta = sigma * delta^p: each group has its own monitor
-        assert not np.array_equal(res[0][0][0].hs, res[1][0][0].hs)
+        assert not np.array_equal(res[0][0].hs, res[1][0].hs)
+
+
+def test_record_request_keeps_exactly_the_listed_steps():
+    # a monitor at step i reads only the state at step i: a run asked for a
+    # few steps, given in any order, returns the every-step values there
+    spec = build_model("qg", 8)
+    op = make_observation(spec, "volume", 0.8)
+    q = make_qspec(spec, delta=0.8)
+    coef = make_noise_coefficient("pointwise_multiplicative", 0.3)
+    cfg = StepConfig(dt=1e-3, T=0.03, mu=20.0)
+    u0, v0 = random_field(spec, 0), random_field(spec, 1)
+    every = simulate_pair(spec, cfg, op, coef, q, u0, v0, 4,
+                          {**WITH_Y, "u_path": None})
+    steps = [0, 7, 29, 30]
+    some = simulate_pair(spec, cfg, op, coef, q, u0, v0, 4,
+                         {**dict.fromkeys(WITH_Y, steps[::-1]),
+                          "u_path": [30, 3], "v_path": []})
+    assert np.array_equal(some.times, every.times[steps])
+    for name in WITH_Y:
+        assert np.array_equal(getattr(some, name), getattr(every, name)[steps])
+    assert np.array_equal(some.u_path, every.u_path[[3, 30]])
+    assert some.v_path.shape == (0,) + spec.shape
+    assert np.array_equal(some.v_final, every.v_final)
+    # nothing asked, nothing kept, and the same final states
+    bare = simulate_pair(spec, cfg, op, coef, q, u0, v0, 4, {})
+    assert bare.times.size == 0 and bare.w_h is None and bare.u_path is None
+    assert np.array_equal(bare.v_final, every.v_final)
+
+
+@pytest.mark.parametrize("record", [
+    {"w_h": None, "kappa": [0, 30]},      # scalar series at different steps
+    {"w_h": [0, 31]},                     # past the last step
+    {"u_path": [-1]},
+    {"w_H": None}])                       # no such series
+def test_record_request_refuses_what_it_cannot_record(record):
+    spec, op, q, coef, cfg = _setup(T=0.3)
+    with pytest.raises(ValueError, match="cannot record"):
+        simulate_pair(spec, cfg, op, coef, q, random_field(spec, 0),
+                      random_field(spec, 1), 0, record)
 
 
 def test_same_fixed_point_is_exact():
@@ -154,8 +198,8 @@ def test_emit_y_bookkeeping():
     spec, op, q, coef, cfg = _setup(mu=10.0)
     u0 = random_field(spec, 9)
     v0 = random_field(spec, 10)
-    res = simulate_pair(spec, cfg, op, coef, q, u0, v0, 0, emit_y=True,
-                        record_u=True)
+    res = simulate_pair(spec, cfg, op, coef, q, u0, v0, 0,
+                        {**WITH_Y, "u_path": None})
     # noiseless increments are exactly dt * I_delta u at the left endpoint
     from nudgelab.observe import apply_observation_raw
     i_u = cfg.dt * np.sqrt(np.sum(
@@ -214,7 +258,7 @@ def test_implicit_nudging_mode_recursion():
     u0 = np.zeros(spec_lin.shape)
     v0 = random_field(spec_lin, 5)
     res = simulate_pair(spec_lin, cfg, op_full, None, None, u0, v0, 0,
-                        record_v=True)
+                        {"v_path": None})
     fac = 1.0 / (1.0 + cfg.dt * spec_lin.a + cfg.dt * cfg.mu)
     wc = -v0
     for i in range(1, cfg.nsteps + 1):
@@ -234,7 +278,7 @@ def test_nudged_pair_matches_mode_recursion(implicit):
     u0 = random_field(spec, 21)
     v0 = random_field(spec, 22)
     res = simulate_pair(spec, cfg, op, None, None, u0, v0, 0,
-                        record_u=True, record_v=True)
+                        {"u_path": None, "v_path": None})
     for k in range(spec.n):
         mu = cfg.mu if keep[k] else 0.0
         u_want, v_want = O.nudged_mode_path(spec.a[k], cfg.dt, mu,
@@ -267,7 +311,7 @@ def test_convolution_matches_scalar_recursion():
     cfg = StepConfig(dt=1e-2, T=0.2, mu=12.0)
     zero = np.zeros(8)
     zp = simulate_pair(spec, cfg, None, coef, q, zero, zero, 9,
-                       record_v=True).v_path
+                       {"v_path": None}).v_path
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
     z = np.zeros(8)
     for i in range(cfg.nsteps):

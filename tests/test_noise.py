@@ -220,7 +220,7 @@ def test_state_scaled_peaks_at_start_on_decay():
     coef = make_noise_coefficient("state_scaled", 0.5)
     u0 = random_field(spec, 24, h_norm=0.5)     # decays monotonically
     cfg = StepConfig(dt=1e-2, T=0.5)
-    res = simulate_pair(spec, cfg, None, None, None, u0, u0, 0, record_u=True)
+    res = simulate_pair(spec, cfg, None, None, None, u0, u0, 0, {"u_path": None})
     series = np.array([hs_norm_sq(coef, spec, u, q) for u in res.u_path])
     assert np.argmax(series) == 0
     assert np.all(np.diff(series) <= 1e-14)
