@@ -18,7 +18,7 @@ from .config import ConfigError, build_setup, output_directory, parse_config, re
 from .harness import (convolution_variance_mc, imex_convolution_variance,
                       measured_constants, probe_steps, run_ensemble,
                       sweep, verify_assumptions, verify_record)
-from .integrate import EVERY_STEP, BlowupError, simulate_members
+from .integrate import MONITORS, SERIES, BlowupError, Record, simulate_members
 
 FMT = "%.17e"
 
@@ -110,9 +110,11 @@ def _write(path, text):
 
 
 def _csv(path, header, columns):
+    """One line per row of the columns: ints and bools as %d, the rest FMT."""
     rows = [",".join(header)]
     for vals in zip(*columns):
-        rows.append(",".join(FMT % v for v in vals))
+        rows.append(",".join(("%d" if isinstance(v, (int, np.integer, np.bool_))
+                              else FMT) % v for v in vals))
     _write(path, "\n".join(rows) + "\n")
 
 
@@ -195,9 +197,9 @@ def _cmd_simulate(args, values):
     clock.lap("constants_s")
     # the files are written at the stride rows only, so only those steps
     # are recorded
-    names = [*EVERY_STEP, "dy_h", "y_h"] if values["output.emit_y"] else EVERY_STEP
-    ens = run_ensemble(setup, members, seed, dict.fromkeys(names, _stride_idx(
-        setup.cfg.nsteps + 1, values["output.stride"])))
+    ens = run_ensemble(setup, members, seed, Record(
+        SERIES if values["output.emit_y"] else MONITORS,
+        _stride_idx(setup.cfg.nsteps + 1, values["output.stride"])))
     clock.lap("integrate_s")
     first = ens.first
     if first is not None:
@@ -254,16 +256,8 @@ def _cmd_sweep(args, values):
     header = ["mu", "delta", "mu_delta_sq", "eta0_hat", "over_threshold",
               "gamma_fit", "fit_residual", "floor", "floor_se", "blowups",
               "members", "valid"]
-    lines = [",".join(header)]
-    for row in res.rows:
-        lines.append(",".join([
-            FMT % row["mu"], FMT % row["delta"], FMT % row["mu_delta_sq"],
-            FMT % row["eta0_hat"], "1" if row["over_threshold"] else "0",
-            FMT % row["gamma_fit"], FMT % row["fit_residual"],
-            FMT % row["floor"], FMT % row["floor_se"],
-            "%d" % row["blowups"], "%d" % row["members"],
-            "1" if row["valid"] else "0"]))
-    _write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+    _csv(os.path.join(out_dir, "sweep.csv"), header,
+         [[row[k] for row in res.rows] for k in header])
     extra = {"alpha_hat": res.alpha_hat, "c_i_hat": res.c_i_hat,
              "eta0_hat": res.eta0_hat, "mu_grid": mu_grid,
              "delta_grid": delta_grid,

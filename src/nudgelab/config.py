@@ -46,10 +46,6 @@ def _float(raw):
     return v
 
 
-def _str(raw):
-    return raw
-
-
 def _auto_or_float(raw):
     return "auto" if raw == "auto" else _float(raw)
 
@@ -60,18 +56,18 @@ def _auto_or_int(raw):
 
 # key -> (parse, default, constraint or None, description of the constraint)
 SCHEMA = {
-    "model.id": (_str, None, lambda v: v in MODEL_FAMILIES,
+    "model.id": (str, None, lambda v: v in MODEL_FAMILIES,
                  "one of " + ", ".join(sorted(MODEL_FAMILIES))),
     "model.n": (_int, 64, lambda v: v >= 2, "at least 2"),
     "model.nu": (_float, 1.0, lambda v: v > 0.0, "positive"),
-    "model.norms": (_str, "homogeneous",
+    "model.norms": (str, "homogeneous",
                     lambda v: v in ("homogeneous", "sobolev"),
                     "homogeneous or sobolev"),
     "model.linear": (_bool, False, None, None),
-    "observation.kind": (_str, "modal", lambda v: v in ("modal", "volume"),
+    "observation.kind": (str, "modal", lambda v: v in ("modal", "volume"),
                          "modal or volume"),
     "observation.delta": (_float, 0.39, lambda v: v > 0.0, "positive"),
-    "noise.kind": (_str, "additive",
+    "noise.kind": (str, "additive",
                    lambda v: v in ("additive", "state_scaled",
                                    "pointwise_multiplicative"),
                    "additive, state_scaled or pointwise_multiplicative"),
@@ -90,7 +86,7 @@ SCHEMA = {
     "init.seed": (_int, 0, lambda v: v >= 0, "nonnegative"),
     "init.amplitude": (_float, 1.0, lambda v: v >= 0.0, "nonnegative"),
     "init.w0": (_float, 1.0, lambda v: v >= 0.0, "nonnegative"),
-    "output.directory": (_str, "", None, None),
+    "output.directory": (str, "", None, None),
     "output.stride": (_int, 10, lambda v: v >= 1, "at least 1"),
     "output.emit_y": (_bool, False, None, None),
 }

@@ -75,10 +75,6 @@ class ModelSpec:
         w = self.w_vstar ** (1.0 - beta) * self.w_v ** beta
         return np.where(self.mask, w, 0.0)
 
-    @property
-    def dof(self):
-        return int(np.prod(self.shape))
-
     def __repr__(self):
         return "ModelSpec(%s)" % self.model_id
 

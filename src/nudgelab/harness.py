@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import _wsum2, inner_h_raw, norm_raw
-from .integrate import (EVERY_STEP, BlowupError, Group, _noise_source,
-                        _rng_for, simulate_members)
+from .integrate import (BlowupError, Group, Record, _noise_source, _rng_for,
+                        simulate_members)
 from .models import build_model, random_field
 from .noise import apply_G_raw, increment_from_noise
 from .observe import estimate_interp_constant, eta0
@@ -58,10 +58,10 @@ def member_seed(master_seed, member):
     return np.random.SeedSequence(master_seed, spawn_key=(member,))
 
 
-def run_ensemble(setup, members, master_seed, record=EVERY_STEP):
+def run_ensemble(setup, members, master_seed, record=Record()):
     """Monte Carlo over noise realizations; deterministic in master_seed.
-    Every statistic is formed at the steps of record, the request of
-    integrate.simulate_members, and keeps its bits whatever else it asks."""
+    Every statistic is formed at the steps of record (an integrate.Record)
+    and keeps its bits whatever else the request names."""
     _, [[cell]] = simulate_members(
         setup.model, setup.cfg,
         [Group(setup.op, setup.coef, setup.q, (setup.cfg.mu,))],
@@ -207,7 +207,7 @@ def _require_shared_reference(setups):
                              "differ between deltas: %s" % ", ".join(differ))
 
 
-def sweep(setups, mu_grid, members, master_seed, consts=None):
+def sweep(setups, mu_grid, members, master_seed, consts):
     """Grid over (mu, delta): per cell gamma_fit, floor, blow-up counts,
     and the mu*delta^2 > eta0_hat flag from measured constants.
 
@@ -219,19 +219,18 @@ def sweep(setups, mu_grid, members, master_seed, consts=None):
     cell's numbers bit-identical to an ensemble run of that cell alone.
     So the set-ups must agree in everything but the observation and the
     noise coefficient and covariance (ValueError otherwise).  Cells run
-    mu-major.  The constants are measured on each delta's operator
-    (consts: their measured_constants, when already measured); cells
-    whose members blow up beyond 10% are marked invalid.  The result
-    carries the first delta's constants.  The run records only the
-    members' w_h, at every step: the fit and the floor read nothing else.
+    mu-major.  consts holds the measured_constants of each set-up, in
+    grid order; cells whose members blow up beyond 10% are marked
+    invalid.  The result carries the first delta's constants.  The run
+    records only the members' w_h, at every step: the fit and the floor
+    read nothing else.
     """
     _require_shared_reference(setups)
-    consts = consts or [measured_constants(s) for s in setups]
     base = setups[0]
     groups = [Group(s.op, s.coef, s.q, tuple(mu_grid)) for s in setups]
     _, cells = simulate_members(
         base.model, base.cfg, groups, base.u0, base.v0,
-        _member_sources(base.q, members, master_seed), {"w_h": None})
+        _member_sources(base.q, members, master_seed), Record(("w_h",)))
     rows = []
     for k, mu in enumerate(mu_grid):
         for setup, (_, _, eta), by_mu in zip(setups, consts, cells):
@@ -406,8 +405,7 @@ class AssumptionReport:
 def verify_record(nsteps):
     """What verify_assumptions reads of an nsteps-step run: kappa at every
     step and about 9 states, one every max((nsteps + 1) // 8, 1) steps."""
-    return {"kappa": None,
-            "u_path": range(0, nsteps + 1, max((nsteps + 1) // 8, 1))}
+    return Record(("kappa",), None, range(0, nsteps + 1, max((nsteps + 1) // 8, 1)))
 
 
 def verify_assumptions(spec, traj, op, samples=24, seed=1234):
@@ -415,7 +413,7 @@ def verify_assumptions(spec, traj, op, samples=24, seed=1234):
 
     traj is a SimResult recorded as verify_record asks: the drift
     envelope reads its times and kappa, and the energy inequality is
-    probed on each state of its u_path (if any) besides random fields;
+    probed on each state of its u_path besides random fields;
     op is the observation operator whose interpolation constant is
     measured.
     """
@@ -427,8 +425,7 @@ def verify_assumptions(spec, traj, op, samples=24, seed=1234):
     if spec.kind == "torus" and not spec.params.get("linear", False):
         cancel_n = samples
         cancel = _cancellation_residual(spec, samples, seed)
-    eps = _epsilon_hat(spec, [] if traj.u_path is None else traj.u_path,
-                       samples, seed)
+    eps = _epsilon_hat(spec, traj.u_path, samples, seed)
     ratio = _a2_ratio(spec, samples, seed)
     refined = _a2_ratio(_refined_spec(spec, 2 * spec.n), samples, seed)
     k = len(_envelope_grid(len(traj.times)))

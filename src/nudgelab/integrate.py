@@ -35,8 +35,8 @@ runs that differ only in sigma share their noise realizations); every
 cell and group reads the same block.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
-from types import MappingProxyType
 
 import numpy as np
 
@@ -113,19 +113,26 @@ class Group:
             raise ValueError("mu must be nonnegative")
 
 
-# the library default record request: every scalar monitor at every step
-EVERY_STEP = MappingProxyType(dict.fromkeys(
-    ("w_h", "w_vstar", "u_h", "v_h", "hs", "kappa")))
+# the per-step series a record request can name: the monitors, then
+# member 0's observation path
+MONITORS = ("w_h", "w_vstar", "u_h", "v_h", "hs", "kappa")
+SERIES = MONITORS + ("dy_h", "y_h")
 # a cell's fields with a member axis, and those of its group
 _PER_MEMBER = ("w_h", "w_vstar", "v_h", "v_final", "v_path")
 _PER_GROUP = ("hs", "dy_h", "y_h")
+
+# a record request: the series named (of SERIES) at the steps at, and the
+# reference's and the estimates' states at the steps u_path and v_path,
+# None standing for every step; by default every monitor at every step
+Record = namedtuple("Record", "series at u_path v_path",
+                    defaults=(MONITORS, None, (), ()))
 
 
 @dataclass
 class SimResult:
     """Recorded series of one estimate, or of the reference alone (its
-    v_final None): the scalar ones at times, the state paths at the steps
-    their request listed; None for a series the request did not name."""
+    v_final None): the scalar ones at times, None where the request did
+    not name them, and the states at the steps it listed for them."""
     times: np.ndarray
     u_final: np.ndarray
     v_final: np.ndarray
@@ -161,7 +168,7 @@ class CellResult(SimResult):
         return SimResult(**own)
 
 
-def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, record=EVERY_STEP):
+def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, record=Record()):
     """Integrate the coupled pair over [0, T]; deterministic given seed.
     record is the request of simulate_members."""
     _, [[cell]] = simulate_members(
@@ -170,7 +177,7 @@ def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, record=EVERY_STEP):
     return cell.member(0)
 
 
-def simulate_members(spec, cfg, groups, u0, v0, sources, record=EVERY_STEP):
+def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
     """Integrate one reference and, per cell of every group, one estimate
     per source, all in lockstep.
 
@@ -185,13 +192,11 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=EVERY_STEP):
     bit-identical to a run of it alone.  With no groups the reference
     steps alone.
 
-    record maps each result field to keep to its step indices (None:
-    every step): the scalar monitors of EVERY_STEP and member 0's
-    observation path dy_h, y_h, all at the same steps, and the states
-    u_path, v_path.  A monitor runs only at the steps asking for it; as
-    a value at step i depends only on the state at step i, it has the
-    bits of an every-step run.  The blow-up accumulator and the running
-    sum y behind dy_h, y_h run at every step.
+    record, a Record, names the series to keep and their steps.  A
+    monitor runs only at those steps; as a value at step i depends only
+    on the state at step i, it has the bits of an every-step run.  The
+    blow-up accumulator and the running sum y behind dy_h, y_h run at
+    every step.
 
     Returns (reference, results): the reference's SimResult, or the
     BlowupError that ended it, and results[g][k], the CellResult of cell
@@ -204,14 +209,11 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=EVERY_STEP):
     members = len(sources)
     n = cfg.nsteps
     dt = cfg.dt
-    steps = {f: np.arange(n + 1) if at is None
-             else np.unique(np.asarray(at, dtype=int)) for f, at in record.items()}
-    paths = ("u_path", "v_path")
-    if (not set(steps) <= {*EVERY_STEP, "dy_h", "y_h", *paths}
-            or any(s.size and not 0 <= s[0] <= s[-1] <= n for s in steps.values())
-            or len({s.tobytes() for f, s in steps.items() if f not in paths}) > 1):
+    steps = [np.arange(n + 1) if s is None else np.unique(np.asarray(s, dtype=int))
+             for s in (record.at, record.u_path, record.v_path)]
+    if (not set(record.series) <= set(SERIES)
+            or any(s.size and not 0 <= s[0] <= s[-1] <= n for s in steps)):
         raise ValueError("cannot record %r over %d steps" % (record, n))
-    at = next((s for f, s in steps.items() if f not in paths), np.arange(0))
     cells = [(g, k, mu) for g, grp in enumerate(groups)
              for k, mu in enumerate(grp.mus)]
     rows = len(cells) * members
@@ -257,24 +259,21 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=EVERY_STEP):
     drawn, spans = layout(row_id)
     errors = {}
     ref_error = None
-    slot = {s: j for j, s in enumerate(at.tolist())}      # step -> column
-    u_at, v_at = ({s: j for j, s in enumerate(steps[f].tolist())}
-                  if f in steps else {} for f in paths)
-    # the requested arrays: NaN until recorded, but hs (0 on a noiseless
-    # group) and the observation path (0 at t = 0) start at 0
-    nc, ng = len(at), len(groups)
-    rec = {f: np.full(shape, 0.0 if f in _PER_GROUP else np.nan,
-                      dtype=spec.dtype if f in paths else float)
-           for f, shape in (("w_h", (rows, nc)), ("w_vstar", (rows, nc)),
-                            ("v_h", (rows, nc)), ("u_h", nc), ("kappa", nc),
-                            ("hs", (ng, nc)), ("dy_h", (ng, nc)),
-                            ("y_h", (ng, nc)),
-                            ("u_path", (len(u_at),) + spec.shape),
-                            ("v_path", (rows, len(v_at)) + spec.shape))
-           if f in steps}
-    y = [np.zeros(spec.shape, dtype=spec.dtype)] * ng
+    # step -> column of the series and of each state path
+    slot, u_at, v_at = ({s: j for j, s in enumerate(st.tolist())} for st in steps)
+    # the requested arrays, led by their member or group axis: NaN until
+    # recorded, but hs (0 on a noiseless group) and the observation path
+    # (0 at t = 0) start at 0
+    lead = {**dict.fromkeys(_PER_MEMBER, (rows,)),
+            **dict.fromkeys(_PER_GROUP, (len(groups),))}
+    rec = {f: np.full(lead.get(f, ()) + (len(slot),),
+                      0.0 if f in _PER_GROUP else np.nan) for f in record.series}
+    for f, at in (("u_path", u_at), ("v_path", v_at)):
+        rec[f] = np.full(lead.get(f, ()) + (len(at),) + spec.shape, np.nan,
+                         dtype=spec.dtype)
+    y = [np.zeros(spec.shape, dtype=spec.dtype)] * len(groups)
 
-    def record(i, x):
+    def store(i, x):
         j = slot.get(i)
         if j is not None:
             wc = x[0] - x[1:]
@@ -294,7 +293,7 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=EVERY_STEP):
         if i in v_at:
             rec["v_path"][row_id, v_at[i]] = x[1:]
 
-    record(0, x)
+    store(0, x)
     # per row in Python floats: x ** 2 is pow(), which an array square
     # (x * x) does not always match in the last bit
     acc = [0.0] * (1 + rows)
@@ -317,8 +316,7 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=EVERY_STEP):
                 # rounds exactly like subtracting dt*mu*x
                 gap = rhs[0] * inv_ref if implicit[g] else x[s] - x[0]
                 rhs[s] += pull_col[s] * apply_observation_raw(grp.op, spec, gap)
-            if ("dy_h" in rec or "y_h" in rec) and grp.op is not None \
-                    and drawn[0] == 0:
+            if {"dy_h", "y_h"} & rec.keys() and grp.op is not None and drawn[0] == 0:
                 # dy = I_delta u dt + G(u) dW (the noise term carries no mu)
                 dy = dt * apply_observation_raw(grp.op, spec, x[0])
                 if noisy[g]:
@@ -349,12 +347,12 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=EVERY_STEP):
             if inv is not inv_ref:
                 inv = inv[keep]
             drawn, spans = layout(row_id)
-        record(i, x)
+        store(i, x)
 
-    times = at * dt
+    times = steps[0] * dt
     reference = ref_error or SimResult(times, x[0], None, u_h=rec.get("u_h"),
                                        kappa=rec.get("kappa"),
-                                       u_path=rec.get("u_path"))
+                                       u_path=rec["u_path"])
     rec["v_final"] = np.full((rows,) + spec.shape, np.nan, dtype=spec.dtype)
     rec["v_final"][row_id] = x[1:]
     results = [[] for _ in groups]

@@ -15,8 +15,8 @@ import oracles as O
 from nudgelab.fields import inner_h_raw, norm_raw
 from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               fit_decay_rate, estimate_noise_floor,
-                              run_ensemble, sweep, tail_sup,
-                              verify_assumptions, verify_record)
+                              measured_constants, run_ensemble, sweep,
+                              tail_sup, verify_assumptions, verify_record)
 from nudgelab.integrate import StepConfig, simulate_pair
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
@@ -211,8 +211,9 @@ def test_criterion_08_threshold_formula():
         return RunSetup(spec, StepConfig(dt=2e-3, T=0.4, mu=10.0), op, coef, q,
                         random_field(spec, 1), random_field(spec, 2))
 
-    res = sweep([setup(0.39), setup(0.9)], [10.0, 400.0], members=2,
-                master_seed=3)
+    setups = [setup(0.39), setup(0.9)]
+    res = sweep(setups, [10.0, 400.0], members=2, master_seed=3,
+                consts=[measured_constants(s) for s in setups])
     flags_ok = all(r["over_threshold"] == (r["mu_delta_sq"] > r["eta0_hat"])
                    for r in res.rows)
     some = sum(r["over_threshold"] for r in res.rows)

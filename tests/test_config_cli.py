@@ -527,7 +527,7 @@ def test_verify_keeps_its_states_on_a_long_large_run(tmp_path, monkeypatch):
     # is past 5e6); verify records only the 9 the energy probe reads
     text = ("model.id = mhd\nmodel.n = 64\ntime.dt = 1e-3\ntime.T = 0.6\n")
     spec = build_setup(parse_config(text)).model
-    assert spec.dof * 601 > 5_000_000
+    assert np.prod(spec.shape) * 601 > 5_000_000
     seen = []
     real = H._epsilon_hat
 

@@ -19,7 +19,7 @@ import pytest
 
 from nudgelab.config import build_setup, parse_config
 from nudgelab.harness import run_ensemble
-from nudgelab.integrate import EVERY_STEP
+from nudgelab.integrate import SERIES, Record
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                        "ensemble_digests.json")
@@ -71,7 +71,7 @@ def _run(mid, n, kind, obs, implicit):
         % (mid, n, obs, kind, "true" if implicit else "false"))
     # the observation path of member 0 is pinned for two of the kinds
     with_y = kind in ("additive", "pointwise_multiplicative")
-    record = {**EVERY_STEP, "dy_h": None, "y_h": None} if with_y else EVERY_STEP
+    record = Record(SERIES) if with_y else Record()
     return run_ensemble(build_setup(values), MEMBERS, 17, record)
 
 

@@ -12,9 +12,10 @@ from nudgelab.fields import norm_raw
 from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               estimate_noise_floor, fit_decay_rate,
                               imex_convolution_variance, measure_alpha,
-                              member_seed, run_ensemble, sweep, tail_sup)
-from nudgelab.integrate import (EVERY_STEP, BlowupError, Group, StepConfig,
-                                _noise_source, simulate_members,
+                              measured_constants, member_seed, run_ensemble,
+                              sweep, tail_sup)
+from nudgelab.integrate import (SERIES, BlowupError, Group, Record,
+                                StepConfig, _noise_source, simulate_members,
                                 simulate_pair)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
@@ -24,7 +25,7 @@ import oracles as O
 
 
 # every scalar series, and member 0's observation path
-WITH_Y = {**EVERY_STEP, "dy_h": None, "y_h": None}
+WITH_Y = Record(SERIES)
 
 
 def _setup(sigma=0.1, mu=20.0, T=0.5, n=16, kind="additive"):
@@ -70,7 +71,7 @@ def test_ensemble_matches_manual_members():
         ens = run_ensemble(setup, 3, 11, WITH_Y)
         solo = [simulate_pair(spec, cfg, op, coef, q, setup.u0, setup.v0,
                               member_seed(11, m),
-                              WITH_Y if m == 0 else EVERY_STEP)
+                              WITH_Y if m == 0 else Record())
                 for m in range(3)]
         for m in range(3):
             assert np.array_equal(ens.member_w_h[m], solo[m].w_h), mid
@@ -129,7 +130,8 @@ def _final_v_accumulators(setup, seeds):
     accs = []
     for seed in seeds:
         res = simulate_pair(setup.model, setup.cfg, setup.op, setup.coef,
-                            setup.q, setup.u0, setup.v0, seed, {"v_path": None})
+                            setup.q, setup.u0, setup.v0, seed,
+                            Record((), v_path=None))
         acc = 0.0
         for vc in res.v_path[1:]:
             acc += setup.cfg.dt * norm_raw(setup.model, vc, "V") ** 2
@@ -316,7 +318,7 @@ def test_verify_counts_the_envelope_grid_pairs(samples, pairs):
     spec = build_model("ac_weak", 16, nu=1.0)
     op = make_observation(spec, "modal", delta=0.39)
     times = np.linspace(0.0, 1.0, samples)
-    traj = SimpleNamespace(times=times, kappa=1.0 + times, u_path=None)
+    traj = SimpleNamespace(times=times, kappa=1.0 + times, u_path=())
     rep = H.verify_assumptions(spec, traj, op, samples=4)
     assert rep.samples["pairs"] == pairs
     assert "constrained fit on %d grid pairs" % pairs in "\n".join(rep.lines())
@@ -334,9 +336,15 @@ def _sweep_setup(mu, delta):
                     u0=random_field(spec, 1), v0=random_field(spec, 2))
 
 
+def _sweep(setups, mu_grid, members, master_seed):
+    # sweep with the constants it is handed measured on each set-up
+    return sweep(setups, mu_grid, members, master_seed,
+                 [measured_constants(s) for s in setups])
+
+
 def test_sweep_grid_and_threshold_flags():
     setups = [_sweep_setup(10.0, d) for d in (0.39, 0.9)]
-    res = sweep(setups, [10.0, 400.0], members=2, master_seed=3)
+    res = _sweep(setups, [10.0, 400.0], members=2, master_seed=3)
     assert len(res.rows) == 4
     spec = build_model("ac_weak", 16, nu=1.0)
     assert res.alpha_hat == measure_alpha(spec)
@@ -362,8 +370,8 @@ def test_sweep_rerun_identical():
     s = _setup(mu=20.0, T=0.2)
     op = make_observation(s.model, "modal", delta=0.39)
     setups = [RunSetup(s.model, s.cfg, op, s.coef, s.q, s.u0, s.v0)]
-    a = sweep(setups, [20.0], members=4, master_seed=8)
-    b = sweep(setups, [20.0], members=4, master_seed=8)
+    a = _sweep(setups, [20.0], members=4, master_seed=8)
+    b = _sweep(setups, [20.0], members=4, master_seed=8)
     assert a.rows == b.rows
 
 
@@ -372,8 +380,8 @@ def test_sweep_cells_equal_fresh_setups():
     # sweep equals the per-cell oracle run over set-ups built at each
     # (mu, delta)
     mus, deltas = [10.0, 400.0], [0.39, 0.9]
-    res = sweep([_sweep_setup(mus[0], d) for d in deltas], mus,
-                members=2, master_seed=3)
+    res = _sweep([_sweep_setup(mus[0], d) for d in deltas], mus,
+                 members=2, master_seed=3)
     cells = [(mu, d) for mu in mus for d in deltas]
     assert [(r["mu"], r["delta"]) for r in res.rows] == cells
     for row, (mu, d) in zip(res.rows, cells):
@@ -450,7 +458,7 @@ SWEEP_CASES = {
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_rows_equal_per_cell_oracle(case):
     setups, mus, members, seed = SWEEP_CASES[case]()
-    rows = sweep(setups, mus, members, seed).rows
+    rows = _sweep(setups, mus, members, seed).rows
     _assert_rows_equal(rows, O.sweep_per_cell(setups, mus, members, seed))
     blowups = [r["blowups"] for r in rows]
     if case == "partial-blowups":
@@ -476,7 +484,7 @@ def test_sweep_steps_one_stack(monkeypatch):
                         lambda x: shapes.append(x.shape) or f_raw(x))
     monkeypatch.setattr(spec, "kappa_raw",
                         lambda x: kappas.append(x.shape) or kappa_raw(x))
-    res = sweep(setups, [10.0, 50.0, 200.0], members=2, master_seed=3)
+    res = _sweep(setups, [10.0, 50.0, 200.0], members=2, master_seed=3)
     assert all(r["blowups"] == 0 for r in res.rows)
     nsteps = setups[0].cfg.nsteps
     assert shapes == [(1 + 6 * 2,) + spec.shape] * nsteps
@@ -502,8 +510,9 @@ SWEEP_REFUSALS = {
 def test_sweep_refuses_setups_without_a_shared_reference(what):
     first, second = _grid_setups("ac_weak", 16, "modal", [0.39, 0.9])
     with pytest.raises(ValueError, match="differ between deltas: %s$" % what):
+        # refused before the constants are read
         sweep([first, SWEEP_REFUSALS[what](second)], [10.0], members=2,
-              master_seed=3)
+              master_seed=3, consts=[])
 
 
 # ----------------------------------------------------- convolution variance
@@ -519,7 +528,7 @@ def test_convolution_mc_single_path_bit_identical():
                                          paths=1, master_seed=42, chunk=1)
     zero = np.zeros(spec.shape)
     z_path = simulate_pair(spec, cfg, None, coef, q, zero, zero,
-                           member_seed(42, 0), {"v_path": None}).v_path
+                           member_seed(42, 0), Record((), v_path=None)).v_path
     for i, t in enumerate(probes):
         step = int(round(t / cfg.dt))
         assert np.array_equal(var[i], z_path[step] ** 2)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles as O
-from nudgelab.integrate import (EVERY_STEP, BlowupError, Group, StepConfig,
-                                simulate_members, simulate_pair,
+from nudgelab.integrate import (SERIES, BlowupError, Group, Record,
+                                StepConfig, simulate_members, simulate_pair,
                                 _noise_source)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
@@ -14,7 +14,7 @@ from nudgelab.observe import make_observation
 
 
 # every scalar series, and member 0's observation path
-WITH_Y = {**EVERY_STEP, "dy_h": None, "y_h": None}
+WITH_Y = Record(SERIES)
 
 
 def _setup(mid="ac_weak", n=16, sigma=0.0, mu=0.0, dt=1e-2, T=0.5, **kw):
@@ -35,7 +35,7 @@ def test_linear_mode_recursion_exact():
     cfg = StepConfig(dt=2e-2, T=0.4, mu=0.0)
     u0 = np.zeros(8)
     u0[2] = 1.0
-    res = simulate_pair(spec, cfg, op, coef, q, u0, u0, 0, {"u_path": None})
+    res = simulate_pair(spec, cfg, op, coef, q, u0, u0, 0, Record((), u_path=None))
     want = O.imex_mode_path(spec.a[2], cfg.dt, cfg.nsteps)
     got = np.array([res.u_path[i][2] for i in range(cfg.nsteps + 1)])
     assert np.max(np.abs(got - want)) < 1e-15
@@ -100,7 +100,7 @@ def test_grouped_members_equal_solo_runs(mid, n, kind, obs, implicit, deltas):
                 solo = simulate_pair(spec, StepConfig(
                     dt=cfg.dt, T=cfg.T, mu=mu, implicit_nudging=implicit),
                     grp.op, grp.coef, grp.q, u0, v0, seeds[m],
-                    WITH_Y if m == 0 else EVERY_STEP)
+                    WITH_Y if m == 0 else Record())
                 for name in ("w_h", "w_vstar", "u_h", "v_h", "hs", "kappa",
                              "v_final", "dy_h", "y_h"):
                     want = getattr(solo, name)
@@ -124,28 +124,27 @@ def test_record_request_keeps_exactly_the_listed_steps():
     cfg = StepConfig(dt=1e-3, T=0.03, mu=20.0)
     u0, v0 = random_field(spec, 0), random_field(spec, 1)
     every = simulate_pair(spec, cfg, op, coef, q, u0, v0, 4,
-                          {**WITH_Y, "u_path": None})
+                          WITH_Y._replace(u_path=None))
     steps = [0, 7, 29, 30]
     some = simulate_pair(spec, cfg, op, coef, q, u0, v0, 4,
-                         {**dict.fromkeys(WITH_Y, steps[::-1]),
-                          "u_path": [30, 3], "v_path": []})
+                         Record(SERIES, steps[::-1], [30, 3]))
     assert np.array_equal(some.times, every.times[steps])
-    for name in WITH_Y:
+    for name in SERIES:
         assert np.array_equal(getattr(some, name), getattr(every, name)[steps])
     assert np.array_equal(some.u_path, every.u_path[[3, 30]])
     assert some.v_path.shape == (0,) + spec.shape
     assert np.array_equal(some.v_final, every.v_final)
     # nothing asked, nothing kept, and the same final states
-    bare = simulate_pair(spec, cfg, op, coef, q, u0, v0, 4, {})
-    assert bare.times.size == 0 and bare.w_h is None and bare.u_path is None
+    bare = simulate_pair(spec, cfg, op, coef, q, u0, v0, 4, Record((), ()))
+    assert bare.times.size == 0 and bare.w_h is None and bare.u_path.size == 0
     assert np.array_equal(bare.v_final, every.v_final)
 
 
 @pytest.mark.parametrize("record", [
-    {"w_h": None, "kappa": [0, 30]},      # scalar series at different steps
-    {"w_h": [0, 31]},                     # past the last step
-    {"u_path": [-1]},
-    {"w_H": None}])                       # no such series
+    Record(at=[0, 31]),                   # past the last step
+    Record(u_path=[-1]),
+    Record(v_path=[31]),
+    Record(("w_H",))])                    # no such series
 def test_record_request_refuses_what_it_cannot_record(record):
     spec, op, q, coef, cfg = _setup(T=0.3)
     with pytest.raises(ValueError, match="cannot record"):
@@ -199,7 +198,7 @@ def test_emit_y_bookkeeping():
     u0 = random_field(spec, 9)
     v0 = random_field(spec, 10)
     res = simulate_pair(spec, cfg, op, coef, q, u0, v0, 0,
-                        {**WITH_Y, "u_path": None})
+                        WITH_Y._replace(u_path=None))
     # noiseless increments are exactly dt * I_delta u at the left endpoint
     from nudgelab.observe import apply_observation_raw
     i_u = cfg.dt * np.sqrt(np.sum(
@@ -258,7 +257,7 @@ def test_implicit_nudging_mode_recursion():
     u0 = np.zeros(spec_lin.shape)
     v0 = random_field(spec_lin, 5)
     res = simulate_pair(spec_lin, cfg, op_full, None, None, u0, v0, 0,
-                        {"v_path": None})
+                        Record((), v_path=None))
     fac = 1.0 / (1.0 + cfg.dt * spec_lin.a + cfg.dt * cfg.mu)
     wc = -v0
     for i in range(1, cfg.nsteps + 1):
@@ -278,7 +277,7 @@ def test_nudged_pair_matches_mode_recursion(implicit):
     u0 = random_field(spec, 21)
     v0 = random_field(spec, 22)
     res = simulate_pair(spec, cfg, op, None, None, u0, v0, 0,
-                        {"u_path": None, "v_path": None})
+                        Record((), u_path=None, v_path=None))
     for k in range(spec.n):
         mu = cfg.mu if keep[k] else 0.0
         u_want, v_want = O.nudged_mode_path(spec.a[k], cfg.dt, mu,
@@ -311,7 +310,7 @@ def test_convolution_matches_scalar_recursion():
     cfg = StepConfig(dt=1e-2, T=0.2, mu=12.0)
     zero = np.zeros(8)
     zp = simulate_pair(spec, cfg, None, coef, q, zero, zero, 9,
-                       {"v_path": None}).v_path
+                       Record((), v_path=None)).v_path
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
     z = np.zeros(8)
     for i in range(cfg.nsteps):

@@ -214,13 +214,14 @@ def test_state_scaled_hs_homogeneity():
 
 def test_state_scaled_peaks_at_start_on_decay():
     # noise that vanishes on the attractor {0} of a decaying reference
-    from nudgelab.integrate import StepConfig, simulate_pair
+    from nudgelab.integrate import Record, StepConfig, simulate_pair
     spec = build_model("ac_strong", 16)
     q = make_qspec(spec)
     coef = make_noise_coefficient("state_scaled", 0.5)
     u0 = random_field(spec, 24, h_norm=0.5)     # decays monotonically
     cfg = StepConfig(dt=1e-2, T=0.5)
-    res = simulate_pair(spec, cfg, None, None, None, u0, u0, 0, {"u_path": None})
+    res = simulate_pair(spec, cfg, None, None, None, u0, u0, 0,
+                        Record((), u_path=None))
     series = np.array([hs_norm_sq(coef, spec, u, q) for u in res.u_path])
     assert np.argmax(series) == 0
     assert np.all(np.diff(series) <= 1e-14)
