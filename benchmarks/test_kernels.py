@@ -6,18 +6,21 @@ Times the per-step kernels the end-to-end benchmark spends its steps in:
 the pointwise Hilbert-Schmidt monitor, each model's nonlinearity on one
 field, on the stack of three that a two-member run steps and on the
 stack of thirteen that a 3 x 2 sweep of two members steps, the
-dealiased advection of the torus models, and the threaded Monte Carlo
-variance of the stochastic convolution.  pytest collects tests/ only by
-default, so these run only when asked for.
+dealiased advection of the torus models, the threaded Monte Carlo
+variance of the stochastic convolution, and the lockstep loop
+simulate_members on a small sweep and on a 64-member ensemble.  pytest
+collects tests/ only by default, so these run only when asked for.
 """
 
 import numpy as np
 import pytest
 
-from nudgelab.harness import convolution_variance_mc
-from nudgelab.integrate import StepConfig
+from nudgelab.harness import _stride_idx, convolution_variance_mc
+from nudgelab.integrate import (MONITORS, Group, Record, StepConfig,
+                                _noise_source, simulate_members)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import hs_norm_sq, make_noise_coefficient, make_qspec
+from nudgelab.observe import make_observation
 
 # Grid sizes of the end-to-end workloads (ac_weak 64, nse_strong 32,
 # qg 32); the models no workload runs take the size of their own kind.
@@ -62,3 +65,38 @@ def test_convolution_variance_mc_ac_weak(benchmark):
     _, var, _ = benchmark(convolution_variance_mc, spec, cfg, coef, q,
                           [0.125, 0.25, 0.5], 1000, 3)
     assert var.shape == (3, spec.n)
+
+
+def _bench_members(benchmark, spec, cfg, groups, members, record):
+    # fresh noise sources per round: each is a generator drawn in turn
+    u0, v0 = random_field(spec, 1), random_field(spec, 2)
+
+    def run():
+        return simulate_members(spec, cfg, groups, u0, v0, [
+            _noise_source(s, groups[0].q) for s in range(members)], record)
+
+    _, cells = benchmark(run)
+    assert all(e is None for by_mu in cells for c in by_mu for e in c.errors)
+
+
+def test_simulate_members_sweep_nse_strong_volume(benchmark):
+    # sweep_vol's stack at n=16: a 3 x 2 (mu, delta) grid of 2 members,
+    # recording the members' w_h only
+    spec = build_model("nse_strong", 16)
+    groups = [Group(make_observation(spec, "volume", d),
+                    make_noise_coefficient("additive", 0.02),
+                    make_qspec(spec, delta=d), (10.0, 50.0, 200.0))
+              for d in (0.39, 0.8)]
+    _bench_members(benchmark, spec, StepConfig(dt=1e-3, T=0.02), groups, 2,
+                   Record(("w_h",)))
+
+
+def test_simulate_members_ensemble_ac_weak(benchmark):
+    # ens_ac's stack: 64 members, every monitor at every 10th step
+    spec = build_model("ac_weak", 64)
+    cfg = StepConfig(dt=1e-3, T=0.05)
+    groups = [Group(make_observation(spec, "modal", 0.39),
+                    make_noise_coefficient("additive", 0.05),
+                    make_qspec(spec, delta=0.39), (50.0,))]
+    _bench_members(benchmark, spec, cfg, groups, 64,
+                   Record(MONITORS, _stride_idx(cfg.nsteps + 1, 10)))

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, build_setup, output_directory, parse_config, render_config
-from .harness import (convolution_variance_mc, imex_convolution_variance,
-                      measured_constants, probe_steps, run_ensemble,
-                      sweep, verify_assumptions, verify_record)
+from .harness import (_stride_idx, convolution_variance_mc,
+                      imex_convolution_variance, measured_constants,
+                      probe_steps, run_ensemble, sweep, verify_assumptions,
+                      verify_record)
 from .integrate import MONITORS, SERIES, BlowupError, Record, simulate_members
 
 FMT = "%.17e"
@@ -141,13 +142,6 @@ def _manifest(out_dir, command, values, extra, clock, member_steps):
     doc.update(extra)
     _write(os.path.join(out_dir, "manifest.json"),
            json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _stride_idx(n_rows, stride):
-    idx = list(range(0, n_rows, stride))
-    if idx[-1] != n_rows - 1:
-        idx.append(n_rows - 1)
-    return np.asarray(idx)
 
 
 def _require_unobserved_mode(setup):

@@ -270,18 +270,18 @@ def measure_alpha(spec):
     return float(quot.min())
 
 
-def _envelope_grid(samples):
-    """Sample indices of the envelope's coarse grid: every
-    max(samples // 64, 1)-th sample, and the last one."""
-    idx = np.arange(0, samples, max(samples // 64, 1))
-    if idx[-1] != samples - 1:
-        idx = np.append(idx, samples - 1)
+def _stride_idx(n, stride):
+    """Every stride-th index of range(n), and the last one."""
+    idx = np.arange(0, n, stride)
+    if idx[-1] != n - 1:
+        idx = np.append(idx, n - 1)
     return idx
 
 
 def _mm_envelope(times, kappa):
     """Smallest (M0, M1) with int_s^t kappa <= M0 (t-s) + M1 on a coarse
-    grid of (s, t) pairs; ties broken toward the smallest M0."""
+    grid of (s, t) pairs, every max(len(times) // 64, 1)-th time and the
+    last; ties broken toward the smallest M0."""
     times = np.asarray(times, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     if times.size < 2 or np.all(kappa == 0.0):
@@ -289,7 +289,7 @@ def _mm_envelope(times, kappa):
     dt = np.diff(times)
     cum = np.concatenate([[0.0], np.cumsum(kappa[:-1] * dt)])
     total = float(cum[-1])
-    idx = _envelope_grid(len(times))
+    idx = _stride_idx(len(times), max(len(times) // 64, 1))
     ts = times[idx]
     ks = cum[idx]
     ii, jj = np.triu_indices(len(idx), k=1)
@@ -428,7 +428,7 @@ def verify_assumptions(spec, traj, op, samples=24, seed=1234):
     eps = _epsilon_hat(spec, traj.u_path, samples, seed)
     ratio = _a2_ratio(spec, samples, seed)
     refined = _a2_ratio(_refined_spec(spec, 2 * spec.n), samples, seed)
-    k = len(_envelope_grid(len(traj.times)))
+    k = len(_stride_idx(len(traj.times), max(len(traj.times) // 64, 1)))
     npairs = k * (k - 1) // 2
     return AssumptionReport(
         spec.model_id, alpha_hat, spec.alpha, ci, eta0(alpha_hat, ci),

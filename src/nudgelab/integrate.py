@@ -26,8 +26,8 @@ and a run with no groups steps the reference alone.
 
 Blow-up is a monitored abort, never a silent NaN: the discrete
 L^2(0,t;V) accumulator of either trajectory exceeding the guard raises
-BlowupError with the step index (in an ensemble the member that blew up
-drops out, and its cell keeps the error).
+BlowupError with the step index (in an ensemble the estimate that blew
+up rests at 0 in its row of the stack, and its cell keeps the error).
 
 The only randomness consumed is one fixed-shape standard-normal block
 per member and step whenever a QSpec is supplied (even at sigma = 0, so
@@ -76,7 +76,7 @@ class StepConfig:
         if not abs(ratio - np.round(ratio)) <= 1e-9 * ratio:
             raise ValueError("T = %r is not a whole number of steps of dt = %r"
                              % (self.T, self.dt))
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise ValueError("mu must be nonnegative")
         if not self.blowup_guard > 0.0:
             raise ValueError("blowup_guard must be positive")
@@ -109,7 +109,9 @@ class Group:
     mus: tuple
 
     def __post_init__(self):
-        if any(mu < 0.0 for mu in self.mus):
+        if not self.mus:
+            raise ValueError("a group needs at least one mu")
+        if not all(mu >= 0.0 for mu in self.mus):
             raise ValueError("mu must be nonnegative")
 
 
@@ -153,8 +155,10 @@ class CellResult(SimResult):
     """The estimates of one cell, a member axis first in w_h, w_vstar,
     v_h, v_final and v_path; the reference's u_h, kappa, u_final and
     u_path and the group's hs are shared, dy_h and y_h are member 0's.
-    errors[m] is the BlowupError that ended member m, or None; an ended
-    member's series read NaN from its blow-up on."""
+    The group's hs, dy_h and y_h depend on the reference alone and are
+    recorded for as long as it lives.  errors[m] is the BlowupError that
+    ended member m, or None; an ended member's series read NaN from its
+    blow-up on."""
     errors: list = None
 
     def member(self, m):
@@ -200,9 +204,10 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
 
     Returns (reference, results): the reference's SimResult, or the
     BlowupError that ended it, and results[g][k], the CellResult of cell
-    k of group g.  An estimate whose accumulator leaves the guard drops
-    out of the stack; a reference blow-up ends every estimate still
-    running.
+    k of group g.  An estimate whose accumulator leaves the guard ends,
+    and rests at 0 in its row, so the stack keeps its shape; a reference
+    blow-up ends every estimate still running, and the run stops when no
+    estimate is left.
     """
     if groups and not sources:
         raise ValueError("need at least one member")
@@ -218,8 +223,6 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
              for k, mu in enumerate(grp.mus)]
     rows = len(cells) * members
     row_cells = [cell for cell in cells for _ in range(members)]
-    row_member = np.tile(np.arange(members), len(cells))
-    row_group = np.array([g for g, _, _ in row_cells], dtype=int)
     x = np.stack([u0] + [v0] * rows)
     implicit = [cfg.implicit_nudging and grp.op is not None
                 and grp.op.kind == "modal" for grp in groups]
@@ -245,18 +248,11 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
             if implicit[g] and mu > 0.0 else inv_ref
             for g, _, mu in row_cells]])
 
-    def layout(row_id):
-        # the members still drawn, and per group its stack rows with the
-        # drawn position of each row's member (None: no row left)
-        drawn = np.unique(row_member[row_id])
-        pos = np.searchsorted(drawn, row_member[row_id])
-        b = np.searchsorted(row_group[row_id],
-                            np.arange(len(groups) + 1)).tolist()
-        return drawn.tolist(), [(slice(1 + lo, 1 + hi), pos[lo:hi])
-                                if hi > lo else None for lo, hi in zip(b, b[1:])]
-
-    row_id = np.arange(rows)           # original index of each estimate row
-    drawn, spans = layout(row_id)
+    # per group its stack rows and the member drawn for each row
+    ends = np.cumsum([1] + [len(grp.mus) * members for grp in groups]).tolist()
+    spans = [(slice(lo, hi), np.arange(hi - lo) % members)
+             for lo, hi in zip(ends, ends[1:])]
+    live = np.ones(rows, dtype=bool)
     errors = {}
     ref_error = None
     # step -> column of the series and of each state path
@@ -280,30 +276,28 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
             for f, z, space in (("w_h", wc, "H"), ("w_vstar", wc, "Vstar"),
                                 ("v_h", x[1:], "H")):
                 if rows and f in rec:
-                    rec[f][row_id, j] = norm_raw(spec, z, space)
+                    rec[f][live, j] = norm_raw(spec, z, space)[live]
             if "u_h" in rec:
                 rec["u_h"][j] = norm_raw(spec, x[0], "H")
             if "kappa" in rec:
                 rec["kappa"][j] = spec.kappa_raw(x[0])
             for g, grp in enumerate(groups):
-                if "hs" in rec and noisy[g] and spans[g] is not None:
+                if "hs" in rec and noisy[g]:
                     rec["hs"][g, j] = hs_norm_sq(grp.coef, spec, x[0], grp.q)
         if i in u_at:
             rec["u_path"][u_at[i]] = x[0]
         if i in v_at:
-            rec["v_path"][row_id, v_at[i]] = x[1:]
+            rec["v_path"][live, v_at[i]] = x[1:][live]
 
     store(0, x)
     # per row in Python floats: x ** 2 is pow(), which an array square
     # (x * x) does not always match in the last bit
     acc = [0.0] * (1 + rows)
     for i in range(1, n + 1):
-        if draws and drawn:
-            block = np.stack([sources[m](i - 1) for m in drawn])
+        if draws:
+            block = np.stack([source(i - 1) for source in sources])
         rhs = x + dt * spec.f_raw(x)
         for g, grp in enumerate(groups):
-            if spans[g] is None:
-                continue
             s, take = spans[g]
             if noisy[g]:
                 gdw = apply_G_raw(grp.coef, spec, x[0],
@@ -316,7 +310,7 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
                 # rounds exactly like subtracting dt*mu*x
                 gap = rhs[0] * inv_ref if implicit[g] else x[s] - x[0]
                 rhs[s] += pull_col[s] * apply_observation_raw(grp.op, spec, gap)
-            if {"dy_h", "y_h"} & rec.keys() and grp.op is not None and drawn[0] == 0:
+            if {"dy_h", "y_h"} & rec.keys() and grp.op is not None:
                 # dy = I_delta u dt + G(u) dW (the noise term carries no mu)
                 dy = dt * apply_observation_raw(grp.op, spec, x[0])
                 if noisy[g]:
@@ -329,24 +323,20 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
         t = i * dt
         acc = [a + dt * v ** 2 for a, v in zip(acc, norm_raw(spec, x, "V").tolist())]
         # "not <=" also catches NaN and inf
-        if not acc[0] <= cfg.blowup_guard:
-            ref_error = BlowupError("reference", i, t, acc[0])
-            errors.update((r, ref_error) for r in row_id.tolist())
-            break
-        ok = [a <= cfg.blowup_guard for a in acc[1:]]
+        ok = [a <= cfg.blowup_guard for a in acc]
         if not all(ok):
-            errors.update((r, BlowupError("assimilated", i, t, a))
-                          for r, a, good in zip(row_id.tolist(), acc[1:], ok)
-                          if not good)
-            keep = [True] + ok
-            row_id, x = row_id[ok], x[keep]
-            if not row_id.size:
+            if not ok[0]:
+                ref_error = BlowupError("reference", i, t, acc[0])
                 break
-            acc = [a for a, good in zip(acc, keep) if good]
-            mu_col, pull_col = mu_col[keep], pull_col[keep]
-            if inv is not inv_ref:
-                inv = inv[keep]
-            drawn, spans = layout(row_id)
+            # an ended estimate rests at 0, a fixed point of its row's
+            # step: F(0) = 0, and its noise and pull factors become 0
+            for k, good in enumerate(ok):
+                if not good:
+                    errors[k - 1] = BlowupError("assimilated", i, t, acc[k])
+                    live[k - 1] = False
+                    x[k] = mu_col[k] = pull_col[k] = acc[k] = 0.0
+            if not live.any():
+                break
         store(i, x)
 
     times = steps[0] * dt
@@ -354,12 +344,12 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
                                        kappa=rec.get("kappa"),
                                        u_path=rec["u_path"])
     rec["v_final"] = np.full((rows,) + spec.shape, np.nan, dtype=spec.dtype)
-    rec["v_final"][row_id] = x[1:]
+    rec["v_final"][live] = x[1:][live]
     results = [[] for _ in groups]
     for c, (g, _, _) in enumerate(cells):
         part = slice(c * members, (c + 1) * members)
         results[g].append(CellResult(
-            times, x[0], errors=[errors.get(r) for r in range(rows)[part]],
+            times, x[0], errors=[errors.get(r, ref_error) for r in range(rows)[part]],
             **{f: a[part] if f in _PER_MEMBER else a[g] if f in _PER_GROUP
                else a for f, a in rec.items()}))
     return reference, results

@@ -130,7 +130,7 @@ class NoiseCoefficient:
 def make_noise_coefficient(kind, sigma, p=0.0, delta=1.0):
     if kind not in ("additive", "state_scaled", "pointwise_multiplicative"):
         raise ValueError("unknown noise kind %r" % (kind,))
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ValueError("sigma must be nonnegative")
     if p not in (0.0, 0.5):
         raise ValueError("p must be 0 or 0.5")

@@ -237,6 +237,31 @@ def test_guard_catches_nan():
         simulate_pair(spec, cfg, op, coef, q, u0, u0, 0)
 
 
+def test_blown_up_estimates_rest_in_a_stack_of_one_shape(monkeypatch):
+    # dt * mu = 5 blows the second group's estimates up at step 4; they
+    # rest at 0 in their rows, and the group's monitors, which read only
+    # the reference, go on as the live group's
+    spec, op, q, _, _ = _setup()
+    coef = make_noise_coefficient("state_scaled", 0.3)
+    cfg = StepConfig(dt=1e-2, T=0.1, blowup_guard=1e8)
+    calls = []
+    f_raw = spec.f_raw
+    monkeypatch.setattr(spec, "f_raw", lambda x: calls.append(x.shape) or f_raw(x))
+    _, [[live], [dead]] = simulate_members(
+        spec, cfg, [Group(op, coef, q, (10.0,)), Group(op, coef, q, (500.0,))],
+        random_field(spec, 0), random_field(spec, 1),
+        [_noise_source(s, q) for s in (1, 2)], WITH_Y)
+    assert calls == [(5,) + spec.shape] * cfg.nsteps
+    assert live.errors == [None, None]
+    assert [e.step for e in dead.errors] == [4, 4]
+    for name in ("hs", "dy_h", "y_h"):
+        assert np.array_equal(getattr(dead, name), getattr(live, name)), name
+    assert np.all(dead.hs > 0.0)
+    assert not np.isnan(dead.w_h[:, :4]).any()
+    assert np.isnan(dead.w_h[:, 4:]).all()
+    assert not np.isnan(live.w_h).any()
+
+
 def test_implicit_nudging_matches_fixed_point():
     # u == v survives the implicit solve up to rounding: the kept modes of v
     # take the route (x + dt*mu*x*denom_u)*denom_v instead of x*denom_u
@@ -333,6 +358,19 @@ def test_step_config_validation():
     # ratios that are whole up to rounding are accepted
     assert StepConfig(dt=1e-3, T=0.25).nsteps == 250
     assert StepConfig(dt=2e-3, T=0.2).nsteps == 100
+
+
+@pytest.mark.parametrize("make", [
+    lambda: StepConfig(dt=1e-2, T=1.0, mu=np.nan),
+    lambda: Group(None, None, None, (np.nan,)),
+    lambda: Group(None, None, None, ()),
+    lambda: make_noise_coefficient("additive", np.nan)],
+    ids=["step-mu-nan", "group-mu-nan", "group-no-mu", "sigma-nan"])
+def test_invalid_library_inputs_fail_loudly(make):
+    # a NaN fails every comparison, so a check written as "x < 0" lets it
+    # through (a NaN sigma would run noise-free)
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_series_lengths_and_time_grid():
