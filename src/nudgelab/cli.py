@@ -14,7 +14,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, build_setup, output_directory, parse_config, render_config
+from .config import (ConfigError, build_observation, build_setup,
+                     output_directory, parse_config, render_config)
 from .harness import (_stride_idx, convolution_variance_mc,
                       imex_convolution_variance, measured_constants,
                       probe_steps, run_ensemble, sweep, verify_assumptions,
@@ -144,14 +145,12 @@ def _manifest(out_dir, command, values, extra, clock, member_steps):
            json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _require_unobserved_mode(setup):
+def _require_unobserved_mode(spec, op):
     """eta0 needs C_I > 0; a modal observation of every mode has C_I = 0."""
-    op = setup.op
-    if op.kind == "modal" and np.array_equal(op.data, setup.model.mask):
+    if op.kind == "modal" and np.array_equal(op.data, spec.mask):
         raise ConfigError(["observation: model.n = %d and K(delta) = %d leave "
                            "no unobserved mode, so C_I = 0 and eta0 is "
-                           "undefined" % (setup.model.n, op.cutoff)])
-    return setup
+                           "undefined" % (spec.n, op.cutoff)])
 
 
 def _require_live_noise(setup, model_id):
@@ -174,7 +173,8 @@ def _require_live_noise(setup, model_id):
 
 
 def _checked_setup(values):
-    setup = _require_unobserved_mode(build_setup(values))
+    setup = build_setup(values)
+    _require_unobserved_mode(setup.model, setup.op)
     return _require_live_noise(setup, values["model.id"])
 
 
@@ -187,7 +187,7 @@ def _cmd_simulate(args, values):
     seed = values["ensemble.seed"]
     clock.lap("setup_s")
     extra = dict(zip(("alpha_hat", "c_i_hat", "eta0_hat"),
-                     measured_constants(setup)))
+                     measured_constants(setup.model, setup.op)))
     clock.lap("constants_s")
     # the files are written at the stride rows only, so only those steps
     # are recorded
@@ -235,15 +235,18 @@ def _cmd_sweep(args, values):
         raise ConfigError(["--delta-grid: delta values must be positive"])
     if any(m < 0.0 for m in mu_grid):
         raise ConfigError(["--mu-grid: mu values must be nonnegative"])
-    # one set-up per delta, all built (and refused) before any output
-    # directory exists; the refusals depend on delta, never on mu
-    setups = [_checked_setup({**values, "observation.delta": d})
-              for d in delta_grid]
+    # the reference and one observation per delta, built (and refused)
+    # before any output directory exists; refusals depend on delta, not mu
+    setup = _checked_setup({**values, "observation.delta": delta_grid[0]})
+    spec = setup.model
+    observations = [build_observation(values, spec, d) for d in delta_grid]
+    for op, _, _ in observations:
+        _require_unobserved_mode(spec, op)
     clock.lap("setup_s")
-    consts = [measured_constants(s) for s in setups]
+    consts = [measured_constants(spec, op) for op, _, _ in observations]
     clock.lap("constants_s")
-    res = sweep(setups, mu_grid, values["ensemble.members"],
-                values["ensemble.seed"], consts)
+    rows = sweep(setup, observations, mu_grid, values["ensemble.members"],
+                 values["ensemble.seed"], consts)
     clock.lap("integrate_s")
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
@@ -251,18 +254,19 @@ def _cmd_sweep(args, values):
               "gamma_fit", "fit_residual", "floor", "floor_se", "blowups",
               "members", "valid"]
     _csv(os.path.join(out_dir, "sweep.csv"), header,
-         [[row[k] for row in res.rows] for k in header])
-    extra = {"alpha_hat": res.alpha_hat, "c_i_hat": res.c_i_hat,
-             "eta0_hat": res.eta0_hat, "mu_grid": mu_grid,
+         [[row[k] for row in rows] for k in header])
+    # alpha depends on the model alone; C_I and eta0 per delta, in grid order
+    extra = {"alpha_hat": consts[0][0], "c_i_hat": [c[1] for c in consts],
+             "eta0_hat": [c[2] for c in consts], "mu_grid": mu_grid,
              "delta_grid": delta_grid,
              "master_seed": values["ensemble.seed"],
              "members": values["ensemble.members"]}
     clock.lap("output_s")
     _manifest(out_dir, "sweep", values, extra, clock,
-              values["ensemble.members"] * len(res.rows) * setups[0].cfg.nsteps)
-    flagged = sum(1 for r in res.rows if r["over_threshold"])
-    print("sweep: %d cells (%d over the mu*delta^2 threshold), eta0_hat = %.4g"
-          % (len(res.rows), flagged, res.eta0_hat))
+              values["ensemble.members"] * len(rows) * setup.cfg.nsteps)
+    flagged = sum(1 for r in rows if r["over_threshold"])
+    print("sweep: %d cells (%d over the mu*delta^2 threshold), eta0_hat = %s"
+          % (len(rows), flagged, ", ".join("%.4g" % c[2] for c in consts)))
     print("wrote %s" % os.path.join(out_dir, "sweep.csv"))
     return 0
 

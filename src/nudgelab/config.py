@@ -181,14 +181,7 @@ def build_setup(values):
     model = _built("model", build_model, values["model.id"], values["model.n"],
                    nu=values["model.nu"], norms=values["model.norms"],
                    linear=values["model.linear"])
-    op = _built("observation", make_observation, model,
-                values["observation.kind"], values["observation.delta"])
-    q = _built("noise", make_qspec, model,
-               exponent=values["noise.spectrum_exponent"],
-               k_q=values["noise.k_q"], delta=values["observation.delta"])
-    coef = _built("noise", make_noise_coefficient, values["noise.kind"],
-                  values["noise.sigma"], p=values["noise.p"],
-                  delta=values["observation.delta"])
+    op, coef, q = build_observation(values, model, values["observation.delta"])
     cfg = _built("time", StepConfig, dt=values["time.dt"], T=values["time.T"],
                  mu=values["nudging.mu"],
                  implicit_nudging=values["nudging.implicit"],
@@ -203,3 +196,17 @@ def build_setup(values):
     u0.setflags(write=False)
     v0.setflags(write=False)
     return RunSetup(model, cfg, op, coef, q, u0, v0)
+
+
+def build_observation(values, model, delta):
+    """(op, coef, q) of the config at observation scale delta: the
+    observation operator, noise coefficient and covariance, the parts of
+    a set-up that depend on delta."""
+    op = _built("observation", make_observation, model,
+                values["observation.kind"], delta)
+    q = _built("noise", make_qspec, model,
+               exponent=values["noise.spectrum_exponent"],
+               k_q=values["noise.k_q"], delta=delta)
+    coef = _built("noise", make_noise_coefficient, values["noise.kind"],
+                  values["noise.sigma"], p=values["noise.p"], delta=delta)
+    return op, coef, q

@@ -6,9 +6,9 @@ are reproducible bit-for-bit.  Members step in lockstep: the reference
 is integrated once, and every member's estimate advances in one stacked
 array, with each member's numbers byte-identical to a run of that member
 alone; results are aggregated by member index.  A (mu, delta) sweep is
-one such lockstep run over the whole grid: its cells share one
-reference and one draw per member and step, and each cell is aggregated
-as its own ensemble.
+one such lockstep run over the whole grid, built from one set-up and
+one observation per delta: its cells share one reference and one draw
+per member and step by construction, and each is its own ensemble.
 """
 
 import os
@@ -168,74 +168,41 @@ def tail_sup(times, w_path, n_time):
     return float(np.max(np.asarray(w_path)[sel]))
 
 
-@dataclass
-class SweepResult:
-    rows: list
-    alpha_hat: float
-    c_i_hat: float
-    eta0_hat: float
-
-
-def measured_constants(setup):
-    """(alpha_hat, C_I_hat, eta0_hat) of a set-up, C_I over 32 samples."""
-    alpha = measure_alpha(setup.model)
-    ci = estimate_interp_constant(setup.op, setup.model, samples=32)
+def measured_constants(spec, op):
+    """(alpha_hat, C_I_hat, eta0_hat) of spec and op, C_I over 32 samples."""
+    alpha = measure_alpha(spec)
+    ci = estimate_interp_constant(op, spec, samples=32)
     return alpha, ci, eta0(alpha, ci)
 
 
-def _require_shared_reference(setups):
-    """Refuse sweep set-ups that would not step one and the same
-    reference with one and the same draws."""
-    if not setups:
-        raise ValueError("sweep needs at least one set-up")
+def sweep(setup, observations, mu_grid, members, master_seed, consts):
+    """Rows of a grid over (mu, delta): per cell gamma_fit, floor,
+    blow-up counts, and the mu*delta^2 > eta0_hat flag from measured
+    constants.
 
-    def key(s):
-        return {"model": s.model, "dt": s.cfg.dt, "T": s.cfg.T,
-                "implicit_nudging": s.cfg.implicit_nudging,
-                "blowup_guard": s.cfg.blowup_guard,
-                "noise kind": None if s.coef is None else s.coef.kind,
-                "draw_shape": None if s.q is None else s.q.draw_shape}
-
-    base = key(setups[0])
-    for s in setups[1:]:
-        other = key(s)
-        differ = [k for k in base if other[k] != base[k]]
-        differ += [name for name in ("u0", "v0") if not np.array_equal(
-            getattr(s, name), getattr(setups[0], name))]
-        if differ:
-            raise ValueError("sweep set-ups share one reference; these "
-                             "differ between deltas: %s" % ", ".join(differ))
-
-
-def sweep(setups, mu_grid, members, master_seed, consts):
-    """Grid over (mu, delta): per cell gamma_fit, floor, blow-up counts,
-    and the mu*delta^2 > eta0_hat flag from measured constants.
-
-    setups holds one RunSetup per delta, in grid order; a cell is its
-    delta's set-up with cfg.mu replaced, since nothing else in a set-up
-    depends on mu.  Every cell shares one reference, stepped once, and
-    member m's noise block of each step is drawn once and drives member
-    m in every cell: the whole grid is one lockstep integration, each
-    cell's numbers bit-identical to an ensemble run of that cell alone.
-    So the set-ups must agree in everything but the observation and the
-    noise coefficient and covariance (ValueError otherwise).  Cells run
-    mu-major.  consts holds the measured_constants of each set-up, in
-    grid order; cells whose members blow up beyond 10% are marked
-    invalid.  The result carries the first delta's constants.  The run
-    records only the members' w_h, at every step: the fit and the floor
-    read nothing else.
+    setup gives what every cell shares: the model, cfg but its mu, u0,
+    v0 and, through setup.q, the draw shape (a property of the model).
+    observations holds one (op, coef, q) per delta, in grid order
+    (ValueError if empty), and consts their measured_constants.  The
+    reference is stepped once, and member m's noise block of each step
+    is drawn once and drives member m in every cell: the whole grid is
+    one lockstep integration, each cell's numbers bit-identical to an
+    ensemble run of that cell alone.  Cells run mu-major; cells whose
+    members blow up beyond 10% are marked invalid.  The run records only
+    the members' w_h, at every step: the fit and the floor read nothing
+    else.
     """
-    _require_shared_reference(setups)
-    base = setups[0]
-    groups = [Group(s.op, s.coef, s.q, tuple(mu_grid)) for s in setups]
+    if not observations:
+        raise ValueError("sweep needs at least one observation")
+    groups = [Group(*obs, tuple(mu_grid)) for obs in observations]
     _, cells = simulate_members(
-        base.model, base.cfg, groups, base.u0, base.v0,
-        _member_sources(base.q, members, master_seed), Record(("w_h",)))
+        setup.model, setup.cfg, groups, setup.u0, setup.v0,
+        _member_sources(setup.q, members, master_seed), Record(("w_h",)))
     rows = []
     for k, mu in enumerate(mu_grid):
-        for setup, (_, _, eta), by_mu in zip(setups, consts, cells):
-            mu_delta_sq = float(mu) * setup.op.delta ** 2
-            row = {"mu": float(mu), "delta": setup.op.delta,
+        for group, (_, _, eta), by_mu in zip(groups, consts, cells):
+            mu_delta_sq = float(mu) * group.op.delta ** 2
+            row = {"mu": float(mu), "delta": group.op.delta,
                    "mu_delta_sq": mu_delta_sq, "eta0_hat": eta,
                    "over_threshold": mu_delta_sq > eta, "members": members,
                    "gamma_fit": np.nan, "fit_residual": np.nan,
@@ -259,8 +226,7 @@ def sweep(setups, mu_grid, members, master_seed, consts):
                     ens.times, ens.mean_w2_h)
             except ValueError:
                 pass
-    alpha_hat, ci, eta = consts[0]
-    return SweepResult(rows, alpha_hat, ci, eta)
+    return rows
 
 
 def measure_alpha(spec):

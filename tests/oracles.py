@@ -291,26 +291,29 @@ def convolution_mc_serial(spec, cfg, coef, q, probe_times, paths,
     return var, np.sqrt(np.maximum(m4 - var ** 2, 0.0) / paths)
 
 
-def sweep_per_cell(setups, mu_grid, members, master_seed):
+def sweep_per_cell(setup, observations, mu_grid, members, master_seed):
     """The rows of the (mu, delta) sweep, one cell at a time: a separate
-    ensemble per cell, with its own reference and its own draws, then the
-    rate fit and the noise floor of its mean-square error."""
+    RunSetup and ensemble per cell, with its own reference and its own
+    draws, then the rate fit and the noise floor of its mean-square
+    error."""
     from dataclasses import replace
-    from nudgelab.harness import (estimate_noise_floor, fit_decay_rate,
-                                  measured_constants, run_ensemble)
+    from nudgelab.harness import (RunSetup, estimate_noise_floor,
+                                  fit_decay_rate, measured_constants,
+                                  run_ensemble)
     from nudgelab.integrate import BlowupError
-    consts = [measured_constants(s) for s in setups]
+    consts = [measured_constants(setup.model, op) for op, _, _ in observations]
     rows = []
     for mu in mu_grid:
-        for setup, (_, _, eta) in zip(setups, consts):
-            mu_delta_sq = float(mu) * setup.op.delta ** 2
-            row = {"mu": float(mu), "delta": setup.op.delta,
+        for (op, coef, q), (_, _, eta) in zip(observations, consts):
+            mu_delta_sq = float(mu) * op.delta ** 2
+            row = {"mu": float(mu), "delta": op.delta,
                    "mu_delta_sq": mu_delta_sq, "eta0_hat": eta,
                    "over_threshold": mu_delta_sq > eta, "members": members,
                    "gamma_fit": np.nan, "fit_residual": np.nan,
                    "floor": np.nan, "floor_se": np.nan}
             rows.append(row)
-            cell = replace(setup, cfg=replace(setup.cfg, mu=mu))
+            cell = RunSetup(setup.model, replace(setup.cfg, mu=mu), op, coef,
+                            q, setup.u0, setup.v0)
             try:
                 ens = run_ensemble(cell, members, master_seed)
             except BlowupError as e:

@@ -203,23 +203,23 @@ def test_criterion_07_oracle_equivalence():
 def test_criterion_08_threshold_formula():
     exact = eta0(2.0, 4.0) == 0.25
 
-    def setup(delta):
-        spec = build_model("ac_weak", 16, nu=1.0)
-        op = make_observation(spec, "modal", delta=delta)
-        q = make_qspec(spec)
-        coef = make_noise_coefficient("additive", 0.05)
-        return RunSetup(spec, StepConfig(dt=2e-3, T=0.4, mu=10.0), op, coef, q,
-                        random_field(spec, 1), random_field(spec, 2))
-
-    setups = [setup(0.39), setup(0.9)]
-    res = sweep(setups, [10.0, 400.0], members=2, master_seed=3,
-                consts=[measured_constants(s) for s in setups])
+    spec = build_model("ac_weak", 16, nu=1.0)
+    q = make_qspec(spec)
+    coef = make_noise_coefficient("additive", 0.05)
+    observations = [(make_observation(spec, "modal", delta=d), coef, q)
+                    for d in (0.39, 0.9)]
+    setup = RunSetup(spec, StepConfig(dt=2e-3, T=0.4, mu=10.0),
+                     *observations[0], random_field(spec, 1),
+                     random_field(spec, 2))
+    rows = sweep(setup, observations, [10.0, 400.0], members=2, master_seed=3,
+                 consts=[measured_constants(spec, op)
+                         for op, _, _ in observations])
     flags_ok = all(r["over_threshold"] == (r["mu_delta_sq"] > r["eta0_hat"])
-                   for r in res.rows)
-    some = sum(r["over_threshold"] for r in res.rows)
-    ok = exact and flags_ok and 0 < some < len(res.rows)
+                   for r in rows)
+    some = sum(r["over_threshold"] for r in rows)
+    ok = exact and flags_ok and 0 < some < len(rows)
     _line(8, ok, "eta0(2,4) == 0.25 %s; sweep flags consistent on %d cells "
-          "(%d over threshold)" % (exact, len(res.rows), some))
+          "(%d over threshold)" % (exact, len(rows), some))
 
 
 def test_criterion_09_assumption_verifier():

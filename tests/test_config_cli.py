@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import pickle
 import shutil
 
 import numpy as np
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 import nudgelab.cli as cli
 import nudgelab.harness as H
 import nudgelab.integrate as I
-from nudgelab.config import (SCHEMA, ConfigError, build_setup,
-                             output_directory, parse_config, render_config)
+from nudgelab.config import (SCHEMA, ConfigError, build_observation,
+                             build_setup, output_directory, parse_config,
+                             render_config)
 from nudgelab.fields import norm_raw
 from nudgelab.models import build_model
+from nudgelab.observe import eta0
 
 MINIMAL = "model.id = ac_weak\n"
 
@@ -138,6 +141,19 @@ def test_equal_arguments_share_one_model():
     assert build_model("qg", 8) is not build_model("qg", 8, linear=True)
     v = parse_config(SMALL_RUN)
     assert build_setup(v).model is build_setup(dict(v)).model
+
+
+def test_build_observation_is_build_setups_own():
+    # a sweep builds each delta's (op, coef, q) as build_setup builds them
+    # at that delta
+    v = parse_config(SMALL_RUN + "observation.kind = volume\nnoise.p = 0.5\n")
+    model = build_setup(v).model
+    for d in (0.2, 0.39, 0.9):
+        s = build_setup({**v, "observation.delta": d})
+        got = build_observation(v, model, d)
+        assert got[0].delta == d and got[1].sigma_delta == 0.05 * d ** 0.5
+        assert [pickle.dumps(x) for x in got] == \
+            [pickle.dumps(x) for x in (s.op, s.coef, s.q)]
 
 
 def test_build_setup_zero_initial_error():
@@ -274,22 +290,30 @@ FULL_BAND = ("model.id = ac_weak\nmodel.n = 8\nnoise.sigma = 0.1\n"
              "nudging.mu = 20.0\ntime.dt = 2e-3\ntime.T = 0.1\n")
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
-def test_fully_observed_band_exits_1(tmp_path, capsys, command):
+@pytest.mark.parametrize("argv", [("simulate",), ("sweep",), ("verify",),
+                                  ("sweep", "--delta-grid", "0.9,0.39")],
+                         ids=["simulate", "sweep", "verify",
+                              "sweep-refused-second-delta"])
+def test_fully_observed_band_exits_1(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    rc = _run(tmp_path, "full.cfg", FULL_BAND, command, "--out-dir", str(out))
+    rc = _run(tmp_path, "full.cfg", FULL_BAND, *argv, "--out-dir", str(out))
     assert rc == 1
     err = capsys.readouterr().err
     assert "model.n = 8" in err and "K(delta) = 8" in err
     assert not out.exists()
 
 
-def test_fully_observed_band_convolution_check_runs(tmp_path):
+@pytest.mark.parametrize("argv, written", [
+    (("convolution-check", "--paths", "50"), "convolution.csv"),
+    (("sweep", "--delta-grid", "0.9,1.0"), "sweep.csv")],
+    ids=["convolution-check", "sweep-coarser-deltas"])
+def test_fully_observed_band_runs_where_not_refused(tmp_path, argv, written):
+    # convolution-check reads no C_I; at delta 0.9 and 1.0 a mode of the
+    # band is left unobserved
     out = tmp_path / "out"
-    rc = _run(tmp_path, "full.cfg", FULL_BAND, "convolution-check",
-              "--paths", "50", "--out-dir", str(out))
+    rc = _run(tmp_path, "full.cfg", FULL_BAND, *argv, "--out-dir", str(out))
     assert rc == 0
-    assert (out / "convolution.csv").exists()
+    assert (out / written).exists()
 
 
 def _pointwise(model_id, n):
@@ -467,7 +491,7 @@ def test_blowup_exits_2(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
-def test_sweep_outputs(tmp_path):
+def test_sweep_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     rc = _run(tmp_path, "run.cfg", SMALL_RUN, "sweep",
               "--mu-grid", "10,400", "--delta-grid", "0.39,0.9",
@@ -482,6 +506,31 @@ def test_sweep_outputs(tmp_path):
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["command"] == "sweep"
     assert doc["mu_grid"] == [10.0, 400.0]
+    # alpha is the model's; C_I and eta0 are each delta's, in grid order,
+    # and eta0 is the eta0_hat column of that delta's rows
+    spec = build_setup(parse_config(SMALL_RUN)).model
+    assert doc["alpha_hat"] == H.measure_alpha(spec)
+    assert doc["delta_grid"] == [0.39, 0.9]
+    for r in rows[1:]:
+        _, d, _, e = (float(v) for v in r.split(",")[:4])
+        assert e == doc["eta0_hat"][doc["delta_grid"].index(d)]
+    assert doc["eta0_hat"] == [eta0(doc["alpha_hat"], c)
+                               for c in doc["c_i_hat"]]
+    assert len(set(doc["eta0_hat"])) == 2
+    assert "eta0_hat = %.4g, %.4g" % tuple(doc["eta0_hat"]) \
+        in capsys.readouterr().out
+
+
+def test_sweep_builds_one_setup(tmp_path, monkeypatch):
+    # one shared reference, then one observation per delta
+    calls = []
+    monkeypatch.setattr(cli, "build_setup",
+                        lambda values: calls.append(values) or
+                        build_setup(values))
+    rc = _run(tmp_path, "run.cfg", SMALL_RUN, "sweep",
+              "--delta-grid", "0.2,0.39,0.8", "--out-dir", str(tmp_path / "out"))
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_sweep_bad_grid_exits_1(tmp_path, capsys):

@@ -326,66 +326,67 @@ def test_verify_counts_the_envelope_grid_pairs(samples, pairs):
 
 # ------------------------------------------------------------------- sweep
 
-def _sweep_setup(mu, delta):
+def _sweep_setup(mu, deltas):
+    # the shared set-up, built at deltas[0], and one observation per delta
     spec = build_model("ac_weak", 16, nu=1.0)
-    op = make_observation(spec, "modal", delta=delta)
     q = make_qspec(spec)
     coef = make_noise_coefficient("additive", 0.05)
+    observations = [(make_observation(spec, "modal", delta=d), coef, q)
+                    for d in deltas]
     cfg = StepConfig(dt=2e-3, T=0.4, mu=mu)
-    return RunSetup(spec, cfg, op, q=q, coef=coef,
-                    u0=random_field(spec, 1), v0=random_field(spec, 2))
+    return RunSetup(spec, cfg, *observations[0], u0=random_field(spec, 1),
+                    v0=random_field(spec, 2)), observations
 
 
-def _sweep(setups, mu_grid, members, master_seed):
-    # sweep with the constants it is handed measured on each set-up
-    return sweep(setups, mu_grid, members, master_seed,
-                 [measured_constants(s) for s in setups])
+def _sweep(setup, observations, mu_grid, members, master_seed):
+    # sweep with the constants it is handed measured on each observation
+    return sweep(setup, observations, mu_grid, members, master_seed,
+                 [measured_constants(setup.model, op)
+                  for op, _, _ in observations])
 
 
 def test_sweep_grid_and_threshold_flags():
-    setups = [_sweep_setup(10.0, d) for d in (0.39, 0.9)]
-    res = _sweep(setups, [10.0, 400.0], members=2, master_seed=3)
-    assert len(res.rows) == 4
+    rows = _sweep(*_sweep_setup(10.0, (0.39, 0.9)), [10.0, 400.0], members=2,
+                  master_seed=3)
+    assert len(rows) == 4
     spec = build_model("ac_weak", 16, nu=1.0)
-    assert res.alpha_hat == measure_alpha(spec)
-    for row in res.rows:
+    alpha_hat = measure_alpha(spec)
+    for row in rows:
         assert row["over_threshold"] == (row["mu_delta_sq"] > row["eta0_hat"])
         assert row["members"] == 2
         assert row["valid"]
         assert np.isfinite(row["gamma_fit"]) or "error" in row
     # the delta-normalized constant keeps eta0 roughly flat in delta, so
     # the flag must bite through mu alone
-    assert any(r["over_threshold"] for r in res.rows)
-    assert any(not r["over_threshold"] for r in res.rows)
+    assert any(r["over_threshold"] for r in rows)
+    assert any(not r["over_threshold"] for r in rows)
     for d in (0.39, 0.9):
         opd = make_observation(spec, "modal", delta=d)
-        want = eta0(res.alpha_hat,
-                    estimate_interp_constant(opd, spec, samples=32))
-        row = next(r for r in res.rows if r["delta"] == d)
-        assert abs(row["eta0_hat"] - want) < 1e-12
-    assert res.eta0_hat == res.rows[0]["eta0_hat"]
+        want = eta0(alpha_hat, estimate_interp_constant(opd, spec, samples=32))
+        for row in (r for r in rows if r["delta"] == d):
+            assert abs(row["eta0_hat"] - want) < 1e-12
 
 
 def test_sweep_rerun_identical():
     s = _setup(mu=20.0, T=0.2)
     op = make_observation(s.model, "modal", delta=0.39)
-    setups = [RunSetup(s.model, s.cfg, op, s.coef, s.q, s.u0, s.v0)]
-    a = _sweep(setups, [20.0], members=4, master_seed=8)
-    b = _sweep(setups, [20.0], members=4, master_seed=8)
-    assert a.rows == b.rows
+    observations = [(op, s.coef, s.q)]
+    a = _sweep(s, observations, [20.0], members=4, master_seed=8)
+    b = _sweep(s, observations, [20.0], members=4, master_seed=8)
+    assert a == b
 
 
 def test_sweep_cells_equal_fresh_setups():
-    # a cell is its delta's set-up with mu replaced: every row of a 2 x 2
-    # sweep equals the per-cell oracle run over set-ups built at each
-    # (mu, delta)
+    # a cell is its delta's observation around the shared reference, at
+    # one mu: every row of a 2 x 2 sweep equals the per-cell oracle run
+    # over a set-up built at each (mu, delta)
     mus, deltas = [10.0, 400.0], [0.39, 0.9]
-    res = _sweep([_sweep_setup(mus[0], d) for d in deltas], mus,
-                 members=2, master_seed=3)
+    rows = _sweep(*_sweep_setup(mus[0], deltas), mus, members=2,
+                  master_seed=3)
     cells = [(mu, d) for mu in mus for d in deltas]
-    assert [(r["mu"], r["delta"]) for r in res.rows] == cells
-    for row, (mu, d) in zip(res.rows, cells):
-        _assert_rows_equal([row], O.sweep_per_cell([_sweep_setup(mu, d)],
+    assert [(r["mu"], r["delta"]) for r in rows] == cells
+    for row, (mu, d) in zip(rows, cells):
+        _assert_rows_equal([row], O.sweep_per_cell(*_sweep_setup(mu, [d]),
                                                    [mu], 2, 3))
 
 
@@ -402,64 +403,66 @@ def _assert_rows_equal(got, want):
 
 def _grid_setups(mid, n, obs, deltas, kind="additive", sigma=0.05, p=0.0,
                  implicit=False, dt=2e-3, T=0.4, guard=1e6):
-    # one set-up per delta; u0 and v0 are built apart for each, equal in
-    # value, as the CLI builds them
+    # the shared set-up, built at deltas[0], and one (op, coef, q) per
+    # delta, as the CLI builds them
     spec = build_model(mid, n, nu=1.0)
     cfg = StepConfig(dt=dt, T=T, mu=0.0, implicit_nudging=implicit,
                      blowup_guard=guard)
-    return [RunSetup(spec, cfg, make_observation(spec, obs, delta=d),
+    observations = [(make_observation(spec, obs, delta=d),
                      make_noise_coefficient(kind, sigma, p=p, delta=d),
-                     make_qspec(spec, delta=d), random_field(spec, 1),
-                     random_field(spec, 2)) for d in deltas]
+                     make_qspec(spec, delta=d)) for d in deltas]
+    return RunSetup(spec, cfg, *observations[0], random_field(spec, 1),
+                    random_field(spec, 2)), observations
 
 
 def _partial_blowup_case():
     # a guard between the third and fourth of six members' accumulators
     # in the (20, 0.39) cell: some, not all, of its members blow up
-    setups = _grid_setups("ac_weak", 16, "modal", [0.39, 0.9], sigma=1.0,
-                          dt=1e-3, T=0.5)
-    cell = replace(setups[0], cfg=replace(setups[0].cfg, mu=20.0))
+    setup, observations = _grid_setups("ac_weak", 16, "modal", [0.39, 0.9],
+                                       sigma=1.0, dt=1e-3, T=0.5)
+    cell = replace(setup, cfg=replace(setup.cfg, mu=20.0))
     ranked = sorted(_final_v_accumulators(
         cell, [member_seed(9, m) for m in range(6)]))
     guard = 0.5 * (ranked[2] + ranked[3])
-    return ([replace(s, cfg=replace(s.cfg, blowup_guard=guard))
-             for s in setups], [20.0, 60.0], 6, 9)
+    return (replace(setup, cfg=replace(setup.cfg, blowup_guard=guard)),
+            observations, [20.0, 60.0], 6, 9)
 
 
 SWEEP_CASES = {
     "ac_weak-modal-2x2": lambda: (
-        _grid_setups("ac_weak", 16, "modal", [0.39, 0.9]), [10.0, 400.0],
+        *_grid_setups("ac_weak", 16, "modal", [0.39, 0.9]), [10.0, 400.0],
         2, 3),
     "nse_strong-n8-volume-3x2": lambda: (
-        _grid_setups("nse_strong", 8, "volume", [0.39, 0.8], sigma=0.02,
-                     dt=1e-3, T=0.05), [10.0, 50.0, 200.0], 2, 4),
+        *_grid_setups("nse_strong", 8, "volume", [0.39, 0.8], sigma=0.02,
+                      dt=1e-3, T=0.05), [10.0, 50.0, 200.0], 2, 4),
     "implicit-modal-mu0": lambda: (
-        _grid_setups("ac_weak", 16, "modal", [0.39, 0.9], implicit=True,
-                     dt=1e-2, T=0.5), [0.0, 500.0], 3, 5),
+        *_grid_setups("ac_weak", 16, "modal", [0.39, 0.9], implicit=True,
+                      dt=1e-2, T=0.5), [0.0, 500.0], 3, 5),
     "qg-n8-pointwise": lambda: (
-        _grid_setups("qg", 8, "volume", [0.8, 1.6],
-                     kind="pointwise_multiplicative", sigma=0.2, dt=1e-3,
-                     T=0.05), [10.0, 100.0], 2, 6),
+        *_grid_setups("qg", 8, "volume", [0.8, 1.6],
+                      kind="pointwise_multiplicative", sigma=0.2, dt=1e-3,
+                      T=0.05), [10.0, 100.0], 2, 6),
     "additive-p0.5": lambda: (
-        _grid_setups("ac_weak", 16, "volume", [0.2, 0.5], sigma=0.3, p=0.5),
+        *_grid_setups("ac_weak", 16, "volume", [0.2, 0.5], sigma=0.3, p=0.5),
         [10.0, 80.0], 3, 7),
     "partial-blowups": _partial_blowup_case,
     # explicit nudging at dt * mu = 5 diverges: every member of both
     # mu = 500 cells blows up, the mu = 10 cells run through
     "cell-all-blowups": lambda: (
-        _grid_setups("ac_weak", 16, "modal", [0.39, 0.9], dt=1e-2, T=0.5,
-                     guard=1e8), [10.0, 500.0], 2, 3),
+        *_grid_setups("ac_weak", 16, "modal", [0.39, 0.9], dt=1e-2, T=0.5,
+                      guard=1e8), [10.0, 500.0], 2, 3),
     "reference-blowup": lambda: (
-        _grid_setups("ac_weak", 16, "modal", [0.39, 0.9], guard=1e-12),
+        *_grid_setups("ac_weak", 16, "modal", [0.39, 0.9], guard=1e-12),
         [10.0, 400.0], 2, 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_rows_equal_per_cell_oracle(case):
-    setups, mus, members, seed = SWEEP_CASES[case]()
-    rows = _sweep(setups, mus, members, seed).rows
-    _assert_rows_equal(rows, O.sweep_per_cell(setups, mus, members, seed))
+    setup, observations, mus, members, seed = SWEEP_CASES[case]()
+    rows = _sweep(setup, observations, mus, members, seed)
+    _assert_rows_equal(rows, O.sweep_per_cell(setup, observations, mus,
+                                              members, seed))
     blowups = [r["blowups"] for r in rows]
     if case == "partial-blowups":
         assert any(0 < b < members for b in blowups)
@@ -475,44 +478,27 @@ def test_sweep_rows_equal_per_cell_oracle(case):
 def test_sweep_steps_one_stack(monkeypatch):
     # 3 x 2 cells, 2 members: the reference and all 12 estimates step as
     # one 13-row stack, and kappa, which no sweep output reads, never runs
-    setups = _grid_setups("nse_strong", 8, "volume", [0.39, 0.8], sigma=0.02,
-                          dt=1e-3, T=0.02)
-    spec = setups[0].model
+    setup, observations = _grid_setups("nse_strong", 8, "volume", [0.39, 0.8],
+                                       sigma=0.02, dt=1e-3, T=0.02)
+    spec = setup.model
     shapes, kappas = [], []
     f_raw, kappa_raw = spec.f_raw, spec.kappa_raw
     monkeypatch.setattr(spec, "f_raw",
                         lambda x: shapes.append(x.shape) or f_raw(x))
     monkeypatch.setattr(spec, "kappa_raw",
                         lambda x: kappas.append(x.shape) or kappa_raw(x))
-    res = _sweep(setups, [10.0, 50.0, 200.0], members=2, master_seed=3)
-    assert all(r["blowups"] == 0 for r in res.rows)
-    nsteps = setups[0].cfg.nsteps
+    rows = _sweep(setup, observations, [10.0, 50.0, 200.0], members=2,
+                  master_seed=3)
+    assert all(r["blowups"] == 0 for r in rows)
+    nsteps = setup.cfg.nsteps
     assert shapes == [(1 + 6 * 2,) + spec.shape] * nsteps
     assert kappas == []
 
 
-SWEEP_REFUSALS = {
-    "model": lambda s: replace(s, model=build_model("ac_weak", 8, nu=1.0)),
-    "dt": lambda s: replace(s, cfg=replace(s.cfg, dt=1e-3)),
-    "T": lambda s: replace(s, cfg=replace(s.cfg, T=0.2)),
-    "implicit_nudging": lambda s: replace(
-        s, cfg=replace(s.cfg, implicit_nudging=True)),
-    "blowup_guard": lambda s: replace(s, cfg=replace(s.cfg, blowup_guard=1e3)),
-    "noise kind": lambda s: replace(
-        s, coef=make_noise_coefficient("state_scaled", 0.05)),
-    "draw_shape": lambda s: replace(s, q=replace(s.q, draw_shape=(32,))),
-    "u0": lambda s: replace(s, u0=random_field(s.model, 9)),
-    "v0": lambda s: replace(s, v0=random_field(s.model, 9)),
-}
-
-
-@pytest.mark.parametrize("what", sorted(SWEEP_REFUSALS))
-def test_sweep_refuses_setups_without_a_shared_reference(what):
-    first, second = _grid_setups("ac_weak", 16, "modal", [0.39, 0.9])
-    with pytest.raises(ValueError, match="differ between deltas: %s$" % what):
-        # refused before the constants are read
-        sweep([first, SWEEP_REFUSALS[what](second)], [10.0], members=2,
-              master_seed=3, consts=[])
+def test_sweep_needs_an_observation():
+    setup, _ = _grid_setups("ac_weak", 16, "modal", [0.39])
+    with pytest.raises(ValueError, match="at least one observation"):
+        sweep(setup, [], [10.0], members=2, master_seed=3, consts=[])
 
 
 # ----------------------------------------------------- convolution variance
