@@ -143,15 +143,20 @@ def test_equal_arguments_share_one_model():
     assert build_setup(v).model is build_setup(dict(v)).model
 
 
-def test_build_observation_is_build_setups_own():
+@pytest.mark.parametrize("obs, kind, p", [
+    ("modal", "additive", 0.0), ("volume", "additive", 0.5),
+    ("volume", "pointwise_multiplicative", 0.0)])
+def test_build_observation_is_build_setups_own(obs, kind, p):
     # a sweep builds each delta's (op, coef, q) as build_setup builds them
     # at that delta
-    v = parse_config(SMALL_RUN + "observation.kind = volume\nnoise.p = 0.5\n")
+    v = parse_config(SMALL_RUN.replace("noise.kind = additive",
+                                       "noise.kind = " + kind)
+                     + "observation.kind = %s\nnoise.p = %s\n" % (obs, p))
     model = build_setup(v).model
     for d in (0.2, 0.39, 0.9):
         s = build_setup({**v, "observation.delta": d})
         got = build_observation(v, model, d)
-        assert got[0].delta == d and got[1].sigma_delta == 0.05 * d ** 0.5
+        assert got[0].delta == d and got[1].sigma_delta == 0.05 * d ** p
         assert [pickle.dumps(x) for x in got] == \
             [pickle.dumps(x) for x in (s.op, s.coef, s.q)]
 
@@ -303,17 +308,21 @@ def test_fully_observed_band_exits_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, written", [
-    (("convolution-check", "--paths", "50"), "convolution.csv"),
-    (("sweep", "--delta-grid", "0.9,1.0"), "sweep.csv")],
-    ids=["convolution-check", "sweep-coarser-deltas"])
-def test_fully_observed_band_runs_where_not_refused(tmp_path, argv, written):
-    # convolution-check reads no C_I; at delta 0.9 and 1.0 a mode of the
-    # band is left unobserved
+def test_fully_observed_band_convolution_check_runs(tmp_path):
     out = tmp_path / "out"
-    rc = _run(tmp_path, "full.cfg", FULL_BAND, *argv, "--out-dir", str(out))
+    rc = _run(tmp_path, "full.cfg", FULL_BAND, "convolution-check",
+              "--paths", "50", "--out-dir", str(out))
     assert rc == 0
-    assert (out / written).exists()
+    assert (out / "convolution.csv").exists()
+
+
+def test_fully_observed_band_sweep_over_coarser_deltas_runs(tmp_path):
+    # at delta 0.9 and 1.0 a mode of the band is left unobserved
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "full.cfg", FULL_BAND, "sweep", "--delta-grid",
+              "0.9,1.0", "--out-dir", str(out))
+    assert rc == 0
+    assert (out / "sweep.csv").exists()
 
 
 def _pointwise(model_id, n):

@@ -1,5 +1,6 @@
 """Ensemble aggregation, rate fitting, and the (mu, delta) sweep."""
 
+import pickle
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
@@ -499,6 +500,29 @@ def test_sweep_needs_an_observation():
     setup, _ = _grid_setups("ac_weak", 16, "modal", [0.39])
     with pytest.raises(ValueError, match="at least one observation"):
         sweep(setup, [], [10.0], members=2, master_seed=3, consts=[])
+
+
+SWEEP_IGNORES = {
+    # the setup's own observation, built at deltas[0], and its mu: each
+    # cell takes its delta's (op, coef, q) and its mu from the grid
+    "op": lambda s, obs: replace(s, op=obs[1][0]),
+    "coef": lambda s, obs: replace(s, coef=obs[1][1]),
+    "q": lambda s, obs: replace(s, q=obs[1][2]),
+    "mu": lambda s, obs: replace(s, cfg=replace(s.cfg, mu=400.0)),
+}
+
+
+@pytest.mark.parametrize("what", sorted(SWEEP_IGNORES))
+def test_sweep_rows_ignore_the_setups_own_observation(what):
+    setup, observations = _grid_setups("ac_weak", 16, "volume", [0.2, 0.5],
+                                       sigma=0.3, p=0.5, T=0.2)
+    other = SWEEP_IGNORES[what](setup, observations)
+    assert pickle.dumps((other.cfg, other.op, other.coef, other.q)) != \
+        pickle.dumps((setup.cfg, setup.op, setup.coef, setup.q))
+    want = _sweep(setup, observations, [10.0, 80.0], members=2,
+                  master_seed=3)
+    _assert_rows_equal(_sweep(other, observations, [10.0, 80.0], members=2,
+                              master_seed=3), want)
 
 
 # ----------------------------------------------------- convolution variance
