@@ -7,15 +7,17 @@ the pointwise Hilbert-Schmidt monitor, each model's nonlinearity on one
 field, on the stack of three that a two-member run steps and on the
 stack of thirteen that a 3 x 2 sweep of two members steps, the
 dealiased advection of the torus models, the threaded Monte Carlo
-variance of the stochastic convolution, and the lockstep loop
-simulate_members on a small sweep and on a 64-member ensemble.  pytest
+variance of the stochastic convolution, the lockstep loop
+simulate_members on a small sweep and on a 64-member ensemble, and the
+measured constants (alpha, C_I, eta0) a volume sweep takes per delta.  pytest
 collects tests/ only by default, so these run only when asked for.
 """
 
 import numpy as np
 import pytest
 
-from nudgelab.harness import _stride_idx, convolution_variance_mc
+from nudgelab.harness import (_stride_idx, convolution_variance_mc,
+                              measured_constants)
 from nudgelab.integrate import (MONITORS, Group, Record, StepConfig,
                                 _noise_source, simulate_members)
 from nudgelab.models import build_model, random_field
@@ -100,3 +102,12 @@ def test_simulate_members_ensemble_ac_weak(benchmark):
                     make_qspec(spec, delta=0.39), (50.0,))]
     _bench_members(benchmark, spec, cfg, groups, 64,
                    Record(MONITORS, _stride_idx(cfg.nsteps + 1, 10)))
+
+
+@pytest.mark.parametrize("delta", [0.39, 0.8])
+def test_measured_constants_nse_strong_volume(benchmark, delta):
+    # what sweep_vol measures at each delta of its grid
+    spec = build_model("nse_strong", 32)
+    op = make_observation(spec, "volume", delta)
+    _, ci, eta = benchmark(measured_constants, spec, op)
+    assert ci > 0.0 and eta > 0.0

@@ -10,12 +10,14 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, build_observation, build_setup,
-                     output_directory, parse_config, render_config)
+from .config import (ConfigError, _built, _float, _int, build_observation,
+                     build_setup, output_directory, parse_config, parse_value,
+                     render_config)
 from .harness import (_stride_idx, convolution_variance_mc,
                       imex_convolution_variance, measured_constants,
                       probe_steps, run_ensemble, sweep, verify_assumptions,
@@ -39,9 +41,9 @@ def _parser():
         sp.add_argument("--out-dir", default=None,
                         help="output directory (default: output.directory, "
                              "else NUDGELAB_OUT_DIR, else ./runs)")
-        sp.add_argument("--members", type=int, default=None,
+        sp.add_argument("--members", default=None,
                         help="override ensemble.members")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", default=None,
                         help="override ensemble.seed")
 
     sp = sub.add_parser("simulate", help="run one ensemble, write series")
@@ -76,34 +78,25 @@ def _parser():
 def _load_values(path, args):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         text = json.loads(text)["config_text"]
     values = parse_config(text)
-    if args.members is not None:
-        if args.members < 1:
-            raise ConfigError(["--members must be at least 1"])
-        values["ensemble.members"] = args.members
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(["--seed must be nonnegative"])
-        values["ensemble.seed"] = args.seed
+    for flag, key, raw in (("--members", "ensemble.members", args.members),
+                           ("--seed", "ensemble.seed", args.seed)):
+        if raw is not None:
+            values[key] = _built(flag, parse_value, key, raw)
     if args.out_dir is not None:
         values["output.directory"] = args.out_dir
     return values
 
 
-def _grid(raw, what):
-    try:
-        vals = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(["%s: expected comma-separated numbers, got %r"
-                           % (what, raw)])
-    if not vals:
-        raise ConfigError(["%s: empty grid" % what])
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(["%s: values must be finite, got %r" % (what, raw)])
-    return vals
+def _entries(flag, raw, parse):
+    """The comma-separated entries of a list flag, each through parse; an
+    empty entry, or one parse refuses, is a ConfigError naming flag."""
+    toks = [tok.strip() for tok in raw.split(",")]
+    if not all(toks):
+        raise ConfigError(["%s: empty entry in %r" % (flag, raw)])
+    return [_built(flag, parse, tok) for tok in toks]
 
 
 def _write(path, text):
@@ -195,7 +188,7 @@ def _cmd_simulate(args, values):
         SERIES if values["output.emit_y"] else MONITORS,
         _stride_idx(setup.cfg.nsteps + 1, values["output.stride"])))
     clock.lap("integrate_s")
-    first = ens.first
+    first, files = ens.first, []
     if first is not None:
         header = ["t", "w_H", "w_Vstar", "u_H", "v_H", "hs_norm_sq", "kappa"]
         cols = [first.times, first.w_h, first.w_vstar, first.u_h, first.v_h,
@@ -204,17 +197,18 @@ def _cmd_simulate(args, values):
             header += ["dy_H", "y_H"]
             cols += [first.dy_h, first.y_h]
         _csv(os.path.join(out_dir, "series.csv"), header, cols)
+        files.append("series.csv")
     if members > 1:
         _csv(os.path.join(out_dir, "ensemble.csv"),
              ["t", "mean_w2_H", "se_w2_H", "mean_w2_Vstar", "se_w2_Vstar",
               "mean_hs_norm_sq"],
              [ens.times, ens.mean_w2_h, ens.se_w2_h, ens.mean_w2_vstar,
               ens.se_w2_vstar, ens.mean_hs])
+        files.append("ensemble.csv")
     _write(os.path.join(out_dir, "plot_series.py"), PLOT_SCRIPT)
     extra.update({"master_seed": seed, "members": members,
                   "blowups": ens.blowups, "partial": ens.partial,
-                  "files": sorted(f for f in os.listdir(out_dir)
-                                  if f.endswith(".csv"))})
+                  "files": sorted(files)})
     clock.lap("output_s")
     _manifest(out_dir, "simulate", values, extra, clock,
               members * setup.cfg.nsteps)
@@ -227,14 +221,11 @@ def _cmd_simulate(args, values):
 
 def _cmd_sweep(args, values):
     clock = _Clock()
-    mu_grid = _grid(args.mu_grid, "--mu-grid") if args.mu_grid \
-        else [values["nudging.mu"]]
-    delta_grid = _grid(args.delta_grid, "--delta-grid") if args.delta_grid \
-        else [values["observation.delta"]]
-    if any(d <= 0.0 for d in delta_grid):
-        raise ConfigError(["--delta-grid: delta values must be positive"])
-    if any(m < 0.0 for m in mu_grid):
-        raise ConfigError(["--mu-grid: mu values must be nonnegative"])
+    mu_grid = [values["nudging.mu"]] if args.mu_grid is None else _entries(
+        "--mu-grid", args.mu_grid, partial(parse_value, "nudging.mu"))
+    delta_grid = [values["observation.delta"]] if args.delta_grid is None \
+        else _entries("--delta-grid", args.delta_grid,
+                      partial(parse_value, "observation.delta"))
     # the reference and one observation per delta, built (and refused)
     # before any output directory exists; refusals depend on delta, not mu
     setup = _checked_setup({**values, "observation.delta": delta_grid[0]})
@@ -330,42 +321,31 @@ def _deviation_se(value, reference, se):
 def _cmd_convolution(args, values):
     clock = _Clock()
     setup = build_setup(values)
-    spec = setup.model
-    if spec.kind != "sine":
-        raise ConfigError(["convolution-check needs a 1D model"])
-    if values["noise.kind"] != "additive" or values["noise.sigma"] <= 0.0:
-        raise ConfigError(["convolution-check needs additive noise with "
-                           "sigma > 0"])
+    spec, cfg = setup.model, setup.cfg
+    if values["noise.sigma"] <= 0.0:
+        raise ConfigError(["convolution-check needs sigma > 0"])
     if values["nudging.mu"] <= 0.0:
         raise ConfigError(["convolution-check needs mu > 0"])
-    try:
-        modes = [int(tok) for tok in args.modes.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(["--modes: expected comma-separated integers, got %r"
-                           % args.modes])
-    if not modes or any(k < 1 or k > spec.n for k in modes):
+    modes = _entries("--modes", args.modes, _int)
+    if any(not 1 <= k <= spec.n for k in modes):
         raise ConfigError(["--modes must name modes between 1 and %d" % spec.n])
-    cfg = setup.cfg
     n = cfg.nsteps
-    times = _grid(args.times, "--times") if args.times \
+    times = _entries("--times", args.times, _float) if args.times is not None \
         else [s * cfg.dt for s in sorted({max(n // 4, 1), max(n // 2, 1), n})]
-    try:
-        steps = probe_steps(times, cfg.dt, n)
-    except ValueError as e:
-        raise ConfigError(["--times: %s" % e])
     if args.paths < 2:
         raise ConfigError(["--paths must be at least 2"])
+    clock.lap("setup_s")
+    # the library's refusals (model, noise kind, times) precede any output
+    ts, var, se = _built("convolution-check", convolution_variance_mc, spec,
+                         cfg, setup.coef, setup.q, times, args.paths,
+                         values["ensemble.seed"])
+    clock.lap("integrate_s")
     out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
-    clock.lap("setup_s")
-    ts, var, se = convolution_variance_mc(spec, cfg, setup.coef,
-                                          setup.q, times, args.paths,
-                                          values["ensemble.seed"])
-    clock.lap("integrate_s")
     mu = cfg.mu
     sig = setup.coef.sigma_delta
     scheme = imex_convolution_variance(spec, setup.q, setup.coef, mu, cfg.dt,
-                                       steps)
+                                       probe_steps(times, cfg.dt, n))
     lines = ["t,mode,variance,se,exact,deviation_se"]
     worst = worst_discrete = gap = 0.0
     for i, t in enumerate(ts):

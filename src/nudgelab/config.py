@@ -97,6 +97,18 @@ RETIRED = {
 }
 
 
+def parse_value(key, raw):
+    """raw parsed and checked as SCHEMA (or RETIRED) asks of key."""
+    parse, _, check, what = SCHEMA.get(key) or RETIRED[key]
+    try:
+        val = parse(raw)
+    except ValueError as e:
+        raise ValueError("%s: %s" % (key, e))
+    if check is not None and not check(val):
+        raise ValueError("%s must be %s, got %r" % (key, what, val))
+    return val
+
+
 def parse_config(text):
     """Parse and validate; returns a plain dict keyed like the schema."""
     values = {}
@@ -117,15 +129,10 @@ def parse_config(text):
             errors.append("line %d: duplicate key %r" % (lineno, key))
             continue
         seen.add(key)
-        parse, _, check, what = SCHEMA.get(key) or RETIRED[key]
         try:
-            val = parse(raw)
+            val = parse_value(key, raw)
         except ValueError as e:
-            errors.append("line %d: %s: %s" % (lineno, key, e))
-            continue
-        if check is not None and not check(val):
-            errors.append("line %d: %s must be %s, got %r"
-                          % (lineno, key, what, val))
+            errors.append("line %d: %s" % (lineno, e))
             continue
         if key in SCHEMA:
             values[key] = val

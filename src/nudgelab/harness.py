@@ -168,10 +168,13 @@ def tail_sup(times, w_path, n_time):
     return float(np.max(np.asarray(w_path)[sel]))
 
 
+CI_SAMPLES = 32     # probe pairs of every measured C_I
+
+
 def measured_constants(spec, op):
-    """(alpha_hat, C_I_hat, eta0_hat) of spec and op, C_I over 32 samples."""
+    """(alpha_hat, C_I_hat, eta0_hat) of spec and op, C_I over CI_SAMPLES."""
     alpha = measure_alpha(spec)
-    ci = estimate_interp_constant(op, spec, samples=32)
+    ci = estimate_interp_constant(op, spec, samples=CI_SAMPLES)
     return alpha, ci, eta0(alpha, ci)
 
 
@@ -183,7 +186,8 @@ def sweep(setup, observations, mu_grid, members, master_seed, consts):
     setup gives what every cell shares: the model, cfg but its mu, u0,
     v0 and, through setup.q, the draw shape (a property of the model).
     observations holds one (op, coef, q) per delta, in grid order
-    (ValueError if empty), and consts their measured_constants.  The
+    (ValueError if empty), and consts their measured_constants, one per
+    observation (ValueError otherwise).  The
     reference is stepped once, and member m's noise block of each step
     is drawn once and drives member m in every cell: the whole grid is
     one lockstep integration, each cell's numbers bit-identical to an
@@ -194,6 +198,9 @@ def sweep(setup, observations, mu_grid, members, master_seed, consts):
     """
     if not observations:
         raise ValueError("sweep needs at least one observation")
+    if len(consts) != len(observations):
+        raise ValueError("sweep needs one set of constants per observation, "
+                         "got %d for %d" % (len(consts), len(observations)))
     groups = [Group(*obs, tuple(mu_grid)) for obs in observations]
     _, cells = simulate_members(
         setup.model, setup.cfg, groups, setup.u0, setup.v0,
@@ -380,11 +387,11 @@ def verify_assumptions(spec, traj, op, samples=24, seed=1234):
     traj is a SimResult recorded as verify_record asks: the drift
     envelope reads its times and kappa, and the energy inequality is
     probed on each state of its u_path besides random fields;
-    op is the observation operator whose interpolation constant is
-    measured.
+    op is the observation operator whose constants come from
+    measured_constants, as simulate and sweep report them; samples drives
+    the other probes.
     """
-    alpha_hat = measure_alpha(spec)
-    ci = estimate_interp_constant(op, spec, samples=samples)
+    alpha_hat, ci, eta0_hat = measured_constants(spec, op)
     m0, m1, total = _mm_envelope(traj.times, traj.kappa)
     cancel = float("nan")
     cancel_n = 0
@@ -397,9 +404,9 @@ def verify_assumptions(spec, traj, op, samples=24, seed=1234):
     k = len(_stride_idx(len(traj.times), max(len(traj.times) // 64, 1)))
     npairs = k * (k - 1) // 2
     return AssumptionReport(
-        spec.model_id, alpha_hat, spec.alpha, ci, eta0(alpha_hat, ci),
+        spec.model_id, alpha_hat, spec.alpha, ci, eta0_hat,
         m0, m1, total, eps, alpha_hat / 4.0, cancel, ratio, refined,
-        samples={"modes": int(spec.mask.sum()), "ci_samples": samples,
+        samples={"modes": int(spec.mask.sum()), "ci_samples": CI_SAMPLES,
                  "pairs": npairs, "cancel": cancel_n, "a2": samples})
 
 

@@ -14,15 +14,17 @@ makes the linear stability unconditional, so large mu needs no dt*mu
 restriction.  The stochastic convolution is the v update with F = 0 (a
 linear model), no observation and u = v = 0 at the start.
 
-There is one stepping loop, simulate_members: the reference and all
-estimates advance together as one stack, the reference in row 0.  The
-estimates come in groups, one per observation scale (its operator,
-noise coefficient and covariance), each holding one cell per nudging
-strength mu and one estimate per member in every cell; a (mu, delta)
-sweep is one such run.  Member m draws from its own noise source once
-per step, and that draw drives member m in every cell.  An ensemble is
-the one-group, one-cell case, simulate_pair the one-member case of that,
-and a run with no groups steps the reference alone.
+There is one stepping loop of the coupled system, simulate_members (the
+one other, harness.convolution_variance_mc, steps the convolution's
+linear recursion and is tested bit-identical to a path of this one): the
+reference and all estimates advance together as one stack, the reference
+in row 0.  The estimates come in groups, one per observation scale (its
+operator, noise coefficient and covariance), each holding one cell per
+nudging strength mu and one estimate per member in every cell; a (mu,
+delta) sweep is one such run.  Member m draws from its own noise source
+once per step, and that draw drives member m in every cell.  An ensemble
+is the one-group, one-cell case, simulate_pair the one-member case of
+that, and a run with no groups steps the reference alone.
 
 Blow-up is a monitored abort, never a silent NaN: the discrete
 L^2(0,t;V) accumulator of either trajectory exceeding the guard raises

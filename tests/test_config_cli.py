@@ -247,6 +247,28 @@ def test_simulate_overrides(tmp_path):
     assert not (out / "ensemble.csv").exists()
 
 
+def test_simulate_manifest_lists_the_files_it_wrote(tmp_path):
+    # a one-member run into the directory of a two-member run leaves the
+    # earlier ensemble.csv there; the manifest names only series.csv
+    out = tmp_path / "out"
+    for argv, files in [((), ["ensemble.csv", "series.csv"]),
+                        (("--members", "1"), ["series.csv"])]:
+        rc = _run(tmp_path, "run.cfg", SMALL_RUN, "simulate", *argv,
+                  "--out-dir", str(out))
+        assert rc == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["files"] == files
+    assert doc["members"] == 1 and (out / "ensemble.csv").exists()
+
+
+def test_out_dir_with_a_comma_is_one_path(tmp_path):
+    out = tmp_path / "a,b"
+    rc = _run(tmp_path, "run.cfg", SMALL_RUN, "simulate",
+              "--out-dir", str(out))
+    assert rc == 0
+    assert (out / "series.csv").exists()
+
+
 def test_simulate_emit_y_columns(tmp_path):
     out = tmp_path / "out"
     rc = _run(tmp_path, "run.cfg", SMALL_RUN + "output.emit_y = true\n",
@@ -382,6 +404,14 @@ def test_builder_rejected_value_exits_1(tmp_path, capsys, command, text):
     ("sweep", "--mu-grid", "nan"),
     ("sweep", "--delta-grid", "nan"),
     ("convolution-check", "--modes", "1,x"),
+    # an empty entry is refused, not dropped
+    ("sweep", "--mu-grid", "10,,50"),
+    ("sweep", "--delta-grid", "0.39,"),
+    ("convolution-check", "--times", "0.1,"),
+    ("convolution-check", "--modes", "1,,2"),
+    # each grid entry meets its key's schema constraint
+    ("sweep", "--delta-grid", "0"),
+    ("sweep", "--mu-grid", "-1"),
 ])
 def test_bad_cli_list_exits_1(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -559,6 +589,24 @@ def test_verify_report(tmp_path):
     assert doc["checks"] and all(doc["checks"].values())
     # the reference alone steps: no member-steps
     _assert_timing(out, 0)
+
+
+def test_commands_agree_on_the_constants(tmp_path):
+    # verify's C_I is the 32-pair estimate simulate and sweep report
+    text = ("model.id = nse_weak\nmodel.n = 32\nobservation.kind = volume\n"
+            "observation.delta = 0.2\ntime.dt = 1e-3\ntime.T = 0.004\n")
+    docs = {}
+    for command in ("simulate", "sweep", "verify"):
+        out = tmp_path / command
+        rc = _run(tmp_path, "run.cfg", text, command, "--out-dir", str(out))
+        assert rc == 0
+        docs[command] = json.loads((out / "manifest.json").read_text())
+    sim, swp, ver = docs["simulate"], docs["sweep"], docs["verify"]
+    for key in ("alpha_hat", "c_i_hat", "eta0_hat"):
+        assert ver[key] == sim[key]
+        assert swp[key] == (sim[key] if key == "alpha_hat" else [sim[key]])
+    report = (tmp_path / "verify" / "report.txt").read_text()
+    assert "C_I_hat = %.6g (32 probe pairs)" % sim["c_i_hat"] in report
 
 
 def test_verify_steps_the_reference_alone(tmp_path, monkeypatch):

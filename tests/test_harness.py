@@ -502,6 +502,19 @@ def test_sweep_needs_an_observation():
         sweep(setup, [], [10.0], members=2, master_seed=3, consts=[])
 
 
+@pytest.mark.parametrize("given", [1, 3])
+def test_sweep_needs_one_set_of_constants_per_observation(monkeypatch, given):
+    # 2 deltas x 2 mu with 1 constant would integrate delta 0.9's cells and
+    # drop them; the sweep refuses before it steps anything
+    setup, observations = _grid_setups("ac_weak", 16, "modal", [0.39, 0.9])
+    consts = [measured_constants(setup.model, observations[0][0])] * given
+    monkeypatch.setattr(H, "simulate_members",
+                        lambda *a: pytest.fail("the sweep integrated"))
+    with pytest.raises(ValueError, match="one set of constants per"):
+        sweep(setup, observations, [10.0, 400.0], members=2, master_seed=3,
+              consts=consts)
+
+
 SWEEP_IGNORES = {
     # the setup's own observation, built at deltas[0], and its mu: each
     # cell takes its delta's (op, coef, q) and its mu from the grid
