@@ -8,16 +8,23 @@ field, on the stack of three that a two-member run steps and on the
 stack of thirteen that a 3 x 2 sweep of two members steps, the
 dealiased advection of the torus models, the threaded Monte Carlo
 variance of the stochastic convolution, the lockstep loop
-simulate_members on a small sweep and on a 64-member ensemble, and the
-measured constants (alpha, C_I, eta0) a volume sweep takes per delta.  pytest
-collects tests/ only by default, so these run only when asked for.
+simulate_members on a small sweep and on a 64-member ensemble, the
+noise sources of that ensemble alone, the measured constants (alpha,
+C_I, eta0) a volume sweep takes per delta, and `import nudgelab` in a
+fresh interpreter.  pytest collects tests/ only by default, so these run
+only when asked for.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from nudgelab.harness import (_stride_idx, convolution_variance_mc,
-                              measured_constants)
+import nudgelab
+from nudgelab.harness import (_member_sources, _stride_idx,
+                              convolution_variance_mc, measured_constants)
 from nudgelab.integrate import (MONITORS, Group, Record, StepConfig,
                                 _noise_source, simulate_members)
 from nudgelab.models import build_model, random_field
@@ -111,3 +118,27 @@ def test_measured_constants_nse_strong_volume(benchmark, delta):
     op = make_observation(spec, "volume", delta)
     _, ci, eta = benchmark(measured_constants, spec, op)
     assert ci > 0.0 and eta > 0.0
+
+
+def test_member_sources_ac_weak(benchmark):
+    # ens_ac's draws: 64 members of ac_weak n=64 over 250 steps, each step
+    # stacked as simulate_members stacks it
+    q = make_qspec(build_model("ac_weak", 64), delta=0.39)
+
+    def run():
+        sources = _member_sources(q, 64, 3)
+        for i in range(250):
+            block = np.stack([source(i) for source in sources])
+        return block
+
+    assert benchmark(run).shape == (64, 64)
+
+
+def test_import_nudgelab(benchmark):
+    # a fresh interpreter that imports the package; the interpreter's own
+    # start-up (that of python -c pass) is included
+    src = os.path.dirname(os.path.dirname(nudgelab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    benchmark.pedantic(subprocess.run, args=(
+        [sys.executable, "-c", "import nudgelab"],), kwargs={
+        "env": env, "check": True}, rounds=10)

@@ -327,8 +327,9 @@ def _cmd_convolution(args, values):
     if values["nudging.mu"] <= 0.0:
         raise ConfigError(["convolution-check needs mu > 0"])
     modes = _entries("--modes", args.modes, _int)
-    if any(not 1 <= k <= spec.n for k in modes):
-        raise ConfigError(["--modes must name modes between 1 and %d" % spec.n])
+    if len(set(modes)) < len(modes) or not all(1 <= k <= spec.n for k in modes):
+        raise ConfigError(["--modes must name distinct modes between 1 and %d"
+                           % spec.n])
     n = cfg.nsteps
     times = _entries("--times", args.times, _float) if args.times is not None \
         else [s * cfg.dt for s in sorted({max(n // 4, 1), max(n // 2, 1), n})]

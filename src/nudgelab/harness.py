@@ -12,7 +12,6 @@ per member and step by construction, and each is its own ensemble.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -507,6 +506,7 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
     probe_at = {s: i for i, s in enumerate(steps)}
     sum2 = np.zeros((len(steps), spec.n))
     sum4 = np.zeros((len(steps), spec.n))
+    from concurrent.futures import ThreadPoolExecutor
     workers = _draw_workers()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = _submit_draws(pool, workers, master_seed, 0,

@@ -93,11 +93,23 @@ def _rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+_DRAW_BYTES = 16384  # per generator call: 1 MB over 64 noise sources
+
+
 def _noise_source(seed, q):
-    """Step index -> raw standard-normal block of that step, drawn in turn
-    from the generator of seed."""
+    """Step index -> raw standard-normal block of that step, for steps 0,
+    1, 2, ... in turn, drawn from the generator of seed about _DRAW_BYTES
+    at a time with the bits of one draw per step (the bulk-draw slicing
+    invariant of noise.py).  It draws ahead: one run only, never two."""
     rng = _rng_for(seed)
-    return lambda i: rng.standard_normal(q.draw_shape)
+    ahead = []  # drawn steps not yet handed out, the next one last
+
+    def draw(i):
+        if not ahead:
+            steps = max(1, _DRAW_BYTES // (8 * int(np.prod(q.draw_shape))))
+            ahead.extend(rng.standard_normal((steps,) + q.draw_shape)[::-1])
+        return ahead.pop()
+    return draw
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ mhd (velocity/magnetic pair with the induction-equation coupling).
 """
 
 import numpy as np
-import scipy.fft as sfft
 
 from .fields import ModelSpec, _wsum2, norm_raw
 
@@ -29,11 +28,14 @@ _BUILT = {}
 
 
 # ----------------------------------------------------------------------
-# 1D sine machinery (Dirichlet on (0,1), orthonormal sqrt(2) sin(k pi x))
+# 1D sine machinery (Dirichlet on (0,1), orthonormal sqrt(2) sin(k pi x)),
+# the only user of scipy: loaded at the first DST, its dst looked up per
+# call, so a rebinding of scipy.fft.dst (the benchmark's tracer) is seen
 
 def _sine_to_grid(c, m):
     """Values of sum_k c_k sqrt(2) sin(k pi x) at x_j = j/(m+1), j=1..m,
     along the last axis."""
+    import scipy.fft as sfft
     padded = np.zeros(c.shape[:-1] + (m,))
     padded[..., : c.shape[-1]] = c
     return sfft.dst(padded, type=1, axis=-1) / _SQRT2
@@ -42,6 +44,7 @@ def _sine_to_grid(c, m):
 def _sine_from_grid(vals, n):
     """First n orthonormal sine coefficients of grid values along the last
     axis (exact quadrature)."""
+    import scipy.fft as sfft
     m = vals.shape[-1]
     return sfft.dst(vals, type=1, axis=-1)[..., :n] / (_SQRT2 * (m + 1))
 

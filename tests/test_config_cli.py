@@ -409,6 +409,8 @@ def test_builder_rejected_value_exits_1(tmp_path, capsys, command, text):
     ("sweep", "--delta-grid", "0.39,"),
     ("convolution-check", "--times", "0.1,"),
     ("convolution-check", "--modes", "1,,2"),
+    # a repeated mode would write each of its rows twice
+    ("convolution-check", "--modes", "1,2,1"),
     # each grid entry meets its key's schema constraint
     ("sweep", "--delta-grid", "0"),
     ("sweep", "--mu-grid", "-1"),

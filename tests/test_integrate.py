@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import oracles as O
-from nudgelab.integrate import (SERIES, BlowupError, Group, Record,
-                                StepConfig, simulate_members, simulate_pair,
-                                _noise_source)
+from nudgelab.integrate import (_DRAW_BYTES, SERIES, BlowupError, Group,
+                                Record, StepConfig, _noise_source, _rng_for,
+                                simulate_members, simulate_pair)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
 from nudgelab.observe import make_observation
@@ -191,6 +191,25 @@ def test_noisy_run_reproducible():
     c = simulate_pair(spec, cfg, op, coef, q, u0, v0, 124)
     assert np.array_equal(a.v_final, b.v_final)
     assert not np.array_equal(a.v_final, c.v_final)
+
+
+@pytest.mark.parametrize("mid,n,shape", [
+    ("ac_weak", 64, (64,)),          # one sine stream
+    ("mhd", 8, (2, 2, 8, 5)),        # two torus streams, velocity first
+])
+def test_chunked_noise_source_equals_one_step_draws(mid, n, shape):
+    # a source draws several steps per generator call; across two chunk
+    # boundaries its blocks equal one-step draws of the same generator
+    spec = build_model(mid, n)
+    q = make_qspec(spec, delta=0.39)
+    assert q.draw_shape == shape
+    per_call = _DRAW_BYTES // (8 * int(np.prod(shape)))
+    assert per_call > 1
+    source, rng = _noise_source(5, q), _rng_for(5)
+    for i in range(2 * per_call + 3):
+        assert np.array_equal(source(i), rng.standard_normal(shape)), i
+    # a noiseless run's source is made but never drawn from
+    _noise_source(5, None)
 
 
 def test_emit_y_bookkeeping():
