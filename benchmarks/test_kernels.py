@@ -9,7 +9,7 @@ stack of thirteen that a 3 x 2 sweep of two members steps, the
 dealiased advection of the torus models, the threaded Monte Carlo
 variance of the stochastic convolution, the lockstep loop
 simulate_members on a small sweep and on a 64-member ensemble, the
-noise sources of that ensemble alone, the measured constants (alpha,
+noise draws of that ensemble alone, the measured constants (alpha,
 C_I, eta0) a volume sweep takes per delta, and `import nudgelab` in a
 fresh interpreter.  pytest collects tests/ only by default, so these run
 only when asked for.
@@ -23,10 +23,10 @@ import numpy as np
 import pytest
 
 import nudgelab
-from nudgelab.harness import (_member_sources, _stride_idx,
-                              convolution_variance_mc, measured_constants)
-from nudgelab.integrate import (MONITORS, Group, Record, StepConfig,
-                                _noise_source, simulate_members)
+from nudgelab.harness import (_stride_idx, convolution_variance_mc,
+                              measured_constants, member_seed)
+from nudgelab.integrate import (_DRAW_BYTES, MONITORS, Group, Record,
+                                StepConfig, _fill, _rng_for, simulate_members)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import hs_norm_sq, make_noise_coefficient, make_qspec
 from nudgelab.observe import make_observation
@@ -77,12 +77,12 @@ def test_convolution_variance_mc_ac_weak(benchmark):
 
 
 def _bench_members(benchmark, spec, cfg, groups, members, record):
-    # fresh noise sources per round: each is a generator drawn in turn
+    # fresh generators per round: a run consumes its generators
     u0, v0 = random_field(spec, 1), random_field(spec, 2)
 
     def run():
         return simulate_members(spec, cfg, groups, u0, v0, [
-            _noise_source(s, groups[0].q) for s in range(members)], record)
+            _rng_for(s) for s in range(members)], record)
 
     _, cells = benchmark(run)
     assert all(e is None for by_mu in cells for c in by_mu for e in c.errors)
@@ -121,17 +121,19 @@ def test_measured_constants_nse_strong_volume(benchmark, delta):
 
 
 def test_member_sources_ac_weak(benchmark):
-    # ens_ac's draws: 64 members of ac_weak n=64 over 250 steps, each step
-    # stacked as simulate_members stacks it
-    q = make_qspec(build_model("ac_weak", 64), delta=0.39)
+    # ens_ac's draws: 64 members of ac_weak n=64 over 250 steps, into one
+    # buffer in the chunks of steps simulate_members draws
+    shape = make_qspec(build_model("ac_weak", 64), delta=0.39).draw_shape
+    chunk = _DRAW_BYTES // (8 * int(np.prod(shape)))
+    buf = np.empty((64, chunk) + shape)
 
     def run():
-        sources = _member_sources(q, 64, 3)
-        for i in range(250):
-            block = np.stack([source(i) for source in sources])
-        return block
+        rngs = [_rng_for(member_seed(3, m)) for m in range(64)]
+        for i in range(0, 250, chunk):
+            _fill(rngs, buf[:, :250 - i])
+        return buf
 
-    assert benchmark(run).shape == (64, 64)
+    assert benchmark(run).shape == (64, chunk, 64)
 
 
 def test_import_nudgelab(benchmark):

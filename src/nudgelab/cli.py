@@ -75,11 +75,18 @@ def _parser():
     return p
 
 
-def _load_values(path, args):
+def _config_text(path):
+    """The text of a config file, or the config_text of a manifest."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         text = json.loads(text)["config_text"]
+        if not isinstance(text, str):
+            raise ValueError("config_text is %r, not a string" % (text,))
+    return text
+
+
+def _load_values(text, args):
     values = parse_config(text)
     for flag, key, raw in (("--members", "ensemble.members", args.members),
                            ("--seed", "ensemble.seed", args.seed)):
@@ -430,19 +437,19 @@ print("wrote", out)
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        values = _load_values(args.config, args)
-        if args.command == "simulate":
-            return _cmd_simulate(args, values)
-        if args.command == "sweep":
-            return _cmd_sweep(args, values)
-        if args.command == "verify":
-            return _cmd_verify(args, values)
-        return _cmd_convolution(args, values)
+        text = _config_text(args.config)
+    except (OSError, ValueError, KeyError) as e:
+        print("cannot load configuration: %s" % e, file=sys.stderr)
+        return 1
+    command = {"simulate": _cmd_simulate, "sweep": _cmd_sweep,
+               "verify": _cmd_verify}.get(args.command, _cmd_convolution)
+    try:
+        return command(args, _load_values(text, args))
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError) as e:
-        print("cannot load configuration: %s" % e, file=sys.stderr)
+    except OSError as e:
+        print("cannot write outputs: %s" % e, file=sys.stderr)
         return 1
     except BlowupError as e:
         print("blow-up guard tripped: %s" % e, file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import _wsum2, inner_h_raw, norm_raw
-from .integrate import (BlowupError, Group, Record, _noise_source, _rng_for,
+from .integrate import (BlowupError, Group, Record, _fill, _rng_for,
                         simulate_members)
 from .models import build_model, random_field
 from .noise import apply_G_raw, increment_from_noise
@@ -64,14 +64,9 @@ def run_ensemble(setup, members, master_seed, record=Record()):
     _, [[cell]] = simulate_members(
         setup.model, setup.cfg,
         [Group(setup.op, setup.coef, setup.q, (setup.cfg.mu,))],
-        setup.u0, setup.v0, _member_sources(setup.q, members, master_seed),
-        record)
+        setup.u0, setup.v0,
+        [_rng_for(member_seed(master_seed, m)) for m in range(members)], record)
     return _aggregate(cell)
-
-
-def _member_sources(q, members, master_seed):
-    return [_noise_source(member_seed(master_seed, m), q)
-            for m in range(members)]
 
 
 def _aggregate(cell):
@@ -182,9 +177,8 @@ def sweep(setup, observations, mu_grid, members, master_seed, consts):
     blow-up counts, and the mu*delta^2 > eta0_hat flag from measured
     constants.
 
-    setup gives what every cell shares: the model, cfg but its mu, u0,
-    v0 and, through setup.q, the draw shape (a property of the model).
-    observations holds one (op, coef, q) per delta, in grid order
+    setup gives what every cell shares: the model, cfg but its mu, u0
+    and v0.  observations holds one (op, coef, q) per delta, in grid order
     (ValueError if empty), and consts their measured_constants, one per
     observation (ValueError otherwise).  The
     reference is stepped once, and member m's noise block of each step
@@ -203,7 +197,8 @@ def sweep(setup, observations, mu_grid, members, master_seed, consts):
     groups = [Group(*obs, tuple(mu_grid)) for obs in observations]
     _, cells = simulate_members(
         setup.model, setup.cfg, groups, setup.u0, setup.v0,
-        _member_sources(setup.q, members, master_seed), Record(("w_h",)))
+        [_rng_for(member_seed(master_seed, m)) for m in range(members)],
+        Record(("w_h",)))
     rows = []
     for k, mu in enumerate(mu_grid):
         for group, (_, _, eta), by_mu in zip(groups, consts, cells):
@@ -458,18 +453,13 @@ def _draw_workers():
 
 def _submit_draws(pool, workers, master_seed, first, b, shape):
     """Start drawing paths first .. first+b-1 into a path-major (b,) + shape
-    buffer, each path whole from its own stream, one task per contiguous
-    slice of about b / workers paths; returns the buffer and the futures
-    filling it."""
+    buffer, each path whole from its own stream, built on the draw thread:
+    one _fill task per contiguous slice of about b / workers paths.
+    Returns the buffer and the futures filling it."""
     blocks = np.empty((b,) + shape)
-
-    def fill(lo, hi):
-        for j in range(lo, hi):
-            _rng_for(member_seed(master_seed, first + j)).standard_normal(
-                shape, out=blocks[j])
-
     cuts = [b * k // workers for k in range(workers + 1)]
-    return blocks, [pool.submit(fill, lo, hi)
+    return blocks, [pool.submit(_fill, (_rng_for(member_seed(master_seed, first + j))
+                                        for j in range(lo, hi)), blocks[lo:hi])
                     for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 

@@ -21,8 +21,8 @@ reference and all estimates advance together as one stack, the reference
 in row 0.  The estimates come in groups, one per observation scale (its
 operator, noise coefficient and covariance), each holding one cell per
 nudging strength mu and one estimate per member in every cell; a (mu,
-delta) sweep is one such run.  Member m draws from its own noise source
-once per step, and that draw drives member m in every cell.  An ensemble
+delta) sweep is one such run.  Member m draws from its own generator,
+and its block of a step drives member m in every cell.  An ensemble
 is the one-group, one-cell case, simulate_pair the one-member case of
 that, and a run with no groups steps the reference alone.
 
@@ -34,7 +34,10 @@ up rests at 0 in its row of the stack, and its cell keeps the error).
 The only randomness consumed is one fixed-shape standard-normal block
 per member and step whenever a QSpec is supplied (even at sigma = 0, so
 runs that differ only in sigma share their noise realizations); every
-cell and group reads the same block.
+cell and group reads the same block.  Every block is drawn by _fill,
+which fills row m of a buffer from generator m, several steps in one
+call with the bits of one call per step; the Monte Carlo paths of
+harness.convolution_variance_mc are drawn by it too.
 """
 
 from collections import namedtuple
@@ -93,23 +96,15 @@ def _rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-_DRAW_BYTES = 16384  # per generator call: 1 MB over 64 noise sources
+_DRAW_BYTES = 16384  # per generator call: 1 MB over 64 members
 
 
-def _noise_source(seed, q):
-    """Step index -> raw standard-normal block of that step, for steps 0,
-    1, 2, ... in turn, drawn from the generator of seed about _DRAW_BYTES
-    at a time with the bits of one draw per step (the bulk-draw slicing
-    invariant of noise.py).  It draws ahead: one run only, never two."""
-    rng = _rng_for(seed)
-    ahead = []  # drawn steps not yet handed out, the next one last
-
-    def draw(i):
-        if not ahead:
-            steps = max(1, _DRAW_BYTES // (8 * int(np.prod(q.draw_shape))))
-            ahead.extend(rng.standard_normal((steps,) + q.draw_shape)[::-1])
-        return ahead.pop()
-    return draw
+def _fill(rngs, out):
+    """Fill out[m] with the next standard normals of generator rngs[m], in
+    one call each.  A block of several steps holds the bits of one draw per
+    step: the bulk-draw slicing invariant of noise.py."""
+    for rng, row in zip(rngs, out):
+        rng.standard_normal(out=row)
 
 
 @dataclass(frozen=True)
@@ -191,24 +186,25 @@ def simulate_pair(model, cfg, op, coef, q, u0, v0, seed, record=Record()):
     record is the request of simulate_members."""
     _, [[cell]] = simulate_members(
         model, cfg, [Group(op, coef, q, (cfg.mu,))], u0, v0,
-        [_noise_source(seed, q)], record)
+        [_rng_for(seed)], record)
     return cell.member(0)
 
 
-def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
+def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     """Integrate one reference and, per cell of every group, one estimate
-    per source, all in lockstep.
+    per generator of rngs, all in lockstep.
 
     cfg gives dt, T, implicit_nudging and blowup_guard; each cell nudges
-    with its own mu (cfg.mu is not read).  Member m draws its noise from
-    sources[m] (step index -> raw block) once per step, and that block
-    drives member m in every cell.  The reference (row 0) and the
-    estimates (group-major, then cell, then member) advance as one
-    stack, so the nonlinearity, the norms and kappa run once per step for
-    all of them; increment, G(u) dW, the observation and the
-    Hilbert-Schmidt norm run once per group.  Each estimate's numbers are
-    bit-identical to a run of it alone.  With no groups the reference
-    steps alone.
+    with its own mu (cfg.mu is not read).  Member m draws from rngs[m],
+    which the run consumes; _fill draws every member's next steps into one
+    (members, chunk) + draw shape buffer, about _DRAW_BYTES per generator
+    call, and a step's block, the view buf[:, j], drives member m in
+    every cell.  The reference (row 0) and the estimates (group-major,
+    then cell, then member) advance as one stack, so the nonlinearity,
+    the norms and kappa run once per step for all of them; increment,
+    G(u) dW, the observation and the Hilbert-Schmidt norm run once per
+    group.  Each estimate's numbers are bit-identical to a run of it
+    alone.  With no groups the reference steps alone.
 
     record, a Record, names the series to keep and their steps.  A
     monitor runs only at those steps; as a value at step i depends only
@@ -223,9 +219,9 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
     blow-up ends every estimate still running, and the run stops when no
     estimate is left.
     """
-    if groups and not sources:
+    if groups and not rngs:
         raise ValueError("need at least one member")
-    members = len(sources)
+    members = len(rngs)
     n = cfg.nsteps
     dt = cfg.dt
     steps = [np.arange(n + 1) if s is None else np.unique(np.asarray(s, dtype=int))
@@ -244,7 +240,10 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
              and grp.q is not None for grp in groups]
     pulled = [grp.op is not None and any(mu > 0.0 for mu in grp.mus)
               for grp in groups]
-    draws = any(grp.q is not None for grp in groups)
+    shapes = [grp.q.draw_shape for grp in groups if grp.q is not None]
+    if shapes:
+        chunk = max(1, _DRAW_BYTES // (8 * int(np.prod(shapes[0]))))
+        buf = np.empty((members, chunk) + shapes[0])
     # per stack row, Python floats as a scalar-mu run would form them: the
     # mu of the noise term and the factor of the pull (a cell with mu = 0
     # in a pulled group adds a zero pull)
@@ -308,8 +307,11 @@ def simulate_members(spec, cfg, groups, u0, v0, sources, record=Record()):
     # (x * x) does not always match in the last bit
     acc = [0.0] * (1 + rows)
     for i in range(1, n + 1):
-        if draws:
-            block = np.stack([source(i - 1) for source in sources])
+        if shapes:
+            j = (i - 1) % chunk
+            if not j:
+                _fill(rngs, buf[:, :n + 1 - i])
+            block = buf[:, j]
         rhs = x + dt * spec.f_raw(x)
         for g, grp in enumerate(groups):
             s, take = spans[g]

@@ -5,6 +5,8 @@ import json
 import os
 import pickle
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -521,6 +523,29 @@ def test_bad_config_exits_1(tmp_path, capsys):
 def test_manifest_without_config_text_exits_1(tmp_path, capsys):
     rc = _run(tmp_path, "m.json", '{"tool": "other"}\n', "simulate")
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("data,out_is_file,prefix", [
+    (b"\xff\xfemodel.id = ac_weak\n", False, "cannot load configuration: "),
+    (b'{"config_text": 5}\n', False, "cannot load configuration: "),
+    (SMALL_RUN.encode(), True, "cannot write outputs: ")],
+    ids=["not-utf8", "config-text-not-a-string", "out-dir-is-a-file"])
+def test_unreadable_config_or_unwritable_outputs_exit_1(tmp_path, command, data,
+                                                        out_is_file, prefix):
+    # a fresh interpreter, so that an uncaught error shows as a traceback
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_bytes(data)
+    if out_is_file:
+        out.write_text("not a directory\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nudgelab.cli", command, "--config", str(cfg),
+         "--out-dir", str(out)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(prefix), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_blowup_exits_2(tmp_path, capsys):

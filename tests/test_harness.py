@@ -16,7 +16,7 @@ from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               measured_constants, member_seed, run_ensemble,
                               sweep, tail_sup)
 from nudgelab.integrate import (SERIES, BlowupError, Group, Record,
-                                StepConfig, _noise_source, simulate_members,
+                                StepConfig, _rng_for, simulate_members,
                                 simulate_pair)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
@@ -163,7 +163,7 @@ def test_ensemble_counts_partial_blowups(implicit):
     # a dropped member ends with the error its own run raises
     _, [[batch]] = simulate_members(
         setup.model, cfg, [Group(setup.op, setup.coef, setup.q, (cfg.mu,))],
-        setup.u0, setup.v0, [_noise_source(s, setup.q) for s in seeds])
+        setup.u0, setup.v0, [_rng_for(s) for s in seeds])
     for m, res in enumerate(batch.errors):
         if m in survivors:
             continue

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import oracles as O
+import nudgelab.integrate as I
 from nudgelab.integrate import (_DRAW_BYTES, SERIES, BlowupError, Group,
-                                Record, StepConfig, _noise_source, _rng_for,
+                                Record, StepConfig, _fill, _rng_for,
                                 simulate_members, simulate_pair)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
@@ -69,7 +70,7 @@ def test_one_nonlinearity_call_per_step(monkeypatch):
     monkeypatch.setattr(spec, "f_raw", counted)
     _, [[cell]] = simulate_members(spec, cfg, [Group(op, coef, q, (cfg.mu,))],
                                    random_field(spec, 0), random_field(spec, 1),
-                                   [_noise_source(s, q) for s in range(3)])
+                                   [_rng_for(s) for s in range(3)])
     assert cell.errors == [None] * 3
     assert calls == [(4,) + spec.shape] * cfg.nsteps
 
@@ -91,7 +92,7 @@ def test_grouped_members_equal_solo_runs(mid, n, kind, obs, implicit, deltas):
     u0, v0 = random_field(spec, 0), random_field(spec, 1)
     seeds = [21, 22]
     ref, res = simulate_members(spec, cfg, groups, u0, v0,
-                                [_noise_source(s, groups[0].q) for s in seeds],
+                                [_rng_for(s) for s in seeds],
                                 WITH_Y)
     for grp, cells in zip(groups, res):
         for mu, cell in zip(grp.mus, cells):
@@ -197,19 +198,55 @@ def test_noisy_run_reproducible():
     ("ac_weak", 64, (64,)),          # one sine stream
     ("mhd", 8, (2, 2, 8, 5)),        # two torus streams, velocity first
 ])
-def test_chunked_noise_source_equals_one_step_draws(mid, n, shape):
-    # a source draws several steps per generator call; across two chunk
-    # boundaries its blocks equal one-step draws of the same generator
-    spec = build_model(mid, n)
-    q = make_qspec(spec, delta=0.39)
+def test_chunked_fill_equals_one_step_draws(mid, n, shape):
+    # _fill draws several steps per generator call; across two chunk
+    # boundaries each member's rows equal one-step draws of a fresh
+    # generator of its seed
+    q = make_qspec(build_model(mid, n), delta=0.39)
     assert q.draw_shape == shape
     per_call = _DRAW_BYTES // (8 * int(np.prod(shape)))
     assert per_call > 1
-    source, rng = _noise_source(5, q), _rng_for(5)
-    for i in range(2 * per_call + 3):
-        assert np.array_equal(source(i), rng.standard_normal(shape)), i
-    # a noiseless run's source is made but never drawn from
-    _noise_source(5, None)
+    seeds = [5, 6, 7]
+    rngs = [_rng_for(s) for s in seeds]
+    buf = np.empty((len(seeds), per_call) + shape)
+    got = []
+    for k in (per_call, per_call, 3):
+        _fill(rngs, buf[:, :k])
+        got.append(buf[:, :k].copy())
+    got = np.concatenate(got, axis=1)
+    for m, s in enumerate(seeds):
+        rng = _rng_for(s)
+        for i in range(2 * per_call + 3):
+            assert np.array_equal(got[m, i], rng.standard_normal(shape)), (m, i)
+
+
+@pytest.mark.parametrize("mid,n,members,T", [
+    ("ac_weak", 64, 3, 0.07),    # 70 steps: two chunks of 32, then 6
+    ("mhd", 8, 2, 0.03)])        # 30 steps: two chunks of 12, then 6
+def test_draw_chunking_keeps_every_bit(monkeypatch, mid, n, members, T):
+    # a run that draws one step per generator call records every series
+    # and v_final bit for bit as the default chunked run does
+    spec = build_model(mid, n)
+    cfg = StepConfig(dt=1e-3, T=T)
+    groups = [Group(make_observation(spec, "modal", 0.39),
+                    make_noise_coefficient("additive", 0.3),
+                    make_qspec(spec, delta=0.39), (0.0, 20.0))]
+    chunk = _DRAW_BYTES // (8 * int(np.prod(groups[0].q.draw_shape)))
+    assert cfg.nsteps > 2 * chunk and cfg.nsteps % chunk
+
+    def run():
+        return simulate_members(spec, cfg, groups, random_field(spec, 0),
+                                random_field(spec, 1),
+                                [_rng_for(s) for s in range(members)], WITH_Y)
+
+    chunked = run()
+    monkeypatch.setattr(I, "_DRAW_BYTES", 1)
+    one_step = run()
+    assert np.array_equal(chunked[0].u_h, one_step[0].u_h)
+    for want, got in zip(chunked[1][0], one_step[1][0]):
+        for name in SERIES + ("v_final",):
+            assert np.array_equal(getattr(got, name), getattr(want, name),
+                                  equal_nan=True), name
 
 
 def test_emit_y_bookkeeping():
@@ -269,7 +306,7 @@ def test_blown_up_estimates_rest_in_a_stack_of_one_shape(monkeypatch):
     _, [[live], [dead]] = simulate_members(
         spec, cfg, [Group(op, coef, q, (10.0,)), Group(op, coef, q, (500.0,))],
         random_field(spec, 0), random_field(spec, 1),
-        [_noise_source(s, q) for s in (1, 2)], WITH_Y)
+        [_rng_for(s) for s in (1, 2)], WITH_Y)
     assert calls == [(5,) + spec.shape] * cfg.nsteps
     assert live.errors == [None, None]
     assert [e.step for e in dead.errors] == [4, 4]
