@@ -240,13 +240,14 @@ def _cmd_sweep(args, values):
     observations = [build_observation(values, spec, d) for d in delta_grid]
     for op, _, _ in observations:
         _require_unobserved_mode(spec, op)
+    out_dir = output_directory(values)
     clock.lap("setup_s")
     consts = [measured_constants(spec, op) for op, _, _ in observations]
     clock.lap("constants_s")
-    rows = sweep(setup, observations, mu_grid, values["ensemble.members"],
-                 values["ensemble.seed"], consts)
+    rows = _built("--mu-grid, --delta-grid", sweep, setup, observations,
+                  mu_grid, values["ensemble.members"], values["ensemble.seed"],
+                  consts)
     clock.lap("integrate_s")
-    out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
     header = ["mu", "delta", "mu_delta_sq", "eta0_hat", "over_threshold",
               "gamma_fit", "fit_residual", "floor", "floor_se", "blowups",
@@ -285,34 +286,17 @@ def _cmd_verify(args, values):
     clock.lap("integrate_s")
     rep = verify_assumptions(spec, traj, setup.op)
     clock.lap("constants_s")
-    checks = [
-        ("coercivity constant matches its declared value",
-         abs(rep.alpha_hat - rep.alpha_declared) <= 1e-9),
-        ("energy production stays inside the alpha/4 budget",
-         rep.epsilon_hat < rep.epsilon_budget),
-        ("drift envelope is finite",
-         np.isfinite(rep.m0) and np.isfinite(rep.m1)),
-    ]
-    if not np.isnan(rep.cancellation_residual):
-        checks.append(("advective pairing cancels",
-                       rep.cancellation_residual <= 1e-10))
-    if rep.a2_ratio > 0.0:
-        checks.append(("local bound survives refinement",
-                       rep.a2_ratio_refined <= 1.5 * rep.a2_ratio))
-    lines = rep.lines()
-    lines.append("")
-    for name, ok in checks:
-        lines.append("  [%s] %s" % ("pass" if ok else "FAIL", name))
-    report = "\n".join(lines) + "\n"
+    report = "\n".join(rep.lines) + "\n"
     _write(os.path.join(out_dir, "report.txt"), report)
     clock.lap("output_s")
     _manifest(out_dir, "verify", values,
               {"alpha_hat": rep.alpha_hat, "c_i_hat": rep.c_i_hat,
                "eta0_hat": rep.eta0_hat, "m0": rep.m0, "m1": rep.m1,
                "epsilon_hat": rep.epsilon_hat,
-               "checks": {name: bool(ok) for name, ok in checks}}, clock, 0)
+               "checks": {name: bool(ok) for name, ok in rep.checks}},
+              clock, 0)
     sys.stdout.write(report)
-    failed = [name for name, ok in checks if not ok]
+    failed = [name for name, ok in rep.checks if not ok]
     if args.check and failed:
         print("check failed: %s" % "; ".join(failed), file=sys.stderr)
         return 3
@@ -342,13 +326,13 @@ def _cmd_convolution(args, values):
         else [s * cfg.dt for s in sorted({max(n // 4, 1), max(n // 2, 1), n})]
     if args.paths < 2:
         raise ConfigError(["--paths must be at least 2"])
+    out_dir = output_directory(values)
     clock.lap("setup_s")
     # the library's refusals (model, noise kind, times) precede any output
     ts, var, se = _built("convolution-check", convolution_variance_mc, spec,
                          cfg, setup.coef, setup.q, times, args.paths,
                          values["ensemble.seed"])
     clock.lap("integrate_s")
-    out_dir = output_directory(values)
     os.makedirs(out_dir, exist_ok=True)
     mu = cfg.mu
     sig = setup.coef.sigma_delta

@@ -164,10 +164,16 @@ def render_config(values):
 
 
 def output_directory(values):
-    """Explicit setting, else NUDGELAB_OUT_DIR, else ./runs."""
-    if values["output.directory"]:
-        return values["output.directory"]
-    return os.environ.get("NUDGELAB_OUT_DIR", "") or "runs"
+    """Explicit setting, else NUDGELAB_OUT_DIR, else ./runs; an OSError,
+    raised before any work and creating nothing, if a file sits on its path."""
+    out_dir = (values["output.directory"] or os.environ.get("NUDGELAB_OUT_DIR", "")
+               or "runs")
+    head = os.path.abspath(out_dir)
+    while not os.path.isdir(head):
+        if os.path.exists(head):
+            raise NotADirectoryError("not a directory: %r" % head)
+        head = os.path.dirname(head)
+    return out_dir
 
 
 def _built(section, builder, *args, **kwargs):
@@ -183,8 +189,12 @@ def build_setup(values):
 
     Returns a harness RunSetup with read-only u0 and v0; the initial
     error is w0 times a unit-norm rough field on top of u0.  A value the
-    schema accepts but a builder rejects is reported as a ConfigError.
+    schema accepts but a builder rejects is reported as a ConfigError, as
+    is implicit nudging on a volume observation (its I_delta is not diagonal).
     """
+    if values["nudging.implicit"] and values["observation.kind"] != "modal":
+        raise ConfigError(["nudging.implicit = true needs observation.kind = "
+                           "modal, got %s" % values["observation.kind"]])
     model = _built("model", build_model, values["model.id"], values["model.n"],
                    nu=values["model.nu"], norms=values["model.norms"],
                    linear=values["model.linear"])

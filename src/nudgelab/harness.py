@@ -12,7 +12,8 @@ per member and step by construction, and each is its own ensemble.
 """
 
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .integrate import (BlowupError, Group, Record, _fill, _rng_for,
                         simulate_members)
 from .models import build_model, random_field
 from .noise import apply_G_raw, increment_from_noise
-from .observe import estimate_interp_constant, eta0
+from .observe import CI_SAMPLES, estimate_interp_constant, eta0
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,11 @@ def tail_sup(times, w_path, n_time):
     return float(np.max(np.asarray(w_path)[sel]))
 
 
-CI_SAMPLES = 32     # probe pairs of every measured C_I
-
-
 def measured_constants(spec, op):
-    """(alpha_hat, C_I_hat, eta0_hat) of spec and op, C_I over CI_SAMPLES."""
+    """(alpha_hat, C_I_hat, eta0_hat) of spec and op: the numbers simulate,
+    sweep and verify all report, C_I over observe.CI_SAMPLES pairs."""
     alpha = measure_alpha(spec)
-    ci = estimate_interp_constant(op, spec, samples=CI_SAMPLES)
+    ci = estimate_interp_constant(op, spec)
     return alpha, ci, eta0(alpha, ci)
 
 
@@ -180,7 +179,8 @@ def sweep(setup, observations, mu_grid, members, master_seed, consts):
     setup gives what every cell shares: the model, cfg but its mu, u0
     and v0.  observations holds one (op, coef, q) per delta, in grid order
     (ValueError if empty), and consts their measured_constants, one per
-    observation (ValueError otherwise).  The
+    observation (ValueError otherwise); a repeated mu or delta, whose
+    cells would repeat others, is a ValueError.  The
     reference is stepped once, and member m's noise block of each step
     is drawn once and drives member m in every cell: the whole grid is
     one lockstep integration, each cell's numbers bit-identical to an
@@ -195,6 +195,9 @@ def sweep(setup, observations, mu_grid, members, master_seed, consts):
         raise ValueError("sweep needs one set of constants per observation, "
                          "got %d for %d" % (len(consts), len(observations)))
     groups = [Group(*obs, tuple(mu_grid)) for obs in observations]
+    for name, grid in (("mu", list(mu_grid)), ("delta", [g.op.delta for g in groups])):
+        if len(set(grid)) < len(grid):
+            raise ValueError("a %s appears twice in the grid %r" % (name, grid))
     _, cells = simulate_members(
         setup.model, setup.cfg, groups, setup.u0, setup.v0,
         [_rng_for(member_seed(master_seed, m)) for m in range(members)],
@@ -246,17 +249,19 @@ def _stride_idx(n, stride):
 
 
 def _mm_envelope(times, kappa):
-    """Smallest (M0, M1) with int_s^t kappa <= M0 (t-s) + M1 on a coarse
-    grid of (s, t) pairs, every max(len(times) // 64, 1)-th time and the
-    last; ties broken toward the smallest M0."""
+    """(M0, M1, int kappa, pairs): the smallest (M0, M1) with
+    int_s^t kappa <= M0 (t-s) + M1 on a coarse grid of (s, t) pairs (about
+    64 times, evenly strided, and the last) and the number of those pairs;
+    ties broken toward the smallest M0."""
     times = np.asarray(times, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
+    idx = _stride_idx(len(times), max(len(times) // 64, 1))
+    pairs = len(idx) * (len(idx) - 1) // 2
     if times.size < 2 or np.all(kappa == 0.0):
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0, 0.0, pairs
     dt = np.diff(times)
     cum = np.concatenate([[0.0], np.cumsum(kappa[:-1] * dt)])
     total = float(cum[-1])
-    idx = _stride_idx(len(times), max(len(times) // 64, 1))
     ts = times[idx]
     ks = cum[idx]
     ii, jj = np.triu_indices(len(idx), k=1)
@@ -269,7 +274,7 @@ def _mm_envelope(times, kappa):
     cost = cand * horizon + m1
     best = cost.min()
     pick = int(np.flatnonzero(cost <= best * (1.0 + 1e-12) + 1e-300)[0])
-    return float(cand[pick]), float(m1[pick]), total
+    return float(cand[pick]), float(m1[pick]), total, pairs
 
 
 _A2_EXPONENTS = {
@@ -283,13 +288,17 @@ _A2_EXPONENTS = {
 }
 
 
-def _a2_ratio(spec, samples, seed):
+VERIFY_PROBES = 24    # random fields of each verify probe
+VERIFY_SEED = 1234    # and their seed
+
+
+def _a2_ratio(spec):
     rho, beta = _A2_EXPONENTS[spec.params["family"]]
     w = spec.v_beta_weights(beta)     # weights of the [V*, V]_beta norm
     best = 0.0
-    for i in range(samples):
-        u = random_field(spec, (seed, 3 * i), smoothness=1.0)
-        v = random_field(spec, (seed, 3 * i + 1), smoothness=1.0)
+    for i in range(VERIFY_PROBES):
+        u = random_field(spec, (VERIFY_SEED, 3 * i), smoothness=1.0)
+        v = random_field(spec, (VERIFY_SEED, 3 * i + 1), smoothness=1.0)
         fu = spec.f_raw(u)
         fv = spec.f_raw(v)
         num = norm_raw(spec, fu - fv, "Vstar")
@@ -300,10 +309,10 @@ def _a2_ratio(spec, samples, seed):
     return best
 
 
-def _cancellation_residual(spec, samples, seed):
+def _cancellation_residual(spec):
     worst = 0.0
-    for i in range(samples):
-        u = random_field(spec, (seed, i), smoothness=0.8)
+    for i in range(VERIFY_PROBES):
+        u = random_field(spec, (VERIFY_SEED, i), smoothness=0.8)
         fu = spec.f_raw(u)
         num = abs(inner_h_raw(spec, fu, u))
         den = norm_raw(spec, fu, "Vstar") * norm_raw(spec, u, "V")
@@ -312,12 +321,12 @@ def _cancellation_residual(spec, samples, seed):
     return worst
 
 
-def _epsilon_hat(spec, traj_states, samples, seed):
+def _epsilon_hat(spec, traj_states):
     # <F(x), x> <= eps ||x||_V^2 + ||x||_H^2 + 0; measure the overshoot
     worst = 0.0
     states = list(traj_states)
-    for i in range(samples):
-        states.append(random_field(spec, (seed, 100 + i)))
+    for i in range(VERIFY_PROBES):
+        states.append(random_field(spec, (VERIFY_SEED, 100 + i)))
     for c in states:
         fu = spec.f_raw(c)
         lhs = inner_h_raw(spec, fu, c)
@@ -328,45 +337,10 @@ def _epsilon_hat(spec, traj_states, samples, seed):
     return max(worst, 0.0)
 
 
-@dataclass
-class AssumptionReport:
-    model_id: str
-    alpha_hat: float
-    alpha_declared: float
-    c_i_hat: float
-    eta0_hat: float
-    m0: float
-    m1: float
-    kappa_integral: float
-    epsilon_hat: float
-    epsilon_budget: float
-    cancellation_residual: float
-    a2_ratio: float
-    a2_ratio_refined: float
-    samples: dict = field(default_factory=dict)
-
-    def lines(self):
-        out = [
-            "assumption report for %s" % self.model_id,
-            "  coercivity: alpha_hat = %.12g (declared %.12g, mode minimum over %d modes)"
-            % (self.alpha_hat, self.alpha_declared, self.samples.get("modes", 0)),
-            "  observation: C_I_hat = %.6g (%d probe pairs), eta0_hat = 2*alpha/C_I^2 = %.6g"
-            % (self.c_i_hat, self.samples.get("ci_samples", 0), self.eta0_hat),
-            "  drift growth: int kappa = %.6g over the run; envelope M0 = %.6g, M1 = %.6g"
-            " (constrained fit on %d grid pairs)"
-            % (self.kappa_integral, self.m0, self.m1, self.samples.get("pairs", 0)),
-            "  energy inequality: eps_hat = %.6g, budget alpha/4 = %.6g -> %s"
-            % (self.epsilon_hat, self.epsilon_budget,
-               "pass" if self.epsilon_hat < self.epsilon_budget else "FAIL"),
-            "  local boundedness ratio (beta-interpolated): %.6g at base size,"
-            " %.6g refined (factor %.3g)"
-            % (self.a2_ratio, self.a2_ratio_refined,
-               self.a2_ratio_refined / self.a2_ratio if self.a2_ratio else float("nan")),
-        ]
-        if not np.isnan(self.cancellation_residual):
-            out.insert(4, "  cancellation: relative residual %.3g over %d random fields"
-                       % (self.cancellation_residual, self.samples.get("cancel", 0)))
-        return out
+# what verify_assumptions measured and judged: the numbers the manifest
+# carries, the report's lines and its (name, passed) checks
+AssumptionReport = namedtuple("AssumptionReport", "alpha_hat c_i_hat eta0_hat "
+                              "m0 m1 epsilon_hat lines checks")
 
 
 def verify_record(nsteps):
@@ -375,39 +349,57 @@ def verify_record(nsteps):
     return Record(("kappa",), None, range(0, nsteps + 1, max((nsteps + 1) // 8, 1)))
 
 
-def verify_assumptions(spec, traj, op, samples=24, seed=1234):
-    """Estimate every structural constant on a simulated trajectory.
+def verify_assumptions(spec, traj, op):
+    """Estimate every structural constant on a simulated trajectory and
+    judge each against its threshold.
 
     traj is a SimResult recorded as verify_record asks: the drift
     envelope reads its times and kappa, and the energy inequality is
-    probed on each state of its u_path besides random fields;
-    op is the observation operator whose constants come from
-    measured_constants, as simulate and sweep report them; samples drives
-    the other probes.
+    probed on each state of its u_path besides random fields.  alpha,
+    C_I and eta0 come from measured_constants, as simulate and sweep
+    report them; the other probes draw VERIFY_PROBES random fields each
+    from VERIFY_SEED.  The report's lines end with one [pass] or [FAIL]
+    line per check.
     """
-    alpha_hat, ci, eta0_hat = measured_constants(spec, op)
-    m0, m1, total = _mm_envelope(traj.times, traj.kappa)
-    cancel = float("nan")
-    cancel_n = 0
+    alpha, ci, eta = measured_constants(spec, op)
+    m0, m1, total, pairs = _mm_envelope(traj.times, traj.kappa)
+    eps = _epsilon_hat(spec, traj.u_path)
+    budget = alpha / 4.0
+    energy_ok = eps < budget
+    ratio = _a2_ratio(spec)
+    refined = _a2_ratio(build_model(spec.params["family"], 2 * spec.n, nu=spec.nu,
+                                    norms=spec.params.get("norms", "homogeneous"),
+                                    linear=spec.params.get("linear", False)))
+    lines = [
+        "assumption report for %s" % spec.model_id,
+        "  coercivity: alpha_hat = %.12g (declared %.12g, mode minimum over %d modes)"
+        % (alpha, spec.alpha, int(spec.mask.sum())),
+        "  observation: C_I_hat = %.6g (%d probe pairs), eta0_hat = 2*alpha/C_I^2 = %.6g"
+        % (ci, CI_SAMPLES, eta),
+        "  drift growth: int kappa = %.6g over the run; envelope M0 = %.6g, M1 = %.6g"
+        " (constrained fit on %d grid pairs)" % (total, m0, m1, pairs),
+        "  energy inequality: eps_hat = %.6g, budget alpha/4 = %.6g -> %s"
+        % (eps, budget, "pass" if energy_ok else "FAIL"),
+        "  local boundedness ratio (beta-interpolated): %.6g at base size,"
+        " %.6g refined (factor %.3g)"
+        % (ratio, refined, refined / ratio if ratio else float("nan")),
+    ]
+    checks = [
+        ("coercivity constant matches its declared value",
+         abs(alpha - spec.alpha) <= 1e-9),
+        ("energy production stays inside the alpha/4 budget", energy_ok),
+        ("drift envelope is finite", np.isfinite(m0) and np.isfinite(m1)),
+    ]
     if spec.kind == "torus" and not spec.params.get("linear", False):
-        cancel_n = samples
-        cancel = _cancellation_residual(spec, samples, seed)
-    eps = _epsilon_hat(spec, traj.u_path, samples, seed)
-    ratio = _a2_ratio(spec, samples, seed)
-    refined = _a2_ratio(_refined_spec(spec, 2 * spec.n), samples, seed)
-    k = len(_stride_idx(len(traj.times), max(len(traj.times) // 64, 1)))
-    npairs = k * (k - 1) // 2
-    return AssumptionReport(
-        spec.model_id, alpha_hat, spec.alpha, ci, eta0_hat,
-        m0, m1, total, eps, alpha_hat / 4.0, cancel, ratio, refined,
-        samples={"modes": int(spec.mask.sum()), "ci_samples": CI_SAMPLES,
-                 "pairs": npairs, "cancel": cancel_n, "a2": samples})
-
-
-def _refined_spec(spec, n2):
-    return build_model(spec.params["family"], n2, nu=spec.nu,
-                       norms=spec.params.get("norms", "homogeneous"),
-                       linear=spec.params.get("linear", False))
+        cancel = _cancellation_residual(spec)
+        lines.insert(4, "  cancellation: relative residual %.3g over %d random fields"
+                     % (cancel, VERIFY_PROBES))
+        checks.append(("advective pairing cancels", cancel <= 1e-10))
+    if ratio > 0.0:
+        checks.append(("local bound survives refinement", refined <= 1.5 * ratio))
+    lines += [""] + ["  [%s] %s" % ("pass" if ok else "FAIL", name)
+                     for name, ok in checks]
+    return AssumptionReport(alpha, ci, eta, m0, m1, eps, lines, checks)
 
 
 def probe_steps(probe_times, dt, nsteps):

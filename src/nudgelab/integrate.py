@@ -7,7 +7,7 @@ endpoint (Ito convention):
     u+ = (I + dt A)^(-1) (u + dt F(u))
     v+ = (I + dt A)^(-1) (v + dt F(v) - dt mu I_d(v - u) + mu G(u) dW)
 
-With implicit nudging (modal operators only, where I_d is diagonal) the
+With implicit nudging (modal operators only: I_d must be diagonal) the
 mu I_d v term moves into the resolvent instead, and the explicit pull
 dt mu I_d u+ is toward the advanced reference.  The implicit A part
 makes the linear stability unconditional, so large mu needs no dt*mu
@@ -234,8 +234,9 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     rows = len(cells) * members
     row_cells = [cell for cell in cells for _ in range(members)]
     x = np.stack([u0] + [v0] * rows)
-    implicit = [cfg.implicit_nudging and grp.op is not None
-                and grp.op.kind == "modal" for grp in groups]
+    implicit = [cfg.implicit_nudging and grp.op is not None for grp in groups]
+    if any(imp and grp.op.kind != "modal" for imp, grp in zip(implicit, groups)):
+        raise ValueError("implicit nudging needs a modal observation")
     noisy = [grp.coef is not None and grp.coef.sigma > 0.0
              and grp.q is not None for grp in groups]
     pulled = [grp.op is not None and any(mu > 0.0 for mu in grp.mus)

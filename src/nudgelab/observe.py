@@ -131,20 +131,22 @@ def _single_mode_probes(spec, op):
     return probes
 
 
-def estimate_interp_constant(op, spec, samples=64, seed=0):
+CI_SAMPLES = 32     # random field pairs of every measured C_I
+
+
+def estimate_interp_constant(op, spec):
     """Measured constant of <f - I_delta f, g> <= C_I delta ||f||_H ||g||_V.
 
-    Maximizes the quotient over random field pairs plus adversarial
-    single-mode probes at the cutoff; deterministic given seed.
+    Maximizes the quotient over CI_SAMPLES random field pairs, drawn from
+    seed 0, plus adversarial single-mode probes at the cutoff; the same
+    op and spec always give the same number.
     """
     if spec.model_id != op.model_id:
         raise ValueError("operator belongs to %s" % op.model_id)
-    if samples < 1:
-        raise ValueError("need at least one sample")
     best = 0.0
-    for i in range(samples):
-        f = random_field(spec, (seed, 2 * i), smoothness=0.5)
-        g = random_field(spec, (seed, 2 * i + 1), smoothness=0.5)
+    for i in range(CI_SAMPLES):
+        f = random_field(spec, (0, 2 * i), smoothness=0.5)
+        g = random_field(spec, (0, 2 * i + 1), smoothness=0.5)
         best = max(best, _quotient(op, spec, f, g))
     for c in _single_mode_probes(spec, op):
         if norm_raw(spec, c, "H") == 0.0:

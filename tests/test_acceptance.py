@@ -231,7 +231,7 @@ def test_criterion_09_assumption_verifier():
                         verify_record(cfg.nsteps))
     rep = verify_assumptions(spec, res, op)
     flat = rep.m0 <= 1e-2 * rep.m1 / cfg.T
-    alpha_ok = abs(rep.alpha_hat - rep.alpha_declared) <= 1e-9
+    alpha_ok = abs(rep.alpha_hat - spec.alpha) <= 1e-9
 
     lin = build_model("nse_weak", 32, nu=1.0, linear=True)
     lop = make_observation(lin, "modal", delta=DELTA)
@@ -245,7 +245,7 @@ def test_criterion_09_assumption_verifier():
     _line(9, ok, "envelope M0 %.2e vs 1e-2*M1/T %.2e; F=0 gives (%g, %g); "
           "|alpha_hat - declared| %.1e"
           % (rep.m0, 1e-2 * rep.m1 / cfg.T, lrep.m0, lrep.m1,
-             abs(rep.alpha_hat - rep.alpha_declared)))
+             abs(rep.alpha_hat - spec.alpha)))
 
 
 CONFIG_10 = """\

@@ -416,6 +416,10 @@ def test_builder_rejected_value_exits_1(tmp_path, capsys, command, text):
     # each grid entry meets its key's schema constraint
     ("sweep", "--delta-grid", "0"),
     ("sweep", "--mu-grid", "-1"),
+    # a repeated entry would integrate its cells twice
+    ("sweep", "--mu-grid", "10,10"),
+    ("sweep", "--delta-grid", "0.39,0.9,0.39"),
+    ("sweep", "--mu-grid", "10,10", "--delta-grid", "0.39,0.39"),
 ])
 def test_bad_cli_list_exits_1(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -424,6 +428,41 @@ def test_bad_cli_list_exits_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration") and argv[1] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_implicit_nudging_on_a_volume_observation_exits_1(tmp_path, capsys,
+                                                          command):
+    # the pair used to run as explicit nudging, without a word
+    out = tmp_path / "out"
+    text = SMALL_RUN + "observation.kind = volume\nnudging.implicit = true\n"
+    rc = _run(tmp_path, "run.cfg", text, command, "--out-dir", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration")
+    assert "nudging.implicit" in err and "observation.kind" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,library", [
+    (("sweep", "--mu-grid", "10,400"), "sweep"),
+    (("convolution-check", "--paths", "50"), "convolution_variance_mc")])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_out_dir_on_a_file_exits_1_before_the_run(tmp_path, capsys,
+                                                  monkeypatch, argv, library,
+                                                  below):
+    # the path is refused before any integration, and nothing is created
+    monkeypatch.setattr(cli, library,
+                        lambda *a, **k: pytest.fail("the command integrated"))
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out" if below else blocker
+    rc = _run(tmp_path, "run.cfg", SMALL_RUN, *argv, "--out-dir", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write outputs: ") and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def _without(text, key):
@@ -664,9 +703,9 @@ def test_verify_keeps_its_states_on_a_long_large_run(tmp_path, monkeypatch):
     seen = []
     real = H._epsilon_hat
 
-    def counted(spec, traj_states, samples, seed):
+    def counted(spec, traj_states):
         seen.append(len(traj_states))
-        return real(spec, traj_states, samples, seed)
+        return real(spec, traj_states)
 
     monkeypatch.setattr(H, "_epsilon_hat", counted)
     rc = _run(tmp_path, "run.cfg", text, "verify",
@@ -755,18 +794,45 @@ def test_verify_ignores_estimate_blowup(tmp_path):
     assert rc == 2
 
 
-def test_verify_check_failure_exits_3(tmp_path, monkeypatch):
-    real = cli.verify_assumptions
-
-    def doctored(model, traj, op, **kw):
-        rep = real(model, traj, op, **kw)
-        rep.alpha_declared = rep.alpha_hat + 1.0
-        return rep
-
-    monkeypatch.setattr(cli, "verify_assumptions", doctored)
+def test_verify_check_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a measured alpha off its declared value fails the coercivity check
+    real = H.measure_alpha
+    monkeypatch.setattr(H, "measure_alpha", lambda spec: real(spec) + 1.0)
     rc = _run(tmp_path, "run.cfg", SMALL_RUN, "verify", "--check",
               "--out-dir", str(tmp_path / "out"))
     assert rc == 3
+    assert capsys.readouterr().err == ("check failed: coercivity constant "
+                                       "matches its declared value\n")
+    doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [k for k, ok in doc["checks"].items() if not ok] \
+        == ["coercivity constant matches its declared value"]
+
+
+# sha256 of report.txt at T = 0.05 for three (model, n, observation)
+# configs; the report is built from the measured constants alone, so
+# these pin every probe budget, seed and threshold of verify
+VERIFY_REPORTS = {
+    ("nse_strong", 32, "volume", False):
+        "72d58c57e05e1c073482f9f471b00c0b1a5f3037fabb182747c3a1b1beec6b35",
+    ("mhd", 16, "volume", False):
+        "0841451fdabdab06673cb72de6313496f07240a13522bb164aa06bfd2878b243",
+    ("ac_weak", 16, "modal", True):
+        "4f706b00850ec1828c98fcfbb4e057b58efa9510af7e84681186edc8cfcd3ea3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_REPORTS), ids=str)
+def test_verify_report_bytes_are_pinned(tmp_path, case):
+    model_id, n, obs, linear = case
+    text = ("model.id = %s\nmodel.n = %d\nobservation.kind = %s\n"
+            "time.T = 0.05\n%s" % (model_id, n, obs,
+                                   "model.linear = true\n" if linear else ""))
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "run.cfg", text, "verify", "--check",
+              "--out-dir", str(out))
+    assert rc == 0
+    digest = hashlib.sha256((out / "report.txt").read_bytes()).hexdigest()
+    assert digest == VERIFY_REPORTS[case]
 
 
 def test_convolution_check(tmp_path):

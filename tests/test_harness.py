@@ -274,7 +274,7 @@ def _check_envelope(times, kappa, m0, m1):
 def test_envelope_decreasing_kappa_flat():
     t = np.linspace(0.0, 2.0, 201)
     kappa = 5.0 * np.exp(-3.0 * t)
-    m0, m1, total = H._mm_envelope(t, kappa)
+    m0, m1, total, _ = H._mm_envelope(t, kappa)
     assert m0 == 0.0
     assert abs(m1 - total) < 1e-12
     _check_envelope(t, kappa, m0, m1)
@@ -283,7 +283,7 @@ def test_envelope_decreasing_kappa_flat():
 def test_envelope_constant_kappa_tie_break():
     t = np.linspace(0.0, 1.0, 101)
     kappa = np.full(101, 2.0)
-    m0, m1, total = H._mm_envelope(t, kappa)
+    m0, m1, total, _ = H._mm_envelope(t, kappa)
     # (2, 0) and (0, 2T) tie on M0*T + M1; prefer the flat bound
     assert m0 == 0.0
     assert abs(m1 - total) < 1e-12
@@ -291,14 +291,14 @@ def test_envelope_constant_kappa_tie_break():
 
 def test_envelope_zero_kappa():
     t = np.linspace(0.0, 1.0, 50)
-    assert H._mm_envelope(t, np.zeros(50)) == (0.0, 0.0, 0.0)
+    assert H._mm_envelope(t, np.zeros(50)) == (0.0, 0.0, 0.0, 1225)
 
 
 def test_envelope_bound_holds_and_is_tight():
     rng = np.random.default_rng(0)
     t = np.linspace(0.0, 3.0, 97)
     kappa = np.abs(np.cumsum(rng.standard_normal(97))) * 0.3
-    m0, m1, total = H._mm_envelope(t, kappa)
+    m0, m1, total, _ = H._mm_envelope(t, kappa)
     _check_envelope(t, kappa, m0, m1)
     # optimal among its own candidate slopes: zero and a touch less both
     # violate some pair unless m1 grows by at least the saved amount
@@ -313,16 +313,18 @@ def test_envelope_bound_holds_and_is_tight():
 
 @pytest.mark.parametrize("samples,pairs", [(51, 1275), (129, 2080),
                                            (130, 2145)])
-def test_verify_counts_the_envelope_grid_pairs(samples, pairs):
+def test_verify_counts_the_envelope_grid_pairs(monkeypatch, samples, pairs):
     # stride max(samples // 64, 1) plus the last sample when the stride
-    # misses it: 51 and 129 samples end on the stride, 130 does not
+    # misses it: 51 and 129 samples end on the stride, 130 does not; few
+    # random probes keep the case fast, the grid is the same
+    monkeypatch.setattr(H, "VERIFY_PROBES", 4)
     spec = build_model("ac_weak", 16, nu=1.0)
     op = make_observation(spec, "modal", delta=0.39)
     times = np.linspace(0.0, 1.0, samples)
     traj = SimpleNamespace(times=times, kappa=1.0 + times, u_path=())
-    rep = H.verify_assumptions(spec, traj, op, samples=4)
-    assert rep.samples["pairs"] == pairs
-    assert "constrained fit on %d grid pairs" % pairs in "\n".join(rep.lines())
+    assert H._mm_envelope(times, traj.kappa)[3] == pairs
+    rep = H.verify_assumptions(spec, traj, op)
+    assert "constrained fit on %d grid pairs" % pairs in "\n".join(rep.lines)
 
 
 # ------------------------------------------------------------------- sweep
@@ -363,7 +365,7 @@ def test_sweep_grid_and_threshold_flags():
     assert any(not r["over_threshold"] for r in rows)
     for d in (0.39, 0.9):
         opd = make_observation(spec, "modal", delta=d)
-        want = eta0(alpha_hat, estimate_interp_constant(opd, spec, samples=32))
+        want = eta0(alpha_hat, estimate_interp_constant(opd, spec))
         for row in (r for r in rows if r["delta"] == d):
             assert abs(row["eta0_hat"] - want) < 1e-12
 
@@ -513,6 +515,19 @@ def test_sweep_needs_one_set_of_constants_per_observation(monkeypatch, given):
     with pytest.raises(ValueError, match="one set of constants per"):
         sweep(setup, observations, [10.0, 400.0], members=2, master_seed=3,
               consts=consts)
+
+
+@pytest.mark.parametrize("mu_grid,deltas,name", [
+    ([10.0, 10.0], [0.39], "mu"), ([10.0, 400.0], [0.39, 0.9, 0.39], "delta")])
+def test_sweep_refuses_a_repeated_grid_entry(monkeypatch, mu_grid, deltas, name):
+    # a repeated entry's cells would repeat others bit for bit
+    setup, observations = _grid_setups("ac_weak", 16, "modal", deltas)
+    monkeypatch.setattr(H, "simulate_members",
+                        lambda *a: pytest.fail("the sweep integrated"))
+    with pytest.raises(ValueError, match="a %s appears twice" % name):
+        sweep(setup, observations, mu_grid, members=2, master_seed=3,
+              consts=[measured_constants(setup.model, op)
+                      for op, _, _ in observations])
 
 
 SWEEP_IGNORES = {

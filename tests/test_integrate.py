@@ -369,6 +369,16 @@ def test_nudged_pair_matches_mode_recursion(implicit):
         assert np.allclose(res.v_path[:, k], v_want, rtol=1e-13, atol=tol)
 
 
+def test_implicit_nudging_refuses_a_volume_observation():
+    # a volume I_delta is not diagonal, so it cannot join the resolvent
+    spec, _, q, coef, cfg = _setup(sigma=0.1, mu=20.0, T=0.02,
+                                   implicit_nudging=True)
+    op = make_observation(spec, "volume", 0.39)
+    with pytest.raises(ValueError, match="modal observation"):
+        simulate_pair(spec, cfg, op, coef, q, random_field(spec, 0),
+                      random_field(spec, 1), 0)
+
+
 def test_implicit_nudging_stable_at_large_mu_dt():
     # explicit coupling at dt*mu = 5 diverges; implicit stays bounded
     spec, op, q, coef, _ = _setup()

@@ -79,7 +79,7 @@ def test_interp_constant_single_mode_value():
     # the mode just past the cutoff gives exactly 1/(delta w_V(K+1))
     spec = build_model("ac_weak", 64)
     op = make_observation(spec, "modal", 0.39)
-    ci = estimate_interp_constant(op, spec, samples=32)
+    ci = estimate_interp_constant(op, spec)
     exact = 1.0 / (0.39 * spec.w_v[op.cutoff])
     assert ci == pytest.approx(exact, rel=1e-9)
     assert ci == pytest.approx(0.09068657726033923, rel=1e-12)
@@ -88,7 +88,7 @@ def test_interp_constant_single_mode_value():
 def test_interp_bound_holds_on_random_fields():
     spec = build_model("nse_weak", 32)
     op = make_observation(spec, "modal", 0.6)
-    ci = estimate_interp_constant(op, spec, samples=48)
+    ci = estimate_interp_constant(op, spec)
     for s in range(20):
         f = random_field(spec, (30, s), smoothness=0.4)
         g = random_field(spec, (31, s), smoothness=0.4)
@@ -122,4 +122,4 @@ def test_observation_model_mismatch():
     b = build_model("ac_strong", 16)
     op = make_observation(a, "modal", 0.39)
     with pytest.raises(ValueError, match="operator belongs to"):
-        estimate_interp_constant(op, b, samples=1)
+        estimate_interp_constant(op, b)
