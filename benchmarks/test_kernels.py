@@ -3,9 +3,10 @@
     python -m pytest benchmarks -q
 
 Times the per-step kernels the end-to-end benchmark spends its steps in:
-the pointwise Hilbert-Schmidt monitor, each model's nonlinearity on one
-field, on the stack of three that a two-member run steps and on the
-stack of thirteen that a 3 x 2 sweep of two members steps, the
+the pointwise Hilbert-Schmidt monitor on one state and on a batch of
+six, each model's nonlinearity on one field, on the stack of three that
+a two-member run steps and on the stack of thirteen that a 3 x 2 sweep
+of two members steps, the
 dealiased advection of the torus models, the threaded Monte Carlo
 variance of the stochastic convolution, the lockstep loop
 simulate_members on a small sweep and on a 64-member ensemble, the
@@ -43,6 +44,16 @@ def test_hs_norm_sq_pointwise_qg(benchmark):
     coef = make_noise_coefficient("pointwise_multiplicative", 0.05)
     u = random_field(spec, 1)
     assert benchmark(hs_norm_sq, coef, spec, u, q) > 0.0
+
+
+def test_hs_norm_sq_pointwise_qg_six_states(benchmark):
+    # the batch simulate_members hands over for mult_qg's six recorded
+    # steps: each direction stack is transformed once for all six
+    spec = build_model("qg", 32)
+    q = make_qspec(spec, delta=0.39)
+    coef = make_noise_coefficient("pointwise_multiplicative", 0.05)
+    us = np.stack([random_field(spec, s) for s in range(1, 7)])
+    assert benchmark(hs_norm_sq, coef, spec, us, q).shape == (6,)
 
 
 @pytest.mark.parametrize("rows", [None, 3, 13])

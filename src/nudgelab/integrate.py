@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fields import norm_raw
-from .noise import apply_G_raw, hs_norm_sq, increment_from_noise
+from .noise import _HS_CHUNK, apply_G_raw, hs_norm_sq, increment_from_noise
 from .observe import apply_observation_raw
 
 
@@ -207,10 +207,10 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     alone.  With no groups the reference steps alone.
 
     record, a Record, names the series to keep and their steps.  A
-    monitor runs only at those steps; as a value at step i depends only
-    on the state at step i, it has the bits of an every-step run.  The
-    blow-up accumulator and the running sum y behind dy_h, y_h run at
-    every step.
+    monitor runs only at those steps, hs on batches of _HS_CHUNK of them;
+    as a value at step i depends only on the state at step i, it has the
+    bits of an every-step run.  The blow-up accumulator and the running
+    sum y behind dy_h, y_h run at every step.
 
     Returns (reference, results): the reference's SimResult, or the
     BlowupError that ended it, and results[g][k], the CellResult of cell
@@ -282,6 +282,14 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
         rec[f] = np.full(lead.get(f, ()) + (len(at),) + spec.shape, np.nan,
                          dtype=spec.dtype)
     y = [np.zeros(spec.shape, dtype=spec.dtype)] * len(groups)
+    kept = {}  # column -> a reference state still owed its hs values
+
+    def flush():
+        for g, grp in enumerate(groups):
+            if kept and noisy[g]:
+                us = np.stack(list(kept.values()))
+                rec["hs"][g, list(kept)] = hs_norm_sq(grp.coef, spec, us, grp.q)
+        kept.clear()
 
     def store(i, x):
         j = slot.get(i)
@@ -295,9 +303,10 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
                 rec["u_h"][j] = norm_raw(spec, x[0], "H")
             if "kappa" in rec:
                 rec["kappa"][j] = spec.kappa_raw(x[0])
-            for g, grp in enumerate(groups):
-                if "hs" in rec and noisy[g]:
-                    rec["hs"][g, j] = hs_norm_sq(grp.coef, spec, x[0], grp.q)
+            if "hs" in rec and any(noisy):
+                kept[j] = x[0].copy()
+                if len(kept) == _HS_CHUNK:
+                    flush()
         if i in u_at:
             rec["u_path"][u_at[i]] = x[0]
         if i in v_at:
@@ -355,6 +364,7 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
             if not live.any():
                 break
         store(i, x)
+    flush()
 
     times = steps[0] * dt
     reference = ref_error or SimResult(times, x[0], None, u_h=rec.get("u_h"),

@@ -18,8 +18,8 @@ single-path integrator.
 
 The Hilbert-Schmidt norm of the pointwise kind has no closed form: it
 sums over the noise directions, which are evaluated in fixed-size stacks
-(one collocation product and one norm call per stack) and added up in
-direction order, bit-identical to the sum taken one direction at a time.
+that a whole stack of states shares, and added up in direction order,
+bit-identical to the sum taken one state and one direction at a time.
 """
 
 from dataclasses import dataclass, field
@@ -30,10 +30,10 @@ import numpy as np
 from .fields import norm_raw
 from .models import _lift_scalar_mode, _sine_to_grid, _sine_from_grid
 
-# Noise directions per stacked product in hs_norm_sq.  Directions are
-# pulled lazily, so no more than this many arrays are alive at once; a
-# stack of all 197 directions of qg n = 32 raised the peak memory of a
-# run by 14%, a stack of 16 by under 1%.
+# Noise directions per stacked product in hs_norm_sq, and the most
+# recorded steps simulate_members batches into one call.  Directions are
+# pulled lazily, so no more than this many are alive at once; all 197 of
+# qg n = 32 in one stack raised a run's peak memory by 14%, 16 by under 1%.
 _HS_CHUNK = 16
 
 
@@ -140,24 +140,35 @@ def make_noise_coefficient(kind, sigma, p=0.0, delta=1.0):
     return NoiseCoefficient(kind, float(sigma), float(p), float(delta))
 
 
-def _pointwise_product(spec, uc, wc):
-    # wc may stack several fields on leading axes; uc is one field
+def _states(spec, uc):
+    # a state or a stack of states on one leading axis, as a stack
+    lead = np.ndim(uc) - len(spec.shape)
+    if lead not in (0, 1) or np.shape(uc)[lead:] != spec.shape:
+        raise ValueError("a state of shape %s does not fit the %s grid of "
+                         "shape %s" % (np.shape(uc), spec.model_id, spec.shape))
+    return uc if lead else uc[None]
+
+
+def _to_grid(spec, c):
+    # dealiased collocation values of fields stacked on leading axes
+    return _sine_to_grid(c, 2 * spec.n) if spec.kind == "sine" else spec.aux.to_grid(c)
+
+
+def _from_grid(spec, vals):
     if spec.kind == "sine":
-        m = 2 * spec.n
-        vals = _sine_to_grid(uc, m) * _sine_to_grid(wc, m)
         return _sine_from_grid(vals, spec.n)
-    tor = spec.aux
-    return spec.project_raw(tor.from_grid(tor.to_grid(uc) * tor.to_grid(wc)))
+    return spec.project_raw(spec.aux.from_grid(vals))
 
 
 def apply_G_raw(coef, spec, uc, dw):
     """G_delta(u) applied to dw, linear in dw; dw may stack the increments
     of several members, and the factor that depends on u is computed once."""
+    _states(spec, uc)
     if coef.kind == "additive":
         return coef.sigma_delta * dw
     if coef.kind == "state_scaled":
         return (coef.sigma * norm_raw(spec, uc, "H")) * dw
-    return coef.sigma * _pointwise_product(spec, uc, dw)
+    return coef.sigma * _from_grid(spec, _to_grid(spec, uc) * _to_grid(spec, dw))
 
 
 def noise_directions(spec, q):
@@ -189,25 +200,32 @@ def noise_directions(spec, q):
 
 
 def hs_norm_sq(coef, spec, uc, q):
-    """||G_delta(u)||^2 in the Hilbert-Schmidt norm over Q^(1/2)H -> H.
+    """||G_delta(u)||^2 in the Hilbert-Schmidt norm over Q^(1/2)H -> H, an
+    array of one value per state for a stack of states on a leading axis.
 
     Closed forms for the kinds that scale dW; the pointwise kind sums
-    lambda^2 ||u . e||_H^2 over the noise directions e, which go through
-    the collocation product and the norm in stacks of _HS_CHUNK.  The sum
-    runs in direction order, so it is bit-identical to evaluating one
-    direction at a time.
+    lambda^2 ||u . e||_H^2 over the noise directions e, transformed in
+    stacks of _HS_CHUNK once for all the states, in direction order: each
+    value is bit-identical to summing one direction at a time.
     """
+    us = _states(spec, uc)
     if coef.kind == "additive":
-        return coef.sigma_delta ** 2 * q.trace
-    if coef.kind == "state_scaled":
-        return coef.sigma ** 2 * norm_raw(spec, uc, "H") ** 2 * q.trace
-    total = 0.0
-    dirs = noise_directions(spec, q)
-    for chunk in iter(lambda: list(islice(dirs, _HS_CHUNK)), []):
-        lams, stack = zip(*chunk)
-        norms = norm_raw(spec, _pointwise_product(spec, uc, np.stack(stack)), "H")
+        totals = [coef.sigma_delta ** 2 * q.trace] * len(us)
+    elif coef.kind == "state_scaled":
+        totals = [coef.sigma ** 2 * x ** 2 * q.trace
+                  for x in norm_raw(spec, us, "H").tolist()]
+    else:
+        sums = [0.0] * len(us)
+        grids = _to_grid(spec, us)
+        dirs = noise_directions(spec, q)
         # Python floats in direction order: x ** 2 is libm pow, which an
         # array square does not match in the last bit for every double
-        for lam, x in zip(lams, norms.tolist()):
-            total += lam * lam * x ** 2
-    return coef.sigma ** 2 * total
+        for chunk in iter(lambda: list(islice(dirs, _HS_CHUNK)), []):
+            lams, stack = zip(*chunk)
+            wgrid = _to_grid(spec, np.stack(stack))
+            for s, ugrid in enumerate(grids):
+                norms = norm_raw(spec, _from_grid(spec, ugrid * wgrid), "H")
+                for lam, x in zip(lams, norms.tolist()):
+                    sums[s] += lam * lam * x ** 2
+        totals = [coef.sigma ** 2 * t for t in sums]
+    return np.array(totals) if us is uc else totals[0]

@@ -248,10 +248,10 @@ def hs_pointwise_per_direction(coef, spec, u, q):
     """Hilbert-Schmidt norm of the pointwise kind, one noise direction
     (one collocation product, one norm) at a time, in direction order."""
     from nudgelab.fields import norm_raw
-    from nudgelab.noise import _pointwise_product, noise_directions
+    from nudgelab.noise import _from_grid, _to_grid, noise_directions
     total = 0.0
     for lam, dirc in noise_directions(spec, q):
-        g = _pointwise_product(spec, u, dirc)
+        g = _from_grid(spec, _to_grid(spec, u) * _to_grid(spec, dirc))
         total += lam * lam * norm_raw(spec, g, "H") ** 2
     return coef.sigma ** 2 * total
 

@@ -6,6 +6,7 @@ import pytest
 
 import oracles as O
 import nudgelab.integrate as I
+from nudgelab.fields import norm_raw
 from nudgelab.integrate import (_DRAW_BYTES, SERIES, BlowupError, Group,
                                 Record, StepConfig, _fill, _rng_for,
                                 simulate_members, simulate_pair)
@@ -244,6 +245,49 @@ def test_draw_chunking_keeps_every_bit(monkeypatch, mid, n, members, T):
     one_step = run()
     assert np.array_equal(chunked[0].u_h, one_step[0].u_h)
     for want, got in zip(chunked[1][0], one_step[1][0]):
+        for name in SERIES + ("v_final",):
+            assert np.array_equal(getattr(got, name), getattr(want, name),
+                                  equal_nan=True), name
+
+
+@pytest.mark.parametrize("blowup_step", [None, 21])
+def test_hs_batches_keep_every_bit(monkeypatch, blowup_step):
+    # hs over batches of one recorded step equals the default batches of
+    # _HS_CHUNK: 41 steps make two full batches and a partial one, and a
+    # reference blow-up at step 21 ends the run with a batch of 5 kept
+    spec = build_model("qg", 8)
+    cfg = StepConfig(dt=1e-3, T=0.04)
+    assert cfg.nsteps + 1 > 2 * I._HS_CHUNK
+    # estimates from 0 stay under the reference's accumulator
+    u0, v0 = random_field(spec, 0), np.zeros(spec.shape, dtype=spec.dtype)
+    if blowup_step:
+        # a guard between the reference's accumulator at the step before
+        # and at the blow-up step
+        path = simulate_members(spec, cfg, [], u0, v0, [],
+                                Record((), u_path=None))[0].u_path
+        acc = np.cumsum([0.0] + [cfg.dt * norm_raw(spec, u, "V") ** 2
+                                 for u in path[1:]])
+        cfg = StepConfig(dt=cfg.dt, T=cfg.T, blowup_guard=0.5 * (
+            acc[blowup_step - 1] + acc[blowup_step]))
+    groups = [Group(make_observation(spec, "modal", 0.8),
+                    make_noise_coefficient(kind, 0.3), make_qspec(spec, delta=0.8),
+                    (0.0, 20.0))
+              for kind in ("pointwise_multiplicative", "state_scaled")]
+
+    def run():
+        ref, res = simulate_members(spec, cfg, groups, u0, v0,
+                                    [_rng_for(s) for s in (4, 5)], WITH_Y)
+        return ref, [cell for cells in res for cell in cells]
+
+    ref, batched = run()
+    monkeypatch.setattr(I, "_HS_CHUNK", 1)
+    ref_one, one = run()
+    end = blowup_step or cfg.nsteps + 1
+    if blowup_step:
+        assert ref.step == ref_one.step == end
+    hs = batched[0].hs
+    assert (hs[:end] > 0.0).all() and (hs[end:] == 0.0).all()
+    for want, got in zip(batched, one):
         for name in SERIES + ("v_final",):
             assert np.array_equal(getattr(got, name), getattr(want, name),
                                   equal_nan=True), name

@@ -1,5 +1,7 @@
 """Q-Wiener increments, noise coefficients, Hilbert-Schmidt norms."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,49 @@ def test_pointwise_hs_stacked_equals_per_direction_bitwise(model_id, n, k_q):
         u = random_field(spec, seed)
         assert hs_norm_sq(coef, spec, u, q) == \
             hs_pointwise_per_direction(coef, spec, u, q)
+
+
+@pytest.mark.parametrize("model_id,n", HS_STACK_GRIDS)
+@pytest.mark.parametrize("k_q", ["auto", 0])
+@pytest.mark.parametrize("kind", ["additive", "state_scaled",
+                                  "pointwise_multiplicative"])
+def test_hs_of_a_stack_equals_per_state_calls_bitwise(model_id, n, k_q, kind):
+    # one stack of 1 state and one longer than a stack of directions: the
+    # pointwise kind shares each direction stack's transforms among them
+    spec = build_model(model_id, n)
+    q = make_qspec(spec, k_q=k_q)
+    coef = make_noise_coefficient(kind, 0.7, p=0.5 if kind == "additive"
+                                  else 0.0, delta=0.39)
+    us = np.stack([random_field(spec, s) for s in range(_HS_CHUNK + 2)])
+    for stack in (us[:1], us):
+        got = hs_norm_sq(coef, spec, stack, q)
+        assert isinstance(got, np.ndarray) and got.shape == (len(stack),)
+        assert got.tolist() == [hs_norm_sq(coef, spec, u, q) for u in stack]
+    assert (got == 0.0).all() == (k_q == 0)
+    if kind == "pointwise_multiplicative":
+        for s in (0, -1):
+            assert got[s] == hs_pointwise_per_direction(coef, spec, us[s], q)
+
+
+@pytest.mark.parametrize("model_id,n,other", [("ac_weak", 64, 16),
+                                              ("qg", 32, 16)])
+@pytest.mark.parametrize("kind", ["state_scaled", "pointwise_multiplicative"])
+def test_a_state_off_the_grid_fails_loudly(model_id, n, other, kind):
+    # a state of another grid size, or stacked on two leading axes, is
+    # refused with both shapes named, not zero-padded or broadcast
+    spec = build_model(model_id, n)
+    q = make_qspec(spec, delta=0.39)
+    coef = make_noise_coefficient(kind, 0.3)
+    dw = increment_from_noise(spec, q, 0.01, np.random.default_rng(3)
+                              .standard_normal(q.draw_shape))
+    small = random_field(build_model(model_id, other), 1)
+    u = random_field(spec, 1)
+    for bad in (small, np.stack([small] * 2), np.stack([np.stack([u] * 2)] * 2)):
+        msg = "%s.*%s" % (re.escape(str(bad.shape)), re.escape(str(spec.shape)))
+        with pytest.raises(ValueError, match=msg):
+            hs_norm_sq(coef, spec, bad, q)
+        with pytest.raises(ValueError, match=msg):
+            apply_G_raw(coef, spec, bad, dw)
 
 
 def test_sigma_delta_applies_to_additive_only():
