@@ -212,7 +212,6 @@ def _cmd_simulate(args, values):
              [ens.times, ens.mean_w2_h, ens.se_w2_h, ens.mean_w2_vstar,
               ens.se_w2_vstar, ens.mean_hs])
         files.append("ensemble.csv")
-    _write(os.path.join(out_dir, "plot_series.py"), PLOT_SCRIPT)
     extra.update({"master_seed": seed, "members": members,
                   "blowups": ens.blowups, "partial": ens.partial,
                   "files": sorted(files)})
@@ -237,9 +236,10 @@ def _cmd_sweep(args, values):
     # before any output directory exists; refusals depend on delta, not mu
     setup = _checked_setup({**values, "observation.delta": delta_grid[0]})
     spec = setup.model
-    observations = [build_observation(values, spec, d) for d in delta_grid]
-    for op, _, _ in observations:
+    later = [build_observation(values, spec, d) for d in delta_grid[1:]]
+    for op, _, _ in later:
         _require_unobserved_mode(spec, op)
+    observations = [(setup.op, setup.coef, setup.q)] + later
     out_dir = output_directory(values)
     clock.lap("setup_s")
     consts = [measured_constants(spec, op) for op, _, _ in observations]
@@ -372,50 +372,6 @@ def _cmd_convolution(args, values):
               "3 s.e.", file=sys.stderr)
         return 3
     return 0
-
-
-PLOT_SCRIPT = '''\
-"""Plot the series written next to this script (needs matplotlib)."""
-import csv
-import os
-import sys
-
-try:
-    import matplotlib.pyplot as plt
-except ImportError:
-    sys.exit("matplotlib is not installed; pip install matplotlib")
-
-here = os.path.dirname(os.path.abspath(__file__))
-
-
-def load(name):
-    path = os.path.join(here, name)
-    if not os.path.exists(path):
-        return None
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return {k: [float(r[k]) for r in rows] for k in rows[0]}
-
-
-series = load("series.csv")
-ens = load("ensemble.csv")
-if series is None and ens is None:
-    sys.exit("no series.csv or ensemble.csv found here")
-
-fig, ax = plt.subplots()
-if series is not None:
-    ax.semilogy(series["t"], [w ** 2 for w in series["w_H"]],
-                label="member 0  |w|^2")
-if ens is not None:
-    ax.semilogy(ens["t"], ens["mean_w2_H"], label="ensemble mean |w|^2")
-ax.set_xlabel("t")
-ax.set_ylabel("squared error")
-ax.legend()
-fig.tight_layout()
-out = os.path.join(here, "series.png")
-fig.savefig(out, dpi=150)
-print("wrote", out)
-'''
 
 
 def main(argv=None):

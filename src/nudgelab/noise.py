@@ -140,12 +140,14 @@ def make_noise_coefficient(kind, sigma, p=0.0, delta=1.0):
     return NoiseCoefficient(kind, float(sigma), float(p), float(delta))
 
 
+_OFF_GRID = "a state of shape %s does not fit the %s grid of shape %s"
+
+
 def _states(spec, uc):
     # a state or a stack of states on one leading axis, as a stack
     lead = np.ndim(uc) - len(spec.shape)
     if lead not in (0, 1) or np.shape(uc)[lead:] != spec.shape:
-        raise ValueError("a state of shape %s does not fit the %s grid of "
-                         "shape %s" % (np.shape(uc), spec.model_id, spec.shape))
+        raise ValueError(_OFF_GRID % (np.shape(uc), spec.model_id, spec.shape))
     return uc if lead else uc[None]
 
 
@@ -161,9 +163,10 @@ def _from_grid(spec, vals):
 
 
 def apply_G_raw(coef, spec, uc, dw):
-    """G_delta(u) applied to dw, linear in dw; dw may stack the increments
-    of several members, and the factor that depends on u is computed once."""
-    _states(spec, uc)
+    """G_delta(u) applied to dw, for one state u; linear in dw, which may
+    stack the increments of several members, the factor of u computed once."""
+    if np.shape(uc) != spec.shape:
+        raise ValueError(_OFF_GRID % (np.shape(uc), spec.model_id, spec.shape))
     if coef.kind == "additive":
         return coef.sigma_delta * dw
     if coef.kind == "state_scaled":

@@ -182,16 +182,15 @@ def test_simulate_writes_outputs(tmp_path):
     rc = _run(tmp_path, "run.cfg", SMALL_RUN,
               "simulate", "--out-dir", str(out))
     assert rc == 0
-    names = sorted(os.listdir(out))
-    assert names == ["ensemble.csv", "manifest.json", "plot_series.py",
-                     "series.csv"]
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["files"] == ["ensemble.csv", "series.csv"]
+    assert sorted(os.listdir(out)) == sorted(doc["files"] + ["manifest.json"])
     series = (out / "series.csv").read_text().splitlines()
     assert series[0] == "t,w_H,w_Vstar,u_H,v_H,hs_norm_sq,kappa"
     # 100 steps, stride 10, plus the forced final row
     assert len(series) == 1 + 11
     ens = (out / "ensemble.csv").read_text().splitlines()
     assert ens[0].startswith("t,mean_w2_H,se_w2_H")
-    doc = json.loads((out / "manifest.json").read_text())
     assert doc["tool"] == "nudgelab" and doc["command"] == "simulate"
     assert doc["members"] == 2 and doc["blowups"] == 0
     assert doc["eta0_hat"] > 0.0

@@ -198,6 +198,25 @@ def test_a_state_off_the_grid_fails_loudly(model_id, n, other, kind):
             apply_G_raw(coef, spec, bad, dw)
 
 
+@pytest.mark.parametrize("model_id", ["ac_weak", "qg"])
+@pytest.mark.parametrize("kind", ["additive", "state_scaled",
+                                  "pointwise_multiplicative"])
+def test_apply_G_refuses_a_stack_of_states(model_id, kind):
+    # G_delta(u) dw reads one state, so a stack of states is refused with
+    # both shapes named; hs_norm_sq alone takes a stack
+    spec = build_model(model_id, 16)
+    q = make_qspec(spec, delta=0.39)
+    coef = make_noise_coefficient(kind, 0.3)
+    dw = increment_from_noise(spec, q, 0.01, np.random.default_rng(3)
+                              .standard_normal(q.draw_shape))
+    us = np.stack([random_field(spec, s) for s in range(16)])
+    for stack in (us[:2], us):
+        msg = "%s.*%s" % (re.escape(str(stack.shape)), re.escape(str(spec.shape)))
+        with pytest.raises(ValueError, match=msg):
+            apply_G_raw(coef, spec, stack, dw)
+        assert hs_norm_sq(coef, spec, stack, q).shape == (len(stack),)
+
+
 def test_sigma_delta_applies_to_additive_only():
     add = make_noise_coefficient("additive", 0.4, p=0.5, delta=0.25)
     assert add.sigma_delta == pytest.approx(0.4 * 0.25 ** 0.5)
