@@ -7,10 +7,11 @@ the pointwise Hilbert-Schmidt monitor on one state and on a batch of
 six, each model's nonlinearity on one field, on the stack of three that
 a two-member run steps and on the stack of thirteen that a 3 x 2 sweep
 of two members steps, the
-dealiased advection of the torus models, the threaded Monte Carlo
-variance of the stochastic convolution, the lockstep loop
-simulate_members on a small sweep and on a 64-member ensemble, the
-noise draws of that ensemble alone, the measured constants (alpha,
+dealiased advection of the torus models, the Monte Carlo variance of
+the stochastic convolution (one pool task per chunk of paths), the
+lockstep loop simulate_members on a small sweep and on a 64-member
+ensemble, the noise draws of that ensemble alone through
+integrate._blocks, the measured constants (alpha,
 C_I, eta0) a volume sweep takes per delta, and `import nudgelab` in a
 fresh interpreter.  pytest collects tests/ only by default, so these run
 only when asked for.
@@ -26,8 +27,8 @@ import pytest
 import nudgelab
 from nudgelab.harness import (_stride_idx, convolution_variance_mc,
                               measured_constants, member_seed)
-from nudgelab.integrate import (_DRAW_BYTES, MONITORS, Group, Record,
-                                StepConfig, _fill, _rng_for, simulate_members)
+from nudgelab.integrate import (MONITORS, Group, Record, StepConfig, _blocks,
+                                _rng_for, simulate_members)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import hs_norm_sq, make_noise_coefficient, make_qspec
 from nudgelab.observe import make_observation
@@ -132,19 +133,15 @@ def test_measured_constants_nse_strong_volume(benchmark, delta):
 
 
 def test_member_sources_ac_weak(benchmark):
-    # ens_ac's draws: 64 members of ac_weak n=64 over 250 steps, into one
-    # buffer in the chunks of steps simulate_members draws
+    # ens_ac's draws: 64 members of ac_weak n=64 over 250 steps, through
+    # the step blocks simulate_members reads
     shape = make_qspec(build_model("ac_weak", 64), delta=0.39).draw_shape
-    chunk = _DRAW_BYTES // (8 * int(np.prod(shape)))
-    buf = np.empty((64, chunk) + shape)
 
     def run():
         rngs = [_rng_for(member_seed(3, m)) for m in range(64)]
-        for i in range(0, 250, chunk):
-            _fill(rngs, buf[:, :250 - i])
-        return buf
+        return sum(1 for _ in _blocks(rngs, 64, 250, shape))
 
-    assert benchmark(run).shape == (64, chunk, 64)
+    assert benchmark(run) == 250
 
 
 def test_import_nudgelab(benchmark):

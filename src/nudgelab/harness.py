@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import _wsum2, inner_h_raw, norm_raw
-from .integrate import (BlowupError, Group, Record, _fill, _rng_for,
+from .integrate import (BlowupError, Group, Record, _blocks, _rng_for,
                         simulate_members)
 from .models import build_model, random_field
 from .noise import apply_G_raw, increment_from_noise
@@ -443,16 +443,23 @@ def _draw_workers():
         return os.cpu_count() or 1
 
 
-def _submit_draws(pool, workers, master_seed, first, b, shape):
-    """Start drawing paths first .. first+b-1 into a path-major (b,) + shape
-    buffer, each path whole from its own stream, built on the draw thread:
-    one _fill task per contiguous slice of about b / workers paths.
-    Returns the buffer and the futures filling it."""
-    blocks = np.empty((b,) + shape)
-    cuts = [b * k // workers for k in range(workers + 1)]
-    return blocks, [pool.submit(_fill, (_rng_for(member_seed(master_seed, first + j))
-                                        for j in range(lo, hi)), blocks[lo:hi])
-                    for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+def _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi):
+    """The z^2 and z^4 sums over paths lo .. hi-1 at each probe step, the
+    paths' generators made (each as its first draw comes up) and stepped
+    here: a (2, probes, n_modes) array."""
+    dt = cfg.dt
+    denom = 1.0 / (1.0 + dt * spec.a)
+    zero_u = np.zeros(spec.shape, dtype=spec.dtype)
+    rngs = (_rng_for(member_seed(master_seed, m)) for m in range(lo, hi))
+    sums = np.zeros((2, len(probe_at), spec.n))
+    z = np.zeros((hi - lo, spec.n))
+    for step, block in enumerate(_blocks(rngs, hi - lo, cfg.nsteps,
+                                         q.draw_shape), 1):
+        dw = increment_from_noise(spec, q, dt, block)
+        z = (z + cfg.mu * apply_G_raw(coef, spec, zero_u, dw)) * denom
+        if step in probe_at:
+            sums[:, probe_at[step]] = (z ** 2).sum(axis=0), (z ** 4).sum(axis=0)
+    return sums
 
 
 def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
@@ -460,17 +467,18 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
     """Per-mode sample variance of the stochastic convolution at probe
     times, over many paths.
 
-    Member m draws its whole horizon in one call from the spawn_key=(m,)
-    stream and steps z <- (z + mu G dW) r, r = 1/(1 + dt a), the update
-    simulate_members gives the estimate of the linear model started from
-    zero with no observation, so one path here is bit-identical to the
-    v_path of that run.
-    Paths run in chunks: a pool of one thread per available CPU draws
-    the next chunk while the current one steps, so two chunks of
-    paths x steps x modes doubles are alive at once.  Every path's draw
-    and every sum is the same whatever the thread count, so the results
-    are too.  Works for 1D (sine) models; returns (probe_times, var, se)
-    with var and se shaped (len(probe_times), n_modes).
+    Member m draws from the spawn_key=(m,) stream through
+    integrate._blocks and steps z <- (z + mu G dW) r, r = 1/(1 + dt a),
+    the update simulate_members gives the estimate of the linear model
+    started from zero with no observation, so one path here is
+    bit-identical to the v_path of that run.
+    Paths run in chunks, each one task on a pool of one thread per
+    available CPU: a task holds one buffer of about chunk x _DRAW_BYTES
+    of draws whatever the horizon, and returns its moment sums, which are
+    added in chunk order.  Every path's draw and every sum is the same
+    whatever the thread count, so the results are too.  Works for 1D
+    (sine) models; returns (probe_times, var, se) with var and se shaped
+    (len(probe_times), n_modes).
     """
     if spec.kind != "sine":
         raise ValueError("vectorized variance runs on 1D models")
@@ -480,39 +488,18 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
         raise ValueError("need at least one path")
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
-    n = cfg.nsteps
-    dt = cfg.dt
-    steps = probe_steps(probe_times, dt, n)
-    denom = 1.0 / (1.0 + dt * spec.a)
-    zero_u = np.zeros(spec.shape, dtype=spec.dtype)
+    steps = probe_steps(probe_times, cfg.dt, cfg.nsteps)
     probe_at = {s: i for i, s in enumerate(steps)}
-    sum2 = np.zeros((len(steps), spec.n))
-    sum4 = np.zeros((len(steps), spec.n))
+    sums = np.zeros((2, len(steps), spec.n))
     from concurrent.futures import ThreadPoolExecutor
-    workers = _draw_workers()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = _submit_draws(pool, workers, master_seed, 0,
-                                min(chunk, paths), (n, spec.n))
-        done = 0
-        while done < paths:
-            blocks, futures = pending
-            for f in futures:
-                f.result()
-            b = len(blocks)
-            if done + b < paths:
-                pending = _submit_draws(pool, workers, master_seed, done + b,
-                                        min(chunk, paths - done - b), (n, spec.n))
-            z = np.zeros((b, spec.n))
-            for step in range(1, n + 1):
-                dw = increment_from_noise(spec, q, dt, blocks[:, step - 1])
-                z = (z + cfg.mu * apply_G_raw(coef, spec, zero_u, dw)) * denom
-                if step in probe_at:
-                    i = probe_at[step]
-                    sum2[i] += (z ** 2).sum(axis=0)
-                    sum4[i] += (z ** 4).sum(axis=0)
-            done += b
-    var = sum2 / paths
-    # standard error of a sample variance via the fourth moment
-    m4 = sum4 / paths
+    with ThreadPoolExecutor(max_workers=_draw_workers()) as pool:
+        for part in pool.map(
+                lambda lo: _conv_sums(spec, cfg, coef, q, probe_at, master_seed,
+                                      lo, min(lo + chunk, paths)),
+                range(0, paths, chunk)):
+            sums += part
+    # the second moment, and the fourth for the standard error of a sample
+    # variance
+    var, m4 = sums / paths
     se = np.sqrt(np.maximum(m4 - var ** 2, 0.0) / paths)
     return np.asarray(probe_times, dtype=float), var, se

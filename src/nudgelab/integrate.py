@@ -34,14 +34,17 @@ up rests at 0 in its row of the stack, and its cell keeps the error).
 The only randomness consumed is one fixed-shape standard-normal block
 per member and step whenever a QSpec is supplied (even at sigma = 0, so
 runs that differ only in sigma share their noise realizations); every
-cell and group reads the same block.  Every block is drawn by _fill,
-which fills row m of a buffer from generator m, several steps in one
-call with the bits of one call per step; the Monte Carlo paths of
-harness.convolution_variance_mc are drawn by it too.
+cell and group reads the same block.  Every block comes from _blocks,
+a view of one buffer of steps that _fill refills, row m from generator
+m, several steps in one call with the bits of one call per step; the
+Monte Carlo paths of harness.convolution_variance_mc step through it
+too, so neither loop holds more than one buffer of draws per generator
+set whatever the horizon.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -100,11 +103,30 @@ _DRAW_BYTES = 16384  # per generator call: 1 MB over 64 members
 
 
 def _fill(rngs, out):
-    """Fill out[m] with the next standard normals of generator rngs[m], in
-    one call each.  A block of several steps holds the bits of one draw per
-    step: the bulk-draw slicing invariant of noise.py."""
-    for rng, row in zip(rngs, out):
+    """Fill out[m] with the next standard normals of the m-th generator of
+    rngs, in one call each, and return those generators as a list.  A
+    block of several steps holds the bits of one draw per step: the
+    bulk-draw slicing invariant of noise.py."""
+    drawn = []
+    for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
+        drawn.append(rng)
+    return drawn
+
+
+def _blocks(rngs, members, n, shape):
+    """Yield n steps' (members,) + shape standard-normal blocks, member m's
+    rows from the m-th generator of rngs: each a view of one buffer of
+    min(chunk, n) steps, which _fill refills at about _DRAW_BYTES per
+    generator call.  rngs may be an iterator: the first fill then makes
+    each generator just before its first draw, so a thread building many
+    never holds the interpreter lock for long."""
+    chunk = max(1, _DRAW_BYTES // (8 * int(np.prod(shape))))
+    buf = np.empty((members, min(chunk, n)) + shape)
+    for lo in range(0, n, chunk):
+        part = buf[:, :n - lo]
+        rngs = _fill(rngs, part)
+        yield from part.swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -196,15 +218,13 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
 
     cfg gives dt, T, implicit_nudging and blowup_guard; each cell nudges
     with its own mu (cfg.mu is not read).  Member m draws from rngs[m],
-    which the run consumes; _fill draws every member's next steps into one
-    (members, chunk) + draw shape buffer, about _DRAW_BYTES per generator
-    call, and a step's block, the view buf[:, j], drives member m in
-    every cell.  The reference (row 0) and the estimates (group-major,
-    then cell, then member) advance as one stack, so the nonlinearity,
-    the norms and kappa run once per step for all of them; increment,
-    G(u) dW, the observation and the Hilbert-Schmidt norm run once per
-    group.  Each estimate's numbers are bit-identical to a run of it
-    alone.  With no groups the reference steps alone.
+    which the run consumes; row m of a step's block from _blocks drives
+    member m in every cell.  The reference (row 0) and the estimates
+    (group-major, then cell, then member) advance as one stack, so the
+    nonlinearity, the norms and kappa run once per step for all of them;
+    increment, G(u) dW, the observation and the Hilbert-Schmidt norm run
+    once per group.  Each estimate's numbers are bit-identical to a run
+    of it alone.  With no groups the reference steps alone.
 
     record, a Record, names the series to keep and their steps.  A
     monitor runs only at those steps, hs on batches of _HS_CHUNK of them;
@@ -242,9 +262,7 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     pulled = [grp.op is not None and any(mu > 0.0 for mu in grp.mus)
               for grp in groups]
     shapes = [grp.q.draw_shape for grp in groups if grp.q is not None]
-    if shapes:
-        chunk = max(1, _DRAW_BYTES // (8 * int(np.prod(shapes[0]))))
-        buf = np.empty((members, chunk) + shapes[0])
+    draws = _blocks(rngs, members, n, shapes[0]) if shapes else repeat(None, n)
     # per stack row, Python floats as a scalar-mu run would form them: the
     # mu of the noise term and the factor of the pull (a cell with mu = 0
     # in a pulled group adds a zero pull)
@@ -316,12 +334,7 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     # per row in Python floats: x ** 2 is pow(), which an array square
     # (x * x) does not always match in the last bit
     acc = [0.0] * (1 + rows)
-    for i in range(1, n + 1):
-        if shapes:
-            j = (i - 1) % chunk
-            if not j:
-                _fill(rngs, buf[:, :n + 1 - i])
-            block = buf[:, j]
+    for i, block in enumerate(draws, 1):
         rhs = x + dt * spec.f_raw(x)
         for g, grp in enumerate(groups):
             s, take = spans[g]

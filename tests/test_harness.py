@@ -2,6 +2,7 @@
 
 import pickle
 import sys
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import nudgelab.harness as H
+import nudgelab.integrate as I
 from nudgelab.fields import norm_raw
 from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               estimate_noise_floor, fit_decay_rate,
@@ -625,7 +627,8 @@ def test_convolution_mc_threaded_equals_serial_oracle(monkeypatch, workers,
 
 
 def test_convolution_mc_more_workers_than_cores(monkeypatch):
-    # eight draw threads switching every microsecond write disjoint rows
+    # eight pool threads switching every microsecond, each stepping its
+    # own chunk of paths
     monkeypatch.setattr(H, "_draw_workers", lambda: 8)
     spec, cfg, coef, q = _conv_case()
     old = sys.getswitchinterval()
@@ -639,6 +642,45 @@ def test_convolution_mc_more_workers_than_cores(monkeypatch):
                                               40, 2, chunk=12)
     assert np.array_equal(var, ref_var)
     assert np.array_equal(se, ref_se)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_convolution_mc_across_draw_blocks_equals_serial_oracle(monkeypatch,
+                                                                workers):
+    # 6 steps of 8 modes per generator call: the 20 steps are drawn in
+    # three full blocks and a partial one of 2, yet every path and sum
+    # keeps the bits of the serial oracle's whole-horizon draws
+    monkeypatch.setattr(H, "_draw_workers", lambda: workers)
+    monkeypatch.setattr(I, "_DRAW_BYTES", 6 * 8 * 8)
+    spec, cfg, coef, q = _conv_case()
+    assert q.draw_shape == (8,) and cfg.nsteps == 20
+    probes = [0.05, 0.1, 0.2]
+    _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes, 7, 11,
+                                         chunk=3)
+    ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, probes, 7,
+                                              11, chunk=3)
+    assert np.array_equal(var, ref_var)
+    assert np.array_equal(se, ref_se)
+
+
+def test_convolution_mc_memory_does_not_grow_with_horizon(monkeypatch):
+    # 4 steps per generator call: the base run's 20 steps already span 5
+    # draw blocks, and a horizon 10x longer must not hold more draws
+    monkeypatch.setattr(H, "_draw_workers", lambda: 2)
+    monkeypatch.setattr(I, "_DRAW_BYTES", 4 * 8 * 8)
+
+    def peak(T):
+        spec, cfg, coef, q = _conv_case(T=T)
+        tracemalloc.start()
+        try:
+            convolution_variance_mc(spec, cfg, coef, q, [T], 200, 1, chunk=100)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.2)  # the first call's one-off imports and caches
+    base, long = peak(0.2), peak(2.0)
+    assert long <= 1.5 * base, (base, long)
 
 
 def test_convolution_mc_rerun_identical():

@@ -8,7 +8,7 @@ import oracles as O
 import nudgelab.integrate as I
 from nudgelab.fields import norm_raw
 from nudgelab.integrate import (_DRAW_BYTES, SERIES, BlowupError, Group,
-                                Record, StepConfig, _fill, _rng_for,
+                                Record, StepConfig, _blocks, _fill, _rng_for,
                                 simulate_members, simulate_pair)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
@@ -219,6 +219,30 @@ def test_chunked_fill_equals_one_step_draws(mid, n, shape):
         rng = _rng_for(s)
         for i in range(2 * per_call + 3):
             assert np.array_equal(got[m, i], rng.standard_normal(shape)), (m, i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 2 * 32 + 5])
+def test_blocks_equal_one_step_draws_in_one_buffer(n):
+    # ac_weak n=64 draws 32 steps per generator call; over n steps,
+    # n % 32 != 0 included, _blocks yields n blocks, each the one-step
+    # draws of fresh generators, all views of one buffer of min(32, n)
+    # steps; the generators come from an iterator, made by the first fill
+    shape = (64,)
+    chunk = _DRAW_BYTES // (8 * 64)
+    assert chunk == 32
+    seeds = [5, 6, 7]
+    fresh = [_rng_for(s) for s in seeds]
+    bases = set()
+    count = 0
+    made = (_rng_for(s) for s in seeds)
+    for i, block in enumerate(_blocks(made, len(seeds), n, shape)):
+        assert block.shape == (len(seeds),) + shape
+        bases.add(id(block.base))
+        assert block.base.shape == (len(seeds), min(chunk, n)) + shape
+        for m, rng in enumerate(fresh):
+            assert np.array_equal(block[m], rng.standard_normal(shape)), (i, m)
+        count += 1
+    assert count == n and len(bases) == 1
 
 
 @pytest.mark.parametrize("mid,n,members,T", [
