@@ -6,7 +6,8 @@ Times the per-step kernels the end-to-end benchmark spends its steps in:
 the pointwise Hilbert-Schmidt monitor on one state and on a batch of
 six, each model's nonlinearity on one field, on the stack of three that
 a two-member run steps and on the stack of thirteen that a 3 x 2 sweep
-of two members steps, the
+of two members steps, the noise increment of a two-member qg block, the
+projection of a three-row qg stack, the
 dealiased advection of the torus models, the Monte Carlo variance of
 the stochastic convolution (one pool task per chunk of paths), the
 lockstep loop simulate_members on a small sweep and on a 64-member
@@ -30,7 +31,8 @@ from nudgelab.harness import (_stride_idx, convolution_variance_mc,
 from nudgelab.integrate import (MONITORS, Group, Record, StepConfig, _blocks,
                                 _rng_for, simulate_members)
 from nudgelab.models import build_model, random_field
-from nudgelab.noise import hs_norm_sq, make_noise_coefficient, make_qspec
+from nudgelab.noise import (hs_norm_sq, increment_from_noise,
+                            make_noise_coefficient, make_qspec)
 from nudgelab.observe import make_observation
 
 # Grid sizes of the end-to-end workloads (ac_weak 64, nse_strong 32,
@@ -70,6 +72,22 @@ def test_f_raw(benchmark, model_id, rows):
     else:
         c = np.stack([random_field(spec, s) for s in range(1, rows + 1)])
     assert benchmark(spec.f_raw, c).shape == c.shape
+
+
+def test_increment_from_noise_qg(benchmark):
+    # the increment of each step of a two-member qg n = 32 run
+    spec = build_model("qg", 32)
+    q = make_qspec(spec, delta=0.39)
+    block = np.random.default_rng(1).standard_normal((2,) + q.draw_shape)
+    dw = benchmark(increment_from_noise, spec, q, 1e-3, block)
+    assert dw.shape == (2,) + spec.shape
+
+
+def test_project_raw_qg_three_rows(benchmark):
+    # the projection that ends each f_raw of the stack a two-member run steps
+    spec = build_model("qg", 32)
+    c = np.stack([random_field(spec, s) for s in range(1, 4)])
+    assert benchmark(spec.project_raw, c).shape == c.shape
 
 
 def test_torus_advect_nse_strong(benchmark):

@@ -14,7 +14,9 @@ alpha = min_k a(k) w_H(k)^2 / w_V(k)^2.
 A field is a raw coefficient array, passed with its ModelSpec.  norm_raw
 also takes a stack of arrays on leading axes and returns one norm per
 field, which is how the ensemble integrator measures all its members at
-once.
+once.  The spec forms each space's factor mult * w_X^2 once, at
+construction; norm_raw and inner_h_raw read it, so a norm costs one
+product and one sum per call.
 """
 
 import numpy as np
@@ -63,10 +65,14 @@ class ModelSpec:
         self.alpha = float(quot.min())
         # embedding constant ||f||_V* <= c_emb ||f||_H
         self.c_emb = float((w_vstar[mask] / w_h[mask]).max())
+        # mult * w_X^2 of each space, the factor every norm sums against
+        self._norm_w2 = {"H": mult * (w_h * w_h), "V": mult * (w_v * w_v),
+                         "Vstar": mult * (w_vstar * w_vstar)}
 
-    def weights(self, space):
+    def norm_w2(self, space):
+        """The factor mult * w_X^2 of space X, one of H, V and Vstar."""
         try:
-            return {"H": self.w_h, "V": self.w_v, "Vstar": self.w_vstar}[space]
+            return self._norm_w2[space]
         except KeyError:
             raise ValueError("unknown space %r, expected H, V or Vstar" % (space,))
 
@@ -79,32 +85,32 @@ class ModelSpec:
         return "ModelSpec(%s)" % self.model_id
 
 
-def _wsum2(spec, a, w):
-    # sum of mult * w^2 * |a_k|^2 over stored modes (and components), one
-    # sum per field of a stack (a single vector component counts as one
-    # field); each sum runs over a flattened field exactly as for a lone
-    # field, so the bits do not depend on the stack
+def _wsum2(spec, a, mw2):
+    # sum of mw2 * |a_k|^2 over stored modes (and components), mw2 the
+    # factor mult * w^2 of some weights w; one sum per field of a stack (a
+    # single vector component counts as one field); each sum runs over a
+    # flattened field exactly as for a lone field, so the bits do not
+    # depend on the stack
     if np.iscomplexobj(a):
         mag = (a.real * a.real + a.imag * a.imag)
     else:
         mag = a * a
     lead = a.shape[:max(a.ndim - len(spec.shape), 0)]
-    return np.sum((spec.mult * (w * w) * mag).reshape(lead + (-1,)), axis=-1)
+    return np.sum((mw2 * mag).reshape(lead + (-1,)), axis=-1)
 
 
 def norm_raw(spec, arr, space):
     """Norm of a raw coefficient array as a float, or an array of norms
     for a stack of arrays on leading axes."""
-    r = np.sqrt(_wsum2(spec, arr, spec.weights(space)))
+    r = np.sqrt(_wsum2(spec, arr, spec.norm_w2(space)))
     return float(r) if r.ndim == 0 else r
 
 
 def inner_h_raw(spec, a, b):
     """H inner product of two raw arrays, which is also the V*-V duality
     pairing: the pairing is realized with the H weights in coefficients."""
-    w2 = spec.w_h * spec.w_h
     if np.iscomplexobj(a):
         prod = (a * np.conj(b)).real
     else:
         prod = a * b
-    return float(np.sum(spec.mult * w2 * prod))
+    return float(np.sum(spec.norm_w2("H") * prod))

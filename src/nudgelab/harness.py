@@ -295,6 +295,7 @@ VERIFY_SEED = 1234    # and their seed
 def _a2_ratio(spec):
     rho, beta = _A2_EXPONENTS[spec.params["family"]]
     w = spec.v_beta_weights(beta)     # weights of the [V*, V]_beta norm
+    mw2 = spec.mult * (w * w)
     best = 0.0
     for i in range(VERIFY_PROBES):
         u = random_field(spec, (VERIFY_SEED, 3 * i), smoothness=1.0)
@@ -302,7 +303,7 @@ def _a2_ratio(spec):
         fu = spec.f_raw(u)
         fv = spec.f_raw(v)
         num = norm_raw(spec, fu - fv, "Vstar")
-        nb_u, nb_v, nb_d = (np.sqrt(_wsum2(spec, c, w)) for c in (u, v, u - v))
+        nb_u, nb_v, nb_d = (np.sqrt(_wsum2(spec, c, mw2)) for c in (u, v, u - v))
         den = (1.0 + nb_u ** rho + nb_v ** rho) * nb_d
         if den > 0.0:
             best = max(best, num / den)

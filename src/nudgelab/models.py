@@ -68,6 +68,10 @@ class _Torus:
 
     Transforms act on the last two axes and vector components sit on axis
     -3, so every method also takes a stack of fields on leading axes.
+    The rfft2 layout stores kx >= 0 only, so a real field's kx = 0 column
+    holds conjugate pairs: row iy's partner is row mirror[iy] = (-iy) % N.
+    fix_col0, mode (the real field of one Fourier mode) and the noise
+    draws read that index; ikx and iky are the derivative multipliers.
     """
 
     def __init__(self, n):
@@ -78,6 +82,9 @@ class _Torus:
         ky = np.fft.fftfreq(n, d=1.0 / n)[:, None]
         self.kx = np.broadcast_to(kx, (n, n // 2 + 1)).copy()
         self.ky = np.broadcast_to(ky, (n, n // 2 + 1)).copy()
+        self.ikx = 1j * self.kx
+        self.iky = 1j * self.ky
+        self.mirror = (-np.arange(n)) % n
         self.ksq = self.kx ** 2 + self.ky ** 2
         self.kabs = np.sqrt(self.ksq)
         kd = (n - 1) // 3
@@ -102,8 +109,16 @@ class _Torus:
     def fix_col0(self, c):
         # reality of the kx = 0 column: c(0, -ky) = conj(c(0, ky))
         col = c[..., :, 0]
-        rev = np.roll(col[..., ::-1], 1, axis=-1)
-        c[..., :, 0] = 0.5 * (col + np.conj(rev))
+        c[..., :, 0] = 0.5 * (col + np.conj(col[..., self.mirror]))
+        return c
+
+    def mode(self, iy, ix, val):
+        """The real field whose one stored coefficient at (iy, ix) is val,
+        with the conjugate partner conj(val) when it sits on column kx = 0."""
+        c = np.zeros(self.shape, dtype=complex)
+        c[iy, ix] = val
+        if ix == 0:
+            c[self.mirror[iy], 0] = np.conj(val)
         return c
 
     def project_scalar(self, c):
@@ -131,8 +146,8 @@ class _Torus:
         a2 = self.to_grid(a[..., 1, :, :])
         out = np.empty_like(b)
         for i in range(2):
-            dbx = self.to_grid(1j * self.kx * b[..., i, :, :])
-            dby = self.to_grid(1j * self.ky * b[..., i, :, :])
+            dbx = self.to_grid(self.ikx * b[..., i, :, :])
+            dby = self.to_grid(self.iky * b[..., i, :, :])
             out[..., i, :, :] = np.where(self.mask, self.from_grid(a1 * dbx + a2 * dby), 0.0)
         return out
 
@@ -140,9 +155,6 @@ class _Torus:
         """Expand an rfft2-layout scalar to the full N x N complex layout."""
         g = self.to_grid(c)
         return np.fft.fft2(g) / (self.n * self.n)
-
-    def from_full(self, cf):
-        return cf[..., : self.n // 2 + 1].copy()
 
 
 _TORI = {}
@@ -203,8 +215,8 @@ def _mhd_f_raw(tor, c):
 def _kappa_weak_pair(spec, c):
     # ||u||_2^2 ||grad u||_2^2, summed over velocity/magnetic blocks
     comps = [c] if spec.ncomp == 1 else list(c)
-    h2 = [_wsum2(spec, x, spec.w_h) for x in comps]
-    v2 = [_wsum2(spec, x, spec.w_v) for x in comps]
+    h2 = [_wsum2(spec, x, spec.norm_w2("H")) for x in comps]
+    v2 = [_wsum2(spec, x, spec.norm_w2("V")) for x in comps]
     if spec.ncomp <= 2:
         return sum(h2) * sum(v2)
     return (h2[0] + h2[1]) * (v2[0] + v2[1]) + (h2[2] + h2[3]) * (v2[2] + v2[3])
@@ -217,8 +229,8 @@ def _kappa_nse_strong(tor, c):
     sup2 = float(np.max(u1 * u1 + u2 * u2))
     fro2 = np.zeros_like(u1)
     for comp in c:
-        fro2 += tor.to_grid(1j * tor.kx * comp) ** 2
-        fro2 += tor.to_grid(1j * tor.ky * comp) ** 2
+        fro2 += tor.to_grid(tor.ikx * comp) ** 2
+        fro2 += tor.to_grid(tor.iky * comp) ** 2
     l3sq = float(np.mean(fro2 ** 1.5) ** (2.0 / 3.0))
     return sup2 + l3sq
 

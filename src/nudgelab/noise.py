@@ -9,7 +9,9 @@ regardless of its norm weights.  Vector models receive noise through
 the solenoidal multiplier i k_perp/|k| (a per-mode isometry), keeping
 increments divergence-free; the four-component model draws two
 independent streams, velocity block first.  Kernels take the ModelSpec
-with raw arrays; a QSpec holds the covariance only.
+with raw arrays; a QSpec holds the covariance and the increment's scale
+1/w_H (0 off the rank), formed once with the QSpec, so a step's increment
+only pairs the draws and multiplies.
 
 The draw block consumed per step has a fixed shape, so a whole-horizon
 bulk draw slices into the same per-step increments as repeated calls;
@@ -39,8 +41,10 @@ _HS_CHUNK = 16
 
 @dataclass(frozen=True)
 class QSpec:
-    """Diagonal trace-class covariance: Q e_k = lambda_k^2 e_k, rank K_Q."""
+    """Diagonal trace-class covariance: Q e_k = lambda_k^2 e_k, rank K_Q;
+    inv_wh is 1/w_H where lambda_k > 0 and 0 elsewhere."""
     lam: np.ndarray = field(repr=False)
+    inv_wh: np.ndarray = field(repr=False)
     rank: int = 0
     nstreams: int = 1
     trace: float = 0.0
@@ -72,16 +76,16 @@ def make_qspec(spec, exponent="auto", k_q="auto", delta=None):
         draw_shape = (spec.n,)
     else:
         draw_shape = (nstreams, 2) + lam.shape
-    return QSpec(lam, rank, nstreams, trace, draw_shape)
+    inv_wh = np.where(lam > 0.0, 1.0 / np.where(spec.w_h == 0.0, 1.0, spec.w_h), 0.0)
+    return QSpec(lam, inv_wh, rank, nstreams, trace, draw_shape)
 
 
 def _scalar_stream(spec, q, block):
     # block shape (..., 2, N, nx) of standard normals -> Hermitian unit draws
     z = (block[..., 0, :, :] + 1j * block[..., 1, :, :]) / np.sqrt(2.0)
     col = z[..., :, 0]
-    z[..., :, 0] = (col + np.conj(np.roll(col[..., ::-1], 1, axis=-1))) / np.sqrt(2.0)
-    inv_wh = np.where(q.lam > 0.0, 1.0 / np.where(spec.w_h == 0.0, 1.0, spec.w_h), 0.0)
-    out = q.lam * inv_wh * z
+    z[..., :, 0] = (col + np.conj(col[..., spec.aux.mirror])) / np.sqrt(2.0)
+    out = q.lam * q.inv_wh * z
     return np.where(spec.mask, out, 0.0)
 
 
@@ -94,8 +98,7 @@ def increment_from_noise(spec, q, dt, block):
         raise ValueError("dt must be positive")
     root = np.sqrt(dt)
     if spec.kind == "sine":
-        inv_wh = np.where(q.lam > 0.0, 1.0 / spec.w_h, 0.0)
-        return root * q.lam * inv_wh * block
+        return root * q.lam * q.inv_wh * block
     # block axes: (..., stream, real/imaginary, N, nx)
     if spec.ncomp == 1:
         return root * _scalar_stream(spec, q, block[..., 0, :, :, :])
@@ -193,12 +196,8 @@ def noise_directions(spec, q):
             continue  # conjugate mirror of an already-listed direction
         wh = spec.w_h[iy, ix]
         for val in (half / wh, 1j * half / wh):
-            c = np.zeros((tor.n, tor.n // 2 + 1), dtype=complex)
-            c[iy, ix] = val
-            if ix == 0:
-                c[(-iy) % tor.n, 0] = np.conj(val)
             lam = float(q.lam[iy, ix])
-            for f in _lift_scalar_mode(spec, c):
+            for f in _lift_scalar_mode(spec, tor.mode(iy, ix, val)):
                 yield lam, f
 
 

@@ -63,7 +63,7 @@ def make_observation(spec, kind, delta):
                                        cells=m, data=cellint)
         width = domain / m
         left = np.arange(m) * width
-        kfull = np.fft.fftfreq(spec.aux.n, d=1.0 / spec.aux.n)
+        kfull = spec.aux.ky[:, 0]
         # (1/width) * integral of e^{i k x} over [a, a+width]
         b = np.empty((m, kfull.shape[0]), dtype=complex)
         for j, k in enumerate(kfull):
@@ -77,10 +77,12 @@ def make_observation(spec, kind, delta):
 
 
 def _volume_scalar_full(op, cfull):
+    # cell averages of a full-layout field, embedded back: the stored
+    # rfft2 half of the result
     b = op.data
     m = op.cells
     avg = (b @ cfull @ b.T).real
-    return (b.conj().T @ avg @ b.conj()) / (m * m)
+    return (b.conj().T @ avg @ b.conj())[..., : b.shape[1] // 2 + 1] / (m * m)
 
 
 def apply_observation_raw(op, spec, c):
@@ -94,8 +96,7 @@ def apply_observation_raw(op, spec, c):
         # product would round differently from the single-field case
         avg = op.cells * np.matmul(op.data, c[..., None])[..., 0]
         return np.matmul(op.data.T, avg[..., None])[..., 0]
-    tor = spec.aux
-    out = tor.from_full(_volume_scalar_full(op, tor.full_layout(c)))
+    out = _volume_scalar_full(op, spec.aux.full_layout(c))
     return spec.project_raw(out)
 
 
@@ -123,11 +124,8 @@ def _single_mode_probes(spec, op):
     band = spec.mask & (kabs >= target - 1.0) & (kabs <= target + 3.0)
     idx = np.argwhere(band)
     for iy, ix in idx[:12]:
-        c = np.zeros((tor.n, tor.n // 2 + 1), dtype=complex)
-        c[iy, ix] = 1.0
-        if ix == 0:
-            c[(-iy) % tor.n, 0] = 1.0
-        probes.extend(spec.project_raw(f) for f in _lift_scalar_mode(spec, c))
+        probes.extend(spec.project_raw(f)
+                      for f in _lift_scalar_mode(spec, tor.mode(iy, ix, 1.0)))
     return probes
 
 

@@ -6,7 +6,11 @@ per-cell Gauss quadrature.  None of it shares code with the package
 beyond basic array layout conventions, except hs_pointwise_per_direction,
 convolution_mc_serial and sweep_per_cell, the one-at-a-time forms of
 computations the package runs in stacks or on threads, which must
-reproduce them bit for bit.
+reproduce them bit for bit.  The torus layout references (fix_col0_roll
+through single_mode_probes) form every conjugate partner on the fly, by
+reversing and rolling the kx = 0 column or by writing (-iy) % N, and
+every per-mode factor per call, in the arithmetic the package's cached
+forms must reproduce bit for bit.
 """
 
 import numpy as np
@@ -181,6 +185,105 @@ def torus_constraints(spec, c, tol=1e-12):
         if np.max(np.abs(div)) > bound * kmax:
             broken.append("divergence")
     return broken
+
+
+def bits(a):
+    """dtype, shape and bytes of an array: equal for two arrays exactly when
+    they match bit for bit, the sign of a zero included."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def fix_col0_roll(c):
+    """Reality of the kx = 0 column, c(0, -ky) = conj(c(0, ky)), imposed in
+    place by averaging the column with its reversed, rolled conjugate."""
+    col = c[..., :, 0]
+    rev = np.roll(col[..., ::-1], 1, axis=-1)
+    c[..., :, 0] = 0.5 * (col + np.conj(rev))
+    return c
+
+
+def project_roll(spec, c):
+    """A torus model's projection: band, reality by fix_col0_roll, then the
+    Leray projection of each two-component block."""
+    out = fix_col0_roll(np.where(spec.mask, c, 0.0))
+    if spec.ncomp == 1:
+        return out
+    return np.concatenate([spec.aux.leray(out[..., i:i + 2, :, :])
+                           for i in range(0, spec.ncomp, 2)], axis=-3)
+
+
+def single_mode(n, iy, ix, val, partner):
+    """An N x (N/2 + 1) rfft2 layout holding val at (iy, ix) and, on the
+    kx = 0 column, partner at ((-iy) % N, 0)."""
+    c = np.zeros((n, n // 2 + 1), dtype=complex)
+    c[iy, ix] = val
+    if ix == 0:
+        c[(-iy) % n, 0] = partner
+    return c
+
+
+def lift_scalar(spec, c):
+    """The torus model's fields spanned by the scalar layout c: c itself,
+    its solenoidal lift (i k_perp/|k|) c, or on mhd that lift in the
+    velocity block, then in the magnetic block."""
+    if spec.ncomp == 1:
+        return [c]
+    vec = np.stack([spec.aux.rz1 * c, spec.aux.rz2 * c])
+    if spec.ncomp == 2:
+        return [vec]
+    zero = np.zeros_like(vec)
+    return [np.concatenate([vec, zero]), np.concatenate([zero, vec])]
+
+
+def increment_roll(spec, q, dt, block):
+    """A torus model's Q-Wiener increment of a raw standard-normal block,
+    1/w_H formed on the spot and the kx = 0 pairs by reverse and roll."""
+    inv_wh = np.where(q.lam > 0.0,
+                      1.0 / np.where(spec.w_h == 0.0, 1.0, spec.w_h), 0.0)
+    comps = []
+    for s in range(q.nstreams):
+        b = block[..., s, :, :, :]
+        z = (b[..., 0, :, :] + 1j * b[..., 1, :, :]) / np.sqrt(2.0)
+        col = z[..., :, 0]
+        rev = np.roll(col[..., ::-1], 1, axis=-1)
+        z[..., :, 0] = (col + np.conj(rev)) / np.sqrt(2.0)
+        z = np.where(spec.mask, q.lam * inv_wh * z, 0.0)
+        if spec.ncomp == 1:
+            return np.sqrt(dt) * z
+        comps.extend([spec.aux.rz1 * z, spec.aux.rz2 * z])
+    return np.sqrt(dt) * np.stack(comps, axis=-3)
+
+
+def noise_directions_by_hand(spec, q):
+    """(lam, field) of a torus model's real H-orthonormal noise directions,
+    each built as a single_mode with partner conj(val), in the order of
+    noise.noise_directions."""
+    n = spec.n
+    half = np.sqrt(0.5)
+    out = []
+    for iy, ix in np.argwhere(q.lam > 0.0):
+        if ix == 0 and (iy == 0 or iy > n // 2):
+            continue
+        wh = spec.w_h[iy, ix]
+        for val in (half / wh, 1j * half / wh):
+            c = single_mode(n, iy, ix, val, np.conj(val))
+            out.extend((float(q.lam[iy, ix]), f) for f in lift_scalar(spec, c))
+    return out
+
+
+def single_mode_probes(spec, op):
+    """The unit single-mode probes observe._single_mode_probes takes on a
+    torus model, built by single_mode with partner 1 and projected by
+    project_roll."""
+    target = op.cutoff if op.kind == "modal" else np.pi / op.delta
+    kabs = spec.params["kabs"]
+    band = spec.mask & (kabs >= target - 1.0) & (kabs <= target + 3.0)
+    probes = []
+    for iy, ix in np.argwhere(band)[:12]:
+        c = single_mode(spec.n, iy, ix, 1.0, 1.0)
+        probes.extend(project_roll(spec, f) for f in lift_scalar(spec, c))
+    return probes
 
 
 def cell_average_quad(c, a, b, npts=64):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nudgelab.fields import inner_h_raw, norm_raw
+from nudgelab.fields import _wsum2, inner_h_raw, norm_raw
 from nudgelab.config import build_setup, parse_config
 from nudgelab.models import build_model, random_field
 
@@ -39,9 +39,24 @@ def test_norm_against_manual_sum(ac_weak_64):
         assert norm_raw(spec, f, space) == pytest.approx(manual, rel=1e-14)
 
 
-def test_norm_unknown_space(ac_weak_64):
-    with pytest.raises(ValueError):
-        norm_raw(ac_weak_64, random_field(ac_weak_64, 0), "W")
+def test_norm_unknown_space(all_models):
+    for spec in all_models:
+        with pytest.raises(ValueError, match="unknown space"):
+            norm_raw(spec, random_field(spec, 0), "W")
+
+
+def test_norm_matches_weights_formed_per_call_bitwise(all_models):
+    # norm_raw reads the factor mult * w^2 the spec formed once; it must
+    # equal the factor formed from the weights on the spot, for one field
+    # and for each field of a stack
+    for spec in all_models:
+        us = np.stack([random_field(spec, s) for s in (1, 2, 3)])
+        for space, w in (("H", spec.w_h), ("V", spec.w_v),
+                         ("Vstar", spec.w_vstar)):
+            want = [float(np.sqrt(_wsum2(spec, u, spec.mult * (w * w))))
+                    for u in us]
+            assert norm_raw(spec, us[0], space) == want[0], spec.model_id
+            assert norm_raw(spec, us, space).tolist() == want, spec.model_id
 
 
 def test_inner_h_symmetric(all_models):

@@ -202,6 +202,21 @@ def test_torus_kernels_meet_constraints(model_id):
         assert O.torus_constraints(spec, c) == [], name
 
 
+@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("model_id", ["qg", "nse_weak", "mhd"])
+def test_fix_col0_and_projection_match_roll_bitwise(model_id, n):
+    # the digests pin n = 4, 8 and 32 only: at other sizes the mirror
+    # index must still pick the reversed, rolled kx = 0 column
+    spec = build_model(model_id, n)
+    rng = np.random.default_rng(n)
+    shape = (3,) + spec.shape
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert O.bits(spec.aux.fix_col0(raw.copy())) == \
+        O.bits(O.fix_col0_roll(raw.copy()))
+    for c in (raw, raw[0]):
+        assert O.bits(spec.project_raw(c)) == O.bits(O.project_roll(spec, c))
+
+
 def test_constraint_oracle_catches_band_violation():
     spec = build_model("nse_weak", 16)
     bad = random_field(spec, 12)

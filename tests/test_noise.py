@@ -10,6 +10,7 @@ from nudgelab.models import build_model, random_field
 from nudgelab.noise import (_HS_CHUNK, apply_G_raw, hs_norm_sq,
                             increment_from_noise, make_noise_coefficient,
                             make_qspec, noise_directions)
+import oracles as O
 from oracles import hs_pointwise_per_direction
 
 
@@ -85,6 +86,25 @@ def test_noise_directions_are_h_orthonormal(all_models):
         for lam, raw in dirs[:6]:
             assert norm_raw(spec, raw, "H") == pytest.approx(1.0, rel=1e-10), \
                 spec.model_id
+
+
+@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("model_id", ["qg", "nse_weak", "mhd"])
+@pytest.mark.parametrize("delta", [None, 1.0])
+def test_increment_and_directions_match_by_hand_bitwise(model_id, n, delta):
+    # the cached 1/w_H and the mirror index against the same arithmetic
+    # formed per call, at sizes no digest pins
+    spec = build_model(model_id, n)
+    q = make_qspec(spec, delta=delta)
+    block = np.random.default_rng(n).standard_normal((2,) + q.draw_shape)
+    for b in (block, block[0]):
+        assert O.bits(increment_from_noise(spec, q, 1e-3, b)) == \
+            O.bits(O.increment_roll(spec, q, 1e-3, b))
+    got = list(noise_directions(spec, q))
+    want = O.noise_directions_by_hand(spec, q)
+    assert len(got) == len(want) > 0
+    for (lam, f), (lam0, f0) in zip(got, want):
+        assert lam == lam0 and O.bits(f) == O.bits(f0)
 
 
 def test_hs_norm_closed_forms_match_assembly(all_models):

@@ -7,8 +7,8 @@ import pytest
 import oracles as O
 from nudgelab.fields import inner_h_raw, norm_raw
 from nudgelab.models import build_model, random_field
-from nudgelab.observe import (apply_observation_raw, estimate_interp_constant,
-                              eta0, make_observation)
+from nudgelab.observe import (_single_mode_probes, apply_observation_raw,
+                              estimate_interp_constant, eta0, make_observation)
 
 
 def test_modal_cutoff_count():
@@ -83,6 +83,19 @@ def test_interp_constant_single_mode_value():
     exact = 1.0 / (0.39 * spec.w_v[op.cutoff])
     assert ci == pytest.approx(exact, rel=1e-9)
     assert ci == pytest.approx(0.09068657726033923, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("model_id", ["qg", "nse_weak", "mhd"])
+@pytest.mark.parametrize("kind", ["modal", "volume"])
+def test_single_mode_probes_match_by_hand_bitwise(model_id, n, kind):
+    # delta = pi / kd puts the probed band at the edge of the retained one
+    spec = build_model(model_id, n)
+    op = make_observation(spec, kind, np.pi / spec.aux.kd)
+    got = _single_mode_probes(spec, op)
+    want = O.single_mode_probes(spec, op)
+    assert len(got) == len(want) > 0
+    assert [O.bits(p) for p in got] == [O.bits(p) for p in want]
 
 
 def test_interp_bound_holds_on_random_fields():
