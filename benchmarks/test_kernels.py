@@ -10,8 +10,8 @@ of two members steps, the noise increment of a two-member qg block, the
 projection of a three-row qg stack, the
 dealiased advection of the torus models, the Monte Carlo variance of
 the stochastic convolution (one pool task per chunk of paths), the
-lockstep loop simulate_members on a small sweep and on a 64-member
-ensemble, the noise draws of that ensemble alone through
+lockstep loop simulate_members on a small sweep and on a 64-member and
+a 500-member ensemble, the noise draws of the 64 members alone through
 integrate._blocks, the measured constants (alpha,
 C_I, eta0) a volume sweep takes per delta, and `import nudgelab` in a
 fresh interpreter.  pytest collects tests/ only by default, so these run
@@ -130,15 +130,26 @@ def test_simulate_members_sweep_nse_strong_volume(benchmark):
                    Record(("w_h",)))
 
 
-def test_simulate_members_ensemble_ac_weak(benchmark):
-    # ens_ac's stack: 64 members, every monitor at every 10th step
+def _ensemble_ac_weak(benchmark, members):
+    # ens_ac's stack: every monitor at every 10th step
     spec = build_model("ac_weak", 64)
     cfg = StepConfig(dt=1e-3, T=0.05)
     groups = [Group(make_observation(spec, "modal", 0.39),
                     make_noise_coefficient("additive", 0.05),
                     make_qspec(spec, delta=0.39), (50.0,))]
-    _bench_members(benchmark, spec, cfg, groups, 64,
+    _bench_members(benchmark, spec, cfg, groups, members,
                    Record(MONITORS, _stride_idx(cfg.nsteps + 1, 10)))
+
+
+def test_simulate_members_ensemble_ac_weak(benchmark):
+    # ens_ac's 64 members
+    _ensemble_ac_weak(benchmark, 64)
+
+
+def test_simulate_members_ensemble_ac_weak_500(benchmark):
+    # 500 members, where per-row work of the loop (the blow-up guard's
+    # included) weighs most against the stacked kernels
+    _ensemble_ac_weak(benchmark, 500)
 
 
 @pytest.mark.parametrize("delta", [0.39, 0.8])

@@ -370,7 +370,7 @@ def verify_assumptions(spec, traj, op):
     ratio = _a2_ratio(spec)
     refined = _a2_ratio(build_model(spec.params["family"], 2 * spec.n, nu=spec.nu,
                                     norms=spec.params.get("norms", "homogeneous"),
-                                    linear=spec.params.get("linear", False)))
+                                    linear=spec.params["linear"]))
     lines = [
         "assumption report for %s" % spec.model_id,
         "  coercivity: alpha_hat = %.12g (declared %.12g, mode minimum over %d modes)"
@@ -391,7 +391,7 @@ def verify_assumptions(spec, traj, op):
         ("energy production stays inside the alpha/4 budget", energy_ok),
         ("drift envelope is finite", np.isfinite(m0) and np.isfinite(m1)),
     ]
-    if spec.kind == "torus" and not spec.params.get("linear", False):
+    if spec.kind == "torus" and not spec.params["linear"]:
         cancel = _cancellation_residual(spec)
         lines.insert(4, "  cancellation: relative residual %.3g over %d random fields"
                      % (cancel, VERIFY_PROBES))

@@ -35,8 +35,8 @@ The only randomness consumed is one fixed-shape standard-normal block
 per member and step whenever a QSpec is supplied (even at sigma = 0, so
 runs that differ only in sigma share their noise realizations); every
 cell and group reads the same block.  Every block comes from _blocks,
-a view of one buffer of steps that _fill refills, row m from generator
-m, several steps in one call with the bits of one call per step; the
+a view of one buffer of steps whose row m it refills from generator m,
+several steps in one call with the bits of one call per step; the
 Monte Carlo paths of harness.convolution_variance_mc step through it
 too, so neither loop holds more than one buffer of draws per generator
 set whatever the horizon.
@@ -102,30 +102,24 @@ def _rng_for(seed):
 _DRAW_BYTES = 16384  # per generator call: 1 MB over 64 members
 
 
-def _fill(rngs, out):
-    """Fill out[m] with the next standard normals of the m-th generator of
-    rngs, in one call each, and return those generators as a list.  A
-    block of several steps holds the bits of one draw per step: the
-    bulk-draw slicing invariant of noise.py."""
-    drawn = []
-    for row, rng in zip(out, rngs):
-        rng.standard_normal(out=row)
-        drawn.append(rng)
-    return drawn
-
-
 def _blocks(rngs, members, n, shape):
     """Yield n steps' (members,) + shape standard-normal blocks, member m's
     rows from the m-th generator of rngs: each a view of one buffer of
-    min(chunk, n) steps, which _fill refills at about _DRAW_BYTES per
-    generator call.  rngs may be an iterator: the first fill then makes
-    each generator just before its first draw, so a thread building many
-    never holds the interpreter lock for long."""
+    min(chunk, n) steps, refilled at about _DRAW_BYTES per generator
+    call.  A fill of several steps holds the bits of one draw per step:
+    the bulk-draw slicing invariant of noise.py.  rngs may be an
+    iterator: the first fill then makes each generator just before its
+    first draw, so a thread building many never holds the interpreter
+    lock for long."""
     chunk = max(1, _DRAW_BYTES // (8 * int(np.prod(shape))))
     buf = np.empty((members, min(chunk, n)) + shape)
     for lo in range(0, n, chunk):
         part = buf[:, :n - lo]
-        rngs = _fill(rngs, part)
+        drawn = []
+        for row, rng in zip(part, rngs):
+            rng.standard_normal(out=row)
+            drawn.append(rng)
+        rngs = drawn
         yield from part.swapaxes(0, 1)
 
 
@@ -331,9 +325,7 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
             rec["v_path"][live, v_at[i]] = x[1:][live]
 
     store(0, x)
-    # per row in Python floats: x ** 2 is pow(), which an array square
-    # (x * x) does not always match in the last bit
-    acc = [0.0] * (1 + rows)
+    acc = np.zeros(1 + rows)
     for i, block in enumerate(draws, 1):
         rhs = x + dt * spec.f_raw(x)
         for g, grp in enumerate(groups):
@@ -360,20 +352,19 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
                         rec[f][g, slot[i]] = norm_raw(spec, z, "H")
         x = rhs * inv
         t = i * dt
-        acc = [a + dt * v ** 2 for a, v in zip(acc, norm_raw(spec, x, "V").tolist())]
+        acc += dt * norm_raw(spec, x, "V") ** 2
         # "not <=" also catches NaN and inf
-        ok = [a <= cfg.blowup_guard for a in acc]
-        if not all(ok):
-            if not ok[0]:
-                ref_error = BlowupError("reference", i, t, acc[0])
+        ended = np.flatnonzero(~(acc <= cfg.blowup_guard))
+        if ended.size:
+            if ended[0] == 0:
+                ref_error = BlowupError("reference", i, t, float(acc[0]))
                 break
             # an ended estimate rests at 0, a fixed point of its row's
             # step: F(0) = 0, and its noise and pull factors become 0
-            for k, good in enumerate(ok):
-                if not good:
-                    errors[k - 1] = BlowupError("assimilated", i, t, acc[k])
-                    live[k - 1] = False
-                    x[k] = mu_col[k] = pull_col[k] = acc[k] = 0.0
+            for k in ended.tolist():
+                errors[k - 1] = BlowupError("assimilated", i, t, float(acc[k]))
+            live[ended - 1] = False
+            x[ended] = mu_col[ended] = pull_col[ended] = acc[ended] = 0.0
             if not live.any():
                 break
         store(i, x)

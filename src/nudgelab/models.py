@@ -244,7 +244,8 @@ def build_model(model_id, n, nu=1.0, norms="homogeneous", linear=False):
     model_id is one of ac_weak, ac_strong, nse_weak, nse_strong, qg, mhd;
     n is the number of sine modes (1D) or the grid size per axis (2D),
     nu scales the dissipation, norms selects the weak Allen-Cahn norm
-    convention (homogeneous or sobolev), linear=True drops F entirely.
+    convention (homogeneous or sobolev).  linear=True gives the model with
+    F = 0 and kappa = 0, under its own tag, params["linear"] True.
     """
     if model_id not in MODEL_FAMILIES:
         raise ValueError("unknown model id %r" % (model_id,))
@@ -262,13 +263,18 @@ def build_model(model_id, n, nu=1.0, norms="homogeneous", linear=False):
     tag += "]"
     if tag not in _BUILT:
         if model_id in ("ac_weak", "ac_strong"):
-            _BUILT[tag] = _build_ac(tag, model_id, n, nu, norms, linear)
+            spec = _build_ac(tag, model_id, n, nu, norms)
         else:
-            _BUILT[tag] = _build_torus_model(tag, model_id, n, nu, linear)
+            spec = _build_torus_model(tag, model_id, n, nu)
+        if linear:
+            spec.f_raw = np.zeros_like
+            spec.kappa_raw = lambda c: 0.0
+        spec.params["linear"] = linear
+        _BUILT[tag] = spec
     return _BUILT[tag]
 
 
-def _build_ac(tag, model_id, n, nu, norms, linear):
+def _build_ac(tag, model_id, n, nu, norms):
     if n < 1:
         raise ValueError("need at least one sine mode")
     k = np.arange(1, n + 1, dtype=float)
@@ -288,29 +294,22 @@ def _build_ac(tag, model_id, n, nu, norms, linear):
     mask = np.ones(n, dtype=bool)
     mult = np.ones(n)
 
-    if linear:
-        f_raw = lambda c: np.zeros_like(c)
-        kappa_raw = lambda c: 0.0
+    if model_id == "ac_weak":
+        kappa_raw = lambda c: 1.0 + float(np.sum((w_v * c) ** 2))
     else:
-        f_raw = _ac_f_raw
-        if model_id == "ac_weak":
-            w_v_k = w_v
-            kappa_raw = lambda c: 1.0 + float(np.sum((w_v_k * c) ** 2))
-        else:
-            kappa_raw = lambda c: 1.0 + (
-                (1.0 + float(np.sum((w_h * c) ** 2))) * float(np.sum((w_v * c) ** 2)))
+        kappa_raw = lambda c: 1.0 + (
+            (1.0 + float(np.sum((w_h * c) ** 2))) * float(np.sum((w_v * c) ** 2)))
 
     spec = ModelSpec(
         tag, "sine", n, nu, 1, (n,), np.float64,
         a, w_h, w_v, w_vstar, mask, mult,
-        f_raw, kappa_raw, lambda c: np.asarray(c, dtype=float),
-        params={"family": model_id, "norms": norms, "linear": linear,
-                "kabs": k, "domain": 1.0})
+        _ac_f_raw, kappa_raw, lambda c: np.asarray(c, dtype=float),
+        params={"family": model_id, "norms": norms, "kabs": k, "domain": 1.0})
     spec.aux = None
     return spec
 
 
-def _build_torus_model(tag, model_id, n, nu, linear):
+def _build_torus_model(tag, model_id, n, nu):
     tor = _torus(n)
     ncomp = {"qg": 1, "nse_weak": 2, "nse_strong": 2, "mhd": 4}[model_id]
     shape = (n, n // 2 + 1) if ncomp == 1 else (ncomp, n, n // 2 + 1)
@@ -326,9 +325,7 @@ def _build_torus_model(tag, model_id, n, nu, linear):
 
     project = tor.project_scalar if ncomp == 1 else tor.project_vector
 
-    if linear:
-        f_raw = lambda c: np.zeros_like(c)
-    elif model_id == "qg":
+    if model_id == "qg":
         f_raw = lambda c: _qg_f_raw(tor, c)
     elif model_id == "mhd":
         f_raw = lambda c: _mhd_f_raw(tor, c)
@@ -339,12 +336,9 @@ def _build_torus_model(tag, model_id, n, nu, linear):
         tag, "torus", n, nu, ncomp, shape, np.complex128,
         a, w_h, w_v, w_vstar, tor.mask, tor.mult,
         f_raw, None, project,
-        params={"family": model_id, "linear": linear, "domain": 2.0 * np.pi,
-                "kabs": tor.kabs})
+        params={"family": model_id, "domain": 2.0 * np.pi, "kabs": tor.kabs})
     spec.aux = tor
-    if linear:
-        spec.kappa_raw = lambda c: 0.0
-    elif model_id == "nse_strong":
+    if model_id == "nse_strong":
         spec.kappa_raw = lambda c: _kappa_nse_strong(tor, c)
     else:
         spec.kappa_raw = lambda c: _kappa_weak_pair(spec, c)

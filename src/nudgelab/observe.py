@@ -50,8 +50,6 @@ def make_observation(spec, kind, delta):
                                    cutoff=cut, data=keep)
     if kind == "volume":
         m = int(round(domain / delta))
-        if m < 1:
-            raise ValueError("delta exceeds the domain size %g" % domain)
         if spec.kind == "sine":
             edges = np.arange(m + 1) / m
             k = spec.params["kabs"][None, :]
@@ -147,8 +145,6 @@ def estimate_interp_constant(op, spec):
         g = random_field(spec, (0, 2 * i + 1), smoothness=0.5)
         best = max(best, _quotient(op, spec, f, g))
     for c in _single_mode_probes(spec, op):
-        if norm_raw(spec, c, "H") == 0.0:
-            continue
         best = max(best, _quotient(op, spec, c, c))
     return best
 

@@ -65,16 +65,18 @@ def test_parse_collects_every_error():
             "model.n = sixteen\n"
             "time.dt = -1\n"
             "noise.kind = loud\n"
+            "model.linear = yes\n"
             "model.nu = 1\nmodel.nu = 2\n"
             "not a line\n")
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     msg = str(err.value)
     for frag in ("bogus.key", "model.n", "time.dt", "noise.kind",
-                 "duplicate", "expected key = value", "model.id"):
+                 "model.linear", "duplicate", "expected key = value",
+                 "model.id"):
         assert frag in msg, frag
-    # six line faults plus the missing required key
-    assert len(err.value.errors) == 7
+    # seven line faults plus the missing required key
+    assert len(err.value.errors) == 8
 
 
 def test_parse_bad_value_not_double_counted():
@@ -134,6 +136,19 @@ def test_build_setup_objects():
     # v0 sits at distance w0 from u0 in H
     w = setup.v0 - setup.u0
     assert abs(norm_raw(setup.model, w, "H") - v["init.w0"]) < 1e-12
+
+
+@pytest.mark.parametrize("model_id,n", [("ac_weak", 16), ("qg", 16)])
+def test_numeric_spectrum_exponent(model_id, n):
+    # lambda_k = (1 + |k|^2)^(-s) up to K_Q = floor(pi / 0.39) = 8
+    setup = build_setup(parse_config(
+        "model.id = %s\nmodel.n = %d\nobservation.delta = 0.39\n"
+        "noise.spectrum_exponent = 2.5\n" % (model_id, n)))
+    kabs = setup.model.params["kabs"]
+    keep = setup.model.mask & (kabs <= 8)
+    assert np.allclose(setup.q.lam[keep], (1.0 + kabs[keep] ** 2) ** -2.5,
+                       rtol=1e-14, atol=0.0)
+    assert not setup.q.lam[~keep].any()
 
 
 def test_equal_arguments_share_one_model():
@@ -586,13 +601,23 @@ def test_unreadable_config_or_unwritable_outputs_exit_1(tmp_path, command, data,
     assert "Traceback" not in proc.stderr
 
 
+BOOM = ("model.id = ac_weak\nmodel.n = 16\ntime.dt = 0.5\ntime.T = 25.0\n"
+        "init.amplitude = 40.0\ntime.guard = 1e6\n")
+
+
 def test_blowup_exits_2(tmp_path, capsys):
-    text = ("model.id = ac_weak\nmodel.n = 16\ntime.dt = 0.5\ntime.T = 25.0\n"
-            "init.amplitude = 40.0\ntime.guard = 1e6\n")
-    rc = _run(tmp_path, "boom.cfg", text, "simulate",
+    rc = _run(tmp_path, "boom.cfg", BOOM, "simulate",
               "--out-dir", str(tmp_path / "out"))
     assert rc == 2
     assert "guard" in capsys.readouterr().err
+
+
+def test_verify_reference_blowup_exits_2(tmp_path, capsys):
+    rc = _run(tmp_path, "boom.cfg", BOOM, "verify",
+              "--out-dir", str(tmp_path / "out"))
+    assert rc == 2
+    assert "reference trajectory blew up" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.txt").exists()
 
 
 def test_sweep_outputs(tmp_path, capsys):
@@ -909,6 +934,44 @@ def test_convolution_check_needs_noise(tmp_path, capsys):
     rc = _run(tmp_path, "c.cfg", "model.id = ac_weak\n", "convolution-check")
     assert rc == 1
     assert "sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,paths,match", [
+    pytest.param("nudging.mu = 0.0", "10", "mu > 0", id="zero-mu"),
+    pytest.param("nudging.mu = 20.0", "1", "--paths must be at least 2",
+                 id="one-path"),
+])
+def test_convolution_check_refuses_zero_mu_or_one_path(tmp_path, capsys, line,
+                                                       paths, match):
+    text = ("model.id = ac_weak\nmodel.n = 8\nnoise.sigma = 0.1\n"
+            "time.dt = 1e-2\ntime.T = 0.5\n%s\n" % line)
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "c.cfg", text, "convolution-check", "--paths", paths,
+              "--out-dir", str(out))
+    assert rc == 1
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_convolution_check_mode_above_k_q_reads_zero(tmp_path):
+    # K_Q = floor(pi / 0.39) = 8: mode 9 carries no noise, so its variance,
+    # s.e. and exact value are 0 and its deviation reads 0, not inf
+    text = ("model.id = ac_weak\nmodel.n = 16\nobservation.delta = 0.39\n"
+            "noise.sigma = 0.1\nnudging.mu = 20.0\ntime.dt = 1e-2\n"
+            "time.T = 0.5\n")
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "c.cfg", text, "convolution-check", "--modes", "8,9",
+              "--paths", "20", "--out-dir", str(out))
+    assert rc == 0
+    rows = [r.split(",") for r in
+            (out / "convolution.csv").read_text().splitlines()[1:]]
+    assert {r[1] for r in rows} == {"8", "9"}
+    for t, mode, var, se, exact, dev in rows:
+        if mode == "9":
+            assert float(var) == float(se) == float(exact) == 0.0
+            assert dev == "0.000"
+        else:
+            assert float(var) > 0.0 and float(se) > 0.0
 
 
 def test_convolution_check_failure_exits_3(tmp_path, monkeypatch):

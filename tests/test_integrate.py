@@ -8,7 +8,7 @@ import oracles as O
 import nudgelab.integrate as I
 from nudgelab.fields import norm_raw
 from nudgelab.integrate import (_DRAW_BYTES, SERIES, BlowupError, Group,
-                                Record, StepConfig, _blocks, _fill, _rng_for,
+                                Record, StepConfig, _blocks, _rng_for,
                                 simulate_members, simulate_pair)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
@@ -195,41 +195,18 @@ def test_noisy_run_reproducible():
     assert not np.array_equal(a.v_final, c.v_final)
 
 
-@pytest.mark.parametrize("mid,n,shape", [
-    ("ac_weak", 64, (64,)),          # one sine stream
-    ("mhd", 8, (2, 2, 8, 5)),        # two torus streams, velocity first
-])
-def test_chunked_fill_equals_one_step_draws(mid, n, shape):
-    # _fill draws several steps per generator call; across two chunk
-    # boundaries each member's rows equal one-step draws of a fresh
-    # generator of its seed
-    q = make_qspec(build_model(mid, n), delta=0.39)
-    assert q.draw_shape == shape
-    per_call = _DRAW_BYTES // (8 * int(np.prod(shape)))
-    assert per_call > 1
-    seeds = [5, 6, 7]
-    rngs = [_rng_for(s) for s in seeds]
-    buf = np.empty((len(seeds), per_call) + shape)
-    got = []
-    for k in (per_call, per_call, 3):
-        _fill(rngs, buf[:, :k])
-        got.append(buf[:, :k].copy())
-    got = np.concatenate(got, axis=1)
-    for m, s in enumerate(seeds):
-        rng = _rng_for(s)
-        for i in range(2 * per_call + 3):
-            assert np.array_equal(got[m, i], rng.standard_normal(shape)), (m, i)
-
-
-@pytest.mark.parametrize("n", [1, 2, 2 * 32 + 5])
-def test_blocks_equal_one_step_draws_in_one_buffer(n):
-    # ac_weak n=64 draws 32 steps per generator call; over n steps,
-    # n % 32 != 0 included, _blocks yields n blocks, each the one-step
-    # draws of fresh generators, all views of one buffer of min(32, n)
-    # steps; the generators come from an iterator, made by the first fill
-    shape = (64,)
-    chunk = _DRAW_BYTES // (8 * 64)
-    assert chunk == 32
+@pytest.mark.parametrize("mid,size,shape,chunk,n", [
+    pytest.param("ac_weak", 64, (64,), 32, n, id=str(n))
+    for n in (1, 2, 2 * 32 + 5)] + [
+    # two torus streams, velocity first
+    pytest.param("mhd", 8, (2, 2, 8, 5), 12, 2 * 12 + 3, id="mhd-27")])
+def test_blocks_equal_one_step_draws_in_one_buffer(mid, size, shape, chunk, n):
+    # _blocks draws chunk steps per generator call; over n steps,
+    # n % chunk != 0 included, it yields n blocks, each the one-step draws
+    # of fresh generators, all views of one buffer of min(chunk, n) steps;
+    # the generators come from an iterator, made by the first fill
+    assert make_qspec(build_model(mid, size), delta=0.39).draw_shape == shape
+    assert _DRAW_BYTES // (8 * int(np.prod(shape))) == chunk
     seeds = [5, 6, 7]
     fresh = [_rng_for(s) for s in seeds]
     bases = set()
