@@ -6,8 +6,9 @@ Times the per-step kernels the end-to-end benchmark spends its steps in:
 the pointwise Hilbert-Schmidt monitor on one state and on a batch of
 six, each model's nonlinearity on one field, on the stack of three that
 a two-member run steps and on the stack of thirteen that a 3 x 2 sweep
-of two members steps, the noise increment of a two-member qg block, the
-projection of a three-row qg stack, the
+of two members steps, the Allen-Cahn nonlinearity on a 65-row ensemble
+stack whose grid values are mostly negative, the noise increment of a
+two-member qg block, the projection of a three-row qg stack, the
 dealiased advection of the torus models, the Monte Carlo variance of
 the stochastic convolution (one pool task per chunk of paths), the
 lockstep loop simulate_members on a small sweep and on a 64-member and
@@ -30,7 +31,8 @@ from nudgelab.harness import (_stride_idx, convolution_variance_mc,
                               measured_constants, member_seed)
 from nudgelab.integrate import (MONITORS, Group, Record, StepConfig, _blocks,
                                 _rng_for, simulate_members)
-from nudgelab.models import build_model, random_field
+from nudgelab.models import (_cube_grid, _sine_to_grid, build_model,
+                             random_field)
 from nudgelab.noise import (hs_norm_sq, increment_from_noise,
                             make_noise_coefficient, make_qspec)
 from nudgelab.observe import make_observation
@@ -71,6 +73,18 @@ def test_f_raw(benchmark, model_id, rows):
         c = random_field(spec, 1)
     else:
         c = np.stack([random_field(spec, s) for s in range(1, rows + 1)])
+    assert benchmark(spec.f_raw, c).shape == c.shape
+
+
+def test_ac_f_raw_ens_ac_stack(benchmark):
+    # ens_ac's 65-row stack (64 members and the reference) with 94% of its
+    # cube-grid values negative, as at ens_ac seed 4: the sign on which a
+    # SIMD power, unlike a product, leaves its vector path
+    spec = build_model("ac_weak", 64)
+    c = np.stack([random_field(spec, s) for s in range(1, 66)])
+    c[:, 0] -= 1.75
+    vals = _sine_to_grid(c, _cube_grid(spec.n))
+    assert abs(np.mean(vals < 0.0) - 0.94) < 0.01
     assert benchmark(spec.f_raw, c).shape == c.shape
 
 

@@ -6,8 +6,12 @@ torus with integer wavevectors and mean-zero fields; inner products use
 the normalized measure (the mean over the grid), so Parseval carries no
 extra factor.  Quadratic nonlinearities are evaluated by collocation on
 the dealiased band |k_i| <= (N-1)//3 (2/3 rule), the Allen-Cahn cubic on
-a doubled sine grid (1/2 rule), so retained-band coefficients of every
-product are exact and the cancellation identities hold to round-off.
+the smallest 5-smooth sine grid at or above 2n points (1/2 rule; a fast
+DST-I length), so retained-band coefficients of every product are exact
+and the cancellation identities hold to round-off.  Pointwise noise
+(noise.py) keeps the 2n grid: a product of two sine fields is a cosine
+series, not resolved exactly on any sine grid, so there the grid
+defines the collocation operator.
 
 Model ids: ac_weak, ac_strong (Allen-Cahn, F(u) = u - u^3),
 nse_weak, nse_strong (Navier-Stokes, F(u) = -P (u.grad) u),
@@ -49,11 +53,21 @@ def _sine_from_grid(vals, n):
     return sfft.dst(vals, type=1, axis=-1)[..., :n] / (_SQRT2 * (m + 1))
 
 
+def _cube_grid(n):
+    """Fewest grid points m >= 2n whose DST-I length 2(m+1) is 5-smooth,
+    a fast transform size for pocketfft (m = 134 at n = 64, not 128)."""
+    import scipy.fft as sfft
+    return sfft.next_fast_len(2 * n + 1, real=True) - 1
+
+
 def _ac_cube(c):
-    # cube on a doubled grid: modes above n alias only onto discarded range
+    # the cube of n modes reaches mode 3n; on m >= 2n points it aliases
+    # only onto modes above n + 1, so the retained n are exact.  Products,
+    # not vals ** 3: each multiply is correctly rounded, so the bits do not
+    # depend on numpy's SIMD power routine, nor its speed on the sign
     n = c.shape[-1]
-    vals = _sine_to_grid(c, 2 * n)
-    return _sine_from_grid(vals ** 3, n)
+    vals = _sine_to_grid(c, _cube_grid(n))
+    return _sine_from_grid(vals * vals * vals, n)
 
 
 def _ac_f_raw(c):

@@ -155,7 +155,11 @@ def _states(spec, uc):
 
 
 def _to_grid(spec, c):
-    # dealiased collocation values of fields stacked on leading axes
+    # dealiased collocation values of fields stacked on leading axes.  The
+    # sine grid is 2n, not the cube's 5-smooth one: the product of two sine
+    # fields is a cosine series, which no sine grid resolves exactly, so
+    # this grid defines the pointwise collocation operator G, and moving
+    # it changes G itself (by 3e-5 at n = 8, on 17 points), not its rounding
     return _sine_to_grid(c, 2 * spec.n) if spec.kind == "sine" else spec.aux.to_grid(c)
 
 

@@ -1,12 +1,17 @@
 """Model kernels against direct-summation oracles and exact identities."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import nudgelab
 import oracles as O
 from nudgelab.fields import inner_h_raw, norm_raw
-from nudgelab.models import (_sine_from_grid, _sine_to_grid, build_model,
-                             random_field)
+from nudgelab.models import (_cube_grid, _sine_from_grid, _sine_to_grid,
+                             build_model, random_field)
 from nudgelab.noise import increment_from_noise, make_qspec
 
 
@@ -14,14 +19,54 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
-def test_cube_matches_triple_sum_oracle():
-    spec = build_model("ac_weak", 8)
+@pytest.mark.parametrize("n", [2, 5, 8, 32])
+def test_cube_matches_triple_sum_oracle(n):
+    # cube grids m = 4, 11, 17 and 71: m = 2n at n = 2 only
+    spec = build_model("ac_weak", n)
     rng = np.random.default_rng(2)
     for _ in range(5):
-        c = rng.standard_normal(8) / (1.0 + np.arange(1.0, 9.0))
+        c = rng.standard_normal(n) / (1.0 + np.arange(1.0, n + 1.0))
         impl = spec.f_raw(c)
         want = c - O.sine_cube_modes(c)
         assert _rel(impl, want) < 1e-12
+
+
+def test_cube_grid_is_the_fewest_5_smooth_points_at_or_above_2n():
+    # 2(m + 1) listed as 2^a 3^b 5^c, not factored
+    smooth = {2 ** a * 3 ** b * 5 ** c for a in range(12)
+              for b in range(8) for c in range(6)}
+    for n in range(1, 301):
+        m = _cube_grid(n)
+        assert m >= 2 * n and 2 * (m + 1) in smooth, n
+        assert not any(2 * (k + 1) in smooth for k in range(2 * n, m)), n
+
+
+# Run in a fresh interpreter: the bytes of f_raw on 65 rows of ac_weak
+# n=64 whose grid values are 94% negative, the sign where numpy's SIMD
+# power leaves its vector path
+DISPATCH_PROBE = """
+import hashlib
+import numpy as np
+from nudgelab.models import build_model, random_field
+spec = build_model("ac_weak", 64)
+c = np.stack([random_field(spec, s) for s in range(1, 66)])
+c[:, 0] -= 1.75
+print(hashlib.sha256(spec.f_raw(c).tobytes()).hexdigest())
+"""
+
+
+def test_cube_bits_do_not_depend_on_simd_dispatch():
+    # numpy ignores feature names the host lacks, so this runs anywhere;
+    # where AVX-512 is present, the second run takes the AVX2 or baseline
+    # loops
+    src = os.path.dirname(os.path.dirname(nudgelab.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    off = dict(env, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR AVX512_SKX")
+    out = [subprocess.run([sys.executable, "-c", DISPATCH_PROBE], env=e,
+                          capture_output=True, text=True, check=True).stdout
+           for e in (env, off)]
+    assert out[0] == out[1] and len(out[0].strip()) == 64
 
 
 def test_strong_ac_same_kernel_different_norms():
