@@ -14,9 +14,9 @@ the stochastic convolution (one pool task per chunk of paths), the
 lockstep loop simulate_members on a small sweep and on a 64-member and
 a 500-member ensemble, the noise draws of the 64 members alone through
 integrate._blocks, the measured constants (alpha,
-C_I, eta0) a volume sweep takes per delta, and `import nudgelab` in a
-fresh interpreter.  pytest collects tests/ only by default, so these run
-only when asked for.
+C_I, eta0) a volume sweep takes per delta, verify's assumption report
+on a 1000-step run, and `import nudgelab` in a fresh interpreter.
+pytest collects tests/ only by default, so these run only when asked for.
 """
 
 import os
@@ -28,7 +28,8 @@ import pytest
 
 import nudgelab
 from nudgelab.harness import (_stride_idx, convolution_variance_mc,
-                              measured_constants, member_seed)
+                              measured_constants, member_seed, verify_assumptions,
+                              verify_record)
 from nudgelab.integrate import (MONITORS, Group, Record, StepConfig, _blocks,
                                 _rng_for, simulate_members)
 from nudgelab.models import (_cube_grid, _sine_to_grid, build_model,
@@ -173,6 +174,19 @@ def test_measured_constants_nse_strong_volume(benchmark, delta):
     op = make_observation(spec, "volume", delta)
     _, ci, eta = benchmark(measured_constants, spec, op)
     assert ci > 0.0 and eta > 0.0
+
+
+def test_verify_assumptions_long_run(benchmark):
+    # verify's report on a 1000-step ac_weak n=64 run: its 1001 kappa
+    # samples give the drift envelope 68 grid times, 2278 pairs and 2279
+    # candidate slopes, whose M1 is taken in blocks of 64
+    spec = build_model("ac_weak", 64)
+    cfg = StepConfig(dt=1e-3, T=1.0)
+    traj, _ = simulate_members(spec, cfg, [], random_field(spec, 1), None, [],
+                               verify_record(cfg.nsteps))
+    op = make_observation(spec, "volume", 0.1)
+    rep = benchmark(verify_assumptions, spec, traj, op)
+    assert np.isfinite(rep.m0) and np.isfinite(rep.m1)
 
 
 def test_member_sources_ac_weak(benchmark):

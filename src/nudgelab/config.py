@@ -60,9 +60,6 @@ SCHEMA = {
                  "one of " + ", ".join(sorted(MODEL_FAMILIES))),
     "model.n": (_int, 64, lambda v: v >= 2, "at least 2"),
     "model.nu": (_float, 1.0, lambda v: v > 0.0, "positive"),
-    "model.norms": (str, "homogeneous",
-                    lambda v: v in ("homogeneous", "sobolev"),
-                    "homogeneous or sobolev"),
     "model.linear": (_bool, False, None, None),
     "observation.kind": (str, "modal", lambda v: v in ("modal", "volume"),
                          "modal or volume"),
@@ -94,6 +91,7 @@ SCHEMA = {
 # parsed and validated so old configs and manifests replay, never stored
 RETIRED = {
     "ensemble.workers": (_int, None, lambda v: v >= 1, "at least 1"),
+    "model.norms": (str, None, lambda v: v == "homogeneous", "homogeneous"),
 }
 
 
@@ -196,8 +194,7 @@ def build_setup(values):
         raise ConfigError(["nudging.implicit = true needs observation.kind = "
                            "modal, got %s" % values["observation.kind"]])
     model = _built("model", build_model, values["model.id"], values["model.n"],
-                   nu=values["model.nu"], norms=values["model.norms"],
-                   linear=values["model.linear"])
+                   nu=values["model.nu"], linear=values["model.linear"])
     op, coef, q = build_observation(values, model, values["observation.delta"])
     cfg = _built("time", StepConfig, dt=values["time.dt"], T=values["time.T"],
                  mu=values["nudging.mu"],

@@ -107,10 +107,6 @@ def norm_raw(spec, arr, space):
 
 
 def inner_h_raw(spec, a, b):
-    """H inner product of two raw arrays, which is also the V*-V duality
-    pairing: the pairing is realized with the H weights in coefficients."""
-    if np.iscomplexobj(a):
-        prod = (a * np.conj(b)).real
-    else:
-        prod = a * b
-    return float(np.sum(spec.norm_w2("H") * prod))
+    """H inner product of two raw arrays, also the V*-V duality pairing; one
+    product for real and complex (on real arrays conj copies, .real is a no-op)."""
+    return float(np.sum(spec.norm_w2("H") * (a * np.conj(b)).real))

@@ -90,13 +90,9 @@ def _aggregate(cell):
 
     (mean_h, se_h), (mean_v, se_v) = ((None, None) if w is None else mean_se(w)
                                       for w in (cell.w_h, cell.w_vstar))
-    # hs is the group's, the same for every member; the mean of m_eff
-    # equal copies can differ from it in the last bit, and is what the
-    # ensemble digests pin
-    mean_hs = None if cell.hs is None else np.stack([cell.hs] * m_eff).mean(axis=0)
     return EnsembleResult(cell.times, mean_h, mean_v, se_h, se_v,
                           None if cell.w_h is None else cell.w_h[ok],
-                          len(ok) - m_eff, mean_hs,
+                          len(ok) - m_eff, cell.hs,
                           cell.member(0) if ok[0] else None)
 
 
@@ -270,7 +266,14 @@ def _mm_envelope(times, kappa):
     slopes = d_k / d_t
     cand = np.unique(np.concatenate([[0.0], slopes[slopes > 0.0]]))
     horizon = times[-1] - times[0]
-    m1 = np.maximum(d_k[None, :] - cand[:, None] * d_t[None, :], 0.0).max(axis=1)
+    # m1 over blocks of 64 candidates in one buffer, not one (candidates x
+    # pairs) array (40 MB at 1001 samples); a max is exact: no bit moves
+    buf, m1 = np.empty((64, len(d_t))), np.empty(len(cand))
+    for i in range(0, len(cand), 64):
+        c = cand[i:i + 64]
+        blk = np.multiply.outer(c, d_t, out=buf[:len(c)])
+        m1[i:i + 64] = np.subtract(d_k, blk, out=blk).max(axis=1)
+    m1 = np.maximum(m1, 0.0)
     cost = cand * horizon + m1
     best = cost.min()
     pick = int(np.flatnonzero(cost <= best * (1.0 + 1e-12) + 1e-300)[0])
@@ -369,7 +372,6 @@ def verify_assumptions(spec, traj, op):
     energy_ok = eps < budget
     ratio = _a2_ratio(spec)
     refined = _a2_ratio(build_model(spec.params["family"], 2 * spec.n, nu=spec.nu,
-                                    norms=spec.params.get("norms", "homogeneous"),
                                     linear=spec.params["linear"]))
     lines = [
         "assumption report for %s" % spec.model_id,

@@ -227,13 +227,11 @@ def _mhd_f_raw(tor, c):
 # kappa monitors (undetermined constants fixed to 1)
 
 def _kappa_weak_pair(spec, c):
-    # ||u||_2^2 ||grad u||_2^2, summed over velocity/magnetic blocks
+    # ||u||_2^2 ||grad u||_2^2, summed over blocks of two components (u, h)
     comps = [c] if spec.ncomp == 1 else list(c)
     h2 = [_wsum2(spec, x, spec.norm_w2("H")) for x in comps]
     v2 = [_wsum2(spec, x, spec.norm_w2("V")) for x in comps]
-    if spec.ncomp <= 2:
-        return sum(h2) * sum(v2)
-    return (h2[0] + h2[1]) * (v2[0] + v2[1]) + (h2[2] + h2[3]) * (v2[2] + v2[3])
+    return sum(sum(h2[i:i + 2]) * sum(v2[i:i + 2]) for i in range(0, spec.ncomp, 2))
 
 
 def _kappa_nse_strong(tor, c):
@@ -252,32 +250,23 @@ def _kappa_nse_strong(tor, c):
 # ----------------------------------------------------------------------
 # model builders
 
-def build_model(model_id, n, nu=1.0, norms="homogeneous", linear=False):
+def build_model(model_id, n, nu=1.0, linear=False):
     """Construct (or fetch) one of the reference models.
 
     model_id is one of ac_weak, ac_strong, nse_weak, nse_strong, qg, mhd;
     n is the number of sine modes (1D) or the grid size per axis (2D),
-    nu scales the dissipation, norms selects the weak Allen-Cahn norm
-    convention (homogeneous or sobolev).  linear=True gives the model with
-    F = 0 and kappa = 0, under its own tag, params["linear"] True.
+    nu scales the dissipation; each model has one V norm.  linear=True
+    gives the model with F = 0 and kappa = 0, under its own tag,
+    params["linear"] True.
     """
     if model_id not in MODEL_FAMILIES:
         raise ValueError("unknown model id %r" % (model_id,))
-    if norms not in ("homogeneous", "sobolev"):
-        raise ValueError("norms must be homogeneous or sobolev")
-    if norms == "sobolev" and model_id != "ac_weak":
-        raise ValueError("the sobolev norm option applies to ac_weak only")
     if nu <= 0:
         raise ValueError("nu must be positive")
-    tag = "%s[n=%d,nu=%r" % (model_id, n, float(nu))
-    if norms == "sobolev":
-        tag += ",sobolev"
-    if linear:
-        tag += ",linear"
-    tag += "]"
+    tag = "%s[n=%d,nu=%r%s]" % (model_id, n, float(nu), ",linear" if linear else "")
     if tag not in _BUILT:
         if model_id in ("ac_weak", "ac_strong"):
-            spec = _build_ac(tag, model_id, n, nu, norms)
+            spec = _build_ac(tag, model_id, n, nu)
         else:
             spec = _build_torus_model(tag, model_id, n, nu)
         if linear:
@@ -288,7 +277,7 @@ def build_model(model_id, n, nu=1.0, norms="homogeneous", linear=False):
     return _BUILT[tag]
 
 
-def _build_ac(tag, model_id, n, nu, norms):
+def _build_ac(tag, model_id, n, nu):
     if n < 1:
         raise ValueError("need at least one sine mode")
     k = np.arange(1, n + 1, dtype=float)
@@ -296,10 +285,7 @@ def _build_ac(tag, model_id, n, nu, norms):
     a = nu * kpi ** 2
     if model_id == "ac_weak":
         w_h = np.ones(n)
-        if norms == "homogeneous":
-            w_v = kpi.copy()
-        else:
-            w_v = np.sqrt(1.0 + kpi ** 2)
+        w_v = kpi.copy()
         w_vstar = 1.0 / w_v
     else:
         w_h = kpi.copy()
@@ -318,7 +304,7 @@ def _build_ac(tag, model_id, n, nu, norms):
         tag, "sine", n, nu, 1, (n,), np.float64,
         a, w_h, w_v, w_vstar, mask, mult,
         _ac_f_raw, kappa_raw, lambda c: np.asarray(c, dtype=float),
-        params={"family": model_id, "norms": norms, "kabs": k, "domain": 1.0})
+        params={"family": model_id, "kabs": k, "domain": 1.0})
     spec.aux = None
     return spec
 

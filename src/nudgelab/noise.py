@@ -64,7 +64,9 @@ def make_qspec(spec, exponent="auto", k_q="auto", delta=None):
         s = float(exponent)
     kabs = spec.params["kabs"]
     if k_q == "auto":
-        rank = int(np.floor(np.pi / delta)) if delta else int(np.max(kabs[spec.mask]))
+        # no delta: the whole band, whose torus corners reach |k| = kd sqrt(2)
+        rank = (int(np.floor(np.pi / delta)) if delta
+                else int(np.ceil(np.max(kabs[spec.mask]))))
     else:
         rank = int(k_q)
         if rank < 0:

@@ -61,14 +61,11 @@ def make_observation(spec, kind, delta):
                                        cells=m, data=cellint)
         width = domain / m
         left = np.arange(m) * width
-        kfull = spec.aux.ky[:, 0]
-        # (1/width) * integral of e^{i k x} over [a, a+width]
-        b = np.empty((m, kfull.shape[0]), dtype=complex)
-        for j, k in enumerate(kfull):
-            if k == 0:
-                b[:, j] = 1.0
-            else:
-                b[:, j] = np.exp(1j * k * left) * (np.expm1(1j * k * width)) / (1j * k * width)
+        k = spec.aux.ky[:, 0]
+        ks = np.where(k == 0, 1.0, k)    # keeps 0/0 out of the k = 0 column
+        # (1/width) * integral of e^{i k x} over [a, a+width]; 1 at k = 0
+        b = np.where(k == 0, 1.0, np.exp(1j * ks * left[:, None])
+                     * np.expm1(1j * ks * width) / (1j * ks * width))
         return ObservationOperator(kind, float(delta), spec.model_id,
                                    cells=m, data=b)
     raise ValueError("kind must be modal or volume")
@@ -87,8 +84,7 @@ def apply_observation_raw(op, spec, c):
     """I_delta applied to a raw coefficient array, or to each array of a
     stack on leading axes; linear, and for the modal kind idempotent."""
     if op.kind == "modal":
-        keep = op.data
-        return np.where(keep, c, 0.0) if spec.kind == "torus" else c * keep
+        return np.where(op.data, c, 0.0)
     if spec.kind == "sine":
         # stacked matrix-vector products: a stack as one matrix-matrix
         # product would round differently from the single-field case

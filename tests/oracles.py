@@ -4,9 +4,9 @@ Everything here is deliberately slow and structure-free: direct
 convolution sums over wavevectors, trigonometric product identities,
 per-cell Gauss quadrature.  None of it shares code with the package
 beyond basic array layout conventions, except hs_pointwise_per_direction,
-convolution_mc_serial and sweep_per_cell, the one-at-a-time forms of
-computations the package runs in stacks or on threads, which must
-reproduce them bit for bit.  The torus layout references (fix_col0_roll
+convolution_mc_serial, sweep_per_cell and mm_envelope_one_array, the
+one-at-a-time (or all-at-once) forms of computations the package runs in
+stacks, blocks or on threads, which must reproduce them bit for bit.  The torus layout references (fix_col0_roll
 through single_mode_probes) form every conjugate partner on the fly, by
 reversing and rolling the kx = 0 column or by writing (-iy) % N, and
 every per-mode factor per call, in the arithmetic the package's cached
@@ -436,3 +436,28 @@ def sweep_per_cell(setup, observations, mu_grid, members, master_seed):
             except ValueError:
                 pass
     return rows
+
+
+def mm_envelope_one_array(times, kappa):
+    """harness._mm_envelope with its M1 taken over one (candidates x
+    pairs) array at once, the form the package evaluates in blocks of
+    candidates, which must reproduce it bit for bit."""
+    times = np.asarray(times, dtype=float)
+    kappa = np.asarray(kappa, dtype=float)
+    stride = max(len(times) // 64, 1)
+    idx = np.arange(0, len(times), stride)
+    if idx[-1] != len(times) - 1:
+        idx = np.append(idx, len(times) - 1)
+    pairs = len(idx) * (len(idx) - 1) // 2
+    if times.size < 2 or np.all(kappa == 0.0):
+        return 0.0, 0.0, 0.0, pairs
+    cum = np.concatenate([[0.0], np.cumsum(kappa[:-1] * np.diff(times))])
+    ts, ks = times[idx], cum[idx]
+    ii, jj = np.triu_indices(len(idx), k=1)
+    d_t, d_k = ts[jj] - ts[ii], ks[jj] - ks[ii]
+    slopes = d_k / d_t
+    cand = np.unique(np.concatenate([[0.0], slopes[slopes > 0.0]]))
+    m1 = np.maximum(d_k[None, :] - cand[:, None] * d_t[None, :], 0.0).max(axis=1)
+    cost = cand * (times[-1] - times[0]) + m1
+    pick = int(np.flatnonzero(cost <= cost.min() * (1.0 + 1e-12) + 1e-300)[0])
+    return float(cand[pick]), float(m1[pick]), float(cum[-1]), pairs

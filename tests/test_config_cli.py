@@ -295,7 +295,7 @@ def test_simulate_emit_y_columns(tmp_path):
 
 
 # manifest.json and CSV digests written by the release that still carried
-# ensemble.workers (here set to 4) in config_text
+# ensemble.workers (here set to 4) and model.norms in config_text
 OLD_MANIFEST = os.path.join(os.path.dirname(__file__), "data",
                             "manifest_workers4.json")
 OLD_DIGESTS = {
@@ -309,7 +309,8 @@ OLD_DIGESTS = {
 def test_old_manifest_with_workers_replays_byte_identical(tmp_path):
     src = tmp_path / "manifest.json"
     shutil.copy(OLD_MANIFEST, src)
-    assert "ensemble.workers = 4" in json.loads(src.read_text())["config_text"]
+    text = json.loads(src.read_text())["config_text"]
+    assert "ensemble.workers = 4" in text and "model.norms = homogeneous" in text
     out = tmp_path / "out"
     rc = cli.main(["simulate", "--config", str(src), "--out-dir", str(out)])
     assert rc == 0
@@ -317,6 +318,24 @@ def test_old_manifest_with_workers_replays_byte_identical(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     doc = json.loads((out / "manifest.json").read_text())
     assert "ensemble.workers" not in doc["config_text"]
+    assert "model.norms" not in doc["config_text"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify",
+                                     "convolution-check"])
+@pytest.mark.parametrize("model_id", ["ac_weak", "qg"])
+def test_retired_norms_key_accepts_only_the_one_norm(tmp_path, capsys,
+                                                     command, model_id):
+    # each model has one V norm, which the retired key may name (the old
+    # manifest above replays with it); any other norm is refused at parse
+    # time, before any output exists
+    out = tmp_path / "out"
+    text = "model.id = %s\nmodel.norms = sobolev\n" % model_id
+    rc = _run(tmp_path, "bad.cfg", text, command, "--out-dir", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and "model.norms" in err
+    assert not out.exists()
 
 
 def test_partial_step_horizon_exits_1(tmp_path, capsys):
@@ -399,7 +418,6 @@ BUILDER_REJECTS = [
     "model.id = ac_weak\nobservation.delta = 5\n",   # beyond the domain
     "model.id = qg\nmodel.n = 7\n",                  # odd torus size
     "model.id = qg\nmodel.n = 2\n",
-    "model.id = qg\nmodel.norms = sobolev\n",        # ac_weak only
     # p scales additive noise only
     "model.id = ac_weak\nnoise.kind = state_scaled\nnoise.p = 0.5\n",
 ]
@@ -540,7 +558,7 @@ def _enumerated(key):
 
 @pytest.mark.parametrize("key", [
     "noise.kind", "observation.kind", "nudging.implicit", "model.linear",
-    "model.norms", "noise.p", "output.emit_y",
+    "noise.p", "output.emit_y",
 ])
 def test_every_enumerated_value_changes_output(tmp_path, key):
     # a value that gives the same bytes as another value changes nothing

@@ -115,3 +115,9 @@ def test_every_retired_entry_is_twinned_or_run():
                  and k.replace(RETIRED, "-state_scaled-") not in pinned}
     assert untwinned == set(PINNED_AS.values())
 
+
+def test_pinned_mean_hs_is_the_first_members_hs():
+    # G reads the reference alone, so every member's hs is the group's,
+    # and the ensemble column is that series itself
+    pinned = _pinned()
+    assert [k for k in pinned if pinned[k]["mean_hs"] != pinned[k]["first.hs"]] == []

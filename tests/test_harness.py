@@ -119,6 +119,15 @@ def test_ensemble_emit_y_changes_nothing():
     assert np.array_equal(plain.mean_w2_h, with_y.mean_w2_h)
 
 
+def test_ensemble_mean_hs_is_the_monitor_itself():
+    # G reads the reference alone, so hs is one series for all members;
+    # the column is that series, not a mean of 7 copies of it (which
+    # differs from it in the last bit on about half the entries)
+    ens = run_ensemble(_setup(T=0.1, kind="state_scaled"), 7, 2, WITH_Y)
+    assert ens.mean_hs is not None
+    assert np.array_equal(ens.mean_hs, ens.first.hs)
+
+
 def test_ensemble_member_seeds_differ():
     setup = _setup()
     ens = run_ensemble(setup, 3, 0)
@@ -311,6 +320,35 @@ def test_envelope_bound_holds_and_is_tight():
     for cand in (0.0, 0.5 * m0, 2.0 * m0):
         need = np.max(cum[jj] - cum[ii] - cand * (t[jj] - t[ii]))
         assert obj <= cand * t[-1] + max(float(need), 0.0) + 1e-9
+
+
+def _random_kappa(samples, seed):
+    rng = np.random.default_rng(seed)
+    return (np.linspace(0.0, 1.0, samples),
+            1.0 + np.abs(np.cumsum(rng.standard_normal(samples))))
+
+
+@pytest.mark.parametrize("samples,seed", [(10, 0), (40, 1), (97, 2),
+                                          (1001, 3), (4001, 4)])
+def test_envelope_blocks_equal_the_one_array_form(samples, seed):
+    # kappa > 0 makes every pair slope a candidate: 46 to 4657 of them,
+    # one block of 64 (partly filled) to 73
+    t, kappa = _random_kappa(samples, seed)
+    assert H._mm_envelope(t, kappa) == O.mm_envelope_one_array(t, kappa)
+
+
+def test_envelope_memory_on_a_1000_step_run():
+    # 1001 samples: 2278 pairs and up to 2279 candidates, so one
+    # (candidates x pairs) array of doubles would take 41.5 MB
+    t, kappa = _random_kappa(1001, 5)
+    H._mm_envelope(t, kappa)
+    tracemalloc.start()
+    try:
+        H._mm_envelope(t, kappa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 @pytest.mark.parametrize("samples,pairs", [(51, 1275), (129, 2080),

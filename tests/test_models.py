@@ -206,16 +206,6 @@ def test_registry_keeps_nearby_nu_apart():
     assert np.array_equal(exact.a, 0.3 * kpi2)
 
 
-def test_sobolev_norm_option():
-    hom = build_model("ac_weak", 16)
-    sob = build_model("ac_weak", 16, norms="sobolev")
-    k = np.arange(1.0, 17.0)
-    assert np.allclose(hom.w_v, k * np.pi)
-    assert np.allclose(sob.w_v, np.sqrt(1.0 + (k * np.pi) ** 2))
-    with pytest.raises(ValueError):
-        build_model("nse_weak", 16, norms="sobolev")
-
-
 def test_grid_roundtrip(all_models):
     # sine: the doubled collocation grid; torus: the N x N grid, with the
     # model's constraints imposed again on the way back

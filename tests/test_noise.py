@@ -24,6 +24,17 @@ def test_spectrum_and_rank_defaults():
     assert q.rank == 8
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("model_id", ["ac_weak", "ac_strong", "nse_weak",
+                                      "nse_strong", "qg", "mhd"])
+def test_full_band_spectrum_keeps_every_retained_mode(model_id, n):
+    # with no delta, Q covers the whole dealiased band, whose corners on
+    # the torus reach |k| = kd sqrt(2), beyond the largest integer below it
+    spec = build_model(model_id, n)
+    q = make_qspec(spec)
+    assert np.array_equal(q.lam > 0.0, spec.mask)
+
+
 def test_trace_formula(all_models):
     for spec in all_models:
         q = make_qspec(spec)
