@@ -46,14 +46,6 @@ def _float(raw):
     return v
 
 
-def _auto_or_float(raw):
-    return "auto" if raw == "auto" else _float(raw)
-
-
-def _auto_or_int(raw):
-    return "auto" if raw == "auto" else _int(raw)
-
-
 # key -> (parse, default, constraint or None, description of the constraint)
 SCHEMA = {
     "model.id": (str, None, lambda v: v in MODEL_FAMILIES,
@@ -70,9 +62,6 @@ SCHEMA = {
                    "additive, state_scaled or pointwise_multiplicative"),
     "noise.sigma": (_float, 0.0, lambda v: v >= 0.0, "nonnegative"),
     "noise.p": (_float, 0.0, lambda v: v in (0.0, 0.5), "0 or 0.5"),
-    "noise.spectrum_exponent": (_auto_or_float, "auto", None, None),
-    "noise.k_q": (_auto_or_int, "auto",
-                  lambda v: v == "auto" or v >= 1, "auto or at least 1"),
     "nudging.mu": (_float, 0.0, lambda v: v >= 0.0, "nonnegative"),
     "nudging.implicit": (_bool, False, None, None),
     "time.dt": (_float, 1e-3, lambda v: v > 0.0, "positive"),
@@ -92,6 +81,8 @@ SCHEMA = {
 RETIRED = {
     "ensemble.workers": (_int, None, lambda v: v >= 1, "at least 1"),
     "model.norms": (str, None, lambda v: v == "homogeneous", "homogeneous"),
+    "noise.spectrum_exponent": (str, None, lambda v: v == "auto", "auto"),
+    "noise.k_q": (str, None, lambda v: v == "auto", "auto"),
 }
 
 
@@ -218,9 +209,7 @@ def build_observation(values, model, delta):
     a set-up that depend on delta."""
     op = _built("observation", make_observation, model,
                 values["observation.kind"], delta)
-    q = _built("noise", make_qspec, model,
-               exponent=values["noise.spectrum_exponent"],
-               k_q=values["noise.k_q"], delta=delta)
+    q = _built("noise", make_qspec, model, delta=delta)
     coef = _built("noise", make_noise_coefficient, values["noise.kind"],
                   values["noise.sigma"], p=values["noise.p"], delta=delta)
     return op, coef, q

@@ -438,6 +438,9 @@ def imex_convolution_variance(spec, q, coef, mu, dt, steps):
     return np.array([scale * r2 * (1.0 - r2 ** n) / (1.0 - r2) for n in steps])
 
 
+_CONV_CHUNK = 500  # Monte Carlo paths per task of convolution_variance_mc
+
+
 def _draw_workers():
     """CPUs this process may run on."""
     try:
@@ -466,22 +469,22 @@ def _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi):
 
 
 def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
-                            master_seed, chunk=500):
+                            master_seed):
     """Per-mode sample variance of the stochastic convolution at probe
     times, over many paths.
 
     Member m draws from the spawn_key=(m,) stream through
     integrate._blocks and steps z <- (z + mu G dW) r, r = 1/(1 + dt a),
     the update simulate_members gives the estimate of the linear model
-    started from zero with no observation, so one path here is
-    bit-identical to the v_path of that run.
-    Paths run in chunks, each one task on a pool of one thread per
-    available CPU: a task holds one buffer of about chunk x _DRAW_BYTES
-    of draws whatever the horizon, and returns its moment sums, which are
-    added in chunk order.  Every path's draw and every sum is the same
-    whatever the thread count, so the results are too.  Works for 1D
-    (sine) models; returns (probe_times, var, se) with var and se shaped
-    (len(probe_times), n_modes).
+    started from zero with an observation that keeps no mode, so one path
+    here is bit-identical to the v_path of that run.
+    Paths run in chunks of _CONV_CHUNK, each one task on a pool of one
+    thread per available CPU: a task holds one buffer of about _CONV_CHUNK
+    x _DRAW_BYTES of draws whatever the horizon, and returns its moment
+    sums, which are added in chunk order.  Every path's draw and every
+    sum is the same whatever the thread count, so the results are too.
+    Works for 1D (sine) models; returns (probe_times, var, se) with var
+    and se shaped (len(probe_times), n_modes).
     """
     if spec.kind != "sine":
         raise ValueError("vectorized variance runs on 1D models")
@@ -489,8 +492,6 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
         raise ValueError("closed-form comparison needs additive noise")
     if paths < 1:
         raise ValueError("need at least one path")
-    if chunk < 1:
-        raise ValueError("chunk must be at least 1")
     steps = probe_steps(probe_times, cfg.dt, cfg.nsteps)
     probe_at = {s: i for i, s in enumerate(steps)}
     sums = np.zeros((2, len(steps), spec.n))
@@ -498,8 +499,8 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
     with ThreadPoolExecutor(max_workers=_draw_workers()) as pool:
         for part in pool.map(
                 lambda lo: _conv_sums(spec, cfg, coef, q, probe_at, master_seed,
-                                      lo, min(lo + chunk, paths)),
-                range(0, paths, chunk)):
+                                      lo, min(lo + _CONV_CHUNK, paths)),
+                range(0, paths, _CONV_CHUNK)):
             sums += part
     # the second moment, and the fourth for the standard error of a sample
     # variance

@@ -12,7 +12,8 @@ mu I_d v term moves into the resolvent instead, and the explicit pull
 dt mu I_d u+ is toward the advanced reference.  The implicit A part
 makes the linear stability unconditional, so large mu needs no dt*mu
 restriction.  The stochastic convolution is the v update with F = 0 (a
-linear model), no observation and u = v = 0 at the start.
+linear model), an observation that keeps no mode and u = v = 0 at the
+start.
 
 There is one stepping loop of the coupled system, simulate_members (the
 one other, harness.convolution_variance_mc, steps the convolution's
@@ -32,7 +33,7 @@ BlowupError with the step index (in an ensemble the estimate that blew
 up rests at 0 in its row of the stack, and its cell keeps the error).
 
 The only randomness consumed is one fixed-shape standard-normal block
-per member and step whenever a QSpec is supplied (even at sigma = 0, so
+per member and step whenever the run has a group (even at sigma = 0, so
 runs that differ only in sigma share their noise realizations); every
 cell and group reads the same block.  Every block comes from _blocks,
 a view of one buffer of steps whose row m it refills from generator m,
@@ -126,14 +127,17 @@ def _blocks(rngs, members, n, shape):
 @dataclass(frozen=True)
 class Group:
     """One observation scale of a lockstep run: its operator, noise
-    coefficient and covariance, and the nudging strength mu of each of
-    its cells.  Every cell holds one estimate per noise source."""
+    coefficient and covariance, none of them None, and the nudging
+    strength mu of each of its cells.  Every cell holds one estimate per
+    noise source; a run with no groups steps the reference alone."""
     op: object
     coef: object
     q: object
     mus: tuple
 
     def __post_init__(self):
+        if any(part is None for part in (self.op, self.coef, self.q)):
+            raise ValueError("a group needs its op, coef and q, not None")
         if not self.mus:
             raise ValueError("a group needs at least one mu")
         if not all(mu >= 0.0 for mu in self.mus):
@@ -248,30 +252,28 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     rows = len(cells) * members
     row_cells = [cell for cell in cells for _ in range(members)]
     x = np.stack([u0] + [v0] * rows)
-    implicit = [cfg.implicit_nudging and grp.op is not None for grp in groups]
-    if any(imp and grp.op.kind != "modal" for imp, grp in zip(implicit, groups)):
+    implicit = cfg.implicit_nudging
+    if implicit and any(grp.op.kind != "modal" for grp in groups):
         raise ValueError("implicit nudging needs a modal observation")
-    noisy = [grp.coef is not None and grp.coef.sigma > 0.0
-             and grp.q is not None for grp in groups]
-    pulled = [grp.op is not None and any(mu > 0.0 for mu in grp.mus)
-              for grp in groups]
-    shapes = [grp.q.draw_shape for grp in groups if grp.q is not None]
-    draws = _blocks(rngs, members, n, shapes[0]) if shapes else repeat(None, n)
+    noisy = [grp.coef.sigma > 0.0 for grp in groups]
+    pulled = [any(mu > 0.0 for mu in grp.mus) for grp in groups]
+    draws = (_blocks(rngs, members, n, groups[0].q.draw_shape) if groups
+             else repeat(None, n))
     # per stack row, Python floats as a scalar-mu run would form them: the
     # mu of the noise term and the factor of the pull (a cell with mu = 0
     # in a pulled group adds a zero pull)
     col = (-1,) + (1,) * len(spec.shape)
     mu_col = np.array([0.0] + [mu for _, _, mu in row_cells]).reshape(col)
-    pull_col = np.array([0.0] + [dt * mu if implicit[g] else -dt * mu
-                                 for g, _, mu in row_cells]).reshape(col)
+    pull_col = np.array([0.0] + [dt * mu if implicit else -dt * mu
+                                 for _, _, mu in row_cells]).reshape(col)
     inv_ref = 1.0 / (1.0 + dt * spec.a)
     inv = inv_ref
-    if any(implicit[g] and mu > 0.0 for g, _, mu in cells):
+    if implicit and any(mu > 0.0 for _, _, mu in cells):
         # one resolvent per row: an implicitly nudged row's also holds its
         # mu I_d part
         inv = np.stack([np.broadcast_to(r, spec.shape) for r in [inv_ref] + [
             1.0 / (1.0 + dt * spec.a + dt * mu * groups[g].op.data)
-            if implicit[g] and mu > 0.0 else inv_ref
+            if mu > 0.0 else inv_ref
             for g, _, mu in row_cells]])
 
     # per group its stack rows and the member drawn for each row
@@ -339,9 +341,9 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
                 # stays a fixed point and each kept mode contracts by
                 # 1/(1 + dt*a + dt*mu); explicit: adding (-dt*mu) * x
                 # rounds exactly like subtracting dt*mu*x
-                gap = rhs[0] * inv_ref if implicit[g] else x[s] - x[0]
+                gap = rhs[0] * inv_ref if implicit else x[s] - x[0]
                 rhs[s] += pull_col[s] * apply_observation_raw(grp.op, spec, gap)
-            if {"dy_h", "y_h"} & rec.keys() and grp.op is not None:
+            if {"dy_h", "y_h"} & rec.keys():
                 # dy = I_delta u dt + G(u) dW (the noise term carries no mu)
                 dy = dt * apply_observation_raw(grp.op, spec, x[0])
                 if noisy[g]:

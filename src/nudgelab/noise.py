@@ -41,36 +41,26 @@ _HS_CHUNK = 16
 
 @dataclass(frozen=True)
 class QSpec:
-    """Diagonal trace-class covariance: Q e_k = lambda_k^2 e_k, rank K_Q;
-    inv_wh is 1/w_H where lambda_k > 0 and 0 elsewhere."""
+    """Diagonal trace-class covariance: Q e_k = lambda_k^2 e_k; inv_wh is
+    1/w_H where lambda_k > 0 and 0 elsewhere."""
     lam: np.ndarray = field(repr=False)
     inv_wh: np.ndarray = field(repr=False)
-    rank: int = 0
     nstreams: int = 1
     trace: float = 0.0
     draw_shape: tuple = ()
 
 
-def make_qspec(spec, exponent="auto", k_q="auto", delta=None):
-    """Spectrum lambda_k = (1+|k|^2)^(-s), truncated at K_Q.
-
-    exponent "auto" picks s = 1.0 (1D) or 1.5 (2D); k_q "auto" ties the
-    rank to the observation scale, K_Q = floor(pi/delta), or keeps the
-    full band when no delta is given.
-    """
-    if exponent == "auto":
-        s = 1.0 if spec.kind == "sine" else 1.5
-    else:
-        s = float(exponent)
+def make_qspec(spec, delta=None):
+    """Spectrum lambda_k = (1+|k|^2)^(-s), s = 1.0 (1D) or 1.5 (2D),
+    truncated at rank K_Q = floor(pi/delta), the observation's own cutoff,
+    or at the whole band when delta is None."""
+    s = 1.0 if spec.kind == "sine" else 1.5
     kabs = spec.params["kabs"]
-    if k_q == "auto":
-        # no delta: the whole band, whose torus corners reach |k| = kd sqrt(2)
-        rank = (int(np.floor(np.pi / delta)) if delta
-                else int(np.ceil(np.max(kabs[spec.mask]))))
-    else:
-        rank = int(k_q)
-        if rank < 0:
-            raise ValueError("k_q must be nonnegative")
+    if delta is not None and not delta > 0.0:
+        raise ValueError("delta must be positive")
+    # no delta: the whole band, whose torus corners reach |k| = kd sqrt(2)
+    rank = (int(np.ceil(np.max(kabs[spec.mask]))) if delta is None
+            else int(np.floor(np.pi / delta)))
     lam = np.where(spec.mask & (kabs <= rank), (1.0 + kabs ** 2) ** (-s), 0.0)
     nstreams = 1 if spec.ncomp <= 2 else spec.ncomp // 2
     trace = nstreams * float(np.sum(spec.mult * lam * lam))
@@ -79,7 +69,7 @@ def make_qspec(spec, exponent="auto", k_q="auto", delta=None):
     else:
         draw_shape = (nstreams, 2) + lam.shape
     inv_wh = np.where(lam > 0.0, 1.0 / np.where(spec.w_h == 0.0, 1.0, spec.w_h), 0.0)
-    return QSpec(lam, inv_wh, rank, nstreams, trace, draw_shape)
+    return QSpec(lam, inv_wh, nstreams, trace, draw_shape)
 
 
 def _scalar_stream(spec, q, block):
@@ -137,6 +127,8 @@ def make_noise_coefficient(kind, sigma, p=0.0, delta=1.0):
         raise ValueError("unknown noise kind %r" % (kind,))
     if not sigma >= 0.0:
         raise ValueError("sigma must be nonnegative")
+    if not delta > 0.0:
+        raise ValueError("delta must be positive")
     if p not in (0.0, 0.5):
         raise ValueError("p must be 0 or 0.5")
     if p != 0.0 and kind != "additive":

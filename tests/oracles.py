@@ -6,11 +6,12 @@ per-cell Gauss quadrature.  None of it shares code with the package
 beyond basic array layout conventions, except hs_pointwise_per_direction,
 convolution_mc_serial, sweep_per_cell and mm_envelope_one_array, the
 one-at-a-time (or all-at-once) forms of computations the package runs in
-stacks, blocks or on threads, which must reproduce them bit for bit.  The torus layout references (fix_col0_roll
-through single_mode_probes) form every conjugate partner on the fly, by
-reversing and rolling the kx = 0 column or by writing (-iy) % N, and
-every per-mode factor per call, in the arithmetic the package's cached
-forms must reproduce bit for bit.
+stacks, blocks or on threads, which must reproduce them bit for bit, and
+reference_only and blind_observation, which set up package runs.  The
+torus layout references (fix_col0_roll through single_mode_probes) form
+every conjugate partner on the fly, by reversing and rolling the kx = 0
+column or by writing (-iy) % N, and every per-mode factor per call, in
+the arithmetic the package's cached forms must reproduce bit for bit.
 """
 
 import numpy as np
@@ -461,3 +462,23 @@ def mm_envelope_one_array(times, kappa):
     cost = cand * (times[-1] - times[0]) + m1
     pick = int(np.flatnonzero(cost <= cost.min() * (1.0 + 1e-12) + 1e-300)[0])
     return float(cand[pick]), float(m1[pick]), float(cum[-1]), pairs
+
+
+def reference_only(spec, cfg, u0, record=None):
+    """The reference stepped alone: simulate_members with no groups, the
+    run a pair with no observation and no noise once stood for; its
+    SimResult."""
+    from nudgelab.integrate import Record, simulate_members
+    ref, _ = simulate_members(spec, cfg, [], u0, None, [],
+                              Record() if record is None else record)
+    return ref
+
+
+def blind_observation(spec):
+    """A modal observation that keeps no mode: its pull is (-dt mu) * 0.0
+    = -0.0, which leaves every coefficient's bits as they were, so a
+    nudged run with it steps the estimate as if it were not observed."""
+    from dataclasses import replace
+    from nudgelab.observe import make_observation
+    op = make_observation(spec, "modal", spec.params["domain"])
+    return replace(op, data=np.zeros_like(op.data))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import nudgelab.cli as cli
+import nudgelab.harness as harness
 import oracles as O
 from nudgelab.fields import inner_h_raw, norm_raw
 from nudgelab.harness import (RunSetup, convolution_variance_mc,
@@ -52,7 +53,7 @@ def sync_runs():
                                     ("nse_strong", "nse_strong", 64, 100.0, 2.0)):
         spec, setup = _pair(model_id, n, mu=mu, T=T)
         t0 = time.time()
-        res = simulate_pair(spec, setup.cfg, setup.op, None, None,
+        res = simulate_pair(spec, setup.cfg, setup.op, setup.coef, setup.q,
                             setup.u0, setup.v0, 0)
         out[key] = (spec, res, time.time() - t0)
     return out
@@ -118,7 +119,8 @@ def test_criterion_04_almost_sure_tail_convergence():
                                med[8.0] / med[2.0]))
 
 
-def test_criterion_05_convolution_isometry():
+def test_criterion_05_convolution_isometry(monkeypatch):
+    monkeypatch.setattr(harness, "_CONV_CHUNK", 1000)
     spec = build_model("ac_weak", 8, nu=1.0)
     q = make_qspec(spec)
     coef = make_noise_coefficient("additive", 0.1)
@@ -126,8 +128,7 @@ def test_criterion_05_convolution_isometry():
     probes = [0.25, 0.5, 1.0]
     t0 = time.time()
     _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes,
-                                         paths=10000, master_seed=2024,
-                                         chunk=1000)
+                                         paths=10000, master_seed=2024)
     wall = time.time() - t0
     worst = 0.0
     for i, t in enumerate(probes):
@@ -188,10 +189,8 @@ def test_criterion_07_oracle_equivalence():
     # step-size sensitivity on the slow manifold: dt vs dt/100
     spec = build_model("ac_weak", 8, nu=0.05)
     u0 = random_field(spec, 21)
-    coarse = simulate_pair(spec, StepConfig(dt=1e-3, T=1.0, mu=0.0),
-                           None, None, None, u0, u0, 0)
-    fine = simulate_pair(spec, StepConfig(dt=1e-5, T=1.0, mu=0.0),
-                         None, None, None, u0, u0, 0)
+    coarse = O.reference_only(spec, StepConfig(dt=1e-3, T=1.0), u0)
+    fine = O.reference_only(spec, StepConfig(dt=1e-5, T=1.0), u0)
     ref = fine.u_final
     imex_err = float(np.linalg.norm(coarse.u_final - ref)
                      / np.linalg.norm(ref))
@@ -227,8 +226,7 @@ def test_criterion_09_assumption_verifier():
     op = make_observation(spec, "modal", delta=DELTA)
     cfg = StepConfig(dt=2e-3, T=1.0, mu=0.0)
     u0 = random_field(spec, (9, 0))
-    res = simulate_pair(spec, cfg, op, None, None, u0, u0, 0,
-                        verify_record(cfg.nsteps))
+    res = O.reference_only(spec, cfg, u0, verify_record(cfg.nsteps))
     rep = verify_assumptions(spec, res, op)
     flat = rep.m0 <= 1e-2 * rep.m1 / cfg.T
     alpha_ok = abs(rep.alpha_hat - spec.alpha) <= 1e-9
@@ -236,8 +234,8 @@ def test_criterion_09_assumption_verifier():
     lin = build_model("nse_weak", 32, nu=1.0, linear=True)
     lop = make_observation(lin, "modal", delta=DELTA)
     lcfg = StepConfig(dt=2e-3, T=0.5, mu=0.0)
-    lres = simulate_pair(lin, lcfg, lop, None, None, random_field(lin, 1),
-                         random_field(lin, 1), 0, verify_record(lcfg.nsteps))
+    lres = O.reference_only(lin, lcfg, random_field(lin, 1),
+                            verify_record(lcfg.nsteps))
     lrep = verify_assumptions(lin, lres, lop)
     zero_ok = lrep.m0 == 0.0 and lrep.m1 == 0.0
 

@@ -2,8 +2,8 @@
 and is used inside the package or listed with its reader; every entry
 point the benchmark traces still exists; importing the package and
 building the torus models' set-ups loads neither scipy.fft nor
-concurrent.futures; and the package metadata names the package, its
-version and its commands."""
+concurrent.futures; the package metadata names the package, its
+version and its commands; and the kernel microbenchmarks run once."""
 
 import ast
 import importlib
@@ -161,3 +161,18 @@ def test_package_metadata():
     for target in project["scripts"].values():
         mod, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(mod), attr, None)), target
+
+
+def test_microbenchmarks_run_once():
+    # the microbenchmarks call into the package's internals, outside the
+    # suite's own collection: run each once, untimed, so a narrowed
+    # signature they use fails here rather than only when they are timed
+    pytest.importorskip("pytest_benchmark")
+    src = os.path.dirname(os.path.dirname(nudgelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "benchmarks", "-q",
+         "-p", "no:cacheprovider", "--benchmark-disable"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]

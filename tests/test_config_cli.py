@@ -138,19 +138,6 @@ def test_build_setup_objects():
     assert abs(norm_raw(setup.model, w, "H") - v["init.w0"]) < 1e-12
 
 
-@pytest.mark.parametrize("model_id,n", [("ac_weak", 16), ("qg", 16)])
-def test_numeric_spectrum_exponent(model_id, n):
-    # lambda_k = (1 + |k|^2)^(-s) up to K_Q = floor(pi / 0.39) = 8
-    setup = build_setup(parse_config(
-        "model.id = %s\nmodel.n = %d\nobservation.delta = 0.39\n"
-        "noise.spectrum_exponent = 2.5\n" % (model_id, n)))
-    kabs = setup.model.params["kabs"]
-    keep = setup.model.mask & (kabs <= 8)
-    assert np.allclose(setup.q.lam[keep], (1.0 + kabs[keep] ** 2) ** -2.5,
-                       rtol=1e-14, atol=0.0)
-    assert not setup.q.lam[~keep].any()
-
-
 def test_equal_arguments_share_one_model():
     # a callback wrapped on one build (a tracer, say) is seen by every
     # later build_model and build_setup with the same model keys
@@ -311,6 +298,7 @@ def test_old_manifest_with_workers_replays_byte_identical(tmp_path):
     shutil.copy(OLD_MANIFEST, src)
     text = json.loads(src.read_text())["config_text"]
     assert "ensemble.workers = 4" in text and "model.norms = homogeneous" in text
+    assert "noise.spectrum_exponent = auto" in text and "noise.k_q = auto" in text
     out = tmp_path / "out"
     rc = cli.main(["simulate", "--config", str(src), "--out-dir", str(out)])
     assert rc == 0
@@ -319,6 +307,8 @@ def test_old_manifest_with_workers_replays_byte_identical(tmp_path):
     doc = json.loads((out / "manifest.json").read_text())
     assert "ensemble.workers" not in doc["config_text"]
     assert "model.norms" not in doc["config_text"]
+    assert "noise.spectrum_exponent" not in doc["config_text"]
+    assert "noise.k_q" not in doc["config_text"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "verify",
@@ -335,6 +325,25 @@ def test_retired_norms_key_accepts_only_the_one_norm(tmp_path, capsys,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration") and "model.norms" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify",
+                                     "convolution-check"])
+@pytest.mark.parametrize("line", ["noise.spectrum_exponent = 2.5",
+                                  "noise.k_q = 3"])
+def test_retired_noise_keys_accept_only_auto(tmp_path, capsys, command, line):
+    # the spectrum's exponent follows the model's dimension and its rank
+    # the observation scale; the retired keys may only name that default
+    # (the old manifest above replays with them), a number is refused at
+    # parse time, before any output exists
+    key = line.split()[0]
+    out = tmp_path / "out"
+    rc = _run(tmp_path, "bad.cfg", "model.id = ac_weak\n" + line + "\n",
+              command, "--out-dir", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and key in err
     assert not out.exists()
 
 
@@ -504,7 +513,7 @@ def _without(text, key):
 
 @pytest.mark.parametrize("line", [
     "nudging.mu = inf", "noise.sigma = inf", "init.amplitude = inf",
-    "init.w0 = inf", "time.guard = inf", "noise.spectrum_exponent = nan",
+    "init.w0 = inf", "time.guard = inf", "model.nu = nan",
 ])
 def test_non_finite_value_exits_1(tmp_path, capsys, line):
     key = line.split()[0]

@@ -195,8 +195,7 @@ def test_ensemble_counts_partial_blowups(implicit):
 def test_ensemble_all_blowups_reraise():
     base = _setup()
     one = replace(base.cfg, T=base.cfg.dt)
-    u1 = simulate_pair(base.model, one, None, None, None, base.u0, base.u0,
-                       0).u_final
+    u1 = O.reference_only(base.model, one, base.u0).u_final
     first_acc = base.cfg.dt * norm_raw(base.model, u1, "V") ** 2
     cfg = StepConfig(dt=base.cfg.dt, T=base.cfg.T, mu=base.cfg.mu,
                      blowup_guard=0.5 * first_acc)
@@ -603,9 +602,10 @@ def test_convolution_mc_single_path_bit_identical():
     cfg = StepConfig(dt=1e-2, T=0.2, mu=15.0)
     probes = [0.1, 0.2]
     _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes,
-                                         paths=1, master_seed=42, chunk=1)
+                                         paths=1, master_seed=42)
     zero = np.zeros(spec.shape)
-    z_path = simulate_pair(spec, cfg, None, coef, q, zero, zero,
+    z_path = simulate_pair(spec, cfg, O.blind_observation(spec), coef, q,
+                           zero, zero,
                            member_seed(42, 0), Record((), v_path=None)).v_path
     for i, t in enumerate(probes):
         step = int(round(t / cfg.dt))
@@ -615,13 +615,15 @@ def test_convolution_mc_single_path_bit_identical():
     assert np.all(se <= 1e-7 * np.maximum(var, 1e-30))
 
 
-def test_convolution_mc_chunking_invariant():
+def test_convolution_mc_chunking_invariant(monkeypatch):
     spec = build_model("ac_weak", 8, nu=1.0)
     q = make_qspec(spec)
     coef = make_noise_coefficient("additive", 0.1)
     cfg = StepConfig(dt=1e-2, T=0.1, mu=10.0)
-    out1 = convolution_variance_mc(spec, cfg, coef, q, [0.1], 7, 0, chunk=7)
-    out2 = convolution_variance_mc(spec, cfg, coef, q, [0.1], 7, 0, chunk=3)
+    monkeypatch.setattr(H, "_CONV_CHUNK", 7)
+    out1 = convolution_variance_mc(spec, cfg, coef, q, [0.1], 7, 0)
+    monkeypatch.setattr(H, "_CONV_CHUNK", 3)
+    out2 = convolution_variance_mc(spec, cfg, coef, q, [0.1], 7, 0)
     assert np.allclose(out1[1], out2[1], rtol=1e-13)
 
 
@@ -654,10 +656,11 @@ def test_convolution_mc_threaded_equals_serial_oracle(monkeypatch, workers,
                                                       paths, chunk):
     # (2, 500): fewer paths than workers when workers = 3
     monkeypatch.setattr(H, "_draw_workers", lambda: workers)
+    monkeypatch.setattr(H, "_CONV_CHUNK", chunk)
     spec, cfg, coef, q = _conv_case()
     probes = [0.05, 0.1, 0.2]
     _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes, paths,
-                                         11, chunk=chunk)
+                                         11)
     ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, probes,
                                               paths, 11, chunk=chunk)
     assert np.array_equal(var, ref_var)
@@ -668,12 +671,13 @@ def test_convolution_mc_more_workers_than_cores(monkeypatch):
     # eight pool threads switching every microsecond, each stepping its
     # own chunk of paths
     monkeypatch.setattr(H, "_draw_workers", lambda: 8)
+    monkeypatch.setattr(H, "_CONV_CHUNK", 12)
     spec, cfg, coef, q = _conv_case()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         _, var, se = convolution_variance_mc(spec, cfg, coef, q, [0.1, 0.2],
-                                             40, 2, chunk=12)
+                                             40, 2)
     finally:
         sys.setswitchinterval(old)
     ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, [0.1, 0.2],
@@ -690,11 +694,11 @@ def test_convolution_mc_across_draw_blocks_equals_serial_oracle(monkeypatch,
     # keeps the bits of the serial oracle's whole-horizon draws
     monkeypatch.setattr(H, "_draw_workers", lambda: workers)
     monkeypatch.setattr(I, "_DRAW_BYTES", 6 * 8 * 8)
+    monkeypatch.setattr(H, "_CONV_CHUNK", 3)
     spec, cfg, coef, q = _conv_case()
     assert q.draw_shape == (8,) and cfg.nsteps == 20
     probes = [0.05, 0.1, 0.2]
-    _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes, 7, 11,
-                                         chunk=3)
+    _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes, 7, 11)
     ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, probes, 7,
                                               11, chunk=3)
     assert np.array_equal(var, ref_var)
@@ -708,12 +712,13 @@ def test_convolution_mc_memory_does_not_grow_with_horizon(monkeypatch):
     # down to timing, so its peak holds one task's buffers or two
     monkeypatch.setattr(H, "_draw_workers", lambda: 1)
     monkeypatch.setattr(I, "_DRAW_BYTES", 4 * 8 * 8)
+    monkeypatch.setattr(H, "_CONV_CHUNK", 100)
 
     def peak(T):
         spec, cfg, coef, q = _conv_case(T=T)
         tracemalloc.start()
         try:
-            convolution_variance_mc(spec, cfg, coef, q, [T], 200, 1, chunk=100)
+            convolution_variance_mc(spec, cfg, coef, q, [T], 200, 1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -723,29 +728,27 @@ def test_convolution_mc_memory_does_not_grow_with_horizon(monkeypatch):
     assert long <= 1.5 * base, (base, long)
 
 
-def test_convolution_mc_rerun_identical():
+def test_convolution_mc_rerun_identical(monkeypatch):
+    monkeypatch.setattr(H, "_CONV_CHUNK", 4)
     spec, cfg, coef, q = _conv_case()
-    a = convolution_variance_mc(spec, cfg, coef, q, [0.1, 0.2], 9, 5, chunk=4)
-    b = convolution_variance_mc(spec, cfg, coef, q, [0.1, 0.2], 9, 5, chunk=4)
+    a = convolution_variance_mc(spec, cfg, coef, q, [0.1, 0.2], 9, 5)
+    b = convolution_variance_mc(spec, cfg, coef, q, [0.1, 0.2], 9, 5)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("probes,paths,chunk,match", [
-    ([0.1], 2, 0, "chunk"),
-    ([0.1], 0, 500, "path"),
-    ([0.1, 0.1], 2, 500, "same step"),
-    ([0.05, 0.05 + 1e-12], 2, 500, "same step"),
-    ([0.1234], 2, 500, "whole number"),
-    ([0.0], 2, 500, "inside"),
-    ([float("nan")], 2, 500, "inside"),
+@pytest.mark.parametrize("probes,paths,match", [
+    ([0.1], 0, "path"),
+    ([0.1, 0.1], 2, "same step"),
+    ([0.05, 0.05 + 1e-12], 2, "same step"),
+    ([0.1234], 2, "whole number"),
+    ([0.0], 2, "inside"),
+    ([float("nan")], 2, "inside"),
 ])
-def test_convolution_mc_rejects_bad_counts_and_probes(probes, paths, chunk,
-                                                      match):
+def test_convolution_mc_rejects_bad_counts_and_probes(probes, paths, match):
     spec, cfg, coef, q = _conv_case()
     with pytest.raises(ValueError, match=match):
-        convolution_variance_mc(spec, cfg, coef, q, probes, paths, 0,
-                                chunk=chunk)
+        convolution_variance_mc(spec, cfg, coef, q, probes, paths, 0)
 
 
 @pytest.mark.parametrize("model_id", ["ac_weak", "ac_strong"])

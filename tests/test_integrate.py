@@ -52,7 +52,7 @@ def test_reference_ignores_coupling_and_noise(implicit):
     u0 = random_field(spec, 0)
     v0 = random_field(spec, 1)
     res = simulate_pair(spec, cfg, op, coef, q, u0, v0, 5)
-    alone = simulate_pair(spec, cfg, None, None, None, u0, u0, 0)
+    alone = O.reference_only(spec, cfg, u0)
     assert np.array_equal(res.u_final, alone.u_final)
     assert np.array_equal(res.u_h, alone.u_h)
     assert np.array_equal(res.kappa, alone.kappa)
@@ -382,8 +382,9 @@ def test_implicit_nudging_mode_recursion():
     cfg = StepConfig(dt=5e-2, T=0.5, mu=30.0, implicit_nudging=True)
     u0 = np.zeros(spec_lin.shape)
     v0 = random_field(spec_lin, 5)
-    res = simulate_pair(spec_lin, cfg, op_full, None, None, u0, v0, 0,
-                        Record((), v_path=None))
+    res = simulate_pair(spec_lin, cfg, op_full,
+                        make_noise_coefficient("additive", 0.0),
+                        make_qspec(spec_lin), u0, v0, 0, Record((), v_path=None))
     fac = 1.0 / (1.0 + cfg.dt * spec_lin.a + cfg.dt * cfg.mu)
     wc = -v0
     for i in range(1, cfg.nsteps + 1):
@@ -402,7 +403,8 @@ def test_nudged_pair_matches_mode_recursion(implicit):
     cfg = StepConfig(dt=1e-2, T=0.3, mu=30.0, implicit_nudging=implicit)
     u0 = random_field(spec, 21)
     v0 = random_field(spec, 22)
-    res = simulate_pair(spec, cfg, op, None, None, u0, v0, 0,
+    res = simulate_pair(spec, cfg, op, make_noise_coefficient("additive", 0.0),
+                        make_qspec(spec), u0, v0, 0,
                         Record((), u_path=None, v_path=None))
     for k in range(spec.n):
         mu = cfg.mu if keep[k] else 0.0
@@ -439,14 +441,14 @@ def test_implicit_nudging_stable_at_large_mu_dt():
 
 def test_convolution_matches_scalar_recursion():
     # the stochastic convolution is the estimate of the linear model
-    # started from zero with no observation
+    # started from zero with an observation that keeps no mode
     spec = build_model("ac_weak", 8, linear=True)
     q = make_qspec(spec, delta=0.39)
     coef = make_noise_coefficient("additive", 0.3)
     cfg = StepConfig(dt=1e-2, T=0.2, mu=12.0)
     zero = np.zeros(8)
-    zp = simulate_pair(spec, cfg, None, coef, q, zero, zero, 9,
-                       Record((), v_path=None)).v_path
+    zp = simulate_pair(spec, cfg, O.blind_observation(spec), coef, q, zero,
+                       zero, 9, Record((), v_path=None)).v_path
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
     z = np.zeros(8)
     for i in range(cfg.nsteps):
@@ -471,12 +473,24 @@ def test_step_config_validation():
     assert StepConfig(dt=2e-3, T=0.2).nsteps == 100
 
 
+def _group(mus, *missing):
+    # a group of _setup's observation, coefficient and covariance, the
+    # parts named in missing set to None
+    _, op, q, coef, _ = _setup()
+    parts = dict(op=op, coef=coef, q=q, mus=mus)
+    return Group(**{**parts, **dict.fromkeys(missing)})
+
+
 @pytest.mark.parametrize("make", [
     lambda: StepConfig(dt=1e-2, T=1.0, mu=np.nan),
-    lambda: Group(None, None, None, (np.nan,)),
-    lambda: Group(None, None, None, ()),
+    lambda: _group((np.nan,)),
+    lambda: _group(()),
+    lambda: _group((1.0,), "op"),
+    lambda: _group((1.0,), "coef"),
+    lambda: _group((1.0,), "q"),
     lambda: make_noise_coefficient("additive", np.nan)],
-    ids=["step-mu-nan", "group-mu-nan", "group-no-mu", "sigma-nan"])
+    ids=["step-mu-nan", "group-mu-nan", "group-no-mu", "group-no-op",
+         "group-no-coef", "group-no-q", "sigma-nan"])
 def test_invalid_library_inputs_fail_loudly(make):
     # a NaN fails every comparison, so a check written as "x < 0" lets it
     # through (a NaN sigma would run noise-free)

@@ -21,7 +21,7 @@ def test_spectrum_and_rank_defaults():
     lam = (1.0 + k ** 2) ** -1.0
     lam[8:] = 0.0                      # rank follows the observation cutoff
     assert np.allclose(q.lam, lam)
-    assert q.rank == 8
+    assert np.array_equal(np.flatnonzero(q.lam), np.arange(8))
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -161,7 +161,7 @@ def test_pointwise_hs_vector_models_match_assembly(model_id):
 @pytest.mark.parametrize("model_id", ["ac_weak", "qg", "mhd"])
 def test_pointwise_hs_rank_zero_is_zero(model_id):
     spec = build_model(model_id, 8)
-    q = make_qspec(spec, k_q=0)
+    q = make_qspec(spec, delta=4.0)     # K_Q = floor(pi / 4) = 0
     coef = make_noise_coefficient("pointwise_multiplicative", 0.3)
     assert list(noise_directions(spec, q)) == []
     assert hs_norm_sq(coef, spec, random_field(spec, 9), q) == 0.0
@@ -172,12 +172,14 @@ HS_STACK_GRIDS = [("ac_weak", 64), ("ac_strong", 64), ("qg", 32),
                   ("nse_weak", 16), ("nse_strong", 16), ("mhd", 16)]
 
 
+# ids name the rank of Q: "auto" the whole band (no delta), else
+# K_Q = floor(pi / delta)
 @pytest.mark.parametrize("model_id,n", HS_STACK_GRIDS)
-@pytest.mark.parametrize("k_q", ["auto", 3])
-def test_pointwise_hs_stacked_equals_per_direction_bitwise(model_id, n, k_q):
+@pytest.mark.parametrize("delta", [None, 1.0], ids=["auto", "3"])
+def test_pointwise_hs_stacked_equals_per_direction_bitwise(model_id, n, delta):
     spec = build_model(model_id, n)
-    q = make_qspec(spec, k_q=k_q)
-    if k_q == "auto":
+    q = make_qspec(spec, delta=delta)
+    if delta is None:
         assert len(list(noise_directions(spec, q))) > _HS_CHUNK
     coef = make_noise_coefficient("pointwise_multiplicative", 0.7)
     for seed in (31, 32):
@@ -187,14 +189,14 @@ def test_pointwise_hs_stacked_equals_per_direction_bitwise(model_id, n, k_q):
 
 
 @pytest.mark.parametrize("model_id,n", HS_STACK_GRIDS)
-@pytest.mark.parametrize("k_q", ["auto", 0])
+@pytest.mark.parametrize("delta", [None, 4.0], ids=["auto", "0"])
 @pytest.mark.parametrize("kind", ["additive", "state_scaled",
                                   "pointwise_multiplicative"])
-def test_hs_of_a_stack_equals_per_state_calls_bitwise(model_id, n, k_q, kind):
+def test_hs_of_a_stack_equals_per_state_calls_bitwise(model_id, n, delta, kind):
     # one stack of 1 state and one longer than a stack of directions: the
     # pointwise kind shares each direction stack's transforms among them
     spec = build_model(model_id, n)
-    q = make_qspec(spec, k_q=k_q)
+    q = make_qspec(spec, delta=delta)
     coef = make_noise_coefficient(kind, 0.7, p=0.5 if kind == "additive"
                                   else 0.0, delta=0.39)
     us = np.stack([random_field(spec, s) for s in range(_HS_CHUNK + 2)])
@@ -202,7 +204,7 @@ def test_hs_of_a_stack_equals_per_state_calls_bitwise(model_id, n, k_q, kind):
         got = hs_norm_sq(coef, spec, stack, q)
         assert isinstance(got, np.ndarray) and got.shape == (len(stack),)
         assert got.tolist() == [hs_norm_sq(coef, spec, u, q) for u in stack]
-    assert (got == 0.0).all() == (k_q == 0)
+    assert (got == 0.0).all() == (delta is not None)
     if kind == "pointwise_multiplicative":
         for s in (0, -1):
             assert got[s] == hs_pointwise_per_direction(coef, spec, us[s], q)
@@ -309,14 +311,13 @@ def test_state_scaled_hs_homogeneity():
 
 def test_state_scaled_peaks_at_start_on_decay():
     # noise that vanishes on the attractor {0} of a decaying reference
-    from nudgelab.integrate import Record, StepConfig, simulate_pair
+    from nudgelab.integrate import Record, StepConfig
     spec = build_model("ac_strong", 16)
     q = make_qspec(spec)
     coef = make_noise_coefficient("state_scaled", 0.5)
     u0 = random_field(spec, 24, h_norm=0.5)     # decays monotonically
     cfg = StepConfig(dt=1e-2, T=0.5)
-    res = simulate_pair(spec, cfg, None, None, None, u0, u0, 0,
-                        Record((), u_path=None))
+    res = O.reference_only(spec, cfg, u0, Record((), u_path=None))
     series = np.array([hs_norm_sq(coef, spec, u, q) for u in res.u_path])
     assert np.argmax(series) == 0
     assert np.all(np.diff(series) <= 1e-14)
@@ -333,3 +334,18 @@ def test_noise_coefficient_validation():
     for kind in ("state_scaled", "pointwise_multiplicative"):
         with pytest.raises(ValueError, match="additive noise only"):
             make_noise_coefficient(kind, 0.1, p=0.5)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.0, -0.25, -0.39, np.nan, -np.inf])
+@pytest.mark.parametrize("model_id", ["ac_weak", "qg"])
+def test_noise_builders_refuse_a_delta_that_is_not_positive(model_id, delta):
+    # delta alone sets the rank of Q: 0.0 must not read as "no delta" (the
+    # full band), nor a negative one as a rank below 0 (no noise at all),
+    # nor give the additive kind a complex sigma delta^p
+    spec = build_model(model_id, 16)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        make_qspec(spec, delta=delta)
+    for kind, p in (("additive", 0.5), ("additive", 0.0),
+                    ("state_scaled", 0.0)):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            make_noise_coefficient(kind, 0.1, p=p, delta=delta)
