@@ -14,7 +14,8 @@ the stochastic convolution (one pool task per chunk of paths), the
 lockstep loop simulate_members on a small sweep and on a 64-member and
 a 500-member ensemble, the noise draws of the 64 members alone through
 integrate._blocks, the measured constants (alpha,
-C_I, eta0) a volume sweep takes per delta, verify's assumption report
+C_I, eta0) a volume sweep takes per delta and those of ac_weak n=64 with
+volume observation, verify's assumption report
 on a 1000-step run, and `import nudgelab` in a fresh interpreter.
 pytest collects tests/ only by default, so these run only when asked for.
 """
@@ -172,6 +173,15 @@ def test_measured_constants_nse_strong_volume(benchmark, delta):
     # what sweep_vol measures at each delta of its grid
     spec = build_model("nse_strong", 32)
     op = make_observation(spec, "volume", delta)
+    _, ci, eta = benchmark(measured_constants, spec, op)
+    assert ci > 0.0 and eta > 0.0
+
+
+def test_measured_constants_ac_weak_volume(benchmark):
+    # the sine grid's alias classes at n=64, delta 0.1: 10 cells, blocks
+    # of up to 7 modes
+    spec = build_model("ac_weak", 64)
+    op = make_observation(spec, "volume", 0.1)
     _, ci, eta = benchmark(measured_constants, spec, op)
     assert ci > 0.0 and eta > 0.0
 

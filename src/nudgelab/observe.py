@@ -10,7 +10,8 @@ not a projection.  Both satisfy the bilinear estimate
 
     <f - I_delta f, g>  <=  C_I delta ||f||_H ||g||_V,
 
-whose constant is measured, not assumed; eta0 = 2 alpha / C_I^2 is the
+whose best constant C_I is computed exactly, as an operator norm
+(estimate_interp_constant); eta0 = 2 alpha / C_I^2 is the
 well-posedness threshold for mu delta^2.  Operators act on raw
 coefficient arrays together with the model's spec.
 """
@@ -18,9 +19,6 @@ coefficient arrays together with the model's spec.
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .fields import inner_h_raw, norm_raw
-from .models import _lift_scalar_mode, random_field
 
 
 @dataclass(frozen=True)
@@ -94,55 +92,54 @@ def apply_observation_raw(op, spec, c):
     return spec.project_raw(out)
 
 
-def _quotient(op, spec, fc, gc):
-    pair = inner_h_raw(spec, fc - apply_observation_raw(op, spec, fc), gc)
-    den = op.delta * norm_raw(spec, fc, "H") * norm_raw(spec, gc, "V")
-    if den == 0.0:
-        return 0.0
-    return abs(pair) / den
-
-
-def _single_mode_probes(spec, op):
-    # modes at and just above the observation scale stress the bound hardest
-    kabs = spec.params["kabs"]
-    probes = []
-    if spec.kind == "sine":
-        lo = op.cutoff if op.kind == "modal" else max(op.cells - 2, 0)
-        for k in range(lo, min(lo + 6, spec.n)):
-            c = np.zeros(spec.shape)
-            c[k] = 1.0
-            probes.append(c)
-        return probes
-    tor = spec.aux
-    target = op.cutoff if op.kind == "modal" else np.pi / op.delta
-    band = spec.mask & (kabs >= target - 1.0) & (kabs <= target + 3.0)
-    idx = np.argwhere(band)
-    for iy, ix in idx[:12]:
-        probes.extend(spec.project_raw(f)
-                      for f in _lift_scalar_mode(spec, tor.mode(iy, ix, 1.0)))
-    return probes
-
-
-CI_SAMPLES = 32     # random field pairs of every measured C_I
-
-
 def estimate_interp_constant(op, spec):
-    """Measured constant of <f - I_delta f, g> <= C_I delta ||f||_H ||g||_V.
+    """Exact constant of <f - I_delta f, g> <= C_I delta ||f||_H ||g||_V:
+    the norm of D^-1 (I - I_delta) on H-unit modes, D = w_V / w_H, over delta.
 
-    Maximizes the quotient over CI_SAMPLES random field pairs, drawn from
-    seed 0, plus adversarial single-mode probes at the cutoff; the same
-    op and spec always give the same number.
+    Modal: 1 / (delta min D) over the unobserved modes, 0 if none is.
+    Volume: I_delta couples only modes that alias on its m cells (k = +-k'
+    mod 2m on the sine grid, each axis mod m over the full torus band),
+    on such a class as the Gram matrix of per-mode columns: the sine cell
+    integrals times sqrt(m); on the torus |s| k_perp/|k|, s(k) = sigma(ky)
+    sigma(kx) from the first row of the operator's data, k_perp/|k| the
+    lift that Leray keeps (the phases of s and i cancel in the norm).
     """
     if spec.model_id != op.model_id:
         raise ValueError("operator belongs to %s" % op.model_id)
-    best = 0.0
-    for i in range(CI_SAMPLES):
-        f = random_field(spec, (0, 2 * i), smoothness=0.5)
-        g = random_field(spec, (0, 2 * i + 1), smoothness=0.5)
-        best = max(best, _quotient(op, spec, f, g))
-    for c in _single_mode_probes(spec, op):
-        best = max(best, _quotient(op, spec, c, c))
-    return best
+    if op.kind == "modal":
+        unseen = spec.mask & ~op.data
+        d = spec.w_v[unseen] / spec.w_h[unseen]
+        return 1.0 / (op.delta * float(d.min())) if d.size else 0.0
+    m = op.cells
+    if spec.kind == "sine":
+        k = spec.params["kabs"].astype(int)
+        key = np.minimum(k % (2 * m), -k % (2 * m))
+        cols, wh, wv = np.sqrt(m) * op.data.T, spec.w_h, spec.w_v
+    else:
+        # the full band: the stored wavevectors, then the partners -k of
+        # those with kx > 0, which share their weights
+        tor = spec.aux
+        iy, ix = np.nonzero(spec.mask)
+        sign = np.repeat([1, -1], [iy.size, np.count_nonzero(ix)])
+        iy, ix = np.concatenate([iy, iy[ix > 0]]), np.concatenate([ix, ix[ix > 0]])
+        ky, kx = sign * tor.ky[iy, ix].astype(int), sign * tor.kx[iy, ix].astype(int)
+        key = (ky % m) * m + kx % m
+        cols = np.abs(op.data[0, ky % tor.n] * op.data[0, kx % tor.n])[:, None]
+        if spec.ncomp > 1:
+            cols = cols * np.stack([-ky, kx], axis=1) / tor.kabs[iy, ix][:, None]
+        wh, wv = spec.w_h[iy, ix], spec.w_v[iy, ix]
+    order = np.argsort(key, kind="stable")
+    key, cols, wh, wv = key[order], cols[order], wh[order], wv[order]
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    slot = np.arange(key.size) - first[cls]
+    left = np.zeros((cls[-1] + 1, slot.max() + 1, cols.shape[1]))
+    right = left.copy()
+    left[cls, slot] = (wh * wh / wv)[:, None] * cols
+    right[cls, slot] = cols / wh[:, None]
+    # products and sums, not matmul: the blocks do not depend on the BLAS kernel
+    blocks = -(left[:, :, None, :] * right[:, None, :, :]).sum(-1)
+    blocks[cls, slot, slot] += wh / wv
+    return float(np.linalg.svd(blocks, compute_uv=False).max()) / op.delta
 
 
 def eta0(alpha, c_i):

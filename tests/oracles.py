@@ -6,9 +6,12 @@ per-cell Gauss quadrature.  None of it shares code with the package
 beyond basic array layout conventions, except hs_pointwise_per_direction,
 convolution_mc_serial, sweep_per_cell and mm_envelope_one_array, the
 one-at-a-time (or all-at-once) forms of computations the package runs in
-stacks, blocks or on threads, which must reproduce them bit for bit, and
-reference_only and blind_observation, which set up package runs.  The
-torus layout references (fix_col0_roll through single_mode_probes) form
+stacks, blocks or on threads, which must reproduce them bit for bit,
+reference_only and blind_observation, which set up package runs, and
+quotient and interp_constant_dense, which apply the package's observation
+to its noise directions as a dense matrix, the form the exact
+interpolation constant splits into alias-class blocks.  The
+torus layout references (fix_col0_roll through noise_directions_by_hand) form
 every conjugate partner on the fly, by reversing and rolling the kx = 0
 column or by writing (-iy) % N, and every per-mode factor per call, in
 the arithmetic the package's cached forms must reproduce bit for bit.
@@ -273,18 +276,34 @@ def noise_directions_by_hand(spec, q):
     return out
 
 
-def single_mode_probes(spec, op):
-    """The unit single-mode probes observe._single_mode_probes takes on a
-    torus model, built by single_mode with partner 1 and projected by
-    project_roll."""
-    target = op.cutoff if op.kind == "modal" else np.pi / op.delta
-    kabs = spec.params["kabs"]
-    band = spec.mask & (kabs >= target - 1.0) & (kabs <= target + 3.0)
-    probes = []
-    for iy, ix in np.argwhere(band)[:12]:
-        c = single_mode(spec.n, iy, ix, 1.0, 1.0)
-        probes.extend(project_roll(spec, f) for f in lift_scalar(spec, c))
-    return probes
+def quotient(op, spec, f, g):
+    """The bilinear quotient |<f - I_delta f, g>_H| / (delta ||f||_H ||g||_V)
+    that C_I bounds, 0 where a norm vanishes."""
+    from nudgelab.fields import inner_h_raw, norm_raw
+    from nudgelab.observe import apply_observation_raw
+    pair = inner_h_raw(spec, f - apply_observation_raw(op, spec, f), g)
+    den = op.delta * norm_raw(spec, f, "H") * norm_raw(spec, g, "V")
+    return 0.0 if den == 0.0 else abs(pair) / den
+
+
+def interp_constant_dense(op, spec):
+    """(C_I, f, g): C_I as ||D^-1 M||_2 / delta over the full-band
+    H-orthonormal noise directions e_j, M[k, j] = <(I - I_delta) e_j, e_k>_H
+    and D the w_V / w_H of each direction, all in one dense SVD; f and g
+    the singular-vector pair whose quotient attains it."""
+    from nudgelab.noise import make_qspec, noise_directions
+    from nudgelab.observe import apply_observation_raw
+    e = np.stack([f for _, f in noise_directions(spec, make_qspec(spec))])
+    rest = e - apply_observation_raw(op, spec, e)
+    flat = e.reshape(len(e), -1)
+    wh2, wv2 = (np.broadcast_to(spec.norm_w2(x), spec.shape).ravel()
+                for x in ("H", "V"))
+    m = (np.conj(flat) * wh2) @ rest.reshape(len(e), -1).T
+    d = np.sqrt((np.abs(flat) ** 2 @ wv2) / (np.abs(flat) ** 2 @ wh2))
+    u, sv, vt = np.linalg.svd(m.real / d[:, None])
+    f = np.tensordot(vt[0], e, axes=1)
+    g = np.tensordot(u[:, 0] / d, e, axes=1)
+    return sv[0] / op.delta, f, g
 
 
 def cell_average_quad(c, a, b, npts=64):

@@ -709,7 +709,7 @@ def test_verify_report(tmp_path):
 
 
 def test_commands_agree_on_the_constants(tmp_path):
-    # verify's C_I is the 32-pair estimate simulate and sweep report
+    # verify's C_I is the exact constant simulate and sweep report
     text = ("model.id = nse_weak\nmodel.n = 32\nobservation.kind = volume\n"
             "observation.delta = 0.2\ntime.dt = 1e-3\ntime.T = 0.004\n")
     docs = {}
@@ -723,7 +723,7 @@ def test_commands_agree_on_the_constants(tmp_path):
         assert ver[key] == sim[key]
         assert swp[key] == (sim[key] if key == "alpha_hat" else [sim[key]])
     report = (tmp_path / "verify" / "report.txt").read_text()
-    assert "C_I_hat = %.6g (32 probe pairs)" % sim["c_i_hat"] in report
+    assert "C_I_hat = %.6g (exact, alias-class norm)" % sim["c_i_hat"] in report
 
 
 def test_verify_steps_the_reference_alone(tmp_path, monkeypatch):
@@ -861,29 +861,48 @@ def test_verify_check_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 # sha256 of report.txt at T = 0.05 for three (model, n, observation)
 # configs; the report is built from the measured constants alone, so
-# these pin every probe budget, seed and threshold of verify
+# these pin every constant, probe budget, seed and threshold of verify
 VERIFY_REPORTS = {
     ("nse_strong", 32, "volume", False):
-        "72d58c57e05e1c073482f9f471b00c0b1a5f3037fabb182747c3a1b1beec6b35",
+        "3ff0c119d8afb9e989a6b8174df3d367243764c8d511c6f6f4629ddbd4c44891",
     ("mhd", 16, "volume", False):
-        "0841451fdabdab06673cb72de6313496f07240a13522bb164aa06bfd2878b243",
+        "b3d694a4365fdbe3d67f1afc04af7f7e41703ddf132ef53e83e44a14f3e3725f",
     ("ac_weak", 16, "modal", True):
-        "4f706b00850ec1828c98fcfbb4e057b58efa9510af7e84681186edc8cfcd3ea3",
+        "4bd2a6cbd8c69f2f85bd9ade90f75138d9eff8846a24ccd4fdfc3d2715409e9c",
 }
+
+
+def _report_config(case):
+    model_id, n, obs, linear = case
+    return ("model.id = %s\nmodel.n = %d\nobservation.kind = %s\n"
+            "time.T = 0.05\n%s" % (model_id, n, obs,
+                                   "model.linear = true\n" if linear else ""))
 
 
 @pytest.mark.parametrize("case", sorted(VERIFY_REPORTS), ids=str)
 def test_verify_report_bytes_are_pinned(tmp_path, case):
-    model_id, n, obs, linear = case
-    text = ("model.id = %s\nmodel.n = %d\nobservation.kind = %s\n"
-            "time.T = 0.05\n%s" % (model_id, n, obs,
-                                   "model.linear = true\n" if linear else ""))
     out = tmp_path / "out"
-    rc = _run(tmp_path, "run.cfg", text, "verify", "--check",
+    rc = _run(tmp_path, "run.cfg", _report_config(case), "verify", "--check",
               "--out-dir", str(out))
     assert rc == 0
     digest = hashlib.sha256((out / "report.txt").read_bytes()).hexdigest()
     assert digest == VERIFY_REPORTS[case]
+
+
+def test_verify_report_bytes_do_not_depend_on_simd_dispatch(tmp_path):
+    # the pinned reports in fresh interpreters with the AVX-512 loops off;
+    # numpy ignores feature names the host lacks, so this runs anywhere
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src,
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR AVX512_SKX")
+    for i, case in enumerate(sorted(VERIFY_REPORTS)):
+        cfg, out = tmp_path / ("run%d.cfg" % i), tmp_path / ("out%d" % i)
+        cfg.write_text(_report_config(case))
+        subprocess.run([sys.executable, "-m", "nudgelab.cli", "verify", "--config",
+                        str(cfg), "--check", "--out-dir", str(out)],
+                       env=env, capture_output=True, check=True)
+        digest = hashlib.sha256((out / "report.txt").read_bytes()).hexdigest()
+        assert digest == VERIFY_REPORTS[case], case
 
 
 def test_convolution_check(tmp_path):

@@ -1,14 +1,19 @@
 """Observation operators: projections, cell averages, the interpolation
 constant, and the threshold formula."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import nudgelab
 import oracles as O
 from nudgelab.fields import inner_h_raw, norm_raw
 from nudgelab.models import build_model, random_field
-from nudgelab.observe import (_single_mode_probes, apply_observation_raw,
-                              estimate_interp_constant, eta0, make_observation)
+from nudgelab.observe import (apply_observation_raw, estimate_interp_constant,
+                              eta0, make_observation)
 
 
 def test_modal_cutoff_count():
@@ -85,17 +90,97 @@ def test_interp_constant_single_mode_value():
     assert ci == pytest.approx(0.09068657726033923, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [6, 12])
-@pytest.mark.parametrize("model_id", ["qg", "nse_weak", "mhd"])
+# (model, n, deltas): on the torus band |k| <= 3, delta 1.6 and 2.1 give
+# 4 and 3 cells per axis, whose alias classes hold several wavevectors,
+# and delta 0.3 more cells (21) than grid points; on the sine grid delta
+# 0.15 observes every mode with the modal kind
+INTERP_CASES = [
+    ("ac_weak", 16, (0.39, 0.2, 0.7, 0.15)),
+    ("ac_strong", 16, (0.39, 0.2, 0.7)),
+    ("qg", 8, (0.8, 1.6, 3.0)),
+    ("qg", 12, (0.3, 1.6, 2.1)),
+    ("nse_weak", 10, (1.0, 1.6, 2.1)),
+    ("nse_strong", 12, (0.3, 0.8, 1.6, 3.0)),
+    ("mhd", 12, (1.0, 1.6, 2.1)),
+]
+
+
 @pytest.mark.parametrize("kind", ["modal", "volume"])
-def test_single_mode_probes_match_by_hand_bitwise(model_id, n, kind):
-    # delta = pi / kd puts the probed band at the edge of the retained one
+@pytest.mark.parametrize("model_id,n,deltas", INTERP_CASES,
+                         ids=["%s-%d" % c[:2] for c in INTERP_CASES])
+def test_interp_constant_matches_dense_oracle(model_id, n, deltas, kind):
     spec = build_model(model_id, n)
-    op = make_observation(spec, kind, np.pi / spec.aux.kd)
-    got = _single_mode_probes(spec, op)
-    want = O.single_mode_probes(spec, op)
-    assert len(got) == len(want) > 0
-    assert [O.bits(p) for p in got] == [O.bits(p) for p in want]
+    for delta in deltas:
+        op = make_observation(spec, kind, delta)
+        want = O.interp_constant_dense(op, spec)[0]
+        assert estimate_interp_constant(op, spec) == pytest.approx(
+            want, rel=1e-12, abs=1e-300), delta
+
+
+@pytest.mark.parametrize("model_id,n,delta", [
+    ("ac_weak", 16, 0.39), ("ac_strong", 16, 0.2), ("qg", 12, 1.6),
+    ("nse_strong", 12, 2.1), ("mhd", 8, 1.6)])
+def test_interp_constant_witness_pair_attains_it(model_id, n, delta):
+    # the oracle's singular-vector pair reaches the supremum
+    spec = build_model(model_id, n)
+    op = make_observation(spec, "volume", delta)
+    _, f, g = O.interp_constant_dense(op, spec)
+    assert O.quotient(op, spec, f, g) == pytest.approx(
+        estimate_interp_constant(op, spec), rel=1e-12)
+
+
+@pytest.mark.parametrize("model_id,n,kind,delta", [
+    ("nse_strong", 32, "volume", 0.39), ("ac_weak", 64, "volume", 0.1),
+    ("mhd", 16, "volume", 1.0), ("qg", 16, "modal", 0.6)])
+def test_interp_constant_bounds_random_pairs(model_id, n, kind, delta):
+    # no random pair, rough (smoothness 0.5) or not, exceeds the supremum
+    spec = build_model(model_id, n)
+    op = make_observation(spec, kind, delta)
+    ci = estimate_interp_constant(op, spec)
+    for i in range(32):
+        f = random_field(spec, (0, 2 * i), smoothness=0.5)
+        g = random_field(spec, (0, 2 * i + 1), smoothness=0.5)
+        assert O.quotient(op, spec, f, g) <= ci * (1 + 1e-12)
+
+
+def test_interp_constant_sweep_values():
+    # nse_strong n=32 with volume observation at the sweep workload's
+    # deltas (m = 16 and 8 cells): the largest block is the pair
+    # (0, +-m/2), one combination of which I_delta maps to zero, so C_I is
+    # w_H / (delta w_V) = 1 / (delta m/2)
+    spec = build_model("nse_strong", 32)
+    got = [estimate_interp_constant(make_observation(spec, "volume", d), spec)
+           for d in (0.39, 0.8)]
+    assert got == [0.3205128205128205, 0.3125]
+    spec = build_model("ac_weak", 64)
+    ci = estimate_interp_constant(make_observation(spec, "volume", 0.1), spec)
+    assert ci == pytest.approx(0.31782, abs=5e-6)
+
+
+# Run in fresh interpreters: the bits of the torus volume C_I under
+# another OpenBLAS kernel, whose LAPACK takes the block norms
+BLAS_PROBE = """
+from nudgelab.models import build_model
+from nudgelab.observe import estimate_interp_constant, make_observation
+for model_id, n, delta in (("nse_strong", 32, 0.39), ("nse_strong", 32, 0.8),
+                           ("mhd", 16, 0.39), ("mhd", 16, 0.8)):
+    spec = build_model(model_id, n)
+    op = make_observation(spec, "volume", delta)
+    print(estimate_interp_constant(op, spec).hex())
+"""
+
+
+def test_torus_volume_interp_constant_bits_do_not_depend_on_blas_kernel():
+    # the kernels of two older x86-64 cores, which any host with AVX2 runs
+    src = os.path.dirname(os.path.dirname(nudgelab.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = [subprocess.run([sys.executable, "-c", BLAS_PROBE],
+                          env=dict(env, **core), capture_output=True, text=True,
+                          check=True).stdout
+           for core in ({}, {"OPENBLAS_CORETYPE": "Haswell"},
+                        {"OPENBLAS_CORETYPE": "Sandybridge"})]
+    assert out[0] == out[1] == out[2] and len(out[0].split()) == 4
 
 
 def test_interp_bound_holds_on_random_fields():
