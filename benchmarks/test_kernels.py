@@ -188,8 +188,8 @@ def test_measured_constants_ac_weak_volume(benchmark):
 
 def test_verify_assumptions_long_run(benchmark):
     # verify's report on a 1000-step ac_weak n=64 run: its 1001 kappa
-    # samples give the drift envelope 68 grid times, 2278 pairs and 2279
-    # candidate slopes, whose M1 is taken in blocks of 64
+    # samples give the drift envelope 68 grid times and 2278 pairs, whose
+    # largest rise of int kappa one running minimum finds
     spec = build_model("ac_weak", 64)
     cfg = StepConfig(dt=1e-3, T=1.0)
     traj, _ = simulate_members(spec, cfg, [], random_field(spec, 1), None, [],

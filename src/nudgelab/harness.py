@@ -139,7 +139,7 @@ def fit_decay_rate(times, series, window=None):
                    (float(t[0]), float(t[-1])), resid, note)
 
 
-def estimate_noise_floor(times, series):
+def estimate_noise_floor(series):
     """Time-average of the mean-square error over the last quarter of the
     samples, and its standard error."""
     series = np.asarray(series, dtype=float)
@@ -222,18 +222,16 @@ def sweep(setup, observations, mu_grid, members, master_seed, consts):
             except ValueError as e:
                 row["error"] = str(e)
             try:
-                row["floor"], row["floor_se"] = estimate_noise_floor(
-                    ens.times, ens.mean_w2_h)
+                row["floor"], row["floor_se"] = estimate_noise_floor(ens.mean_w2_h)
             except ValueError:
                 pass
     return rows
 
 
 def measure_alpha(spec):
-    """Smallest Rayleigh quotient <A e_k, e_k> / ||e_k||_V^2 over modes."""
-    mask = spec.mask
-    quot = spec.a[mask] * spec.w_h[mask] ** 2 / spec.w_v[mask] ** 2
-    return float(quot.min())
+    """The coercivity constant alpha of spec: ModelSpec.alpha, the smallest
+    Rayleigh quotient <A e_k, e_k> / ||e_k||_V^2 over modes."""
+    return spec.alpha
 
 
 def _stride_idx(n, stride):
@@ -245,39 +243,25 @@ def _stride_idx(n, stride):
 
 
 def _mm_envelope(times, kappa):
-    """(M0, M1, int kappa, pairs): the smallest (M0, M1) with
-    int_s^t kappa <= M0 (t-s) + M1 on a coarse grid of (s, t) pairs (about
-    64 times, evenly strided, and the last) and the number of those pairs;
-    ties broken toward the smallest M0."""
+    """(M0, M1, int kappa, pairs): the (M0, M1) of least M0 H + M1, H the
+    horizon, with int_s^t kappa <= M0 (t-s) + M1 on a coarse grid of (s, t)
+    pairs (about 64 times, evenly strided, and the last), and the number of
+    those pairs.  No pair spans more than H, so (0, M1 + M0 H) bounds every
+    pair that (M0, M1) bounds, at the same cost: M0 = 0, and M1 is the
+    largest rise of int kappa over a pair, or 0 (int kappa when kappa >= 0).
+    """
     times = np.asarray(times, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     idx = _stride_idx(len(times), max(len(times) // 64, 1))
     pairs = len(idx) * (len(idx) - 1) // 2
     if times.size < 2 or np.all(kappa == 0.0):
         return 0.0, 0.0, 0.0, pairs
-    dt = np.diff(times)
-    cum = np.concatenate([[0.0], np.cumsum(kappa[:-1] * dt)])
-    total = float(cum[-1])
-    ts = times[idx]
+    cum = np.concatenate([[0.0], np.cumsum(kappa[:-1] * np.diff(times))])
     ks = cum[idx]
-    ii, jj = np.triu_indices(len(idx), k=1)
-    d_t = ts[jj] - ts[ii]
-    d_k = ks[jj] - ks[ii]
-    slopes = d_k / d_t
-    cand = np.unique(np.concatenate([[0.0], slopes[slopes > 0.0]]))
-    horizon = times[-1] - times[0]
-    # m1 over blocks of 64 candidates in one buffer, not one (candidates x
-    # pairs) array (40 MB at 1001 samples); a max is exact: no bit moves
-    buf, m1 = np.empty((64, len(d_t))), np.empty(len(cand))
-    for i in range(0, len(cand), 64):
-        c = cand[i:i + 64]
-        blk = np.multiply.outer(c, d_t, out=buf[:len(c)])
-        m1[i:i + 64] = np.subtract(d_k, blk, out=blk).max(axis=1)
-    m1 = np.maximum(m1, 0.0)
-    cost = cand * horizon + m1
-    best = cost.min()
-    pick = int(np.flatnonzero(cost <= best * (1.0 + 1e-12) + 1e-300)[0])
-    return float(cand[pick]), float(m1[pick]), total, pairs
+    # each grid time's rise over the lowest before it, 0 at that lowest:
+    # ks[t] - ks[s] falls as ks[s] grows, so this is the largest pair's rise
+    rise = ks - np.minimum.accumulate(ks)
+    return 0.0, float(rise.max()), float(cum[-1]), pairs
 
 
 _A2_EXPONENTS = {

@@ -451,17 +451,18 @@ def sweep_per_cell(setup, observations, mu_grid, members, master_seed):
             except ValueError as e:
                 row["error"] = str(e)
             try:
-                row["floor"], row["floor_se"] = estimate_noise_floor(
-                    ens.times, ens.mean_w2_h)
+                row["floor"], row["floor_se"] = estimate_noise_floor(ens.mean_w2_h)
             except ValueError:
                 pass
     return rows
 
 
 def mm_envelope_one_array(times, kappa):
-    """harness._mm_envelope with its M1 taken over one (candidates x
-    pairs) array at once, the form the package evaluates in blocks of
-    candidates, which must reproduce it bit for bit."""
+    """harness._mm_envelope as a search: every positive pair slope is a
+    candidate M0, each with its least M1 taken over one (candidates x
+    pairs) array, and the pick is the least M0 H + M1, ties toward the
+    smallest M0.  The package's closed form (M0 = 0, M1 the largest rise)
+    must reproduce it bit for bit."""
     times = np.asarray(times, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     stride = max(len(times) // 64, 1)

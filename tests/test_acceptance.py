@@ -80,7 +80,7 @@ def test_criterion_02_noise_floor_scaling():
     for sigma, members in ((0.05, 64), (0.1, 64), (0.0, 1)):
         spec, setup = _pair("ac_weak", 64, sigma=sigma, T=2.0)
         ens = run_ensemble(setup, members, 3)
-        floors[sigma], _ = estimate_noise_floor(ens.times, ens.mean_w2_h)
+        floors[sigma], _ = estimate_noise_floor(ens.mean_w2_h)
     ratio = floors[0.1] / floors[0.05]
     gain = floors[0.05] / max(floors[0.0], 1e-300)
     ok = 3.0 <= ratio <= 5.0 and gain >= 1e3

@@ -1,5 +1,6 @@
 """The package's public names: every export resolves, once, to an import,
-and is used inside the package or listed with its reader; every entry
+and is used inside the package or listed with its reader; every
+exported function reads each of its parameters; every entry
 point the benchmark traces still exists; importing the package and
 building the torus models' set-ups loads neither scipy.fft nor
 concurrent.futures; the package metadata names the package, its
@@ -7,10 +8,12 @@ version and its commands; and the kernel microbenchmarks run once."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -68,6 +71,23 @@ def test_every_export_is_used_in_the_package():
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
     assert {n for n in nudgelab.__all__ if n not in used} == UNCALLED_EXPORTS
+
+
+def test_every_export_reads_its_parameters():
+    # a public function that ignores a parameter asks every caller for it
+    unread = []
+    for name in nudgelab.__all__:
+        fn = getattr(nudgelab, name)
+        if not inspect.isfunction(fn):
+            continue
+        node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += ["%s(%s)" % (name, p) for p in params if p not in read]
+    assert unread == []
 
 
 def _traced_functions():

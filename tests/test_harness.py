@@ -250,16 +250,14 @@ def test_fit_needs_three_points():
 
 
 def test_noise_floor_tail_average():
-    t = np.linspace(0.0, 1.0, 100)
     series = np.ones(100) * 2.5
-    floor, se = estimate_noise_floor(t, series)
+    floor, se = estimate_noise_floor(series)
     assert floor == 2.5 and se == 0.0
 
 
 def test_noise_floor_needs_samples():
-    t = np.linspace(0.0, 1.0, 20)
     with pytest.raises(ValueError):
-        estimate_noise_floor(t, np.ones(20))
+        estimate_noise_floor(np.ones(20))
 
 
 def test_tail_sup_window():
@@ -327,13 +325,32 @@ def _random_kappa(samples, seed):
             1.0 + np.abs(np.cumsum(rng.standard_normal(samples))))
 
 
-@pytest.mark.parametrize("samples,seed", [(10, 0), (40, 1), (97, 2),
-                                          (1001, 3), (4001, 4)])
-def test_envelope_blocks_equal_the_one_array_form(samples, seed):
-    # kappa > 0 makes every pair slope a candidate: 46 to 4657 of them,
-    # one block of 64 (partly filled) to 73
-    t, kappa = _random_kappa(samples, seed)
+def _signed_kappa(samples, seed):
+    # kappa of either sign on times with uneven gaps: int kappa rises and
+    # falls, and its largest rise need not end at the last time
+    rng = np.random.default_rng(seed)
+    return (np.cumsum(rng.uniform(0.1, 2.0, samples)),
+            np.cumsum(rng.standard_normal(samples)))
+
+
+@pytest.mark.parametrize("make,samples,seed", [
+    (_random_kappa, 10, 0), (_random_kappa, 40, 1), (_random_kappa, 97, 2),
+    (_random_kappa, 1001, 3), (_random_kappa, 4001, 4),
+    (_signed_kappa, 2, 6), (_signed_kappa, 11, 7), (_signed_kappa, 97, 8),
+    (_signed_kappa, 1001, 9), (_signed_kappa, 1200, 10)])
+def test_envelope_equals_the_candidate_search_oracle(make, samples, seed):
+    # the oracle tries every positive pair slope as M0; the closed form
+    # must pick its M0 = 0 and reproduce its M1 bit for bit
+    t, kappa = make(samples, seed)
     assert H._mm_envelope(t, kappa) == O.mm_envelope_one_array(t, kappa)
+
+
+def test_envelope_of_a_falling_integral_is_zero():
+    # kappa < 0 throughout: no pair rises, so M1 is 0 while int kappa < 0
+    t = np.cumsum(np.random.default_rng(11).uniform(0.1, 2.0, 50))
+    env = H._mm_envelope(t, -1.0 - t)
+    assert env[:2] == (0.0, 0.0) and env[2] < 0.0
+    assert env == O.mm_envelope_one_array(t, -1.0 - t)
 
 
 def test_envelope_memory_on_a_1000_step_run():
