@@ -12,11 +12,13 @@ a(k) > 0; coercivity <Af, f> >= alpha ||f||_V^2 then holds with
 alpha = min_k a(k) w_H(k)^2 / w_V(k)^2.
 
 A field is a raw coefficient array, passed with its ModelSpec.  norm_raw
-also takes a stack of arrays on leading axes and returns one norm per
-field, which is how the ensemble integrator measures all its members at
-once.  The spec forms each space's factor mult * w_X^2 once, at
-construction; norm_raw and inner_h_raw read it, so a norm costs one
-product and one sum per call.
+and inner_h_raw also take a stack of arrays on leading axes and return
+one value per field, which is how the ensemble integrator measures all
+its members at once.  The spec forms each space's factor mult * w_X^2
+once, at construction.  One weighted sum serves every squared norm and
+pairing: it multiplies that factor by Re(a_k conj(b_k)), formed as
+a.real*b.real + a.imag*b.imag, and sums each field once, so a field
+paired with itself is its squared H norm bit for bit.
 """
 
 import numpy as np
@@ -85,28 +87,31 @@ class ModelSpec:
         return "ModelSpec(%s)" % self.model_id
 
 
-def _wsum2(spec, a, mw2):
-    # sum of mw2 * |a_k|^2 over stored modes (and components), mw2 the
-    # factor mult * w^2 of some weights w; one sum per field of a stack (a
-    # single vector component counts as one field); each sum runs over a
-    # flattened field exactly as for a lone field, so the bits do not
-    # depend on the stack
-    if np.iscomplexobj(a):
-        mag = (a.real * a.real + a.imag * a.imag)
+def _wsum(spec, a, b, mw2):
+    # sum of mw2 * Re(a_k conj(b_k)) over stored modes (and components),
+    # mw2 the factor mult * w^2 of some weights w; one sum per field of a
+    # stack (a single vector component counts as one field); each sum runs
+    # over a flattened field exactly as for a lone field, so the bits do
+    # not depend on the stack, and _wsum(spec, a, a, mw2) is the squared
+    # norm's sum
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        prod = a.real * b.real + a.imag * b.imag
     else:
-        mag = a * a
-    lead = a.shape[:max(a.ndim - len(spec.shape), 0)]
-    return np.sum((mw2 * mag).reshape(lead + (-1,)), axis=-1)
+        prod = a * b
+    lead = prod.shape[:max(prod.ndim - len(spec.shape), 0)]
+    return np.sum((mw2 * prod).reshape(lead + (-1,)), axis=-1)
 
 
 def norm_raw(spec, arr, space):
     """Norm of a raw coefficient array as a float, or an array of norms
     for a stack of arrays on leading axes."""
-    r = np.sqrt(_wsum2(spec, arr, spec.norm_w2(space)))
+    r = np.sqrt(_wsum(spec, arr, arr, spec.norm_w2(space)))
     return float(r) if r.ndim == 0 else r
 
 
 def inner_h_raw(spec, a, b):
-    """H inner product of two raw arrays, also the V*-V duality pairing; one
-    product for real and complex (on real arrays conj copies, .real is a no-op)."""
-    return float(np.sum(spec.norm_w2("H") * (a * np.conj(b)).real))
+    """H inner product of two raw arrays, also the V*-V duality pairing, as
+    a float, or an array of pairings for stacks on leading axes; the
+    pairing of a field with itself is its squared H norm's sum, bit for bit."""
+    r = _wsum(spec, a, b, spec.norm_w2("H"))
+    return float(r) if r.ndim == 0 else r

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _wsum2, inner_h_raw, norm_raw
+from .fields import _wsum, inner_h_raw, norm_raw
 from .integrate import (BlowupError, Group, Record, _blocks, _rng_for,
                         simulate_members)
 from .models import build_model, random_field
@@ -290,7 +290,7 @@ def _a2_ratio(spec):
         fu = spec.f_raw(u)
         fv = spec.f_raw(v)
         num = norm_raw(spec, fu - fv, "Vstar")
-        nb_u, nb_v, nb_d = (np.sqrt(_wsum2(spec, c, mw2)) for c in (u, v, u - v))
+        nb_u, nb_v, nb_d = (np.sqrt(_wsum(spec, c, c, mw2)) for c in (u, v, u - v))
         den = (1.0 + nb_u ** rho + nb_v ** rho) * nb_d
         if den > 0.0:
             best = max(best, num / den)
@@ -318,8 +318,8 @@ def _epsilon_hat(spec, traj_states):
     for c in states:
         fu = spec.f_raw(c)
         lhs = inner_h_raw(spec, fu, c)
-        over = lhs - norm_raw(spec, c, "H") ** 2
-        v2 = norm_raw(spec, c, "V") ** 2
+        over = lhs - inner_h_raw(spec, c, c)
+        v2 = float(_wsum(spec, c, c, spec.norm_w2("V")))
         if v2 > 0.0:
             worst = max(worst, over / v2)
     return max(worst, 0.0)

@@ -49,7 +49,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .fields import norm_raw
+from .fields import _wsum, norm_raw
 from .noise import _HS_CHUNK, apply_G_raw, hs_norm_sq, increment_from_noise
 from .observe import apply_observation_raw
 
@@ -354,7 +354,7 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
                         rec[f][g, slot[i]] = norm_raw(spec, z, "H")
         x = rhs * inv
         t = i * dt
-        acc += dt * norm_raw(spec, x, "V") ** 2
+        acc += dt * _wsum(spec, x, x, spec.norm_w2("V"))
         # "not <=" also catches NaN and inf
         ended = np.flatnonzero(~(acc <= cfg.blowup_guard))
         if ended.size:

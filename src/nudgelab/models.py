@@ -21,7 +21,7 @@ mhd (velocity/magnetic pair with the induction-equation coupling).
 
 import numpy as np
 
-from .fields import ModelSpec, _wsum2, norm_raw
+from .fields import ModelSpec, _wsum, norm_raw
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -146,8 +146,7 @@ class _Torus:
         return np.stack([c1 - self.kx * div, c2 - self.ky * div], axis=-3)
 
     def project_vector(self, c):
-        out = np.where(self.mask, c, 0.0)
-        out = self.fix_col0(out)
+        out = self.project_scalar(c)
         ncomp = out.shape[-3]
         if ncomp == 2:
             return self.leray(out)
@@ -169,15 +168,6 @@ class _Torus:
         """Expand an rfft2-layout scalar to the full N x N complex layout."""
         g = self.to_grid(c)
         return np.fft.fft2(g) / (self.n * self.n)
-
-
-_TORI = {}
-
-
-def _torus(n):
-    if n not in _TORI:
-        _TORI[n] = _Torus(n)
-    return _TORI[n]
 
 
 def _lift_scalar_mode(spec, c):
@@ -229,8 +219,8 @@ def _mhd_f_raw(tor, c):
 def _kappa_weak_pair(spec, c):
     # ||u||_2^2 ||grad u||_2^2, summed over blocks of two components (u, h)
     comps = [c] if spec.ncomp == 1 else list(c)
-    h2 = [_wsum2(spec, x, spec.norm_w2("H")) for x in comps]
-    v2 = [_wsum2(spec, x, spec.norm_w2("V")) for x in comps]
+    h2 = [_wsum(spec, x, x, spec.norm_w2("H")) for x in comps]
+    v2 = [_wsum(spec, x, x, spec.norm_w2("V")) for x in comps]
     return sum(sum(h2[i:i + 2]) * sum(v2[i:i + 2]) for i in range(0, spec.ncomp, 2))
 
 
@@ -310,7 +300,7 @@ def _build_ac(tag, model_id, n, nu):
 
 
 def _build_torus_model(tag, model_id, n, nu):
-    tor = _torus(n)
+    tor = _Torus(n)
     ncomp = {"qg": 1, "nse_weak": 2, "nse_strong": 2, "mhd": 4}[model_id]
     shape = (n, n // 2 + 1) if ncomp == 1 else (ncomp, n, n // 2 + 1)
     a = nu * tor.ksq

@@ -29,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from .fields import norm_raw
+from .fields import _wsum, norm_raw
 from .models import _lift_scalar_mode, _sine_to_grid, _sine_from_grid
 
 # Noise directions per stacked product in hs_norm_sq, and the most
@@ -63,7 +63,7 @@ def make_qspec(spec, delta=None):
             else int(np.floor(np.pi / delta)))
     lam = np.where(spec.mask & (kabs <= rank), (1.0 + kabs ** 2) ** (-s), 0.0)
     nstreams = 1 if spec.ncomp <= 2 else spec.ncomp // 2
-    trace = nstreams * float(np.sum(spec.mult * lam * lam))
+    trace = nstreams * float(_wsum(spec, lam, lam, spec.mult))
     if spec.kind == "sine":
         draw_shape = (spec.n,)
     else:

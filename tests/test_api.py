@@ -1,10 +1,11 @@
 """The package's public names: every export resolves, once, to an import,
 and is used inside the package or listed with its reader; every
-exported function reads each of its parameters; every entry
-point the benchmark traces still exists; importing the package and
-building the torus models' set-ups loads neither scipy.fft nor
-concurrent.futures; the package metadata names the package, its
-version and its commands; and the kernel microbenchmarks run once."""
+exported function reads each of its parameters; no module squares a
+norm; every entry point the benchmark traces still exists; importing
+the package and building the torus models' set-ups loads neither
+scipy.fft nor concurrent.futures; the package metadata names the
+package, its version and its commands; and the kernel microbenchmarks
+run once."""
 
 import ast
 import importlib
@@ -88,6 +89,28 @@ def test_every_export_reads_its_parameters():
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unread += ["%s(%s)" % (name, p) for p in params if p not in read]
     assert unread == []
+
+
+def test_no_module_squares_a_norm():
+    """No module in the package applies ** 2 to a norm_raw(...) call: a
+    squared norm or a pairing is one fields._wsum, as sqrt(s) ** 2 need
+    not give back s.  The pattern does not catch four squares that stay on
+    purpose, since moving them moves pinned digests: noise.hs_norm_sq's
+    state_scaled kind (x ** 2 of norms) and its pointwise kind
+    (lam * lam * x ** 2), the Allen-Cahn kappa monitors in models._build_ac
+    ((w * c) ** 2) and harness._aggregate (w ** 2 of the recorded w_h)."""
+    squared = []
+    for name in sorted(os.listdir(os.path.dirname(INIT))):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(os.path.dirname(INIT), name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        squared += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and isinstance(node.left, ast.Call)
+                    and getattr(node.left.func, "id",
+                                getattr(node.left.func, "attr", None)) == "norm_raw"]
+    assert squared == []
 
 
 def _traced_functions():

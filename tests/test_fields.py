@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nudgelab.fields import _wsum2, inner_h_raw, norm_raw
+from nudgelab.fields import _wsum, inner_h_raw, norm_raw
 from nudgelab.config import build_setup, parse_config
 from nudgelab.models import build_model, random_field
 
@@ -53,18 +53,36 @@ def test_norm_matches_weights_formed_per_call_bitwise(all_models):
         us = np.stack([random_field(spec, s) for s in (1, 2, 3)])
         for space, w in (("H", spec.w_h), ("V", spec.w_v),
                          ("Vstar", spec.w_vstar)):
-            want = [float(np.sqrt(_wsum2(spec, u, spec.mult * (w * w))))
+            want = [float(np.sqrt(_wsum(spec, u, u, spec.mult * (w * w))))
                     for u in us]
             assert norm_raw(spec, us[0], space) == want[0], spec.model_id
             assert norm_raw(spec, us, space).tolist() == want, spec.model_id
 
 
 def test_inner_h_symmetric(all_models):
+    # swapping the arguments keeps every bit, for lone fields and for each
+    # field of a 3-field stack
     for spec in all_models:
-        f = random_field(spec, 1)
-        g = random_field(spec, 2)
-        assert inner_h_raw(spec, f, g) == pytest.approx(inner_h_raw(spec, g, f),
-                                                       rel=1e-12)
+        us = [random_field(spec, s) for s in range(6)]
+        for u, v in zip(us, us[1:]):
+            assert inner_h_raw(spec, u, v) == inner_h_raw(spec, v, u), spec.model_id
+        a, b = np.stack(us[:3]), np.stack(us[3:])
+        assert inner_h_raw(spec, a, b).tolist() == inner_h_raw(spec, b, a).tolist() \
+            == [inner_h_raw(spec, u, v) for u, v in zip(a, b)], spec.model_id
+
+
+def test_pairing_with_itself_is_the_squared_norm_sum_bitwise(all_models):
+    # one weighted sum behind norms and pairings: a field paired with itself
+    # is the sum under its squared H norm, for lone fields and for each
+    # field of a 3-field stack; on these 12 fields numpy's complex product
+    # (a * conj(a)).real would differ in the last bit on every torus model
+    for spec in all_models:
+        mw2 = spec.norm_w2("H")
+        us = [random_field(spec, s) for s in range(12)]
+        for u in us:
+            assert inner_h_raw(spec, u, u) == float(_wsum(spec, u, u, mw2)), spec.model_id
+        a = np.stack(us[:3])
+        assert inner_h_raw(spec, a, a).tolist() == _wsum(spec, a, a, mw2).tolist()
 
 
 def test_pairing_duality_bound(all_models):

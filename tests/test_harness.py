@@ -11,7 +11,7 @@ import pytest
 
 import nudgelab.harness as H
 import nudgelab.integrate as I
-from nudgelab.fields import norm_raw
+from nudgelab.fields import _wsum
 from nudgelab.harness import (RunSetup, convolution_variance_mc,
                               estimate_noise_floor, fit_decay_rate,
                               imex_convolution_variance, measure_alpha,
@@ -146,7 +146,7 @@ def _final_v_accumulators(setup, seeds):
                             Record((), v_path=None))
         acc = 0.0
         for vc in res.v_path[1:]:
-            acc += setup.cfg.dt * norm_raw(setup.model, vc, "V") ** 2
+            acc += setup.cfg.dt * _wsum(setup.model, vc, vc, setup.model.norm_w2("V"))
         accs.append(acc)
     return accs
 
@@ -196,7 +196,7 @@ def test_ensemble_all_blowups_reraise():
     base = _setup()
     one = replace(base.cfg, T=base.cfg.dt)
     u1 = O.reference_only(base.model, one, base.u0).u_final
-    first_acc = base.cfg.dt * norm_raw(base.model, u1, "V") ** 2
+    first_acc = base.cfg.dt * _wsum(base.model, u1, u1, base.model.norm_w2("V"))
     cfg = StepConfig(dt=base.cfg.dt, T=base.cfg.T, mu=base.cfg.mu,
                      blowup_guard=0.5 * first_acc)
     setup = RunSetup(base.model, cfg, base.op, base.coef, base.q, base.u0,

@@ -6,7 +6,7 @@ import pytest
 
 import oracles as O
 import nudgelab.integrate as I
-from nudgelab.fields import norm_raw
+from nudgelab.fields import _wsum
 from nudgelab.integrate import (_DRAW_BYTES, SERIES, BlowupError, Group,
                                 Record, StepConfig, _blocks, _rng_for,
                                 simulate_members, simulate_pair)
@@ -266,7 +266,7 @@ def test_hs_batches_keep_every_bit(monkeypatch, blowup_step):
         # and at the blow-up step
         path = simulate_members(spec, cfg, [], u0, v0, [],
                                 Record((), u_path=None))[0].u_path
-        acc = np.cumsum([0.0] + [cfg.dt * norm_raw(spec, u, "V") ** 2
+        acc = np.cumsum([0.0] + [cfg.dt * _wsum(spec, u, u, spec.norm_w2("V"))
                                  for u in path[1:]])
         cfg = StepConfig(dt=cfg.dt, T=cfg.T, blowup_guard=0.5 * (
             acc[blowup_step - 1] + acc[blowup_step]))
