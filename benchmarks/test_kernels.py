@@ -9,8 +9,10 @@ a two-member run steps and on the stack of thirteen that a 3 x 2 sweep
 of two members steps, the Allen-Cahn nonlinearity on a 65-row ensemble
 stack whose grid values are mostly negative, the noise increment of a
 two-member qg block, the projection of a three-row qg stack, the
-dealiased advection of the torus models, the Monte Carlo variance of
-the stochastic convolution (one pool task per chunk of paths), the
+observation of a 13-row stack (volume on nse_strong and ac_weak, modal
+on nse_strong), the dealiased advection of the torus models, the Monte
+Carlo variance of the stochastic convolution (one pool task per chunk
+of paths), the
 lockstep loop simulate_members on a small sweep and on a 64-member and
 a 500-member ensemble, the noise draws of the 64 members alone through
 integrate._blocks, the measured constants (alpha,
@@ -37,7 +39,7 @@ from nudgelab.models import (_cube_grid, _sine_to_grid, build_model,
                              random_field)
 from nudgelab.noise import (hs_norm_sq, increment_from_noise,
                             make_noise_coefficient, make_qspec)
-from nudgelab.observe import make_observation
+from nudgelab.observe import apply_observation_raw, make_observation
 
 # Grid sizes of the end-to-end workloads (ac_weak 64, nse_strong 32,
 # qg 32); the models no workload runs take the size of their own kind.
@@ -104,6 +106,19 @@ def test_project_raw_qg_three_rows(benchmark):
     spec = build_model("qg", 32)
     c = np.stack([random_field(spec, s) for s in range(1, 4)])
     assert benchmark(spec.project_raw, c).shape == c.shape
+
+
+@pytest.mark.parametrize("model_id,n,kind,delta", [
+    ("nse_strong", 32, "volume", 0.39), ("ac_weak", 64, "volume", 0.1),
+    ("nse_strong", 32, "modal", 0.39)])
+def test_apply_observation_raw(benchmark, model_id, n, kind, delta):
+    # I_delta on the 13-row stack of a 3 x 2 sweep of 2 members: sweep_vol's
+    # volume observation, the sine grid's alias classes at 10 cells, and
+    # the modal mask
+    spec = build_model(model_id, n)
+    op = make_observation(spec, kind, delta)
+    c = np.stack([random_field(spec, s) for s in range(1, 14)])
+    assert benchmark(apply_observation_raw, op, spec, c).shape == c.shape
 
 
 def test_torus_advect_nse_strong(benchmark):

@@ -164,11 +164,6 @@ class _Torus:
             out[..., i, :, :] = np.where(self.mask, self.from_grid(a1 * dbx + a2 * dby), 0.0)
         return out
 
-    def full_layout(self, c):
-        """Expand an rfft2-layout scalar to the full N x N complex layout."""
-        g = self.to_grid(c)
-        return np.fft.fft2(g) / (self.n * self.n)
-
 
 def _lift_scalar_mode(spec, c):
     """The fields of a torus model that the scalar coefficient array c

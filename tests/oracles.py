@@ -10,7 +10,10 @@ stacks, blocks or on threads, which must reproduce them bit for bit,
 reference_only and blind_observation, which set up package runs, and
 quotient and interp_constant_dense, which apply the package's observation
 to its noise directions as a dense matrix, the form the exact
-interpolation constant splits into alias-class blocks.  The
+interpolation constant splits into alias-class blocks, and
+volume_observation_dense, the volume observation as dense cell matrices
+and a full-layout FFT pair, the form whose alias-class sums the package
+takes, which ends in the model's projection.  The
 torus layout references (fix_col0_roll through noise_directions_by_hand) form
 every conjugate partner on the fly, by reversing and rolling the kx = 0
 column or by writing (-iy) % N, and every per-mode factor per call, in
@@ -304,6 +307,33 @@ def interp_constant_dense(op, spec):
     f = np.tensordot(vt[0], e, axes=1)
     g = np.tensordot(u[:, 0] / d, e, axes=1)
     return sv[0] / op.delta, f, g
+
+
+def volume_observation_dense(op, spec, c):
+    """The volume I_delta of op applied to c (one field or a stack) as
+    dense products: on the sine grid the exact cell integrals of every
+    mode, times m, then their transpose; on the torus the cell averages
+    b[j, k] of e^{ikx} per axis, the full-layout coefficients by an
+    inverse real FFT and a complex FFT, avg = b C b^T and the rfft2 half
+    of b^H avg conj(b) / m^2, then the model's projection."""
+    m = op.cells
+    if spec.kind == "sine":
+        edges = np.arange(m + 1) / m
+        kpi = spec.params["kabs"][None, :] * np.pi
+        cellint = np.sqrt(2.0) * (np.cos(kpi * edges[:-1, None])
+                                  - np.cos(kpi * edges[1:, None])) / kpi
+        avg = m * np.matmul(cellint, c[..., None])[..., 0]
+        return np.matmul(cellint.T, avg[..., None])[..., 0]
+    n = spec.n
+    width = 2.0 * np.pi / m
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    ks = np.where(k == 0, 1.0, k)
+    b = np.where(k == 0, 1.0, np.exp(1j * ks * (np.arange(m) * width)[:, None])
+                 * np.expm1(1j * ks * width) / (1j * ks * width))
+    cfull = np.fft.fft2(np.fft.irfft2(c, s=(n, n)))
+    avg = (b @ cfull @ b.T).real
+    out = (b.conj().T @ avg @ b.conj())[..., : n // 2 + 1] / (m * m)
+    return spec.project_raw(out)
 
 
 def cell_average_quad(c, a, b, npts=64):

@@ -1,11 +1,11 @@
 """The package's public names: every export resolves, once, to an import,
 and is used inside the package or listed with its reader; every
 exported function reads each of its parameters; no module squares a
-norm; every entry point the benchmark traces still exists; importing
-the package and building the torus models' set-ups loads neither
-scipy.fft nor concurrent.futures; the package metadata names the
-package, its version and its commands; and the kernel microbenchmarks
-run once."""
+norm; observe.py takes no matrix product; every entry point the
+benchmark traces still exists; importing the package and building the
+torus models' set-ups loads neither scipy.fft nor concurrent.futures;
+the package metadata names the package, its version and its commands;
+and the kernel microbenchmarks run once."""
 
 import ast
 import importlib
@@ -111,6 +111,24 @@ def test_no_module_squares_a_norm():
                     and getattr(node.left.func, "id",
                                 getattr(node.left.func, "attr", None)) == "norm_raw"]
     assert squared == []
+
+
+def test_observe_uses_no_matrix_product():
+    """observe.py forms I_delta and C_I by gathers, products and sums over
+    the alias classes: no @, np.matmul, np.dot, np.tensordot or np.einsum,
+    whose BLAS kernels round differently from host to host.  The one
+    exception is np.linalg.svd in estimate_interp_constant, the norm of
+    the class blocks, which is not caught here."""
+    path = os.path.join(os.path.dirname(INIT), "observe.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    banned = {"matmul", "dot", "tensordot", "einsum"}
+    found = ["@:%d" % node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.MatMult)]
+    found += ["%s:%d" % (node.attr, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in banned]
+    assert found == []
 
 
 def _traced_functions():

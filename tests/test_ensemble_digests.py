@@ -13,10 +13,13 @@ at the commit whose numbers are to be pinned, and say so in CHANGES.md.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nudgelab
 from nudgelab.config import build_setup, parse_config
 from nudgelab.harness import run_ensemble
 from nudgelab.integrate import SERIES, Record
@@ -121,3 +124,30 @@ def test_pinned_mean_hs_is_the_first_members_hs():
     # and the ensemble column is that series itself
     pinned = _pinned()
     assert [k for k in pinned if pinned[k]["mean_hs"] != pinned[k]["first.hs"]] == []
+
+
+# Run in fresh interpreters: the digests of every volume case of the
+# matrix, under numpy's and OpenBLAS's choice of kernels for the host
+HOST_PROBE = """
+import json
+from test_ensemble_digests import _digests, _matrix
+print(json.dumps([_digests(c) for c in _matrix() if c[3] == "volume"]))
+"""
+
+
+def test_volume_digests_do_not_depend_on_blas_kernel_or_simd_dispatch():
+    # the OpenBLAS kernels of two older x86-64 cores, which any host with
+    # AVX2 runs, and numpy with its AVX-512 loops off; numpy ignores
+    # feature names the host lacks, so this runs anywhere
+    src = os.path.dirname(os.path.dirname(nudgelab.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, here, env.get("PYTHONPATH")]))
+    out = [subprocess.run([sys.executable, "-c", HOST_PROBE], env=dict(env, **host),
+                          capture_output=True, text=True, check=True).stdout
+           for host in ({}, {"OPENBLAS_CORETYPE": "Haswell"},
+                        {"OPENBLAS_CORETYPE": "Sandybridge"},
+                        {"NPY_DISABLE_CPU_FEATURES":
+                         "X86_V4 AVX512_ICL AVX512_SPR AVX512_SKX"})]
+    assert len(json.loads(out[0])) == 23
+    assert out[1:] == out[:1] * 3

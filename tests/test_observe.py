@@ -46,17 +46,43 @@ def test_modal_torus_band():
     assert np.allclose(pf[:, kept], f[:, kept])
 
 
-def test_volume_cell_averages_match_quadrature():
-    # the operator's per-cell integrals of the basis, times the cell count
-    spec = build_model("ac_weak", 12)
-    op = make_observation(spec, "volume", 0.2)
+@pytest.mark.parametrize("n,delta", [(16, 0.39), (64, 0.1), (32, 0.7)])
+def test_volume_cell_averages_match_quadrature(n, delta):
+    # the defining identity <I_delta f, g>_H = (1/m) sum_j avg_j(f) avg_j(g),
+    # the cell averages taken by Gauss quadrature
+    spec = build_model("ac_weak", n)
+    op = make_observation(spec, "volume", delta)
     f = random_field(spec, 3)
-    avg = op.cells * (op.data @ f)
-    cells = op.cells
-    for i in range(cells):
-        a, b = i / cells, (i + 1) / cells
-        assert avg[i] == pytest.approx(O.cell_average_quad(f, a, b),
-                                       abs=1e-13)
+    g = random_field(spec, 4)
+    m = op.cells
+    avg = [(O.cell_average_quad(f, j / m, (j + 1) / m),
+            O.cell_average_quad(g, j / m, (j + 1) / m)) for j in range(m)]
+    want = sum(a * b for a, b in avg) / m
+    got = inner_h_raw(spec, apply_observation_raw(op, spec, f), g)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+# (model, n, delta): every model, the torus at cells that alias several
+# band wavevectors per class and at more cells than grid points
+DENSE_CASES = [("ac_weak", 64, 0.1), ("ac_strong", 32, 0.39), ("qg", 12, 0.3),
+               ("nse_weak", 12, 1.0), ("nse_strong", 32, 0.39), ("mhd", 16, 1.0)]
+
+
+@pytest.mark.parametrize("model_id,n,delta", DENSE_CASES,
+                         ids=["%s-%d" % c[:2] for c in DENSE_CASES])
+def test_volume_class_form_matches_dense_oracle(model_id, n, delta):
+    # one field and a 13-row stack against the dense cell matrices; each
+    # row of the stack is bit for bit the field applied alone
+    spec = build_model(model_id, n)
+    op = make_observation(spec, "volume", delta)
+    stack = np.stack([random_field(spec, s) for s in range(13)])
+    for c in (random_field(spec, 20), stack):
+        got = apply_observation_raw(op, spec, c)
+        want = O.volume_observation_dense(op, spec, c)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    rows = apply_observation_raw(op, spec, stack)
+    assert all(np.array_equal(apply_observation_raw(op, spec, c), row)
+               for c, row in zip(stack, rows))
 
 
 def test_volume_operator_self_adjoint_psd():
