@@ -3,11 +3,15 @@
     python -m pytest benchmarks -q
 
 Times the per-step kernels the end-to-end benchmark spends its steps in:
-the pointwise Hilbert-Schmidt monitor on one state and on a batch of
-six, each model's nonlinearity on one field, on the stack of three that
-a two-member run steps and on the stack of thirteen that a 3 x 2 sweep
-of two members steps, the Allen-Cahn nonlinearity on a 65-row ensemble
-stack whose grid values are mostly negative, the noise increment of a
+the pointwise Hilbert-Schmidt monitor on qg (the torus form, one value
+per mode) on one state and on a batch of six, on nse_strong (a 2 x 2
+block per mode) and on ac_weak n=64 (the sine grid's sum over the noise
+directions), the covariance build make_qspec with its torus form on qg
+and nse_strong, each model's nonlinearity on one field, on the stack of
+three that a two-member run steps and on the stack of thirteen that a
+3 x 2 sweep of two members steps, the Allen-Cahn nonlinearity on a
+65-row ensemble stack whose grid values are mostly negative, the noise
+increment of a
 two-member qg block, the projection of a three-row qg stack, the
 observation of a 13-row stack (volume on nse_strong and ac_weak, modal
 on nse_strong), the dealiased advection of the torus models, the Monte
@@ -57,12 +61,32 @@ def test_hs_norm_sq_pointwise_qg(benchmark):
 
 def test_hs_norm_sq_pointwise_qg_six_states(benchmark):
     # the batch simulate_members hands over for mult_qg's six recorded
-    # steps: each direction stack is transformed once for all six
+    # steps: one weighted sum of each state against the form
     spec = build_model("qg", 32)
     q = make_qspec(spec, delta=0.39)
     coef = make_noise_coefficient("pointwise_multiplicative", 0.05)
     us = np.stack([random_field(spec, s) for s in range(1, 7)])
     assert benchmark(hs_norm_sq, coef, spec, us, q).shape == (6,)
+
+
+@pytest.mark.parametrize("model_id", ["nse_strong", "ac_weak"])
+def test_hs_norm_sq_pointwise(benchmark, model_id):
+    # nse_strong: the three entries of each mode's 2 x 2 block of the
+    # torus form; ac_weak n=64: the sine grid's transforms of u and of the
+    # noise directions, one product and one norm per direction
+    spec = build_model(model_id, SIZES[model_id])
+    q = make_qspec(spec, delta=0.39)
+    coef = make_noise_coefficient("pointwise_multiplicative", 0.05)
+    u = random_field(spec, 1)
+    assert benchmark(hs_norm_sq, coef, spec, u, q) > 0.0
+
+
+@pytest.mark.parametrize("model_id", ["qg", "nse_strong"])
+def test_make_qspec(benchmark, model_id):
+    # the covariance a set-up builds per delta, its torus form included:
+    # one circular correlation on qg, three on nse_strong
+    spec = build_model(model_id, 32)
+    assert benchmark(make_qspec, spec, 0.39).form is not None
 
 
 @pytest.mark.parametrize("rows", [None, 3, 13])

@@ -18,10 +18,13 @@ bulk draw slices into the same per-step increments as repeated calls;
 this is what makes vectorized Monte Carlo bit-identical to the
 single-path integrator.
 
-The Hilbert-Schmidt norm of the pointwise kind has no closed form: it
-sums over the noise directions, which are evaluated in fixed-size stacks
-that a whole stack of states shares, and added up in direction order,
-bit-identical to the sum taken one state and one direction at a time.
+The Hilbert-Schmidt norm of the pointwise kind sums over the noise
+directions.  On the torus that sum is exactly one quadratic form per
+mode, built once with the QSpec (_hs_form).  The sine models' 2n
+collocation grid is not diagonal in the sine basis: there the directions
+are evaluated in fixed-size stacks that a whole stack of states shares,
+and added up in direction order, bit-identical to the sum taken one
+state and one direction at a time.
 """
 
 from dataclasses import dataclass, field
@@ -32,22 +35,33 @@ import numpy as np
 from .fields import _wsum, norm_raw
 from .models import _lift_scalar_mode, _sine_to_grid, _sine_from_grid
 
-# Noise directions per stacked product in hs_norm_sq, and the most
-# recorded steps simulate_members batches into one call.  Directions are
-# pulled lazily, so no more than this many are alive at once; all 197 of
-# qg n = 32 in one stack raised a run's peak memory by 14%, 16 by under 1%.
+# Noise directions per stacked product in hs_norm_sq's sum on the sine
+# grid, the only one that stacks directions, and the most recorded steps
+# simulate_members batches into one call.  Directions are pulled lazily,
+# so no more than this many are alive at once.
 _HS_CHUNK = 16
+
+# the component pairs (a, b) of each block of two that a vector model's
+# form weighs: (1, 1), (2, 2) and (1, 2), the last standing for both orders
+_PAIRS = ((0, 0), (1, 1), (0, 1))
 
 
 @dataclass(frozen=True)
 class QSpec:
     """Diagonal trace-class covariance: Q e_k = lambda_k^2 e_k; inv_wh is
-    1/w_H where lambda_k > 0 and 0 elsewhere."""
+    1/w_H where lambda_k > 0 and 0 elsewhere.
+
+    trace, the sum of lambda_k^2 over Q's directions, is the additive
+    kind's Hilbert-Schmidt closed form.  form is the pointwise kind's on
+    the torus: mult times the per-mode matrix M_p of _hs_form in the rfft
+    layout, one array on qg and the _PAIRS entries of each block of two
+    components stacked on the vector models; None on the sine grid."""
     lam: np.ndarray = field(repr=False)
     inv_wh: np.ndarray = field(repr=False)
     nstreams: int = 1
     trace: float = 0.0
     draw_shape: tuple = ()
+    form: np.ndarray = field(default=None, repr=False)
 
 
 def make_qspec(spec, delta=None):
@@ -69,7 +83,30 @@ def make_qspec(spec, delta=None):
     else:
         draw_shape = (nstreams, 2) + lam.shape
     inv_wh = np.where(lam > 0.0, 1.0 / np.where(spec.w_h == 0.0, 1.0, spec.w_h), 0.0)
-    return QSpec(lam, inv_wh, nstreams, trace, draw_shape)
+    form = None if spec.kind == "sine" else _hs_form(spec, (lam * inv_wh) ** 2)
+    return QSpec(lam, inv_wh, nstreams, trace, draw_shape, form)
+
+
+def _hs_form(spec, c):
+    # The directions come in (cos, sin) pairs at each k, whose cross terms
+    # cancel, so sum_e lam_e^2 ||P_band(u . e)||_H^2 = sum_p u_p^* M_p u_p
+    # with M_p = sum_k c_k w_H(p+k)^2 1_band(p+k) D_k^* Pi_{p+k} D_k, c_k =
+    # (lam_k / w_H(k))^2, D_k the lift diag(rz1, rz2) and Pi_j the Leray
+    # projector (both 1 on qg).  As conj(rz_a) rz_b = Pi_ab(k), entry ab is
+    # the circular correlation of c Pi_ab with w_H^2 Pi_ab (0 off the band),
+    # both even and real: one product of grid values.  The 2/3 rule keeps
+    # every alias of p + k out of the band, so the form is exact.
+    tor = spec.aux
+    pi = 1.0
+    if spec.ncomp > 1:
+        rz = (tor.rz1, tor.rz2)
+        pi = np.stack([(np.conj(rz[a]) * rz[b]).real for a, b in _PAIRS])
+    vals = tor.to_grid(c * pi) * tor.to_grid(spec.w_h * spec.w_h * pi)
+    form = spec.mult * tor.from_grid(vals).real
+    if spec.ncomp == 1:
+        return form
+    form[2] *= 2.0  # the (1, 2) entry counts for (2, 1) too
+    return np.concatenate([form] * (spec.ncomp // 2))
 
 
 def _scalar_stream(spec, q, block):
@@ -179,7 +216,7 @@ def noise_directions(spec, q):
     """The real H-orthonormal directions spanned by Q, with their lambdas.
 
     Yields (lam, raw array); used for dense assembly of G and for the
-    Hilbert-Schmidt sum of the pointwise kind.
+    Hilbert-Schmidt sum of the pointwise kind on the sine grid.
     """
     if spec.kind == "sine":
         for k in np.flatnonzero(q.lam > 0.0):
@@ -203,17 +240,27 @@ def hs_norm_sq(coef, spec, uc, q):
     """||G_delta(u)||^2 in the Hilbert-Schmidt norm over Q^(1/2)H -> H, an
     array of one value per state for a stack of states on a leading axis.
 
-    Closed forms for the kinds that scale dW; the pointwise kind sums
-    lambda^2 ||u . e||_H^2 over the noise directions e, transformed in
-    stacks of _HS_CHUNK once for all the states, in direction order: each
-    value is bit-identical to summing one direction at a time.
+    Closed forms for the kinds that scale dW.  The pointwise kind sums
+    lambda^2 ||u . e||_H^2 over the noise directions e: on the torus as
+    one weighted sum of each state against q.form, which no transform
+    reads; on the sine grid over the directions themselves, transformed
+    in stacks of _HS_CHUNK once for all the states, in direction order,
+    each value bit-identical to summing one direction at a time.  Each
+    state's value has the same bits alone and in a stack.
     """
     us = _states(spec, uc)
     if coef.kind == "additive":
         totals = [coef.sigma_delta ** 2 * q.trace] * len(us)
     elif coef.kind == "state_scaled":
-        totals = [coef.sigma ** 2 * x ** 2 * q.trace
-                  for x in norm_raw(spec, us, "H").tolist()]
+        totals = (coef.sigma ** 2 * _wsum(spec, us, us, spec.norm_w2("H"))
+                  * q.trace).tolist()
+    elif q.form is not None:
+        a = b = us
+        if spec.ncomp > 1:
+            rows, cols = zip(*[(i + r, i + c) for i in range(0, spec.ncomp, 2)
+                               for r, c in _PAIRS])
+            a, b = us[:, list(rows)], us[:, list(cols)]
+        totals = (coef.sigma ** 2 * _wsum(spec, a, b, q.form)).tolist()
     else:
         sums = [0.0] * len(us)
         grids = _to_grid(spec, us)

@@ -6,8 +6,9 @@ per-cell Gauss quadrature.  None of it shares code with the package
 beyond basic array layout conventions, except hs_pointwise_per_direction,
 convolution_mc_serial, sweep_per_cell and mm_envelope_one_array, the
 one-at-a-time (or all-at-once) forms of computations the package runs in
-stacks, blocks or on threads, which must reproduce them bit for bit,
-reference_only and blind_observation, which set up package runs, and
+stacks, blocks or on threads, which must reproduce them bit for bit (the
+torus form of the Hilbert-Schmidt norm, another algorithm, matches
+hs_pointwise_per_direction to round-off), reference_only and blind_observation, which set up package runs, and
 quotient and interp_constant_dense, which apply the package's observation
 to its noise directions as a dense matrix, the form the exact
 interpolation constant splits into alias-class blocks, and

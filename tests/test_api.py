@@ -94,11 +94,11 @@ def test_every_export_reads_its_parameters():
 def test_no_module_squares_a_norm():
     """No module in the package applies ** 2 to a norm_raw(...) call: a
     squared norm or a pairing is one fields._wsum, as sqrt(s) ** 2 need
-    not give back s.  The pattern does not catch four squares that stay on
+    not give back s.  The pattern does not catch three squares that stay on
     purpose, since moving them moves pinned digests: noise.hs_norm_sq's
-    state_scaled kind (x ** 2 of norms) and its pointwise kind
-    (lam * lam * x ** 2), the Allen-Cahn kappa monitors in models._build_ac
-    ((w * c) ** 2) and harness._aggregate (w ** 2 of the recorded w_h)."""
+    pointwise sum on the sine grid (lam * lam * x ** 2), the Allen-Cahn
+    kappa monitors in models._build_ac ((w * c) ** 2) and
+    harness._aggregate (w ** 2 of the recorded w_h)."""
     squared = []
     for name in sorted(os.listdir(os.path.dirname(INIT))):
         if not name.endswith(".py"):
@@ -115,19 +115,23 @@ def test_no_module_squares_a_norm():
 
 def test_observe_uses_no_matrix_product():
     """observe.py forms I_delta and C_I by gathers, products and sums over
-    the alias classes: no @, np.matmul, np.dot, np.tensordot or np.einsum,
-    whose BLAS kernels round differently from host to host.  The one
-    exception is np.linalg.svd in estimate_interp_constant, the norm of
-    the class blocks, which is not caught here."""
-    path = os.path.join(os.path.dirname(INIT), "observe.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    the alias classes, and noise.py the increments and the Hilbert-Schmidt
+    norms (the torus form included) by products, transforms and sums: no
+    @, np.matmul, np.dot, np.tensordot or np.einsum, whose BLAS kernels
+    round differently from host to host.  The one exception is
+    np.linalg.svd in estimate_interp_constant, the norm of the class
+    blocks, which is not caught here."""
     banned = {"matmul", "dot", "tensordot", "einsum"}
-    found = ["@:%d" % node.lineno for node in ast.walk(tree)
-             if isinstance(node, (ast.BinOp, ast.AugAssign))
-             and isinstance(node.op, ast.MatMult)]
-    found += ["%s:%d" % (node.attr, node.lineno) for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute) and node.attr in banned]
+    found = []
+    for name in ("observe.py", "noise.py"):
+        with open(os.path.join(os.path.dirname(INIT), name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += ["%s:@:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult)]
+        found += ["%s:%s:%d" % (name, node.attr, node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in banned]
     assert found == []
 
 

@@ -158,13 +158,65 @@ def test_pointwise_hs_vector_models_match_assembly(model_id):
     assert hs_norm_sq(coef, spec, u, q) == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("model_id", ["ac_weak", "qg", "mhd"])
+@pytest.mark.parametrize("model_id", ["ac_weak", "qg", "nse_weak",
+                                      "nse_strong", "mhd"])
 def test_pointwise_hs_rank_zero_is_zero(model_id):
     spec = build_model(model_id, 8)
     q = make_qspec(spec, delta=4.0)     # K_Q = floor(pi / 4) = 0
     coef = make_noise_coefficient("pointwise_multiplicative", 0.3)
     assert list(noise_directions(spec, q)) == []
     assert hs_norm_sq(coef, spec, random_field(spec, 9), q) == 0.0
+
+
+@pytest.mark.parametrize("model_id", ["nse_weak", "nse_strong", "mhd"])
+def test_pointwise_hs_is_zero_where_dealiasing_removes_the_noise(model_id):
+    # at n = 4 (kd = 1) no divergence-free part of u . e is left in the
+    # band, the runs cli._require_live_noise refuses; the form's round-off
+    # cancels there exactly, as the sum over the directions' does
+    spec = build_model(model_id, 4)
+    q = make_qspec(spec)
+    coef = make_noise_coefficient("pointwise_multiplicative", 0.3)
+    us = np.stack([random_field(spec, s) for s in range(8)])
+    assert len(list(noise_directions(spec, q))) > 0
+    assert hs_norm_sq(coef, spec, us, q).tolist() == [0.0] * len(us)
+
+
+def _matches_per_direction(spec, got, want):
+    # the sine grid sums the directions as the oracle does, bit for bit;
+    # the torus forms the same number from its per-mode form
+    if spec.kind == "sine":
+        return got == want
+    return got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("model_id", ["qg", "nse_weak", "nse_strong", "mhd"])
+@pytest.mark.parametrize("delta", [0.39, 0.8, None])
+def test_torus_hs_form_matches_per_direction_sum(model_id, n, delta):
+    spec = build_model(model_id, n)
+    q = make_qspec(spec, delta=delta)
+    coef = make_noise_coefficient("pointwise_multiplicative", 0.7)
+    u = random_field(spec, n)
+    want = hs_pointwise_per_direction(coef, spec, u, q)
+    assert want > 0.0
+    assert hs_norm_sq(coef, spec, u, q) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("model_id", ["qg", "nse_strong", "mhd"])
+def test_torus_pointwise_hs_runs_no_transform(monkeypatch, model_id):
+    # make_qspec builds the form; the monitor then reads each state in
+    # one weighted sum, with no grid transform
+    spec = build_model(model_id, 16)
+    q = make_qspec(spec, delta=0.39)
+    coef = make_noise_coefficient("pointwise_multiplicative", 0.7)
+    us = np.stack([random_field(spec, s) for s in range(3)])
+
+    def refuse(*args):
+        raise AssertionError("hs_norm_sq transformed a field")
+
+    monkeypatch.setattr(spec.aux, "to_grid", refuse)
+    monkeypatch.setattr(spec.aux, "from_grid", refuse)
+    assert (hs_norm_sq(coef, spec, us, q) > 0.0).all()
 
 
 # grids with more noise directions than one stack of the kernel
@@ -184,8 +236,8 @@ def test_pointwise_hs_stacked_equals_per_direction_bitwise(model_id, n, delta):
     coef = make_noise_coefficient("pointwise_multiplicative", 0.7)
     for seed in (31, 32):
         u = random_field(spec, seed)
-        assert hs_norm_sq(coef, spec, u, q) == \
-            hs_pointwise_per_direction(coef, spec, u, q)
+        assert _matches_per_direction(spec, hs_norm_sq(coef, spec, u, q),
+                                      hs_pointwise_per_direction(coef, spec, u, q))
 
 
 @pytest.mark.parametrize("model_id,n", HS_STACK_GRIDS)
@@ -193,8 +245,9 @@ def test_pointwise_hs_stacked_equals_per_direction_bitwise(model_id, n, delta):
 @pytest.mark.parametrize("kind", ["additive", "state_scaled",
                                   "pointwise_multiplicative"])
 def test_hs_of_a_stack_equals_per_state_calls_bitwise(model_id, n, delta, kind):
-    # one stack of 1 state and one longer than a stack of directions: the
-    # pointwise kind shares each direction stack's transforms among them
+    # one stack of 1 state and one longer than a stack of directions: on
+    # the sine grid the pointwise kind shares each direction stack's
+    # transforms among them
     spec = build_model(model_id, n)
     q = make_qspec(spec, delta=delta)
     coef = make_noise_coefficient(kind, 0.7, p=0.5 if kind == "additive"
@@ -207,7 +260,8 @@ def test_hs_of_a_stack_equals_per_state_calls_bitwise(model_id, n, delta, kind):
     assert (got == 0.0).all() == (delta is not None)
     if kind == "pointwise_multiplicative":
         for s in (0, -1):
-            assert got[s] == hs_pointwise_per_direction(coef, spec, us[s], q)
+            assert _matches_per_direction(
+                spec, got[s], hs_pointwise_per_direction(coef, spec, us[s], q))
 
 
 @pytest.mark.parametrize("model_id,n,other", [("ac_weak", 64, 16),
