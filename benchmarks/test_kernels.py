@@ -24,6 +24,11 @@ C_I, eta0) a volume sweep takes per delta and those of ac_weak n=64 with
 volume observation, verify's assumption report
 on a 1000-step run, and `import nudgelab` in a fresh interpreter.
 pytest collects tests/ only by default, so these run only when asked for.
+
+The module pins the allocator's thresholds as the command line does
+(cli._pin_malloc_thresholds) once at import, so the kernels are timed
+under the CLI's allocator policy, and a 13-row stack's time does not
+depend on which benchmark ran before it.
 """
 
 import os
@@ -34,6 +39,7 @@ import numpy as np
 import pytest
 
 import nudgelab
+from nudgelab.cli import _pin_malloc_thresholds
 from nudgelab.harness import (_stride_idx, convolution_variance_mc,
                               measured_constants, member_seed, verify_assumptions,
                               verify_record)
@@ -44,6 +50,8 @@ from nudgelab.models import (_cube_grid, _sine_to_grid, build_model,
 from nudgelab.noise import (hs_norm_sq, increment_from_noise,
                             make_noise_coefficient, make_qspec)
 from nudgelab.observe import apply_observation_raw, make_observation
+
+_pin_malloc_thresholds()
 
 # Grid sizes of the end-to-end workloads (ac_weak 64, nse_strong 32,
 # qg 32); the models no workload runs take the size of their own kind.

@@ -1,16 +1,22 @@
 """Command line front end.
 
 Subcommands: simulate, sweep, verify, convolution-check.  Exit codes:
-0 success, 1 configuration problems, 2 a run tripped the blow-up guard,
-3 a requested check failed (--check).
+0 success, 1 configuration problems (a bad command line included), 2 a
+run tripped the blow-up guard, 3 a requested check failed (--check).
 """
 
 import argparse
+import ctypes
 import json
 import os
 import sys
 import time
 from functools import partial
+
+try:
+    import resource
+except ImportError:   # Windows: the manifest then has no minor_faults
+    resource = None
 
 import numpy as np
 
@@ -25,6 +31,32 @@ from .harness import (_stride_idx, convolution_variance_mc,
 from .integrate import MONITORS, SERIES, BlowupError, Record, simulate_members
 
 FMT = "%.17e"
+# mallopt parameters (glibc's malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _pin_malloc_thresholds():
+    """Pin glibc's mmap threshold at its cap and the trim threshold at
+    twice that, where the C library has mallopt and accepts the values.
+
+    A lockstep step allocates and frees stacked temporaries of about 1 MB.
+    With glibc's dynamic thresholds the freed heap top goes back to the
+    kernel after each step and the next step faults it in again, page by
+    page.  Setting either threshold stops the dynamic rule, so both are
+    set: the trim threshold alone would leave the mmap threshold at
+    128 KiB, and every large stack would go through mmap and munmap.
+    Twice the mmap threshold is the dynamic rule's own trim threshold at
+    its cap.  The library never calls this, so a program that imports
+    nudgelab keeps glibc's defaults.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    cap = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+    if mallopt(_M_MMAP_THRESHOLD, cap):
+        mallopt(_M_TRIM_THRESHOLD, 2 * cap)
 
 
 def _parser():
@@ -120,26 +152,36 @@ def _csv(path, header, columns):
     _write(path, "\n".join(rows) + "\n")
 
 
+def _minor_faults():
+    return 0 if resource is None else \
+        resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class _Clock:
     """Where a command's time goes: lap(phase) books the perf_counter
-    seconds since the previous lap (or the start) in timing, which the
-    manifest carries and no CSV file."""
+    seconds since the previous lap (or the start) in timing, and the
+    process's minor page faults over the same interval in minor_faults;
+    the manifest carries both and no CSV file."""
 
     def __init__(self):
         self.start, self.timing, self.last = time.time(), {}, time.perf_counter()
+        self.minor_faults, self.last_faults = {}, _minor_faults()
 
     def lap(self, phase):
-        now = time.perf_counter()
+        now, faults = time.perf_counter(), _minor_faults()
         self.timing[phase], self.last = round(now - self.last, 6), now
+        self.minor_faults[phase], self.last_faults = faults - self.last_faults, faults
 
 
 def _manifest(out_dir, command, values, extra, clock, member_steps):
-    """manifest.json: the run's config, extra, and clock's timing with the
-    member-steps the command scheduled."""
+    """manifest.json: the run's config, extra, and clock's timing and
+    minor faults with the member-steps the command scheduled."""
     doc = {"tool": "nudgelab", "version": __version__, "command": command,
            "config_text": render_config(values),
            "wall_seconds": round(time.time() - clock.start, 3),
            "timing": clock.timing, "member_steps": member_steps}
+    if resource is not None:
+        doc["minor_faults"] = clock.minor_faults
     doc.update(extra)
     _write(os.path.join(out_dir, "manifest.json"),
            json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -375,7 +417,13 @@ def _cmd_convolution(args, values):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    _pin_malloc_thresholds()
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed its message; its usage-error code 2 is the
+        # code of a tripped blow-up guard here
+        return 1 if e.code == 2 else e.code
     try:
         text = _config_text(args.config)
     except (OSError, ValueError, KeyError) as e:

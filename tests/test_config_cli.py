@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pickle
+import platform
 import shutil
 import subprocess
 import sys
@@ -207,6 +208,8 @@ def _assert_timing(out, member_steps, phases=PHASES):
     assert sorted(doc["timing"]) == phases
     assert all(v >= 0.0 for v in doc["timing"].values())
     assert doc["member_steps"] == member_steps
+    assert doc["minor_faults"].keys() == doc["timing"].keys()
+    assert all(type(v) is int and v >= 0 for v in doc["minor_faults"].values())
 
 
 def test_simulate_rerun_byte_identical(tmp_path):
@@ -588,6 +591,24 @@ def test_every_enumerated_value_changes_output(tmp_path, key):
     assert len(set(outputs)) == len(values), values
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["convolution-check", "--config", "run.cfg", "--paths", "abc"],
+     "argument --paths: invalid int value: 'abc'"),
+    (["simulate"], "the following arguments are required: --config")],
+    ids=["paths-not-an-int", "no-config"])
+def test_bad_command_line_exits_1(capsys, argv, message):
+    # argparse's own code, 2, is the code of a tripped blow-up guard
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nudgelab") and message in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    assert cli.main([flag]) == 0
+    assert capsys.readouterr().out
+
+
 def test_missing_config_exits_1(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 1
@@ -626,6 +647,40 @@ def test_unreadable_config_or_unwritable_outputs_exit_1(tmp_path, command, data,
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith(prefix), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+SWEEP_VOL = ("model.id = nse_strong\nmodel.n = 32\nobservation.kind = volume\n"
+             "noise.kind = additive\nnoise.sigma = 0.02\ntime.dt = 1e-3\n"
+             "time.T = 0.03\nensemble.members = 2\n")
+QG_64 = ("model.id = qg\nmodel.n = 32\nnoise.kind = additive\n"
+         "noise.sigma = 0.05\nnudging.mu = 50\ntime.dt = 1e-3\ntime.T = 0.01\n"
+         "ensemble.members = 64\n")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are glibc's")
+@pytest.mark.parametrize("text,argv,bound", [
+    # with glibc's dynamic thresholds each 13-row step of this sweep gives
+    # its ~1 MB of temporaries back to the kernel and faults them in again
+    # (about 12,400 faults while integrating)
+    (SWEEP_VOL, ["sweep", "--mu-grid", "10,50,200", "--delta-grid",
+                 "0.39,0.8"], 1000),
+    # the trim threshold pinned alone leaves the mmap threshold at 128 KiB,
+    # so each 65-row stack goes through mmap (about 44,000 faults; 3,200
+    # with the dynamic thresholds, 2,150 with both pinned)
+    (QG_64, ["simulate"], 10000)], ids=["sweep-13-rows", "qg-65-rows"])
+def test_steps_do_not_refault_the_heap(tmp_path, text, argv, bound):
+    # a fresh interpreter, whose allocator only cli.main has set
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(text)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nudgelab.cli", *argv, "--config", str(cfg),
+         "--out-dir", str(out)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads((out / "manifest.json").read_text())["minor_faults"]
+    assert faults["integrate_s"] < bound, faults
 
 
 BOOM = ("model.id = ac_weak\nmodel.n = 16\ntime.dt = 0.5\ntime.T = 25.0\n"
