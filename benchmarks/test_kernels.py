@@ -4,9 +4,10 @@
 
 Times the per-step kernels the end-to-end benchmark spends its steps in:
 the pointwise Hilbert-Schmidt monitor on qg (the torus form, one value
-per mode) on one state and on a batch of six, on nse_strong (a 2 x 2
-block per mode) and on ac_weak n=64 (the sine grid's sum over the noise
-directions), the covariance build make_qspec with its torus form on qg
+per mode), on nse_strong (a 2 x 2 block per mode) and on ac_weak n=64
+(the sine grid's sum over the noise directions), the pointwise G(u) dW
+of a two-member increment on qg and on ac_weak n=64, the kappa monitor
+on nse_strong, the covariance build make_qspec with its torus form on qg
 and nse_strong, each model's nonlinearity on one field, on the stack of
 three that a two-member run steps and on the stack of thirteen that a
 3 x 2 sweep of two members steps, the Allen-Cahn nonlinearity on a
@@ -47,7 +48,7 @@ from nudgelab.integrate import (MONITORS, Group, Record, StepConfig, _blocks,
                                 _rng_for, simulate_members)
 from nudgelab.models import (_cube_grid, _sine_to_grid, build_model,
                              random_field)
-from nudgelab.noise import (hs_norm_sq, increment_from_noise,
+from nudgelab.noise import (apply_G_raw, hs_norm_sq, increment_from_noise,
                             make_noise_coefficient, make_qspec)
 from nudgelab.observe import apply_observation_raw, make_observation
 
@@ -67,16 +68,6 @@ def test_hs_norm_sq_pointwise_qg(benchmark):
     assert benchmark(hs_norm_sq, coef, spec, u, q) > 0.0
 
 
-def test_hs_norm_sq_pointwise_qg_six_states(benchmark):
-    # the batch simulate_members hands over for mult_qg's six recorded
-    # steps: one weighted sum of each state against the form
-    spec = build_model("qg", 32)
-    q = make_qspec(spec, delta=0.39)
-    coef = make_noise_coefficient("pointwise_multiplicative", 0.05)
-    us = np.stack([random_field(spec, s) for s in range(1, 7)])
-    assert benchmark(hs_norm_sq, coef, spec, us, q).shape == (6,)
-
-
 @pytest.mark.parametrize("model_id", ["nse_strong", "ac_weak"])
 def test_hs_norm_sq_pointwise(benchmark, model_id):
     # nse_strong: the three entries of each mode's 2 x 2 block of the
@@ -87,6 +78,26 @@ def test_hs_norm_sq_pointwise(benchmark, model_id):
     coef = make_noise_coefficient("pointwise_multiplicative", 0.05)
     u = random_field(spec, 1)
     assert benchmark(hs_norm_sq, coef, spec, u, q) > 0.0
+
+
+@pytest.mark.parametrize("model_id", ["qg", "ac_weak"])
+def test_apply_G_raw_pointwise(benchmark, model_id):
+    # G(u) dW of each step of a two-member run: mult_qg's on qg n=32, and
+    # the sine grid's 2n-point collocation on ac_weak n=64
+    spec = build_model(model_id, SIZES[model_id])
+    q = make_qspec(spec, delta=0.39)
+    coef = make_noise_coefficient("pointwise_multiplicative", 0.05)
+    block = np.random.default_rng(1).standard_normal((2,) + q.draw_shape)
+    dw = increment_from_noise(spec, q, 1e-3, block)
+    u = random_field(spec, 1)
+    assert benchmark(apply_G_raw, coef, spec, u, dw).shape == dw.shape
+
+
+def test_kappa_raw_nse_strong(benchmark):
+    # the kappa monitor of one reference state, as a run records it at
+    # each written step
+    spec = build_model("nse_strong", 32)
+    assert benchmark(spec.kappa_raw, random_field(spec, 1)) >= 0.0
 
 
 @pytest.mark.parametrize("model_id", ["qg", "nse_strong"])

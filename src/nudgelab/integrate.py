@@ -50,7 +50,7 @@ from itertools import repeat
 import numpy as np
 
 from .fields import _wsum, norm_raw
-from .noise import _HS_CHUNK, apply_G_raw, hs_norm_sq, increment_from_noise
+from .noise import apply_G_raw, hs_norm_sq, increment_from_noise
 from .observe import apply_observation_raw
 
 
@@ -184,10 +184,11 @@ class CellResult(SimResult):
     """The estimates of one cell, a member axis first in w_h, w_vstar,
     v_h, v_final and v_path; the reference's u_h, kappa, u_final and
     u_path and the group's hs are shared, dy_h and y_h are member 0's.
-    The group's hs, dy_h and y_h depend on the reference alone and are
-    recorded for as long as it lives.  errors[m] is the BlowupError that
-    ended member m, or None; an ended member's series read NaN from its
-    blow-up on."""
+    The group's hs, dy_h and y_h depend on the reference alone; like u_h
+    and kappa they read NaN from the step the run stopped at on, a
+    reference blow-up or the end of its last estimate.  errors[m] is the
+    BlowupError that ended member m, or None; an ended member's series
+    read NaN from its blow-up on."""
     errors: list = None
 
     def member(self, m):
@@ -225,10 +226,10 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     of it alone.  With no groups the reference steps alone.
 
     record, a Record, names the series to keep and their steps.  A
-    monitor runs only at those steps, hs on batches of _HS_CHUNK of them;
-    as a value at step i depends only on the state at step i, it has the
-    bits of an every-step run.  The blow-up accumulator and the running
-    sum y behind dy_h, y_h run at every step.
+    monitor runs only at those steps; as a value at step i depends only
+    on the state at step i, it has the bits of an every-step run.  The
+    blow-up accumulator and the running sum y behind dy_h, y_h run at
+    every step.
 
     Returns (reference, results): the reference's SimResult, or the
     BlowupError that ended it, and results[g][k], the CellResult of cell
@@ -285,25 +286,18 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     ref_error = None
     # step -> column of the series and of each state path
     slot, u_at, v_at = ({s: j for j, s in enumerate(st.tolist())} for st in steps)
-    # the requested arrays, led by their member or group axis: NaN until
-    # recorded, but hs (0 on a noiseless group) and the observation path
-    # (0 at t = 0) start at 0
+    # the requested arrays, led by their member or group axis, NaN until
+    # recorded
     lead = {**dict.fromkeys(_PER_MEMBER, (rows,)),
             **dict.fromkeys(_PER_GROUP, (len(groups),))}
-    rec = {f: np.full(lead.get(f, ()) + (len(slot),),
-                      0.0 if f in _PER_GROUP else np.nan) for f in record.series}
+    rec = {f: np.full(lead.get(f, ()) + (len(slot),), np.nan)
+           for f in record.series}
     for f, at in (("u_path", u_at), ("v_path", v_at)):
         rec[f] = np.full(lead.get(f, ()) + (len(at),) + spec.shape, np.nan,
                          dtype=spec.dtype)
-    y = [np.zeros(spec.shape, dtype=spec.dtype)] * len(groups)
-    kept = {}  # column -> a reference state still owed its hs values
-
-    def flush():
-        for g, grp in enumerate(groups):
-            if kept and noisy[g]:
-                us = np.stack(list(kept.values()))
-                rec["hs"][g, list(kept)] = hs_norm_sq(grp.coef, spec, us, grp.q)
-        kept.clear()
+    # per group the last observation increment dy and the running sum y
+    dy = [np.zeros(spec.shape, dtype=spec.dtype)] * len(groups)
+    y = list(dy)
 
     def store(i, x):
         j = slot.get(i)
@@ -317,10 +311,13 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
                 rec["u_h"][j] = norm_raw(spec, x[0], "H")
             if "kappa" in rec:
                 rec["kappa"][j] = spec.kappa_raw(x[0])
-            if "hs" in rec and any(noisy):
-                kept[j] = x[0].copy()
-                if len(kept) == _HS_CHUNK:
-                    flush()
+            for g, grp in enumerate(groups):
+                if "hs" in rec:
+                    rec["hs"][g, j] = (hs_norm_sq(grp.coef, spec, x[0], grp.q)
+                                       if noisy[g] else 0.0)
+                for f, z in (("dy_h", dy[g]), ("y_h", y[g])):
+                    if f in rec:
+                        rec[f][g, j] = norm_raw(spec, z, "H")
         if i in u_at:
             rec["u_path"][u_at[i]] = x[0]
         if i in v_at:
@@ -345,13 +342,10 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
                 rhs[s] += pull_col[s] * apply_observation_raw(grp.op, spec, gap)
             if {"dy_h", "y_h"} & rec.keys():
                 # dy = I_delta u dt + G(u) dW (the noise term carries no mu)
-                dy = dt * apply_observation_raw(grp.op, spec, x[0])
+                dy[g] = dt * apply_observation_raw(grp.op, spec, x[0])
                 if noisy[g]:
-                    dy = dy + gdw[0]
-                y[g] = y[g] + dy
-                for f, z in (("dy_h", dy), ("y_h", y[g])):
-                    if f in rec and i in slot:
-                        rec[f][g, slot[i]] = norm_raw(spec, z, "H")
+                    dy[g] = dy[g] + gdw[0]
+                y[g] = y[g] + dy[g]
         x = rhs * inv
         t = i * dt
         acc += dt * _wsum(spec, x, x, spec.norm_w2("V"))
@@ -370,7 +364,6 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
             if not live.any():
                 break
         store(i, x)
-    flush()
 
     times = steps[0] * dt
     reference = ref_error or SimResult(times, x[0], None, u_h=rec.get("u_h"),

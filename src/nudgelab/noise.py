@@ -22,24 +22,16 @@ The Hilbert-Schmidt norm of the pointwise kind sums over the noise
 directions.  On the torus that sum is exactly one quadratic form per
 mode, built once with the QSpec (_hs_form).  The sine models' 2n
 collocation grid is not diagonal in the sine basis: there the directions
-are evaluated in fixed-size stacks that a whole stack of states shares,
-and added up in direction order, bit-identical to the sum taken one
-state and one direction at a time.
+are transformed in one stack per state and added up in direction order,
+bit-identical to the sum taken one direction at a time.
 """
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .fields import _wsum, norm_raw
 from .models import _lift_scalar_mode, _sine_to_grid, _sine_from_grid
-
-# Noise directions per stacked product in hs_norm_sq's sum on the sine
-# grid, the only one that stacks directions, and the most recorded steps
-# simulate_members batches into one call.  Directions are pulled lazily,
-# so no more than this many are alive at once.
-_HS_CHUNK = 16
 
 # the component pairs (a, b) of each block of two that a vector model's
 # form weighs: (1, 1), (2, 2) and (1, 2), the last standing for both orders
@@ -177,14 +169,6 @@ def make_noise_coefficient(kind, sigma, p=0.0, delta=1.0):
 _OFF_GRID = "a state of shape %s does not fit the %s grid of shape %s"
 
 
-def _states(spec, uc):
-    # a state or a stack of states on one leading axis, as a stack
-    lead = np.ndim(uc) - len(spec.shape)
-    if lead not in (0, 1) or np.shape(uc)[lead:] != spec.shape:
-        raise ValueError(_OFF_GRID % (np.shape(uc), spec.model_id, spec.shape))
-    return uc if lead else uc[None]
-
-
 def _to_grid(spec, c):
     # dealiased collocation values of fields stacked on leading axes.  The
     # sine grid is 2n, not the cube's 5-smooth one: the product of two sine
@@ -237,42 +221,38 @@ def noise_directions(spec, q):
 
 
 def hs_norm_sq(coef, spec, uc, q):
-    """||G_delta(u)||^2 in the Hilbert-Schmidt norm over Q^(1/2)H -> H, an
-    array of one value per state for a stack of states on a leading axis.
+    """||G_delta(u)||^2 in the Hilbert-Schmidt norm over Q^(1/2)H -> H,
+    for one state u.
 
     Closed forms for the kinds that scale dW.  The pointwise kind sums
     lambda^2 ||u . e||_H^2 over the noise directions e: on the torus as
-    one weighted sum of each state against q.form, which no transform
-    reads; on the sine grid over the directions themselves, transformed
-    in stacks of _HS_CHUNK once for all the states, in direction order,
-    each value bit-identical to summing one direction at a time.  Each
-    state's value has the same bits alone and in a stack.
+    one weighted sum of u against q.form, which no transform reads; on
+    the sine grid over the directions themselves, transformed in one
+    stack and added up in direction order, bit-identical to summing one
+    direction at a time.
     """
-    us = _states(spec, uc)
+    if np.shape(uc) != spec.shape:
+        raise ValueError(_OFF_GRID % (np.shape(uc), spec.model_id, spec.shape))
     if coef.kind == "additive":
-        totals = [coef.sigma_delta ** 2 * q.trace] * len(us)
-    elif coef.kind == "state_scaled":
-        totals = (coef.sigma ** 2 * _wsum(spec, us, us, spec.norm_w2("H"))
-                  * q.trace).tolist()
-    elif q.form is not None:
-        a = b = us
+        return coef.sigma_delta ** 2 * q.trace
+    if coef.kind == "state_scaled":
+        return float(coef.sigma ** 2 * _wsum(spec, uc, uc, spec.norm_w2("H"))
+                     * q.trace)
+    if q.form is not None:
+        a = b = uc
         if spec.ncomp > 1:
             rows, cols = zip(*[(i + r, i + c) for i in range(0, spec.ncomp, 2)
                                for r, c in _PAIRS])
-            a, b = us[:, list(rows)], us[:, list(cols)]
-        totals = (coef.sigma ** 2 * _wsum(spec, a, b, q.form)).tolist()
-    else:
-        sums = [0.0] * len(us)
-        grids = _to_grid(spec, us)
-        dirs = noise_directions(spec, q)
+            a, b = uc[list(rows)], uc[list(cols)]
+        return float(coef.sigma ** 2 * _wsum(spec, a, b, q.form))
+    total = 0.0
+    pairs = list(noise_directions(spec, q))
+    if pairs:
+        lams, dirs = zip(*pairs)
+        prods = _to_grid(spec, uc) * _to_grid(spec, np.stack(dirs))
+        norms = norm_raw(spec, _from_grid(spec, prods), "H")
         # Python floats in direction order: x ** 2 is libm pow, which an
         # array square does not match in the last bit for every double
-        for chunk in iter(lambda: list(islice(dirs, _HS_CHUNK)), []):
-            lams, stack = zip(*chunk)
-            wgrid = _to_grid(spec, np.stack(stack))
-            for s, ugrid in enumerate(grids):
-                norms = norm_raw(spec, _from_grid(spec, ugrid * wgrid), "H")
-                for lam, x in zip(lams, norms.tolist()):
-                    sums[s] += lam * lam * x ** 2
-        totals = [coef.sigma ** 2 * t for t in sums]
-    return np.array(totals) if us is uc else totals[0]
+        for lam, x in zip(lams, norms.tolist()):
+            total += lam * lam * x ** 2
+    return coef.sigma ** 2 * total

@@ -11,7 +11,7 @@ from nudgelab.integrate import (_DRAW_BYTES, SERIES, BlowupError, Group,
                                 Record, StepConfig, _blocks, _rng_for,
                                 simulate_members, simulate_pair)
 from nudgelab.models import build_model, random_field
-from nudgelab.noise import make_noise_coefficient, make_qspec
+from nudgelab.noise import hs_norm_sq, make_noise_coefficient, make_qspec
 from nudgelab.observe import make_observation
 
 
@@ -252,13 +252,12 @@ def test_draw_chunking_keeps_every_bit(monkeypatch, mid, n, members, T):
 
 
 @pytest.mark.parametrize("blowup_step", [None, 21])
-def test_hs_batches_keep_every_bit(monkeypatch, blowup_step):
-    # hs over batches of one recorded step equals the default batches of
-    # _HS_CHUNK: 41 steps make two full batches and a partial one, and a
-    # reference blow-up at step 21 ends the run with a batch of 5 kept
+def test_hs_is_the_monitor_of_each_recorded_state(blowup_step):
+    # each group's hs at a recorded step is hs_norm_sq of the reference
+    # state recorded there, bit for bit (0 on a noiseless group), and a
+    # reference blow-up at step 21 leaves hs, dy_h and y_h NaN from it on
     spec = build_model("qg", 8)
     cfg = StepConfig(dt=1e-3, T=0.04)
-    assert cfg.nsteps + 1 > 2 * I._HS_CHUNK
     # estimates from 0 stay under the reference's accumulator
     u0, v0 = random_field(spec, 0), np.zeros(spec.shape, dtype=spec.dtype)
     if blowup_step:
@@ -271,27 +270,24 @@ def test_hs_batches_keep_every_bit(monkeypatch, blowup_step):
         cfg = StepConfig(dt=cfg.dt, T=cfg.T, blowup_guard=0.5 * (
             acc[blowup_step - 1] + acc[blowup_step]))
     groups = [Group(make_observation(spec, "modal", 0.8),
-                    make_noise_coefficient(kind, 0.3), make_qspec(spec, delta=0.8),
-                    (0.0, 20.0))
-              for kind in ("pointwise_multiplicative", "state_scaled")]
-
-    def run():
-        ref, res = simulate_members(spec, cfg, groups, u0, v0,
-                                    [_rng_for(s) for s in (4, 5)], WITH_Y)
-        return ref, [cell for cells in res for cell in cells]
-
-    ref, batched = run()
-    monkeypatch.setattr(I, "_HS_CHUNK", 1)
-    ref_one, one = run()
+                    make_noise_coefficient(kind, sigma),
+                    make_qspec(spec, delta=0.8), (0.0, 20.0))
+              for kind, sigma in (("pointwise_multiplicative", 0.3),
+                                  ("state_scaled", 0.3), ("state_scaled", 0.0))]
+    ref, res = simulate_members(spec, cfg, groups, u0, v0,
+                                [_rng_for(s) for s in (4, 5)],
+                                WITH_Y._replace(u_path=None))
     end = blowup_step or cfg.nsteps + 1
     if blowup_step:
-        assert ref.step == ref_one.step == end
-    hs = batched[0].hs
-    assert (hs[:end] > 0.0).all() and (hs[end:] == 0.0).all()
-    for want, got in zip(batched, one):
-        for name in SERIES + ("v_final",):
-            assert np.array_equal(getattr(got, name), getattr(want, name),
-                                  equal_nan=True), name
+        assert ref.step == end
+    for grp, (cell, _) in zip(groups, res):
+        want = [hs_norm_sq(grp.coef, spec, u, grp.q) for u in cell.u_path[:end]]
+        assert cell.hs[:end].tolist() == want
+        assert (cell.hs[:end] > 0.0).all() == (grp.coef.sigma > 0.0)
+        assert cell.dy_h[0] == cell.y_h[0] == 0.0
+        assert (cell.y_h[1:end] > 0.0).all()
+        for name in ("hs", "dy_h", "y_h", "u_h"):
+            assert np.isnan(getattr(cell, name)[end:]).all(), name
 
 
 def test_emit_y_bookkeeping():

@@ -7,9 +7,9 @@ import pytest
 
 from nudgelab.fields import norm_raw
 from nudgelab.models import build_model, random_field
-from nudgelab.noise import (_HS_CHUNK, apply_G_raw, hs_norm_sq,
-                            increment_from_noise, make_noise_coefficient,
-                            make_qspec, noise_directions)
+from nudgelab.noise import (apply_G_raw, hs_norm_sq, increment_from_noise,
+                            make_noise_coefficient, make_qspec,
+                            noise_directions)
 import oracles as O
 from oracles import hs_pointwise_per_direction
 
@@ -160,10 +160,13 @@ def test_pointwise_hs_vector_models_match_assembly(model_id):
 
 @pytest.mark.parametrize("model_id", ["ac_weak", "qg", "nse_weak",
                                       "nse_strong", "mhd"])
-def test_pointwise_hs_rank_zero_is_zero(model_id):
+@pytest.mark.parametrize("kind", ["additive", "state_scaled",
+                                  "pointwise_multiplicative"])
+def test_hs_rank_zero_is_zero(model_id, kind):
     spec = build_model(model_id, 8)
     q = make_qspec(spec, delta=4.0)     # K_Q = floor(pi / 4) = 0
-    coef = make_noise_coefficient("pointwise_multiplicative", 0.3)
+    coef = make_noise_coefficient(kind, 0.3, p=0.5 if kind == "additive"
+                                  else 0.0, delta=0.39)
     assert list(noise_directions(spec, q)) == []
     assert hs_norm_sq(coef, spec, random_field(spec, 9), q) == 0.0
 
@@ -176,9 +179,9 @@ def test_pointwise_hs_is_zero_where_dealiasing_removes_the_noise(model_id):
     spec = build_model(model_id, 4)
     q = make_qspec(spec)
     coef = make_noise_coefficient("pointwise_multiplicative", 0.3)
-    us = np.stack([random_field(spec, s) for s in range(8)])
     assert len(list(noise_directions(spec, q))) > 0
-    assert hs_norm_sq(coef, spec, us, q).tolist() == [0.0] * len(us)
+    for s in range(8):
+        assert hs_norm_sq(coef, spec, random_field(spec, s), q) == 0.0
 
 
 def _matches_per_direction(spec, got, want):
@@ -209,17 +212,18 @@ def test_torus_pointwise_hs_runs_no_transform(monkeypatch, model_id):
     spec = build_model(model_id, 16)
     q = make_qspec(spec, delta=0.39)
     coef = make_noise_coefficient("pointwise_multiplicative", 0.7)
-    us = np.stack([random_field(spec, s) for s in range(3)])
+    us = [random_field(spec, s) for s in range(3)]
 
     def refuse(*args):
         raise AssertionError("hs_norm_sq transformed a field")
 
     monkeypatch.setattr(spec.aux, "to_grid", refuse)
     monkeypatch.setattr(spec.aux, "from_grid", refuse)
-    assert (hs_norm_sq(coef, spec, us, q) > 0.0).all()
+    for u in us:
+        assert hs_norm_sq(coef, spec, u, q) > 0.0
 
 
-# grids with more noise directions than one stack of the kernel
+# grids whose whole band holds more than 16 noise directions
 HS_STACK_GRIDS = [("ac_weak", 64), ("ac_strong", 64), ("qg", 32),
                   ("nse_weak", 16), ("nse_strong", 16), ("mhd", 16)]
 
@@ -232,36 +236,12 @@ def test_pointwise_hs_stacked_equals_per_direction_bitwise(model_id, n, delta):
     spec = build_model(model_id, n)
     q = make_qspec(spec, delta=delta)
     if delta is None:
-        assert len(list(noise_directions(spec, q))) > _HS_CHUNK
+        assert len(list(noise_directions(spec, q))) > 16
     coef = make_noise_coefficient("pointwise_multiplicative", 0.7)
     for seed in (31, 32):
         u = random_field(spec, seed)
         assert _matches_per_direction(spec, hs_norm_sq(coef, spec, u, q),
                                       hs_pointwise_per_direction(coef, spec, u, q))
-
-
-@pytest.mark.parametrize("model_id,n", HS_STACK_GRIDS)
-@pytest.mark.parametrize("delta", [None, 4.0], ids=["auto", "0"])
-@pytest.mark.parametrize("kind", ["additive", "state_scaled",
-                                  "pointwise_multiplicative"])
-def test_hs_of_a_stack_equals_per_state_calls_bitwise(model_id, n, delta, kind):
-    # one stack of 1 state and one longer than a stack of directions: on
-    # the sine grid the pointwise kind shares each direction stack's
-    # transforms among them
-    spec = build_model(model_id, n)
-    q = make_qspec(spec, delta=delta)
-    coef = make_noise_coefficient(kind, 0.7, p=0.5 if kind == "additive"
-                                  else 0.0, delta=0.39)
-    us = np.stack([random_field(spec, s) for s in range(_HS_CHUNK + 2)])
-    for stack in (us[:1], us):
-        got = hs_norm_sq(coef, spec, stack, q)
-        assert isinstance(got, np.ndarray) and got.shape == (len(stack),)
-        assert got.tolist() == [hs_norm_sq(coef, spec, u, q) for u in stack]
-    assert (got == 0.0).all() == (delta is not None)
-    if kind == "pointwise_multiplicative":
-        for s in (0, -1):
-            assert _matches_per_direction(
-                spec, got[s], hs_pointwise_per_direction(coef, spec, us[s], q))
 
 
 @pytest.mark.parametrize("model_id,n,other", [("ac_weak", 64, 16),
@@ -289,8 +269,8 @@ def test_a_state_off_the_grid_fails_loudly(model_id, n, other, kind):
 @pytest.mark.parametrize("kind", ["additive", "state_scaled",
                                   "pointwise_multiplicative"])
 def test_apply_G_refuses_a_stack_of_states(model_id, kind):
-    # G_delta(u) dw reads one state, so a stack of states is refused with
-    # both shapes named; hs_norm_sq alone takes a stack
+    # G_delta(u) dw and ||G_delta(u)||^2 read one state, so a stack of
+    # states is refused with both shapes named
     spec = build_model(model_id, 16)
     q = make_qspec(spec, delta=0.39)
     coef = make_noise_coefficient(kind, 0.3)
@@ -301,7 +281,8 @@ def test_apply_G_refuses_a_stack_of_states(model_id, kind):
         msg = "%s.*%s" % (re.escape(str(stack.shape)), re.escape(str(spec.shape)))
         with pytest.raises(ValueError, match=msg):
             apply_G_raw(coef, spec, stack, dw)
-        assert hs_norm_sq(coef, spec, stack, q).shape == (len(stack),)
+        with pytest.raises(ValueError, match=msg):
+            hs_norm_sq(coef, spec, stack, q)
 
 
 def test_sigma_delta_applies_to_additive_only():
