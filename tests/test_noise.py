@@ -244,6 +244,33 @@ def test_pointwise_hs_stacked_equals_per_direction_bitwise(model_id, n, delta):
                                       hs_pointwise_per_direction(coef, spec, u, q))
 
 
+@pytest.mark.parametrize("model_id,n", HS_STACK_GRIDS)
+@pytest.mark.parametrize("delta", [None, 4.0], ids=["auto", "0"])
+@pytest.mark.parametrize("kind", ["additive", "state_scaled",
+                                  "pointwise_multiplicative"])
+def test_hs_of_one_state_is_its_assembled_sum(model_id, n, delta, kind):
+    # the monitor of one state is one float: the sum over the noise
+    # directions e of lambda^2 ||G_delta(u) e||_H^2, 0 when Q has rank 0;
+    # it leaves the state as it found it and repeats to the bit
+    spec = build_model(model_id, n)
+    q = make_qspec(spec, delta=delta)
+    coef = make_noise_coefficient(kind, 0.7, p=0.5 if kind == "additive"
+                                  else 0.0, delta=0.39)
+    for seed in (0, 1):
+        u = random_field(spec, seed)
+        before = O.bits(u)
+        got = hs_norm_sq(coef, spec, u, q)
+        assert isinstance(got, float) and not isinstance(got, np.ndarray)
+        assert O.bits(u) == before
+        assert hs_norm_sq(coef, spec, u, q) == got
+        want = 0.0
+        for lam, raw in noise_directions(spec, q):
+            want += lam ** 2 * norm_raw(spec, apply_G_raw(coef, spec, u, raw),
+                                        "H") ** 2
+        assert (got == 0.0) == (delta is not None) == (want == 0.0)
+        assert got == pytest.approx(want, rel=1e-10), seed
+
+
 @pytest.mark.parametrize("model_id,n,other", [("ac_weak", 64, 16),
                                               ("qg", 32, 16)])
 @pytest.mark.parametrize("kind", ["state_scaled", "pointwise_multiplicative"])
