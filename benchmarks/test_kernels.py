@@ -68,13 +68,17 @@ def test_hs_norm_sq_pointwise_qg(benchmark):
     assert benchmark(hs_norm_sq, coef, spec, u, q) > 0.0
 
 
-@pytest.mark.parametrize("model_id", ["nse_strong", "ac_weak"])
-def test_hs_norm_sq_pointwise(benchmark, model_id):
+@pytest.mark.parametrize("model_id,n,delta", [("nse_strong", 32, 0.39),
+                                              ("ac_weak", 64, 0.39),
+                                              ("ac_strong", 32, 0.1)],
+                         ids=["nse_strong", "ac_weak", "ac_strong"])
+def test_hs_norm_sq_pointwise(benchmark, model_id, n, delta):
     # nse_strong: the three entries of each mode's 2 x 2 block of the
-    # torus form; ac_weak n=64: the sine grid's transforms of u and of the
-    # noise directions, one product and one norm per direction
-    spec = build_model(model_id, SIZES[model_id])
-    q = make_qspec(spec, delta=0.39)
+    # torus form; ac_weak n=64 (8 directions) and ac_strong n=32 (31): the
+    # sine grid's transforms of u and of the noise directions, one product
+    # and one norm per direction
+    spec = build_model(model_id, n)
+    q = make_qspec(spec, delta=delta)
     coef = make_noise_coefficient("pointwise_multiplicative", 0.05)
     u = random_field(spec, 1)
     assert benchmark(hs_norm_sq, coef, spec, u, q) > 0.0

@@ -6,7 +6,7 @@ from .models import build_model, random_field
 from .observe import (ObservationOperator, estimate_interp_constant, eta0,
                       make_observation)
 from .noise import (NoiseCoefficient, QSpec, hs_norm_sq,
-                    make_noise_coefficient, make_qspec, noise_directions)
+                    make_noise_coefficient, make_qspec)
 from .integrate import BlowupError, StepConfig, simulate_pair
 from .harness import (RunSetup, convolution_variance_mc, estimate_noise_floor,
                       fit_decay_rate, run_ensemble, sweep, tail_sup,
@@ -19,7 +19,7 @@ __all__ = [
     "ObservationOperator", "estimate_interp_constant", "eta0",
     "make_observation",
     "NoiseCoefficient", "QSpec", "hs_norm_sq",
-    "make_noise_coefficient", "make_qspec", "noise_directions",
+    "make_noise_coefficient", "make_qspec",
     "BlowupError", "StepConfig", "simulate_pair",
     "RunSetup", "convolution_variance_mc", "estimate_noise_floor",
     "fit_decay_rate", "run_ensemble", "sweep", "tail_sup",

@@ -21,6 +21,8 @@ a.real*b.real + a.imag*b.imag, and sums each field once, so a field
 paired with itself is its squared H norm bit for bit.
 """
 
+import math
+
 import numpy as np
 
 
@@ -99,7 +101,8 @@ def _wsum(spec, a, b, mw2):
     else:
         prod = a * b
     lead = prod.shape[:max(prod.ndim - len(spec.shape), 0)]
-    return np.sum((mw2 * prod).reshape(lead + (-1,)), axis=-1)
+    flat = lead + (math.prod(prod.shape[len(lead):]),)
+    return np.sum((mw2 * prod).reshape(flat), axis=-1)
 
 
 def norm_raw(spec, arr, space):

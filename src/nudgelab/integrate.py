@@ -305,7 +305,7 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
             wc = x[0] - x[1:]
             for f, z, space in (("w_h", wc, "H"), ("w_vstar", wc, "Vstar"),
                                 ("v_h", x[1:], "H")):
-                if rows and f in rec:
+                if f in rec:
                     rec[f][live, j] = norm_raw(spec, z, space)[live]
             if "u_h" in rec:
                 rec["u_h"][j] = norm_raw(spec, x[0], "H")

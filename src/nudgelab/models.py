@@ -126,15 +126,6 @@ class _Torus:
         c[..., :, 0] = 0.5 * (col + np.conj(col[..., self.mirror]))
         return c
 
-    def mode(self, iy, ix, val):
-        """The real field whose one stored coefficient at (iy, ix) is val,
-        with the conjugate partner conj(val) when it sits on column kx = 0."""
-        c = np.zeros(self.shape, dtype=complex)
-        c[iy, ix] = val
-        if ix == 0:
-            c[self.mirror[iy], 0] = np.conj(val)
-        return c
-
     def project_scalar(self, c):
         out = np.where(self.mask, c, 0.0)
         return self.fix_col0(out)
@@ -163,21 +154,6 @@ class _Torus:
             dby = self.to_grid(self.iky * b[..., i, :, :])
             out[..., i, :, :] = np.where(self.mask, self.from_grid(a1 * dbx + a2 * dby), 0.0)
         return out
-
-
-def _lift_scalar_mode(spec, c):
-    """The fields of a torus model that the scalar coefficient array c
-    spans: c itself on a scalar model, its solenoidal lift
-    (i k_perp/|k|) c on a vector model, and on mhd that lift in the
-    velocity block, then in the magnetic block."""
-    if spec.ncomp == 1:
-        return [c]
-    tor = spec.aux
-    vec = np.stack([tor.rz1 * c, tor.rz2 * c])
-    if spec.ncomp == 2:
-        return [vec]
-    zero = np.zeros_like(vec)
-    return [np.concatenate([vec, zero]), np.concatenate([zero, vec])]
 
 
 # ----------------------------------------------------------------------

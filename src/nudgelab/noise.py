@@ -22,8 +22,9 @@ The Hilbert-Schmidt norm of the pointwise kind sums over the noise
 directions.  On the torus that sum is exactly one quadratic form per
 mode, built once with the QSpec (_hs_form).  The sine models' 2n
 collocation grid is not diagonal in the sine basis: there the directions
-are transformed in one stack per state and added up in direction order,
-bit-identical to the sum taken one direction at a time.
+e_k / w_H(k) on Q's rank are formed from the QSpec at each call,
+transformed in one stack and added up in direction order, bit-identical
+to the sum taken one direction at a time.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import _wsum, norm_raw
-from .models import _lift_scalar_mode, _sine_to_grid, _sine_from_grid
+from .models import _sine_to_grid, _sine_from_grid
 
 # the component pairs (a, b) of each block of two that a vector model's
 # form weighs: (1, 1), (2, 2) and (1, 2), the last standing for both orders
@@ -196,30 +197,6 @@ def apply_G_raw(coef, spec, uc, dw):
     return coef.sigma * _from_grid(spec, _to_grid(spec, uc) * _to_grid(spec, dw))
 
 
-def noise_directions(spec, q):
-    """The real H-orthonormal directions spanned by Q, with their lambdas.
-
-    Yields (lam, raw array); used for dense assembly of G and for the
-    Hilbert-Schmidt sum of the pointwise kind on the sine grid.
-    """
-    if spec.kind == "sine":
-        for k in np.flatnonzero(q.lam > 0.0):
-            c = np.zeros(spec.shape)
-            c[k] = 1.0 / spec.w_h[k]
-            yield float(q.lam[k]), c
-        return
-    tor = spec.aux
-    half = np.sqrt(0.5)
-    for iy, ix in np.argwhere(q.lam > 0.0):
-        if ix == 0 and (iy == 0 or iy > tor.n // 2):
-            continue  # conjugate mirror of an already-listed direction
-        wh = spec.w_h[iy, ix]
-        for val in (half / wh, 1j * half / wh):
-            lam = float(q.lam[iy, ix])
-            for f in _lift_scalar_mode(spec, tor.mode(iy, ix, val)):
-                yield lam, f
-
-
 def hs_norm_sq(coef, spec, uc, q):
     """||G_delta(u)||^2 in the Hilbert-Schmidt norm over Q^(1/2)H -> H,
     for one state u.
@@ -227,9 +204,9 @@ def hs_norm_sq(coef, spec, uc, q):
     Closed forms for the kinds that scale dW.  The pointwise kind sums
     lambda^2 ||u . e||_H^2 over the noise directions e: on the torus as
     one weighted sum of u against q.form, which no transform reads; on
-    the sine grid over the directions themselves, transformed in one
-    stack and added up in direction order, bit-identical to summing one
-    direction at a time.
+    the sine grid over the directions e_k / w_H(k), formed from q,
+    transformed in one stack and added up in direction order,
+    bit-identical to summing one direction at a time.
     """
     if np.shape(uc) != spec.shape:
         raise ValueError(_OFF_GRID % (np.shape(uc), spec.model_id, spec.shape))
@@ -245,14 +222,13 @@ def hs_norm_sq(coef, spec, uc, q):
                                for r, c in _PAIRS])
             a, b = uc[list(rows)], uc[list(cols)]
         return float(coef.sigma ** 2 * _wsum(spec, a, b, q.form))
+    keep = np.flatnonzero(q.lam > 0.0)
+    dirs = (np.arange(spec.n) == keep[:, None]) * q.inv_wh
+    prods = _to_grid(spec, uc) * _to_grid(spec, dirs)
+    norms = norm_raw(spec, _from_grid(spec, prods), "H")
     total = 0.0
-    pairs = list(noise_directions(spec, q))
-    if pairs:
-        lams, dirs = zip(*pairs)
-        prods = _to_grid(spec, uc) * _to_grid(spec, np.stack(dirs))
-        norms = norm_raw(spec, _from_grid(spec, prods), "H")
-        # Python floats in direction order: x ** 2 is libm pow, which an
-        # array square does not match in the last bit for every double
-        for lam, x in zip(lams, norms.tolist()):
-            total += lam * lam * x ** 2
+    # Python floats in direction order: x ** 2 is libm pow, which an
+    # array square does not match in the last bit for every double
+    for lam, x in zip(q.lam[keep].tolist(), norms.tolist()):
+        total += lam * lam * x ** 2
     return coef.sigma ** 2 * total

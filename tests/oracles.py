@@ -10,15 +10,17 @@ stacks, blocks or on threads, which must reproduce them bit for bit (the
 torus form of the Hilbert-Schmidt norm, another algorithm, matches
 hs_pointwise_per_direction to round-off), reference_only and blind_observation, which set up package runs, and
 quotient and interp_constant_dense, which apply the package's observation
-to its noise directions as a dense matrix, the form the exact
+to the noise directions as a dense matrix, the form the exact
 interpolation constant splits into alias-class blocks, and
 volume_observation_dense, the volume observation as dense cell matrices
 and a full-layout FFT pair, the form whose alias-class sums the package
 takes, which ends in the model's projection.  The
-torus layout references (fix_col0_roll through noise_directions_by_hand) form
+torus layout references (fix_col0_roll through noise_directions) form
 every conjugate partner on the fly, by reversing and rolling the kx = 0
 column or by writing (-iy) % N, and every per-mode factor per call, in
 the arithmetic the package's cached forms must reproduce bit for bit.
+noise_directions lists Q's directions by hand, on the sine grid too, for
+the dense references and the sums assembled one direction at a time.
 """
 
 import numpy as np
@@ -263,10 +265,20 @@ def increment_roll(spec, q, dt, block):
     return np.sqrt(dt) * np.stack(comps, axis=-3)
 
 
-def noise_directions_by_hand(spec, q):
-    """(lam, field) of a torus model's real H-orthonormal noise directions,
-    each built as a single_mode with partner conj(val), in the order of
-    noise.noise_directions."""
+def noise_directions(spec, q):
+    """(lam, field) of the real H-orthonormal noise directions spanned by
+    Q: on the sine grid e_k / w_H(k) for each k on Q's rank, and on the
+    torus two per mode (real and imaginary val = sqrt(1/2) / w_H), each
+    built as a single_mode with partner conj(val) and lifted by
+    lift_scalar, skipping the kx = 0 modes that mirror a listed one."""
+    if spec.kind == "sine":
+        out = []
+        for k in range(spec.n):
+            if q.lam[k] > 0.0:
+                c = np.zeros(spec.n)
+                c[k] = 1.0 / spec.w_h[k]
+                out.append((float(q.lam[k]), c))
+        return out
     n = spec.n
     half = np.sqrt(0.5)
     out = []
@@ -295,7 +307,7 @@ def interp_constant_dense(op, spec):
     H-orthonormal noise directions e_j, M[k, j] = <(I - I_delta) e_j, e_k>_H
     and D the w_V / w_H of each direction, all in one dense SVD; f and g
     the singular-vector pair whose quotient attains it."""
-    from nudgelab.noise import make_qspec, noise_directions
+    from nudgelab.noise import make_qspec
     from nudgelab.observe import apply_observation_raw
     e = np.stack([f for _, f in noise_directions(spec, make_qspec(spec))])
     rest = e - apply_observation_raw(op, spec, e)
@@ -402,7 +414,7 @@ def hs_pointwise_per_direction(coef, spec, u, q):
     """Hilbert-Schmidt norm of the pointwise kind, one noise direction
     (one collocation product, one norm) at a time, in direction order."""
     from nudgelab.fields import norm_raw
-    from nudgelab.noise import _from_grid, _to_grid, noise_directions
+    from nudgelab.noise import _from_grid, _to_grid
     total = 0.0
     for lam, dirc in noise_directions(spec, q):
         g = _from_grid(spec, _to_grid(spec, u) * _to_grid(spec, dirc))

@@ -2,8 +2,9 @@
 and is used inside the package or listed with its reader; every
 exported function reads each of its parameters; no module squares a
 norm; observe.py takes no matrix product; every entry point the
-benchmark traces still exists; importing the package and building the
-torus models' set-ups loads neither scipy.fft nor concurrent.futures;
+benchmark traces still exists; importing the package and building
+set-ups (three torus ones and a sine one with pointwise noise) loads
+neither scipy.fft nor concurrent.futures;
 the package metadata names the package, its version and its commands;
 and the kernel microbenchmarks run once."""
 
@@ -160,8 +161,10 @@ def test_traced_entry_points_resolve():
     assert missing == []
 
 
-# Run in a fresh interpreter: builds three torus set-ups, then one Allen-
-# Cahn nonlinearity, and reports what was loaded before and after it.
+# Run in a fresh interpreter: builds three torus set-ups and a sine one,
+# then one Allen-Cahn nonlinearity, and reports what was loaded before and
+# after it.  The sine set-up builds a pointwise-noise QSpec, which must run
+# no DST: loading scipy.fft takes longer than the whole set-up.
 IMPORT_PROBE = """
 import hashlib, json, sys
 import nudgelab
@@ -171,15 +174,17 @@ for text in %r:
 loaded = [m for m in ("scipy.fft", "concurrent.futures") if m in sys.modules]
 spec = build_model("ac_weak", 64)
 f = spec.f_raw(random_field(spec, 1))
-print(json.dumps({"torus": loaded, "sine": "scipy.fft" in sys.modules,
+print(json.dumps({"setup": loaded, "sine": "scipy.fft" in sys.modules,
                   "f_raw": hashlib.sha256(f.tobytes()).hexdigest()}))
 """
-TORUS_CONFIGS = [
+SETUP_CONFIGS = [
     "model.id = qg\nmodel.n = 16\nnoise.kind = pointwise_multiplicative\n"
     "noise.sigma = 0.05\n",
     "model.id = nse_strong\nmodel.n = 16\nobservation.kind = volume\n"
     "noise.sigma = 0.02\n",
     "model.id = mhd\nmodel.n = 16\nnoise.sigma = 0.02\n",
+    "model.id = ac_weak\nmodel.n = 64\nnoise.kind = pointwise_multiplicative\n"
+    "noise.sigma = 0.05\n",
 ]
 # sha256 of the bytes of f_raw(random_field(ac_weak 64, seed 1)); it reads
 # the same with numpy's AVX-512 dispatch on and off
@@ -190,10 +195,10 @@ def test_only_a_sine_model_loads_scipy():
     src = os.path.dirname(os.path.dirname(nudgelab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE % (TORUS_CONFIGS,)],
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE % (SETUP_CONFIGS,)],
                          env=env, capture_output=True, text=True, check=True)
     seen = json.loads(out.stdout.splitlines()[-1])
-    assert seen == {"torus": [], "sine": True, "f_raw": AC_F_RAW_SHA256}
+    assert seen == {"setup": [], "sine": True, "f_raw": AC_F_RAW_SHA256}
 
 
 def test_sine_transform_is_looked_up_at_each_call(monkeypatch):

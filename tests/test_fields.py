@@ -85,6 +85,15 @@ def test_pairing_with_itself_is_the_squared_norm_sum_bitwise(all_models):
         assert inner_h_raw(spec, a, a).tolist() == _wsum(spec, a, a, mw2).tolist()
 
 
+def test_an_empty_stack_has_no_norms(all_models):
+    # one value per field of a stack, so none for a stack of no fields
+    for spec in all_models:
+        empty = np.zeros((0,) + spec.shape, dtype=spec.dtype)
+        for space in ("H", "V", "Vstar"):
+            assert norm_raw(spec, empty, space).shape == (0,), spec.model_id
+        assert inner_h_raw(spec, empty, empty).shape == (0,), spec.model_id
+
+
 def test_pairing_duality_bound(all_models):
     # |<f, g>| <= ||f||_Vstar ||g||_V holds exactly via Cauchy-Schwarz
     for spec in all_models:
