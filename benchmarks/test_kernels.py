@@ -19,7 +19,8 @@ on nse_strong), the dealiased advection of the torus models, the Monte
 Carlo variance of the stochastic convolution (one pool task per chunk
 of paths), the
 lockstep loop simulate_members on a small sweep and on a 64-member and
-a 500-member ensemble, the noise draws of the 64 members alone through
+a 500-member ensemble, and on a 256-member one stepped in one process
+and in member chunks (one forked process per CPU), the noise draws of the 64 members alone through
 integrate._blocks, the measured constants (alpha,
 C_I, eta0) a volume sweep takes per delta and those of ac_weak n=64 with
 volume observation, verify's assumption report
@@ -40,6 +41,7 @@ import numpy as np
 import pytest
 
 import nudgelab
+from nudgelab import integrate
 from nudgelab.cli import _pin_malloc_thresholds
 from nudgelab.harness import (_stride_idx, convolution_variance_mc,
                               measured_constants, member_seed, verify_assumptions,
@@ -228,6 +230,17 @@ def test_simulate_members_ensemble_ac_weak_500(benchmark):
     # 500 members, where per-row work of the loop (the blow-up guard's
     # included) weighs most against the stacked kernels
     _ensemble_ac_weak(benchmark, 500)
+
+
+@pytest.mark.parametrize("chunked", [False, True],
+                         ids=["one-process", "chunked"])
+def test_simulate_members_ensemble_ac_weak_256(benchmark, monkeypatch,
+                                                chunked):
+    # 256 members in one process, and in member chunks, one forked
+    # process per CPU whatever the size rule says: how the loop scales
+    # past ens_ac's 64 members
+    monkeypatch.setattr(integrate, "_CHUNK_WORK", 1 if chunked else 10 ** 18)
+    _ensemble_ac_weak(benchmark, 256)
 
 
 @pytest.mark.parametrize("delta", [0.39, 0.8])

@@ -153,35 +153,46 @@ def _csv(path, header, columns):
 
 
 def _minor_faults():
-    return 0 if resource is None else \
-        resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    """Minor page faults so far of this process and of its reaped
+    children (the member chunks of simulate_members)."""
+    return (0, 0) if resource is None else tuple(
+        resource.getrusage(who).ru_minflt
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
 class _Clock:
     """Where a command's time goes: lap(phase) books the perf_counter
     seconds since the previous lap (or the start) in timing, and the
-    process's minor page faults over the same interval in minor_faults;
-    the manifest carries both and no CSV file."""
+    minor page faults over the same interval, this process's in
+    minor_faults and its reaped children's in child_minor_faults; the
+    manifest carries them and no CSV file."""
 
     def __init__(self):
         self.start, self.timing, self.last = time.time(), {}, time.perf_counter()
-        self.minor_faults, self.last_faults = {}, _minor_faults()
+        self.minor_faults, self.child_minor_faults = {}, {}
+        self.last_faults = _minor_faults()
 
     def lap(self, phase):
         now, faults = time.perf_counter(), _minor_faults()
         self.timing[phase], self.last = round(now - self.last, 6), now
-        self.minor_faults[phase], self.last_faults = faults - self.last_faults, faults
+        self.minor_faults[phase], self.child_minor_faults[phase] = (
+            new - old for new, old in zip(faults, self.last_faults))
+        self.last_faults = faults
 
 
 def _manifest(out_dir, command, values, extra, clock, member_steps):
     """manifest.json: the run's config, extra, and clock's timing and
-    minor faults with the member-steps the command scheduled."""
+    minor faults with the member-steps the command scheduled, and the
+    peak resident set of the largest child this process has reaped."""
     doc = {"tool": "nudgelab", "version": __version__, "command": command,
            "config_text": render_config(values),
            "wall_seconds": round(time.time() - clock.start, 3),
            "timing": clock.timing, "member_steps": member_steps}
     if resource is not None:
         doc["minor_faults"] = clock.minor_faults
+        doc["child_minor_faults"] = clock.child_minor_faults
+        doc["child_peak_rss_mb"] = round(resource.getrusage(
+            resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0, 3)
     doc.update(extra)
     _write(os.path.join(out_dir, "manifest.json"),
            json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -256,7 +267,7 @@ def _cmd_simulate(args, values):
         files.append("ensemble.csv")
     extra.update({"master_seed": seed, "members": members,
                   "blowups": ens.blowups, "partial": ens.partial,
-                  "files": sorted(files)})
+                  "chunks": ens.chunks, "files": sorted(files)})
     clock.lap("output_s")
     _manifest(out_dir, "simulate", values, extra, clock,
               members * setup.cfg.nsteps)
@@ -301,7 +312,7 @@ def _cmd_sweep(args, values):
              "eta0_hat": [c[2] for c in consts], "mu_grid": mu_grid,
              "delta_grid": delta_grid,
              "master_seed": values["ensemble.seed"],
-             "members": values["ensemble.members"]}
+             "members": values["ensemble.members"], "chunks": rows[0]["chunks"]}
     clock.lap("output_s")
     _manifest(out_dir, "sweep", values, extra, clock,
               values["ensemble.members"] * len(rows) * setup.cfg.nsteps)

@@ -11,15 +11,15 @@ one observation per delta: its cells share one reference and one draw
 per member and step by construction, and each is its own ensemble.
 """
 
-import os
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import _wsum, inner_h_raw, norm_raw
-from .integrate import (BlowupError, Group, Record, _blocks, _rng_for,
-                        simulate_members)
+from .integrate import (BlowupError, Group, Record, _blocks, _cpus,
+                        _draw_shape, _rng_for, simulate_members)
 from .models import build_model, random_field
 from .noise import apply_G_raw, increment_from_noise
 from .observe import estimate_interp_constant, eta0
@@ -48,6 +48,7 @@ class EnsembleResult:
     blowups: int
     mean_hs: np.ndarray
     first: object              # SimResult of member 0, None if it blew up
+    chunks: int = 1            # processes that stepped the members
 
     @property
     def partial(self):
@@ -93,7 +94,7 @@ def _aggregate(cell):
     return EnsembleResult(cell.times, mean_h, mean_v, se_h, se_v,
                           None if cell.w_h is None else cell.w_h[ok],
                           len(ok) - m_eff, cell.hs,
-                          cell.member(0) if ok[0] else None)
+                          cell.member(0) if ok[0] else None, cell.chunks)
 
 
 @dataclass
@@ -183,7 +184,8 @@ def sweep(setup, observations, mu_grid, members, master_seed, consts):
     ensemble run of that cell alone.  Cells run mu-major; cells whose
     members blow up beyond 10% are marked invalid.  The run records only
     the members' w_h, at every step: the fit and the floor read nothing
-    else.
+    else.  Every row's chunks is the number of processes that stepped
+    the run's members.
     """
     if not observations:
         raise ValueError("sweep needs at least one observation")
@@ -205,6 +207,7 @@ def sweep(setup, observations, mu_grid, members, master_seed, consts):
             row = {"mu": float(mu), "delta": group.op.delta,
                    "mu_delta_sq": mu_delta_sq, "eta0_hat": eta,
                    "over_threshold": mu_delta_sq > eta, "members": members,
+                   "chunks": by_mu[k].chunks,
                    "gamma_fit": np.nan, "fit_residual": np.nan,
                    "floor": np.nan, "floor_se": np.nan}
             rows.append(row)
@@ -426,18 +429,11 @@ def imex_convolution_variance(spec, q, coef, mu, dt, steps):
 _CONV_CHUNK = 500  # Monte Carlo paths per task of convolution_variance_mc
 
 
-def _draw_workers():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi):
+def _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi, buf):
     """The z^2 and z^4 sums over paths lo .. hi-1 at each probe step, the
     paths' generators made (each as its first draw comes up) and stepped
-    here: a (2, probes, n_modes) array."""
+    here, their draws refilling buf, _blocks' buffer of hi - lo paths: a
+    (2, probes, n_modes) array."""
     dt = cfg.dt
     denom = 1.0 / (1.0 + dt * spec.a)
     zero_u = np.zeros(spec.shape, dtype=spec.dtype)
@@ -445,7 +441,7 @@ def _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi):
     sums = np.zeros((2, len(probe_at), spec.n))
     z = np.zeros((hi - lo, spec.n))
     for step, block in enumerate(_blocks(rngs, hi - lo, cfg.nsteps,
-                                         q.draw_shape), 1):
+                                         q.draw_shape, buf), 1):
         dw = increment_from_noise(spec, q, dt, block)
         z = (z + cfg.mu * apply_G_raw(coef, spec, zero_u, dw)) * denom
         if step in probe_at:
@@ -464,10 +460,13 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
     started from zero with an observation that keeps no mode, so one path
     here is bit-identical to the v_path of that run.
     Paths run in chunks of _CONV_CHUNK, each one task on a pool of one
-    thread per available CPU: a task holds one buffer of about _CONV_CHUNK
-    x _DRAW_BYTES of draws whatever the horizon, and returns its moment
-    sums, which are added in chunk order.  Every path's draw and every
-    sum is the same whatever the thread count, so the results are too.
+    thread per available CPU (threads, not integrate's forked chunks: the
+    draws release the interpreter lock): each thread holds one buffer of
+    about _CONV_CHUNK x _DRAW_BYTES of draws for the whole call, whatever
+    the horizon, and refills it task after task, and a task returns its
+    moment sums, which are added in chunk order.  Every path's draw and
+    every sum is the same whatever the thread count, so the results are
+    too.
     Works for 1D (sine) models; returns (probe_times, var, se) with var
     and se shaped (len(probe_times), n_modes).
     """
@@ -480,12 +479,19 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
     steps = probe_steps(probe_times, cfg.dt, cfg.nsteps)
     probe_at = {s: i for i, s in enumerate(steps)}
     sums = np.zeros((2, len(steps), spec.n))
+    held = threading.local()   # each pool thread's draw buffer
+
+    def task(lo):
+        hi = min(lo + _CONV_CHUNK, paths)
+        if not hasattr(held, "buf"):
+            held.buf = np.empty(_draw_shape(min(_CONV_CHUNK, paths),
+                                            cfg.nsteps, q.draw_shape))
+        return _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi,
+                          held.buf[:hi - lo])
+
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=_draw_workers()) as pool:
-        for part in pool.map(
-                lambda lo: _conv_sums(spec, cfg, coef, q, probe_at, master_seed,
-                                      lo, min(lo + _CONV_CHUNK, paths)),
-                range(0, paths, _CONV_CHUNK)):
+    with ThreadPoolExecutor(max_workers=_cpus()) as pool:
+        for part in pool.map(task, range(0, paths, _CONV_CHUNK)):
             sums += part
     # the second moment, and the fourth for the standard error of a sample
     # variance

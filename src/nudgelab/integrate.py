@@ -41,8 +41,20 @@ several steps in one call with the bits of one call per step; the
 Monte Carlo paths of harness.convolution_variance_mc step through it
 too, so neither loop holds more than one buffer of draws per generator
 set whatever the horizon.
+
+A run large enough to pay for a fork (_CHUNK_WORK) splits its members
+into contiguous chunks, one process per CPU the process may use (the
+chunks module): this process steps the first chunk, and each other
+chunk is stepped by a forked child, pinned to another CPU, through the
+same loop and its own copy of the reference, and returned through a
+pipe.  Members are
+independent given the reference, so the joined results have the bits
+of the one-process run.  The generators of the members a child stepped
+are advanced in the child only: the caller's stay where they were.
 """
 
+import os
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -66,6 +78,10 @@ class BlowupError(RuntimeError):
         self.step = step
         self.t = t
         self.accumulator = accumulator
+
+    def __reduce__(self):
+        # a member chunk's child process returns its errors pickled
+        return type(self), (self.which, self.step, self.t, self.accumulator)
 
 
 @dataclass(frozen=True)
@@ -103,7 +119,14 @@ def _rng_for(seed):
 _DRAW_BYTES = 16384  # per generator call: 1 MB over 64 members
 
 
-def _blocks(rngs, members, n, shape):
+def _draw_shape(members, n, shape):
+    """The shape of _blocks' buffer of n steps' blocks of shape: members
+    rows of min(chunk, n) steps, chunk the steps of about _DRAW_BYTES."""
+    chunk = max(1, _DRAW_BYTES // (8 * int(np.prod(shape))))
+    return (members, min(chunk, n)) + shape
+
+
+def _blocks(rngs, members, n, shape, out=None):
     """Yield n steps' (members,) + shape standard-normal blocks, member m's
     rows from the m-th generator of rngs: each a view of one buffer of
     min(chunk, n) steps, refilled at about _DRAW_BYTES per generator
@@ -111,9 +134,14 @@ def _blocks(rngs, members, n, shape):
     the bulk-draw slicing invariant of noise.py.  rngs may be an
     iterator: the first fill then makes each generator just before its
     first draw, so a thread building many never holds the interpreter
-    lock for long."""
-    chunk = max(1, _DRAW_BYTES // (8 * int(np.prod(shape))))
-    buf = np.empty((members, min(chunk, n)) + shape)
+    lock for long.  out, if given, is the buffer to refill, of exactly
+    _draw_shape's shape; a caller that draws many runs can hold one."""
+    want = _draw_shape(members, n, shape)
+    buf = np.empty(want) if out is None else out
+    if buf.shape != want:
+        raise ValueError("a draw buffer of shape %r for blocks of %r"
+                         % (buf.shape, want))
+    chunk = want[1]
     for lo in range(0, n, chunk):
         part = buf[:, :n - lo]
         drawn = []
@@ -188,8 +216,10 @@ class CellResult(SimResult):
     and kappa they read NaN from the step the run stopped at on, a
     reference blow-up or the end of its last estimate.  errors[m] is the
     BlowupError that ended member m, or None; an ended member's series
-    read NaN from its blow-up on."""
+    read NaN from its blow-up on.  chunks is the number of processes
+    that stepped the run's members (see simulate_members)."""
     errors: list = None
+    chunks: int = 1
 
     def member(self, m):
         """SimResult of member m; raises the BlowupError that ended it."""
@@ -231,6 +261,16 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     blow-up accumulator and the running sum y behind dy_h, y_h run at
     every step.
 
+    A run of at least two members and _CHUNK_WORK work per process
+    (stack rows x stored coefficients x steps) steps its members in
+    _chunks contiguous chunks, the first here and each other in a forked
+    child with its own copy of the reference (see chunks.forked), and joins
+    the chunks' results in member order, every number bit-identical to
+    the one-process run.  The generators of the members a child stepped
+    are advanced in that child only: the caller's are left unadvanced,
+    and no caller reads them afterwards.  CellResult.chunks says how
+    many processes stepped the members.
+
     Returns (reference, results): the reference's SimResult, or the
     BlowupError that ended it, and results[g][k], the CellResult of cell
     k of group g.  An estimate whose accumulator leaves the guard ends,
@@ -240,22 +280,74 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     """
     if groups and not rngs:
         raise ValueError("need at least one member")
+    n = cfg.nsteps
+    if (not set(record.series) <= set(SERIES)
+            or any(s.size and not 0 <= s[0] <= s[-1] <= n
+                   for s in _record_steps(record, n))):
+        raise ValueError("cannot record %r over %d steps" % (record, n))
+    if cfg.implicit_nudging and any(grp.op.kind != "modal" for grp in groups):
+        raise ValueError("implicit nudging needs a modal observation")
+    chunks = _chunks(spec, n, sum(len(grp.mus) for grp in groups), len(rngs),
+                     record)
+    if chunks > 1:
+        # imported only here: a run that does not fork compiles none of it
+        from .chunks import forked
+        return forked(chunks, spec, cfg, groups, u0, v0, rngs, record)
+    return _lockstep(spec, cfg, groups, u0, v0, rngs, record)
+
+
+def _record_steps(record, n):
+    """The steps of record's series, u_path and v_path over n steps."""
+    return [np.arange(n + 1) if s is None else np.unique(np.asarray(s, dtype=int))
+            for s in (record.at, record.u_path, record.v_path)]
+
+
+# the least work per process of a forked run, in estimate rows x stored
+# coefficients x steps: on 2 CPUs, forcing two chunks broke even at
+# about 300,000 over 64-member ac_weak n=64 ensembles, a 3 x 2 nse_strong
+# n=32 volume sweep of two members and 16-member qg n=32 ensembles, and
+# was 46% slower on two qg n=32 members over 50 steps (54,400 here)
+_CHUNK_WORK = 150_000
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chunks(spec, n, cells, members, record):
+    """How many processes step a run of cells x members estimates over n
+    steps: at most one per CPU and per member, with at least _CHUNK_WORK
+    of the estimates' work each, a size rule, since what a fork costs
+    (the fork, its copy-on-write faults, the pickled results) grows
+    little with the run and what it saves grows with every row it
+    takes; 1 where CPU affinity, and with it os.fork, is missing (off
+    Linux), while another Python thread runs (a fork copies no thread
+    but the caller's, whatever locks the others hold), or where record
+    names dy_h or y_h, member 0's observation path, which goes on after
+    every member of member 0's chunk has ended."""
+    if (not hasattr(os, "sched_setaffinity") or threading.active_count() > 1
+            or {"dy_h", "y_h"} & set(record.series)):
+        return 1
+    work = cells * members * int(np.prod(spec.shape)) * n
+    return max(1, min(_cpus(), members, work // _CHUNK_WORK))
+
+
+def _lockstep(spec, cfg, groups, u0, v0, rngs, record):
+    """simulate_members in this process, its arguments checked."""
     members = len(rngs)
     n = cfg.nsteps
     dt = cfg.dt
-    steps = [np.arange(n + 1) if s is None else np.unique(np.asarray(s, dtype=int))
-             for s in (record.at, record.u_path, record.v_path)]
-    if (not set(record.series) <= set(SERIES)
-            or any(s.size and not 0 <= s[0] <= s[-1] <= n for s in steps)):
-        raise ValueError("cannot record %r over %d steps" % (record, n))
+    steps = _record_steps(record, n)
     cells = [(g, k, mu) for g, grp in enumerate(groups)
              for k, mu in enumerate(grp.mus)]
     rows = len(cells) * members
     row_cells = [cell for cell in cells for _ in range(members)]
     x = np.stack([u0] + [v0] * rows)
     implicit = cfg.implicit_nudging
-    if implicit and any(grp.op.kind != "modal" for grp in groups):
-        raise ValueError("implicit nudging needs a modal observation")
     noisy = [grp.coef.sigma > 0.0 for grp in groups]
     pulled = [any(mu > 0.0 for mu in grp.mus) for grp in groups]
     draws = (_blocks(rngs, members, n, groups[0].q.draw_shape) if groups

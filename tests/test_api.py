@@ -4,7 +4,7 @@ exported function reads each of its parameters; no module squares a
 norm; observe.py takes no matrix product; every entry point the
 benchmark traces still exists; importing the package and building
 set-ups (three torus ones and a sine one with pointwise noise) loads
-neither scipy.fft nor concurrent.futures;
+none of scipy.fft, concurrent.futures and multiprocessing;
 the package metadata names the package, its version and its commands;
 and the kernel microbenchmarks run once."""
 
@@ -171,7 +171,8 @@ import nudgelab
 from nudgelab.models import build_model, random_field
 for text in %r:
     nudgelab.build_setup(nudgelab.parse_config(text))
-loaded = [m for m in ("scipy.fft", "concurrent.futures") if m in sys.modules]
+loaded = [m for m in ("scipy.fft", "concurrent.futures", "multiprocessing")
+          if m in sys.modules]
 spec = build_model("ac_weak", 64)
 f = spec.f_raw(random_field(spec, 1))
 print(json.dumps({"setup": loaded, "sine": "scipy.fft" in sys.modules,

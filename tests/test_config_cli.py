@@ -208,8 +208,10 @@ def _assert_timing(out, member_steps, phases=PHASES):
     assert sorted(doc["timing"]) == phases
     assert all(v >= 0.0 for v in doc["timing"].values())
     assert doc["member_steps"] == member_steps
-    assert doc["minor_faults"].keys() == doc["timing"].keys()
-    assert all(type(v) is int and v >= 0 for v in doc["minor_faults"].values())
+    for block in ("minor_faults", "child_minor_faults"):
+        assert doc[block].keys() == doc["timing"].keys()
+        assert all(type(v) is int and v >= 0 for v in doc[block].values())
+    assert doc["child_peak_rss_mb"] >= 0.0
 
 
 def test_simulate_rerun_byte_identical(tmp_path):
@@ -231,6 +233,32 @@ def test_sweep_rerun_byte_identical(tmp_path):
         _assert_timing(out, 2 * 2 * 100)
     assert (outs[0] / "sweep.csv").read_bytes() == \
         (outs[1] / "sweep.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="member chunks fork, on Linux only")
+@pytest.mark.parametrize("argv,outputs", [
+    (["simulate"], ["series.csv", "ensemble.csv"]),
+    (["sweep", "--mu-grid", "10,400"], ["sweep.csv"])],
+    ids=["simulate", "sweep"])
+def test_member_chunks_write_the_same_bytes(tmp_path, monkeypatch, argv,
+                                            outputs):
+    # with the size rule set low the members step in one process per CPU:
+    # the outputs keep their bytes, and the manifest counts the processes
+    # and its children's faults and peak resident set
+    one, split = tmp_path / "one", tmp_path / "split"
+    assert _run(tmp_path, "run.cfg", SMALL_RUN, *argv, "--out-dir", str(one)) == 0
+    monkeypatch.setattr(I, "_CHUNK_WORK", 1)
+    assert _run(tmp_path, "run.cfg", SMALL_RUN, *argv, "--out-dir",
+                str(split)) == 0
+    for name in outputs:
+        assert (one / name).read_bytes() == (split / name).read_bytes(), name
+    docs = [json.loads((out / "manifest.json").read_text()) for out in (one, split)]
+    assert docs[0]["chunks"] == 1
+    assert docs[1]["chunks"] == min(len(os.sched_getaffinity(0)), 2)
+    if docs[1]["chunks"] > 1:
+        assert docs[1]["child_minor_faults"]["integrate_s"] > 0
+        assert docs[1]["child_peak_rss_mb"] > 0.0
 
 
 def test_simulate_manifest_reusable_as_config(tmp_path):
@@ -651,36 +679,48 @@ def test_unreadable_config_or_unwritable_outputs_exit_1(tmp_path, command, data,
 
 SWEEP_VOL = ("model.id = nse_strong\nmodel.n = 32\nobservation.kind = volume\n"
              "noise.kind = additive\nnoise.sigma = 0.02\ntime.dt = 1e-3\n"
-             "time.T = 0.03\nensemble.members = 2\n")
+             "ensemble.members = 2\n")
 QG_64 = ("model.id = qg\nmodel.n = 32\nnoise.kind = additive\n"
-         "noise.sigma = 0.05\nnudging.mu = 50\ntime.dt = 1e-3\ntime.T = 0.01\n"
+         "noise.sigma = 0.05\nnudging.mu = 50\ntime.dt = 1e-3\n"
          "ensemble.members = 64\n")
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the allocator thresholds are glibc's")
-@pytest.mark.parametrize("text,argv,bound", [
-    # with glibc's dynamic thresholds each 13-row step of this sweep gives
-    # its ~1 MB of temporaries back to the kernel and faults them in again
-    # (about 12,400 faults while integrating)
+@pytest.mark.parametrize("text,argv,T,bound", [
+    # with glibc's dynamic thresholds each step of this sweep gives its
+    # temporaries back to the kernel and faults them in again: doubling
+    # the horizon adds about 10,000 faults to one 13-row stack, and about
+    # 1,950 to two member chunks of 7 rows; about 30 with both pinned
     (SWEEP_VOL, ["sweep", "--mu-grid", "10,50,200", "--delta-grid",
-                 "0.39,0.8"], 1000),
+                 "0.39,0.8"], 0.03, 500),
     # the trim threshold pinned alone leaves the mmap threshold at 128 KiB,
-    # so each 65-row stack goes through mmap (about 44,000 faults; 3,200
-    # with the dynamic thresholds, 2,150 with both pinned)
-    (QG_64, ["simulate"], 10000)], ids=["sweep-13-rows", "qg-65-rows"])
-def test_steps_do_not_refault_the_heap(tmp_path, text, argv, bound):
-    # a fresh interpreter, whose allocator only cli.main has set
-    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
-    cfg.write_text(text)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nudgelab.cli", *argv, "--config", str(cfg),
-         "--out-dir", str(out)], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    faults = json.loads((out / "manifest.json").read_text())["minor_faults"]
-    assert faults["integrate_s"] < bound, faults
+    # so each 65-row stack goes through mmap: doubling the horizon adds
+    # about 42,600 faults in one process and 13,500 over two chunks of 33
+    # rows (about 1,000 and 325 with the dynamic thresholds, under 10
+    # with both pinned)
+    (QG_64, ["simulate"], 0.01, 2000)], ids=["sweep-13-rows", "qg-65-rows"])
+def test_steps_do_not_refault_the_heap(tmp_path, text, argv, T, bound):
+    # what stepping faults, the member chunks' children included, over
+    # and above the horizon T: a fork write-protects the parent's heap,
+    # which costs a copy-on-write fault per page once per run, the same
+    # at T and 2T, while a refault per step doubles
+    def faults(T):
+        # a fresh interpreter, whose allocator only cli.main has set
+        cfg, out = tmp_path / ("%g.cfg" % T), tmp_path / ("%g" % T)
+        cfg.write_text(text + "time.T = %r\n" % T)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nudgelab.cli", *argv, "--config", str(cfg),
+             "--out-dir", str(out)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((out / "manifest.json").read_text())
+        return (doc["minor_faults"]["integrate_s"]
+                + doc["child_minor_faults"]["integrate_s"])
+
+    once = faults(T)
+    assert faults(2 * T) - once < bound, once
 
 
 BOOM = ("model.id = ac_weak\nmodel.n = 16\ntime.dt = 0.5\ntime.T = 25.0\n"

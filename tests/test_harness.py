@@ -2,6 +2,7 @@
 
 import pickle
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -450,9 +451,13 @@ def test_sweep_cells_equal_fresh_setups():
 
 
 def _assert_rows_equal(got, want):
-    # NaN-aware: an unfitted cell holds NaN, which equals nothing
+    # NaN-aware: an unfitted cell holds NaN, which equals nothing.  chunks
+    # counts the processes that stepped a sweep's members; the per-cell
+    # oracle has none, and these sweeps are small enough for one process
     assert len(got) == len(want)
     for g, w in zip(got, want):
+        g, w = dict(g), dict(w)
+        assert g.pop("chunks") == w.pop("chunks", 1)
         assert g.keys() == w.keys()
         for key, val in w.items():
             same = g[key] == val or (isinstance(val, float) and np.isnan(val)
@@ -672,7 +677,7 @@ def _conv_case(n=8, T=0.2):
 def test_convolution_mc_threaded_equals_serial_oracle(monkeypatch, workers,
                                                       paths, chunk):
     # (2, 500): fewer paths than workers when workers = 3
-    monkeypatch.setattr(H, "_draw_workers", lambda: workers)
+    monkeypatch.setattr(H, "_cpus", lambda: workers)
     monkeypatch.setattr(H, "_CONV_CHUNK", chunk)
     spec, cfg, coef, q = _conv_case()
     probes = [0.05, 0.1, 0.2]
@@ -687,7 +692,7 @@ def test_convolution_mc_threaded_equals_serial_oracle(monkeypatch, workers,
 def test_convolution_mc_more_workers_than_cores(monkeypatch):
     # eight pool threads switching every microsecond, each stepping its
     # own chunk of paths
-    monkeypatch.setattr(H, "_draw_workers", lambda: 8)
+    monkeypatch.setattr(H, "_cpus", lambda: 8)
     monkeypatch.setattr(H, "_CONV_CHUNK", 12)
     spec, cfg, coef, q = _conv_case()
     old = sys.getswitchinterval()
@@ -709,7 +714,7 @@ def test_convolution_mc_across_draw_blocks_equals_serial_oracle(monkeypatch,
     # 6 steps of 8 modes per generator call: the 20 steps are drawn in
     # three full blocks and a partial one of 2, yet every path and sum
     # keeps the bits of the serial oracle's whole-horizon draws
-    monkeypatch.setattr(H, "_draw_workers", lambda: workers)
+    monkeypatch.setattr(H, "_cpus", lambda: workers)
     monkeypatch.setattr(I, "_DRAW_BYTES", 6 * 8 * 8)
     monkeypatch.setattr(H, "_CONV_CHUNK", 3)
     spec, cfg, coef, q = _conv_case()
@@ -722,12 +727,39 @@ def test_convolution_mc_across_draw_blocks_equals_serial_oracle(monkeypatch,
     assert np.array_equal(se, ref_se)
 
 
+def test_convolution_mc_threads_each_refill_one_buffer(monkeypatch):
+    # five tasks on two threads, the last of three paths: each thread
+    # draws every task of its own into one buffer, which it holds for the
+    # whole call
+    monkeypatch.setattr(H, "_cpus", lambda: 2)
+    monkeypatch.setattr(H, "_CONV_CHUNK", 5)
+    blocks, held = H._blocks, []
+
+    def recording(rngs, members, n, shape, out):
+        # the buffer itself: a freed buffer's id could come back
+        held.append((threading.get_ident(), out.base, out.shape[0]))
+        return blocks(rngs, members, n, shape, out)
+
+    monkeypatch.setattr(H, "_blocks", recording)
+    spec, cfg, coef, q = _conv_case()
+    _, var, se = convolution_variance_mc(spec, cfg, coef, q, [0.1, 0.2], 23, 4)
+    assert sorted(rows for _, _, rows in held) == [3, 5, 5, 5, 5]
+    buffers = {}
+    for thread, buf, _ in held:
+        buffers.setdefault(thread, set()).add(id(buf))
+    assert all(len(bufs) == 1 for bufs in buffers.values())
+    assert len(set.union(*buffers.values())) == len(buffers) <= 2
+    ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, [0.1, 0.2],
+                                              23, 4, chunk=5)
+    assert np.array_equal(var, ref_var) and np.array_equal(se, ref_se)
+
+
 def test_convolution_mc_memory_does_not_grow_with_horizon(monkeypatch):
     # 4 steps per generator call: the base run's 20 steps already span 5
     # draw blocks, and a horizon 10x longer must not hold more draws.  One
     # pool thread: with two, whether the base run's two tasks overlap is
     # down to timing, so its peak holds one task's buffers or two
-    monkeypatch.setattr(H, "_draw_workers", lambda: 1)
+    monkeypatch.setattr(H, "_cpus", lambda: 1)
     monkeypatch.setattr(I, "_DRAW_BYTES", 4 * 8 * 8)
     monkeypatch.setattr(H, "_CONV_CHUNK", 100)
 
