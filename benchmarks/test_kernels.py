@@ -16,8 +16,8 @@ increment of a
 two-member qg block, the projection of a three-row qg stack, the
 observation of a 13-row stack (volume on nse_strong and ac_weak, modal
 on nse_strong), the dealiased advection of the torus models, the Monte
-Carlo variance of the stochastic convolution (one pool task per chunk
-of paths), the
+Carlo variance of the stochastic convolution in one process and in one
+forked process per CPU, the
 lockstep loop simulate_members on a small sweep and on a 64-member and
 a 500-member ensemble, and on a 256-member one stepped in one process
 and in member chunks (one forked process per CPU), the noise draws of the 64 members alone through
@@ -41,7 +41,7 @@ import numpy as np
 import pytest
 
 import nudgelab
-from nudgelab import integrate
+from nudgelab import harness, integrate
 from nudgelab.cli import _pin_malloc_thresholds
 from nudgelab.harness import (_stride_idx, convolution_variance_mc,
                               measured_constants, member_seed, verify_assumptions,
@@ -176,14 +176,21 @@ def test_torus_advect_nse_strong(benchmark):
     assert benchmark(spec.aux.advect, c, c).shape == spec.shape
 
 
-def test_convolution_variance_mc_ac_weak(benchmark):
+@pytest.mark.parametrize("forked", [False, True],
+                         ids=["one-process", "forked"])
+def test_convolution_variance_mc_ac_weak(benchmark, monkeypatch, forked):
+    # conv_ac's set-up over 1000 paths, two tasks: in one process, and in
+    # one forked process per CPU
+    if not forked:
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)
     spec = build_model("ac_weak", 16)
     q = make_qspec(spec, delta=0.39)
     coef = make_noise_coefficient("additive", 0.1)
     cfg = StepConfig(dt=1e-3, T=0.5, mu=20.0)
-    _, var, _ = benchmark(convolution_variance_mc, spec, cfg, coef, q,
-                          [0.125, 0.25, 0.5], 1000, 3)
+    _, var, _, chunks = benchmark(convolution_variance_mc, spec, cfg, coef, q,
+                                  [0.125, 0.25, 0.5], 1000, 3)
     assert var.shape == (3, spec.n)
+    assert chunks == (min(harness._cpus(), 2) if integrate._forkable() else 1)
 
 
 def _bench_members(benchmark, spec, cfg, groups, members, record):

@@ -382,9 +382,9 @@ def _cmd_convolution(args, values):
     out_dir = output_directory(values)
     clock.lap("setup_s")
     # the library's refusals (model, noise kind, times) precede any output
-    ts, var, se = _built("convolution-check", convolution_variance_mc, spec,
-                         cfg, setup.coef, setup.q, times, args.paths,
-                         values["ensemble.seed"])
+    ts, var, se, chunks = _built("convolution-check", convolution_variance_mc,
+                                 spec, cfg, setup.coef, setup.q, times,
+                                 args.paths, values["ensemble.seed"])
     clock.lap("integrate_s")
     os.makedirs(out_dir, exist_ok=True)
     mu = cfg.mu
@@ -411,7 +411,7 @@ def _cmd_convolution(args, values):
     _write(os.path.join(out_dir, "convolution.csv"), "\n".join(lines) + "\n")
     clock.lap("output_s")
     _manifest(out_dir, "convolution-check", values,
-              {"paths": args.paths, "modes": modes,
+              {"paths": args.paths, "chunks": chunks, "modes": modes,
                "times": [float(t) for t in ts],
                "worst_deviation_discrete_se": worst_discrete,
                "worst_deviation_se": worst, "continuous_gap_rel": gap,

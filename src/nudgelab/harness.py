@@ -11,15 +11,15 @@ one observation per delta: its cells share one reference and one draw
 per member and step by construction, and each is its own ensemble.
 """
 
-import threading
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .fields import _wsum, inner_h_raw, norm_raw
 from .integrate import (BlowupError, Group, Record, _blocks, _cpus,
-                        _draw_shape, _rng_for, simulate_members)
+                        _draw_shape, _forkable, _rng_for, simulate_members)
 from .models import build_model, random_field
 from .noise import apply_G_raw, increment_from_noise
 from .observe import estimate_interp_constant, eta0
@@ -428,16 +428,20 @@ def imex_convolution_variance(spec, q, coef, mu, dt, steps):
 
 _CONV_CHUNK = 500  # Monte Carlo paths per task of convolution_variance_mc
 
+# convolution_variance_mc's result: the probe times, the per-mode variance
+# and its standard error, each (len(times), n_modes), and the number of
+# processes that stepped the paths
+ConvolutionMC = namedtuple("ConvolutionMC", "times var se chunks")
+
 
 def _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi, buf):
     """The z^2 and z^4 sums over paths lo .. hi-1 at each probe step, the
-    paths' generators made (each as its first draw comes up) and stepped
-    here, their draws refilling buf, _blocks' buffer of hi - lo paths: a
-    (2, probes, n_modes) array."""
+    paths' generators made and stepped here, their draws refilling buf,
+    _blocks' buffer of hi - lo paths: a (2, probes, n_modes) array."""
     dt = cfg.dt
     denom = 1.0 / (1.0 + dt * spec.a)
     zero_u = np.zeros(spec.shape, dtype=spec.dtype)
-    rngs = (_rng_for(member_seed(master_seed, m)) for m in range(lo, hi))
+    rngs = [_rng_for(member_seed(master_seed, m)) for m in range(lo, hi)]
     sums = np.zeros((2, len(probe_at), spec.n))
     z = np.zeros((hi - lo, spec.n))
     for step, block in enumerate(_blocks(rngs, hi - lo, cfg.nsteps,
@@ -446,6 +450,20 @@ def _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi, buf):
         z = (z + cfg.mu * apply_G_raw(coef, spec, zero_u, dw)) * denom
         if step in probe_at:
             sums[:, probe_at[step]] = (z ** 2).sum(axis=0), (z ** 4).sum(axis=0)
+    return sums
+
+
+def _conv_tasks(spec, cfg, coef, q, probe_at, master_seed, paths, starts):
+    """The _conv_sums of the tasks starting at starts, in order, each of
+    the _CONV_CHUNK paths from its start or of the paths left: one buffer
+    of min(_CONV_CHUNK, paths) paths' draws, refilled task after task."""
+    buf = np.empty(_draw_shape(min(_CONV_CHUNK, paths), cfg.nsteps,
+                               q.draw_shape))
+    sums = []
+    for lo in starts:
+        hi = min(lo + _CONV_CHUNK, paths)
+        sums.append(_conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo,
+                               hi, buf[:hi - lo]))
     return sums
 
 
@@ -459,16 +477,18 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
     the update simulate_members gives the estimate of the linear model
     started from zero with an observation that keeps no mode, so one path
     here is bit-identical to the v_path of that run.
-    Paths run in chunks of _CONV_CHUNK, each one task on a pool of one
-    thread per available CPU (threads, not integrate's forked chunks: the
-    draws release the interpreter lock): each thread holds one buffer of
-    about _CONV_CHUNK x _DRAW_BYTES of draws for the whole call, whatever
-    the horizon, and refills it task after task, and a task returns its
-    moment sums, which are added in chunk order.  Every path's draw and
-    every sum is the same whatever the thread count, so the results are
-    too.
-    Works for 1D (sine) models; returns (probe_times, var, se) with var
-    and se shaped (len(probe_times), n_modes).
+    Paths run in tasks of _CONV_CHUNK, split into one contiguous run of
+    tasks per process, min(CPUs, tasks) of them where the process may
+    fork (integrate._forkable), else one: this process steps the first
+    run and a forked child each other (chunks.in_processes), so the
+    per-step work of one process does not wait on another's for the
+    interpreter lock.  Each process holds one buffer of about _CONV_CHUNK
+    x _DRAW_BYTES of draws for the whole call, whatever the horizon, and
+    refills it task after task; each task's moment sums are added in task
+    order.  Every path's draw and every sum is the same whatever the
+    process count, so the results are too.
+    Works for 1D (sine) models; returns a ConvolutionMC, its var and se
+    shaped (len(probe_times), n_modes).
     """
     if spec.kind != "sine":
         raise ValueError("vectorized variance runs on 1D models")
@@ -478,23 +498,17 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
         raise ValueError("need at least one path")
     steps = probe_steps(probe_times, cfg.dt, cfg.nsteps)
     probe_at = {s: i for i, s in enumerate(steps)}
+    starts = range(0, paths, _CONV_CHUNK)
+    procs = min(_cpus(), len(starts)) if _forkable() else 1
+    from .chunks import contiguous, in_processes
     sums = np.zeros((2, len(steps), spec.n))
-    held = threading.local()   # each pool thread's draw buffer
-
-    def task(lo):
-        hi = min(lo + _CONV_CHUNK, paths)
-        if not hasattr(held, "buf"):
-            held.buf = np.empty(_draw_shape(min(_CONV_CHUNK, paths),
-                                            cfg.nsteps, q.draw_shape))
-        return _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi,
-                          held.buf[:hi - lo])
-
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=_cpus()) as pool:
-        for part in pool.map(task, range(0, paths, _CONV_CHUNK)):
-            sums += part
+    for tasks in in_processes([
+            partial(_conv_tasks, spec, cfg, coef, q, probe_at, master_seed,
+                    paths, run) for run in contiguous(starts, procs)]):
+        for task in tasks:
+            sums += task
     # the second moment, and the fourth for the standard error of a sample
     # variance
     var, m4 = sums / paths
     se = np.sqrt(np.maximum(m4 - var ** 2, 0.0) / paths)
-    return np.asarray(probe_times, dtype=float), var, se
+    return ConvolutionMC(np.asarray(probe_times, dtype=float), var, se, procs)

@@ -39,18 +39,18 @@ cell and group reads the same block.  Every block comes from _blocks,
 a view of one buffer of steps whose row m it refills from generator m,
 several steps in one call with the bits of one call per step; the
 Monte Carlo paths of harness.convolution_variance_mc step through it
-too, so neither loop holds more than one buffer of draws per generator
-set whatever the horizon.
+too, so neither loop holds more than one buffer of draws per process
+whatever the horizon.
 
-A run large enough to pay for a fork (_CHUNK_WORK) splits its members
-into contiguous chunks, one process per CPU the process may use (the
-chunks module): this process steps the first chunk, and each other
-chunk is stepped by a forked child, pinned to another CPU, through the
-same loop and its own copy of the reference, and returned through a
-pipe.  Members are
-independent given the reference, so the joined results have the bits
-of the one-process run.  The generators of the members a child stepped
-are advanced in the child only: the caller's stay where they were.
+A run large enough to pay for a fork (_CHUNK_WORK and _CHUNK_ROWS)
+splits its members into contiguous chunks, one process per CPU the
+process may use (chunks.forked): this process steps the first chunk,
+and each other chunk is stepped by a forked child, pinned to another
+CPU, through the same loop and its own copy of the reference, and
+returned through a pipe.  Members are independent given the reference,
+so the joined results have the bits of the one-process run.  The
+generators of the members a child stepped are advanced in the child
+only: the caller's stay where they were.
 """
 
 import os
@@ -131,11 +131,9 @@ def _blocks(rngs, members, n, shape, out=None):
     rows from the m-th generator of rngs: each a view of one buffer of
     min(chunk, n) steps, refilled at about _DRAW_BYTES per generator
     call.  A fill of several steps holds the bits of one draw per step:
-    the bulk-draw slicing invariant of noise.py.  rngs may be an
-    iterator: the first fill then makes each generator just before its
-    first draw, so a thread building many never holds the interpreter
-    lock for long.  out, if given, is the buffer to refill, of exactly
-    _draw_shape's shape; a caller that draws many runs can hold one."""
+    the bulk-draw slicing invariant of noise.py.  out, if given, is the
+    buffer to refill, of exactly _draw_shape's shape; a caller that draws
+    many runs can hold one."""
     want = _draw_shape(members, n, shape)
     buf = np.empty(want) if out is None else out
     if buf.shape != want:
@@ -144,11 +142,8 @@ def _blocks(rngs, members, n, shape, out=None):
     chunk = want[1]
     for lo in range(0, n, chunk):
         part = buf[:, :n - lo]
-        drawn = []
         for row, rng in zip(part, rngs):
             rng.standard_normal(out=row)
-            drawn.append(rng)
-        rngs = drawn
         yield from part.swapaxes(0, 1)
 
 
@@ -261,14 +256,15 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     blow-up accumulator and the running sum y behind dy_h, y_h run at
     every step.
 
-    A run of at least two members and _CHUNK_WORK work per process
-    (stack rows x stored coefficients x steps) steps its members in
-    _chunks contiguous chunks, the first here and each other in a forked
-    child with its own copy of the reference (see chunks.forked), and joins
-    the chunks' results in member order, every number bit-identical to
-    the one-process run.  The generators of the members a child stepped
-    are advanced in that child only: the caller's are left unadvanced,
-    and no caller reads them afterwards.  CellResult.chunks says how
+    A run of at least two members, _CHUNK_WORK work (estimate rows x
+    stored coefficients x steps) and _CHUNK_ROWS estimate rows per
+    process steps its members in _chunks contiguous chunks, the first
+    here and each other in a forked child with its own copy of the
+    reference (see chunks.forked), and joins the chunks' results in
+    member order, every number bit-identical to the one-process run.
+    The generators of the members a child stepped are advanced in that
+    child only: the caller's are left unadvanced, and no caller reads
+    them afterwards.  CellResult.chunks says how
     many processes stepped the members.
 
     Returns (reference, results): the reference's SimResult, or the
@@ -308,6 +304,11 @@ def _record_steps(record, n):
 # n=32 volume sweep of two members and 16-member qg n=32 ensembles, and
 # was 46% slower on two qg n=32 members over 50 steps (54,400 here)
 _CHUNK_WORK = 150_000
+# and the least estimate rows per process: each chunk repeats the
+# reference row and the per-step work, so on 2 CPUs two chunks of one row
+# each ran at 0.76-1.03x of one process over qg n=32 pointwise and
+# nse_strong n=32 volume runs of 400 steps, and of two rows at 1.09-1.16x
+_CHUNK_ROWS = 2
 
 
 def _cpus():
@@ -318,22 +319,30 @@ def _cpus():
         return os.cpu_count() or 1
 
 
+def _forkable():
+    """Whether this process may fork parts of its work (chunks.in_processes):
+    not where CPU affinity, and with it os.fork, is missing (off Linux),
+    nor while another Python thread runs (a fork copies no thread but the
+    caller's, whatever locks the others hold)."""
+    return hasattr(os, "sched_setaffinity") and threading.active_count() == 1
+
+
 def _chunks(spec, n, cells, members, record):
     """How many processes step a run of cells x members estimates over n
     steps: at most one per CPU and per member, with at least _CHUNK_WORK
-    of the estimates' work each, a size rule, since what a fork costs
-    (the fork, its copy-on-write faults, the pickled results) grows
-    little with the run and what it saves grows with every row it
-    takes; 1 where CPU affinity, and with it os.fork, is missing (off
-    Linux), while another Python thread runs (a fork copies no thread
-    but the caller's, whatever locks the others hold), or where record
-    names dy_h or y_h, member 0's observation path, which goes on after
-    every member of member 0's chunk has ended."""
-    if (not hasattr(os, "sched_setaffinity") or threading.active_count() > 1
-            or {"dy_h", "y_h"} & set(record.series)):
+    of the estimates' work and _CHUNK_ROWS estimate rows each, a size
+    rule, since what a fork costs (the fork, its copy-on-write faults,
+    the pickled results) grows little with the run, what it saves grows
+    with every row it takes, and every chunk repeats the reference and
+    the per-step work of the run; 1 where the process may not fork
+    (_forkable), or where record names dy_h or y_h, member 0's
+    observation path, which goes on after every member of member 0's
+    chunk has ended."""
+    if not _forkable() or {"dy_h", "y_h"} & set(record.series):
         return 1
     work = cells * members * int(np.prod(spec.shape)) * n
-    return max(1, min(_cpus(), members, work // _CHUNK_WORK))
+    return max(1, min(_cpus(), members, work // _CHUNK_WORK,
+                      cells * members // _CHUNK_ROWS))
 
 
 def _lockstep(spec, cfg, groups, u0, v0, rngs, record):

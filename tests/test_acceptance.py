@@ -127,8 +127,8 @@ def test_criterion_05_convolution_isometry(monkeypatch):
     cfg = StepConfig(dt=2e-4, T=1.0, mu=20.0)
     probes = [0.25, 0.5, 1.0]
     t0 = time.time()
-    _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes,
-                                         paths=10000, master_seed=2024)
+    _, var, se, _ = convolution_variance_mc(spec, cfg, coef, q, probes,
+                                            paths=10000, master_seed=2024)
     wall = time.time() - t0
     worst = 0.0
     for i, t in enumerate(probes):

@@ -1,9 +1,13 @@
-"""Member chunks: a run's members stepped in forked processes, joined bit
-for bit with the one-process run; no child outlives a run, and no
-child's error is lost."""
+"""Forked parts: a run's members, and the Monte Carlo paths of the
+convolution check, stepped in forked processes, joined bit for bit with
+the one-process run; no child outlives a run, and no child's error is
+lost."""
 
+import json
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import fields
@@ -11,9 +15,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import nudgelab
+import nudgelab.harness as H
 import nudgelab.integrate as I
 from nudgelab.fields import _wsum
-from nudgelab.harness import RunSetup, member_seed, run_ensemble, sweep
+from nudgelab.harness import (RunSetup, convolution_variance_mc, member_seed,
+                              run_ensemble, sweep)
 from nudgelab.integrate import (MONITORS, SERIES, BlowupError, CellResult,
                                 Group, Record, StepConfig, _rng_for,
                                 simulate_members)
@@ -34,6 +41,7 @@ def forks(monkeypatch):
     """The size rule set low (any run of two members or more forks, one
     chunk per CPU) and a list of the pids every os.fork returns here."""
     monkeypatch.setattr(I, "_CHUNK_WORK", 1)
+    monkeypatch.setattr(I, "_CHUNK_ROWS", 1)
     pids = []
     fork = os.fork
 
@@ -200,15 +208,26 @@ def test_no_more_chunks_than_cpus_or_members(forks):
 
 
 def test_size_rule_keeps_small_runs_in_process(monkeypatch):
-    # the rule counts estimate rows x stored coefficients x steps
+    # the rule counts estimate rows x stored coefficients x steps, and
+    # estimate rows per process
     monkeypatch.setattr(I, "_cpus", lambda: 8)
     spec = build_model("qg", 32)
     assert spec.shape == (32, 17)
     # mult_qg: two members of qg n=32 over 50 steps, 54,400
     assert I._chunks(spec, 50, 1, 2, Record()) == 1
-    assert I._chunks(spec, 50 * 6, 1, 2, Record()) == 2
+    # the same two members over 300 and 3000 steps, 326,400 and 3,264,000:
+    # enough work for two or more chunks, but one estimate row each
+    assert I._chunks(spec, 50 * 6, 1, 2, Record()) == 1
+    assert I._chunks(spec, 50 * 60, 1, 2, Record()) == 1
+    # four members over 300 steps: two chunks of two rows
+    assert I._chunks(spec, 50 * 6, 1, 4, Record()) == 2
     # ens_ac: 64 members of ac_weak n=64 over 250 steps, 1,024,000
     assert I._chunks(build_model("ac_weak", 64), 250, 1, 64, Record()) == 6
+    # sweep_vol: a 3 x 2 grid of two members of nse_strong n=32 over 125
+    # steps, 1,632,000, six rows a chunk on two CPUs
+    monkeypatch.setattr(I, "_cpus", lambda: 2)
+    assert I._chunks(build_model("nse_strong", 32), 125, 6, 2, Record()) == 2
+    assert I._chunks(build_model("ac_weak", 64), 250, 1, 64, Record()) == 2
 
 
 def test_observation_path_or_another_thread_keeps_one_process(forks):
@@ -346,3 +365,134 @@ def test_a_child_without_a_result_is_an_error(monkeypatch, forks):
         _run(spec, cfg, groups, random_field(spec, 0), random_field(spec, 1),
              range(2))
     _no_child_left()
+
+
+def _conv():
+    # the Monte Carlo convolution of 7 paths: three tasks of 3 paths or
+    # fewer under conv_tasks
+    spec = build_model("ac_weak", 8, nu=1.0)
+    return convolution_variance_mc(
+        spec, StepConfig(dt=1e-2, T=0.2, mu=15.0),
+        make_noise_coefficient("additive", 0.2), make_qspec(spec), [0.1, 0.2],
+        7, 5)
+
+
+@pytest.fixture
+def conv_tasks(monkeypatch):
+    """Tasks of three paths, and three CPUs: a run of 7 paths steps one
+    task in each of three processes."""
+    monkeypatch.setattr(H, "_CONV_CHUNK", 3)
+    monkeypatch.setattr(H, "_cpus", lambda: 3)
+
+
+def test_convolution_mc_forks_and_leaves_no_child(forks, conv_tasks):
+    out = _conv()
+    assert out.chunks == 3 and len(forks) == 2
+    _no_child_left()
+
+
+def test_convolution_mc_in_one_process_while_another_thread_runs(forks,
+                                                                 conv_tasks):
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(60,))
+    other.start()
+    try:
+        out = _conv()
+    finally:
+        stop.set()
+        other.join(60)
+    assert not other.is_alive()
+    assert out.chunks == 1 and forks == []
+    forked = _conv()
+    assert forked.chunks == 3
+    for a, b in zip(out[:3], forked[:3]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("error,raised,text", [
+    (ZeroDivisionError("in a child"), ZeroDivisionError, "in a child"),
+    (_Unpicklable("odd"), RuntimeError, "_Unpicklable: odd")])
+def test_a_convolution_childs_error_reaches_the_caller(monkeypatch, forks,
+                                                       conv_tasks, error,
+                                                       raised, text):
+    # the last task's child raises, after this process stepped its own
+    parent = os.getpid()
+    sums = H._conv_sums
+    stepped = []
+
+    def failing(*args):
+        lo = args[6]
+        if os.getpid() != parent and lo == 6:
+            raise error
+        out = sums(*args)
+        stepped.append((os.getpid(), lo))
+        return out
+
+    monkeypatch.setattr(H, "_conv_sums", failing)
+    with pytest.raises(raised, match=text):
+        _conv()
+    assert stepped == [(parent, 0)] and len(forks) == 2
+    _no_child_left()
+
+
+def test_an_interrupted_convolution_kills_and_reaps_its_children(
+        monkeypatch, forks, conv_tasks):
+    # the children would sleep a minute; the parent's task is interrupted
+    parent = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(H, "_conv_sums", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _conv()
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2
+    _no_child_left()
+
+
+# Run in a fresh interpreter, where nothing has loaded scipy.fft yet: a
+# two-member ac_weak ensemble in two chunks, reporting whether scipy.fft
+# was loaded before the run and at each fork
+FORK_PROBE = """
+import json, os, sys
+import nudgelab.integrate as I
+from nudgelab.integrate import Group, StepConfig, _rng_for, simulate_members
+from nudgelab.models import build_model, random_field
+from nudgelab.noise import make_noise_coefficient, make_qspec
+from nudgelab.observe import make_observation
+I._CHUNK_WORK = I._CHUNK_ROWS = 1
+I._cpus = lambda: 2
+spec = build_model("ac_weak", 16)
+group = Group(make_observation(spec, "modal", 0.39),
+              make_noise_coefficient("additive", 0.1),
+              make_qspec(spec, delta=0.39), (20.0,))
+u0, v0 = random_field(spec, 0), random_field(spec, 1)
+before = "scipy.fft" in sys.modules
+at_fork = []
+fork = os.fork
+
+def probed():
+    at_fork.append("scipy.fft" in sys.modules)
+    return fork()
+
+os.fork = probed
+_, [[cell]] = simulate_members(spec, StepConfig(dt=1e-3, T=0.01), [group],
+                               u0, v0, [_rng_for(s) for s in range(2)])
+print(json.dumps({"before": before, "at_fork": at_fork,
+                  "chunks": cell.chunks}))
+"""
+
+
+def test_a_sine_run_loads_its_transforms_before_it_forks():
+    # the children share the parent's scipy.fft instead of each importing it
+    src = os.path.dirname(os.path.dirname(nudgelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", FORK_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == {"before": False, "at_fork": [True], "chunks": 2}

@@ -249,6 +249,7 @@ def test_member_chunks_write_the_same_bytes(tmp_path, monkeypatch, argv,
     one, split = tmp_path / "one", tmp_path / "split"
     assert _run(tmp_path, "run.cfg", SMALL_RUN, *argv, "--out-dir", str(one)) == 0
     monkeypatch.setattr(I, "_CHUNK_WORK", 1)
+    monkeypatch.setattr(I, "_CHUNK_ROWS", 1)
     assert _run(tmp_path, "run.cfg", SMALL_RUN, *argv, "--out-dir",
                 str(split)) == 0
     for name in outputs:
@@ -1043,6 +1044,33 @@ def test_convolution_check_verdict_uses_scheme_variance(tmp_path, capsys):
         % doc["worst_deviation_discrete_se"] in line
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="forked parts run on Linux only")
+def test_convolution_check_in_processes_writes_the_same_bytes(tmp_path,
+                                                              monkeypatch):
+    # four tasks of 100 paths, stepped in one process and in one per CPU:
+    # the CSV keeps its bytes, and the manifest counts the processes and
+    # its children's faults and peak resident set
+    monkeypatch.setattr(H, "_CONV_CHUNK", 100)
+    one, split = tmp_path / "one", tmp_path / "split"
+    with monkeypatch.context() as m:
+        m.setattr(H, "_cpus", lambda: 1)
+        assert _run(tmp_path, "conv.cfg", CONV_AC, "convolution-check",
+                    "--paths", "400", "--out-dir", str(one)) == 0
+    assert _run(tmp_path, "conv.cfg", CONV_AC, "convolution-check",
+                "--paths", "400", "--out-dir", str(split)) == 0
+    assert (one / "convolution.csv").read_bytes() == \
+        (split / "convolution.csv").read_bytes()
+    docs = [json.loads((out / "manifest.json").read_text())
+            for out in (one, split)]
+    assert docs[0]["chunks"] == 1
+    assert docs[1]["chunks"] == (min(len(os.sched_getaffinity(0)), 4)
+                                 if I._forkable() else 1)
+    if docs[1]["chunks"] > 1:
+        assert docs[1]["child_minor_faults"]["integrate_s"] > 0
+        assert docs[1]["child_peak_rss_mb"] > 0.0
+
+
 def test_convolution_check_ac_strong_passes(tmp_path):
     # the raw coefficients of ac_strong carry 1/w_h; the references must too
     text = ("model.id = ac_strong\nmodel.n = 8\nnoise.sigma = 0.1\n"
@@ -1121,8 +1149,8 @@ def test_convolution_check_failure_exits_3(tmp_path, monkeypatch):
     real = cli.convolution_variance_mc
 
     def biased(*a, **kw):
-        times, var, se = real(*a, **kw)
-        return times, var * 10.0, se
+        out = real(*a, **kw)
+        return out._replace(var=out.var * 10.0)
 
     monkeypatch.setattr(cli, "convolution_variance_mc", biased)
     rc = _run(tmp_path, "c.cfg", text, "convolution-check",

@@ -1,8 +1,7 @@
 """Ensemble aggregation, rate fitting, and the (mu, delta) sweep."""
 
+import os
 import pickle
-import sys
-import threading
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -623,8 +622,8 @@ def test_convolution_mc_single_path_bit_identical():
     coef = make_noise_coefficient("additive", 0.2)
     cfg = StepConfig(dt=1e-2, T=0.2, mu=15.0)
     probes = [0.1, 0.2]
-    _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes,
-                                         paths=1, master_seed=42)
+    _, var, se, _ = convolution_variance_mc(spec, cfg, coef, q, probes,
+                                            paths=1, master_seed=42)
     zero = np.zeros(spec.shape)
     z_path = simulate_pair(spec, cfg, O.blind_observation(spec), coef, q,
                            zero, zero,
@@ -672,40 +671,42 @@ def _conv_case(n=8, T=0.2):
             make_noise_coefficient("additive", 0.2), make_qspec(spec))
 
 
+def _conv_processes(workers, paths, chunk):
+    # the processes convolution_variance_mc steps its paths in
+    return min(workers, -(-paths // chunk)) if I._forkable() else 1
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("paths,chunk", [(1, 3), (7, 3), (13, 5), (2, 500)])
-def test_convolution_mc_threaded_equals_serial_oracle(monkeypatch, workers,
-                                                      paths, chunk):
-    # (2, 500): fewer paths than workers when workers = 3
+def test_convolution_mc_forked_equals_serial_oracle(monkeypatch, workers,
+                                                    paths, chunk):
+    # (7, 3) and (13, 5) end on a short task; (2, 500): fewer tasks than
+    # processes when workers > 1
     monkeypatch.setattr(H, "_cpus", lambda: workers)
     monkeypatch.setattr(H, "_CONV_CHUNK", chunk)
     spec, cfg, coef, q = _conv_case()
     probes = [0.05, 0.1, 0.2]
-    _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes, paths,
-                                         11)
+    _, var, se, chunks = convolution_variance_mc(spec, cfg, coef, q, probes,
+                                                 paths, 11)
     ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, probes,
                                               paths, 11, chunk=chunk)
     assert np.array_equal(var, ref_var)
     assert np.array_equal(se, ref_se)
+    assert chunks == _conv_processes(workers, paths, chunk)
 
 
 def test_convolution_mc_more_workers_than_cores(monkeypatch):
-    # eight pool threads switching every microsecond, each stepping its
-    # own chunk of paths
+    # eight tasks in eight processes, whatever the CPUs they share
     monkeypatch.setattr(H, "_cpus", lambda: 8)
-    monkeypatch.setattr(H, "_CONV_CHUNK", 12)
+    monkeypatch.setattr(H, "_CONV_CHUNK", 5)
     spec, cfg, coef, q = _conv_case()
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _, var, se = convolution_variance_mc(spec, cfg, coef, q, [0.1, 0.2],
-                                             40, 2)
-    finally:
-        sys.setswitchinterval(old)
+    _, var, se, chunks = convolution_variance_mc(spec, cfg, coef, q,
+                                                 [0.1, 0.2], 40, 2)
     ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, [0.1, 0.2],
-                                              40, 2, chunk=12)
+                                              40, 2, chunk=5)
     assert np.array_equal(var, ref_var)
     assert np.array_equal(se, ref_se)
+    assert chunks == _conv_processes(8, 40, 5)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -720,35 +721,46 @@ def test_convolution_mc_across_draw_blocks_equals_serial_oracle(monkeypatch,
     spec, cfg, coef, q = _conv_case()
     assert q.draw_shape == (8,) and cfg.nsteps == 20
     probes = [0.05, 0.1, 0.2]
-    _, var, se = convolution_variance_mc(spec, cfg, coef, q, probes, 7, 11)
+    _, var, se, _ = convolution_variance_mc(spec, cfg, coef, q, probes, 7, 11)
     ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, probes, 7,
                                               11, chunk=3)
     assert np.array_equal(var, ref_var)
     assert np.array_equal(se, ref_se)
 
 
-def test_convolution_mc_threads_each_refill_one_buffer(monkeypatch):
-    # five tasks on two threads, the last of three paths: each thread
-    # draws every task of its own into one buffer, which it holds for the
-    # whole call
+def test_convolution_mc_processes_each_refill_one_buffer(monkeypatch,
+                                                         tmp_path):
+    # five tasks in two processes, the last of three paths: each process
+    # draws its contiguous run of tasks into one buffer, which it holds
+    # for the whole call; the calls are logged to a file, which a forked
+    # child appends to as well
     monkeypatch.setattr(H, "_cpus", lambda: 2)
     monkeypatch.setattr(H, "_CONV_CHUNK", 5)
-    blocks, held = H._blocks, []
+    blocks, log, held = H._blocks, tmp_path / "blocks.log", []
 
     def recording(rngs, members, n, shape, out):
-        # the buffer itself: a freed buffer's id could come back
-        held.append((threading.get_ident(), out.base, out.shape[0]))
+        # each process holds every buffer it logs: a freed buffer's id
+        # could come back
+        held.append(out.base)
+        with open(log, "a") as fh:
+            fh.write("%d %d %d\n" % (os.getpid(), id(out.base), out.shape[0]))
         return blocks(rngs, members, n, shape, out)
 
     monkeypatch.setattr(H, "_blocks", recording)
     spec, cfg, coef, q = _conv_case()
-    _, var, se = convolution_variance_mc(spec, cfg, coef, q, [0.1, 0.2], 23, 4)
-    assert sorted(rows for _, _, rows in held) == [3, 5, 5, 5, 5]
-    buffers = {}
-    for thread, buf, _ in held:
-        buffers.setdefault(thread, set()).add(id(buf))
+    _, var, se, chunks = convolution_variance_mc(spec, cfg, coef, q,
+                                                 [0.1, 0.2], 23, 4)
+    calls = [tuple(map(int, line.split()))
+             for line in log.read_text().splitlines()]
+    buffers, rows = {}, {}
+    for pid, buf, n in calls:
+        buffers.setdefault(pid, set()).add(buf)
+        rows.setdefault(pid, []).append(n)
     assert all(len(bufs) == 1 for bufs in buffers.values())
-    assert len(set.union(*buffers.values())) == len(buffers) <= 2
+    assert len(buffers) == chunks == _conv_processes(2, 23, 5)
+    # this process steps the first run of tasks, a child the second
+    assert rows.pop(os.getpid()) == ([5, 5] if chunks == 2 else [5] * 4 + [3])
+    assert list(rows.values()) == ([[5, 5, 3]] if chunks == 2 else [])
     ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, [0.1, 0.2],
                                               23, 4, chunk=5)
     assert np.array_equal(var, ref_var) and np.array_equal(se, ref_se)
@@ -757,8 +769,7 @@ def test_convolution_mc_threads_each_refill_one_buffer(monkeypatch):
 def test_convolution_mc_memory_does_not_grow_with_horizon(monkeypatch):
     # 4 steps per generator call: the base run's 20 steps already span 5
     # draw blocks, and a horizon 10x longer must not hold more draws.  One
-    # pool thread: with two, whether the base run's two tasks overlap is
-    # down to timing, so its peak holds one task's buffers or two
+    # process: tracemalloc sees no child's allocations
     monkeypatch.setattr(H, "_cpus", lambda: 1)
     monkeypatch.setattr(I, "_DRAW_BYTES", 4 * 8 * 8)
     monkeypatch.setattr(H, "_CONV_CHUNK", 100)

@@ -203,15 +203,14 @@ def test_noisy_run_reproducible():
 def test_blocks_equal_one_step_draws_in_one_buffer(mid, size, shape, chunk, n):
     # _blocks draws chunk steps per generator call; over n steps,
     # n % chunk != 0 included, it yields n blocks, each the one-step draws
-    # of fresh generators, all views of one buffer of min(chunk, n) steps;
-    # the generators come from an iterator, made by the first fill
+    # of fresh generators, all views of one buffer of min(chunk, n) steps
     assert make_qspec(build_model(mid, size), delta=0.39).draw_shape == shape
     assert _DRAW_BYTES // (8 * int(np.prod(shape))) == chunk
     seeds = [5, 6, 7]
     fresh = [_rng_for(s) for s in seeds]
     bases = set()
     count = 0
-    made = (_rng_for(s) for s in seeds)
+    made = [_rng_for(s) for s in seeds]
     for i, block in enumerate(_blocks(made, len(seeds), n, shape)):
         assert block.shape == (len(seeds),) + shape
         bases.add(id(block.base))
