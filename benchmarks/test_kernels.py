@@ -19,8 +19,9 @@ on nse_strong), the dealiased advection of the torus models, the Monte
 Carlo variance of the stochastic convolution in one process and in one
 forked process per CPU, the
 lockstep loop simulate_members on a small sweep and on a 64-member and
-a 500-member ensemble, and on a 256-member one stepped in one process
-and in member chunks (one forked process per CPU), the noise draws of the 64 members alone through
+a 500-member ensemble, on a 256-member one and a 64-member qg n=32 one,
+each stepped in one process and in member chunks (one forked process per
+CPU), the noise draws of the 64 members alone through
 integrate._blocks, the measured constants (alpha,
 C_I, eta0) a volume sweep takes per delta and those of ac_weak n=64 with
 volume observation, verify's assumption report
@@ -41,7 +42,7 @@ import numpy as np
 import pytest
 
 import nudgelab
-from nudgelab import harness, integrate
+from nudgelab import integrate
 from nudgelab.cli import _pin_malloc_thresholds
 from nudgelab.harness import (_stride_idx, convolution_variance_mc,
                               measured_constants, member_seed, verify_assumptions,
@@ -182,7 +183,7 @@ def test_convolution_variance_mc_ac_weak(benchmark, monkeypatch, forked):
     # conv_ac's set-up over 1000 paths, two tasks: in one process, and in
     # one forked process per CPU
     if not forked:
-        monkeypatch.setattr(harness, "_cpus", lambda: 1)
+        monkeypatch.setattr(integrate, "_cpus", lambda: 1)
     spec = build_model("ac_weak", 16)
     q = make_qspec(spec, delta=0.39)
     coef = make_noise_coefficient("additive", 0.1)
@@ -190,7 +191,7 @@ def test_convolution_variance_mc_ac_weak(benchmark, monkeypatch, forked):
     _, var, _, chunks = benchmark(convolution_variance_mc, spec, cfg, coef, q,
                                   [0.125, 0.25, 0.5], 1000, 3)
     assert var.shape == (3, spec.n)
-    assert chunks == (min(harness._cpus(), 2) if integrate._forkable() else 1)
+    assert chunks == integrate._processes(2)
 
 
 def _bench_members(benchmark, spec, cfg, groups, members, record):
@@ -248,6 +249,22 @@ def test_simulate_members_ensemble_ac_weak_256(benchmark, monkeypatch,
     # past ens_ac's 64 members
     monkeypatch.setattr(integrate, "_CHUNK_WORK", 1 if chunked else 10 ** 18)
     _ensemble_ac_weak(benchmark, 256)
+
+
+@pytest.mark.parametrize("chunked", [False, True],
+                         ids=["one-process", "chunked"])
+def test_simulate_members_ensemble_qg_64(benchmark, monkeypatch, chunked):
+    # 64 members of qg n=32 with additive noise and modal observation, in
+    # one process and in member chunks whatever the size rule says: every
+    # monitor at every 10th step of 50
+    monkeypatch.setattr(integrate, "_CHUNK_WORK", 1 if chunked else 10 ** 18)
+    spec = build_model("qg", 32)
+    cfg = StepConfig(dt=1e-3, T=0.05)
+    groups = [Group(make_observation(spec, "modal", 0.39),
+                    make_noise_coefficient("additive", 0.05),
+                    make_qspec(spec, delta=0.39), (50.0,))]
+    _bench_members(benchmark, spec, cfg, groups, 64,
+                   Record(MONITORS, _stride_idx(cfg.nsteps + 1, 10)))
 
 
 @pytest.mark.parametrize("delta", [0.39, 0.8])

@@ -13,13 +13,12 @@ per member and step by construction, and each is its own ensemble.
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .fields import _wsum, inner_h_raw, norm_raw
-from .integrate import (BlowupError, Group, Record, _blocks, _cpus,
-                        _draw_shape, _forkable, _rng_for, simulate_members)
+from .integrate import (BlowupError, Group, Record, _blocks, _processes,
+                        _rng_for, simulate_members)
 from .models import build_model, random_field
 from .noise import apply_G_raw, increment_from_noise
 from .observe import estimate_interp_constant, eta0
@@ -434,10 +433,10 @@ _CONV_CHUNK = 500  # Monte Carlo paths per task of convolution_variance_mc
 ConvolutionMC = namedtuple("ConvolutionMC", "times var se chunks")
 
 
-def _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi, buf):
+def _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi):
     """The z^2 and z^4 sums over paths lo .. hi-1 at each probe step, the
-    paths' generators made and stepped here, their draws refilling buf,
-    _blocks' buffer of hi - lo paths: a (2, probes, n_modes) array."""
+    paths' generators made and stepped here: a (2, probes, n_modes)
+    array."""
     dt = cfg.dt
     denom = 1.0 / (1.0 + dt * spec.a)
     zero_u = np.zeros(spec.shape, dtype=spec.dtype)
@@ -445,25 +444,11 @@ def _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo, hi, buf):
     sums = np.zeros((2, len(probe_at), spec.n))
     z = np.zeros((hi - lo, spec.n))
     for step, block in enumerate(_blocks(rngs, hi - lo, cfg.nsteps,
-                                         q.draw_shape, buf), 1):
+                                         q.draw_shape), 1):
         dw = increment_from_noise(spec, q, dt, block)
         z = (z + cfg.mu * apply_G_raw(coef, spec, zero_u, dw)) * denom
         if step in probe_at:
             sums[:, probe_at[step]] = (z ** 2).sum(axis=0), (z ** 4).sum(axis=0)
-    return sums
-
-
-def _conv_tasks(spec, cfg, coef, q, probe_at, master_seed, paths, starts):
-    """The _conv_sums of the tasks starting at starts, in order, each of
-    the _CONV_CHUNK paths from its start or of the paths left: one buffer
-    of min(_CONV_CHUNK, paths) paths' draws, refilled task after task."""
-    buf = np.empty(_draw_shape(min(_CONV_CHUNK, paths), cfg.nsteps,
-                               q.draw_shape))
-    sums = []
-    for lo in starts:
-        hi = min(lo + _CONV_CHUNK, paths)
-        sums.append(_conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo,
-                               hi, buf[:hi - lo]))
     return sums
 
 
@@ -479,14 +464,15 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
     here is bit-identical to the v_path of that run.
     Paths run in tasks of _CONV_CHUNK, split into one contiguous run of
     tasks per process, min(CPUs, tasks) of them where the process may
-    fork (integrate._forkable), else one: this process steps the first
+    fork, else one (integrate._processes): this process steps the first
     run and a forked child each other (chunks.in_processes), so the
     per-step work of one process does not wait on another's for the
-    interpreter lock.  Each process holds one buffer of about _CONV_CHUNK
-    x _DRAW_BYTES of draws for the whole call, whatever the horizon, and
-    refills it task after task; each task's moment sums are added in task
-    order.  Every path's draw and every sum is the same whatever the
-    process count, so the results are too.
+    interpreter lock.  A process steps its tasks one after another, each
+    holding one _blocks buffer of about _CONV_CHUNK x _DRAW_BYTES of
+    draws, whatever the horizon, and freeing it before the next task
+    draws; each task's moment sums are added in task order.  Every
+    path's draw and every sum is the same whatever the process count, so
+    the results are too.
     Works for 1D (sine) models; returns a ConvolutionMC, its var and se
     shaped (len(probe_times), n_modes).
     """
@@ -499,12 +485,13 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
     steps = probe_steps(probe_times, cfg.dt, cfg.nsteps)
     probe_at = {s: i for i, s in enumerate(steps)}
     starts = range(0, paths, _CONV_CHUNK)
-    procs = min(_cpus(), len(starts)) if _forkable() else 1
-    from .chunks import contiguous, in_processes
+    procs = _processes(len(starts))
+    from .chunks import in_processes
     sums = np.zeros((2, len(steps), spec.n))
-    for tasks in in_processes([
-            partial(_conv_tasks, spec, cfg, coef, q, probe_at, master_seed,
-                    paths, run) for run in contiguous(starts, procs)]):
+    for tasks in in_processes(lambda run: [
+            _conv_sums(spec, cfg, coef, q, probe_at, master_seed, lo,
+                       min(lo + _CONV_CHUNK, paths)) for lo in run],
+            starts, procs):
         for task in tasks:
             sums += task
     # the second moment, and the fourth for the standard error of a sample

@@ -39,24 +39,25 @@ cell and group reads the same block.  Every block comes from _blocks,
 a view of one buffer of steps whose row m it refills from generator m,
 several steps in one call with the bits of one call per step; the
 Monte Carlo paths of harness.convolution_variance_mc step through it
-too, so neither loop holds more than one buffer of draws per process
-whatever the horizon.
+too, so neither loop holds more than one buffer of draws at a time per
+process, whatever the horizon.
 
-A run large enough to pay for a fork (_CHUNK_WORK and _CHUNK_ROWS)
-splits its members into contiguous chunks, one process per CPU the
-process may use (chunks.forked): this process steps the first chunk,
-and each other chunk is stepped by a forked child, pinned to another
-CPU, through the same loop and its own copy of the reference, and
-returned through a pipe.  Members are independent given the reference,
-so the joined results have the bits of the one-process run.  The
-generators of the members a child stepped are advanced in the child
-only: the caller's stay where they were.
+A run large enough to pay for a fork (_CHUNK_WORK, _CHUNK_ROWS and
+_CHUNK_STEP_WORK) splits its members into contiguous chunks, one process
+per CPU the process may use (_processes, chunks.in_processes): this
+process steps the first chunk, and each other chunk is stepped by a
+forked child, pinned to another CPU, through the same loop and its own
+copy of the reference, and returned through a pipe.  Members are
+independent given the reference, so the joined results (_join) have the
+bits of the one-process run.  The generators of the members a child
+stepped are advanced in the child only: the caller's stay where they
+were.
 """
 
 import os
 import threading
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -119,27 +120,15 @@ def _rng_for(seed):
 _DRAW_BYTES = 16384  # per generator call: 1 MB over 64 members
 
 
-def _draw_shape(members, n, shape):
-    """The shape of _blocks' buffer of n steps' blocks of shape: members
-    rows of min(chunk, n) steps, chunk the steps of about _DRAW_BYTES."""
-    chunk = max(1, _DRAW_BYTES // (8 * int(np.prod(shape))))
-    return (members, min(chunk, n)) + shape
-
-
-def _blocks(rngs, members, n, shape, out=None):
+def _blocks(rngs, members, n, shape):
     """Yield n steps' (members,) + shape standard-normal blocks, member m's
     rows from the m-th generator of rngs: each a view of one buffer of
-    min(chunk, n) steps, refilled at about _DRAW_BYTES per generator
-    call.  A fill of several steps holds the bits of one draw per step:
-    the bulk-draw slicing invariant of noise.py.  out, if given, is the
-    buffer to refill, of exactly _draw_shape's shape; a caller that draws
-    many runs can hold one."""
-    want = _draw_shape(members, n, shape)
-    buf = np.empty(want) if out is None else out
-    if buf.shape != want:
-        raise ValueError("a draw buffer of shape %r for blocks of %r"
-                         % (buf.shape, want))
-    chunk = want[1]
+    min(chunk, n) steps, chunk the steps of about _DRAW_BYTES, refilled
+    one generator call per member.  A fill of several steps holds the
+    bits of one draw per step: the bulk-draw slicing invariant of
+    noise.py."""
+    chunk = min(max(1, _DRAW_BYTES // (8 * int(np.prod(shape)))), n)
+    buf = np.empty((members, chunk) + shape)
     for lo in range(0, n, chunk):
         part = buf[:, :n - lo]
         for row, rng in zip(part, rngs):
@@ -257,15 +246,15 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     every step.
 
     A run of at least two members, _CHUNK_WORK work (estimate rows x
-    stored coefficients x steps) and _CHUNK_ROWS estimate rows per
-    process steps its members in _chunks contiguous chunks, the first
-    here and each other in a forked child with its own copy of the
-    reference (see chunks.forked), and joins the chunks' results in
-    member order, every number bit-identical to the one-process run.
-    The generators of the members a child stepped are advanced in that
-    child only: the caller's are left unadvanced, and no caller reads
-    them afterwards.  CellResult.chunks says how
-    many processes stepped the members.
+    stored coefficients x steps), _CHUNK_STEP_WORK of it per step and
+    _CHUNK_ROWS estimate rows per process steps its members in _chunks
+    contiguous chunks, the first here and each other in a forked child
+    with its own copy of the reference (chunks.in_processes), and joins the chunks' results in
+    member order (_join), every number bit-identical to the one-process
+    run.  The generators of the members a child stepped are advanced in
+    that child only: the caller's are left unadvanced, and no caller
+    reads them afterwards.  CellResult.chunks says how many processes
+    stepped the members.
 
     Returns (reference, results): the reference's SimResult, or the
     BlowupError that ended it, and results[g][k], the CellResult of cell
@@ -285,11 +274,17 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
         raise ValueError("implicit nudging needs a modal observation")
     chunks = _chunks(spec, n, sum(len(grp.mus) for grp in groups), len(rngs),
                      record)
-    if chunks > 1:
-        # imported only here: a run that does not fork compiles none of it
-        from .chunks import forked
-        return forked(chunks, spec, cfg, groups, u0, v0, rngs, record)
-    return _lockstep(spec, cfg, groups, u0, v0, rngs, record)
+    if chunks == 1:
+        return _lockstep(spec, cfg, groups, u0, v0, rngs, record)
+    # imported only here: a run that does not fork compiles none of it
+    from .chunks import in_processes
+    if spec.kind == "sine":
+        # loaded before the fork, so the children share its pages instead
+        # of each importing it at its first transform
+        import scipy.fft  # noqa: F401
+    return _join(in_processes(
+        lambda part: _lockstep(spec, cfg, groups, u0, v0, part, record),
+        rngs, chunks), n)
 
 
 def _record_steps(record, n):
@@ -302,13 +297,20 @@ def _record_steps(record, n):
 # coefficients x steps: on 2 CPUs, forcing two chunks broke even at
 # about 300,000 over 64-member ac_weak n=64 ensembles, a 3 x 2 nse_strong
 # n=32 volume sweep of two members and 16-member qg n=32 ensembles, and
-# was 46% slower on two qg n=32 members over 50 steps (54,400 here)
+# was 46% slower on two qg n=32 members over 50 steps (54,400 here); 64
+# ac_weak n=64 members ran at 0.40x over 10 steps and 0.68x over 25
+# (40,960 and 102,400), the short runs a floor per step alone would fork
 _CHUNK_WORK = 150_000
 # and the least estimate rows per process: each chunk repeats the
 # reference row and the per-step work, so on 2 CPUs two chunks of one row
 # each ran at 0.76-1.03x of one process over qg n=32 pointwise and
 # nse_strong n=32 volume runs of 400 steps, and of two rows at 1.09-1.16x
 _CHUNK_ROWS = 2
+# and the least work per process and step, in estimate rows x stored
+# coefficients: on 2 CPUs, two chunks of ac_weak n=64 ensembles over 1500
+# steps ran at 0.80x of one process at 4 and 6 members (128 and 192
+# here), 0.96x at 8 and 1.00-1.02x at 12 and 16 (medians of 21)
+_CHUNK_STEP_WORK = 512
 
 
 def _cpus():
@@ -327,22 +329,29 @@ def _forkable():
     return hasattr(os, "sched_setaffinity") and threading.active_count() == 1
 
 
+def _processes(most):
+    """How many processes share work that splits into at most most parts:
+    one per CPU, and at most most, where this process may fork
+    (_forkable), else 1."""
+    return min(_cpus(), most) if _forkable() else 1
+
+
 def _chunks(spec, n, cells, members, record):
     """How many processes step a run of cells x members estimates over n
-    steps: at most one per CPU and per member, with at least _CHUNK_WORK
-    of the estimates' work and _CHUNK_ROWS estimate rows each, a size
-    rule, since what a fork costs (the fork, its copy-on-write faults,
-    the pickled results) grows little with the run, what it saves grows
-    with every row it takes, and every chunk repeats the reference and
-    the per-step work of the run; 1 where the process may not fork
-    (_forkable), or where record names dy_h or y_h, member 0's
-    observation path, which goes on after every member of member 0's
-    chunk has ended."""
-    if not _forkable() or {"dy_h", "y_h"} & set(record.series):
+    steps (_processes): at most one per member, with at least _CHUNK_WORK
+    of the estimates' work, _CHUNK_STEP_WORK of it per step and
+    _CHUNK_ROWS estimate rows each, a size rule, since what a fork costs
+    (the fork, its copy-on-write faults, the pickled results) grows
+    little with the run, what it saves grows with every row it takes,
+    and every chunk repeats the reference and the per-step work of the
+    run; 1 where record names dy_h or y_h, member 0's observation path,
+    which goes on after every member of member 0's chunk has ended."""
+    if {"dy_h", "y_h"} & set(record.series):
         return 1
-    work = cells * members * int(np.prod(spec.shape)) * n
-    return max(1, min(_cpus(), members, work // _CHUNK_WORK,
-                      cells * members // _CHUNK_ROWS))
+    step = cells * members * int(np.prod(spec.shape))
+    return max(1, _processes(min(members, step * n // _CHUNK_WORK,
+                                 step // _CHUNK_STEP_WORK,
+                                 cells * members // _CHUNK_ROWS)))
 
 
 def _lockstep(spec, cfg, groups, u0, v0, rngs, record):
@@ -479,4 +488,28 @@ def _lockstep(spec, cfg, groups, u0, v0, rngs, record):
             times, x[0], errors=[errors.get(r, ref_error) for r in range(rows)[part]],
             **{f: a[part] if f in _PER_MEMBER else a[g] if f in _PER_GROUP
                else a for f, a in rec.items()}))
+    return reference, results
+
+
+def _join(parts, n):
+    """One run's (reference, results) from its member chunks' _lockstep
+    (reference, results) over n steps, in member order.
+
+    Per-member fields and errors are concatenated.  The reference and
+    the shared series (u_final, u_h, kappa, u_path and the group's hs)
+    come from the chunk that stepped longest: a chunk stops when its
+    last estimate ends, and the one-process run when the last of all
+    does, while a reference blow-up stops every chunk still running at
+    the same step."""
+    def reach(part):
+        # the step a chunk stopped at, n + 1 if it ran to the end
+        return max(n + 1 if e is None else e.step
+                   for cells in part[1] for cell in cells for e in cell.errors)
+
+    reference, shared = max(parts, key=reach)
+    results = [[replace(cell, chunks=len(parts), errors=[
+        e for part in parts for e in part[1][g][k].errors], **{
+        f: np.concatenate([getattr(part[1][g][k], f) for part in parts])
+        for f in _PER_MEMBER if getattr(cell, f) is not None})
+        for k, cell in enumerate(cells)] for g, cells in enumerate(shared)]
     return reference, results

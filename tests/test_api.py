@@ -136,6 +136,21 @@ def test_observe_uses_no_matrix_product():
     assert found == []
 
 
+def test_the_fork_helper_knows_no_caller():
+    """chunks.py, the fork helper, imports nothing of the package, so no
+    caller's result layout leaks into it; and the process count is
+    decided in integrate alone (_processes), so harness binds neither
+    _cpus nor _forkable."""
+    with open(os.path.join(os.path.dirname(INIT), "chunks.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    own = [node.lineno for node in ast.walk(tree)
+           if isinstance(node, ast.ImportFrom)
+           and (node.level or (node.module or "").startswith("nudgelab"))]
+    assert own == []
+    import nudgelab.harness as H
+    assert {"_cpus", "_forkable"} & set(vars(H)) == set()
+
+
 def _traced_functions():
     # read the list without importing the tracer, which patches on install
     with open(TRACER, encoding="utf-8") as fh:

@@ -42,6 +42,7 @@ def forks(monkeypatch):
     chunk per CPU) and a list of the pids every os.fork returns here."""
     monkeypatch.setattr(I, "_CHUNK_WORK", 1)
     monkeypatch.setattr(I, "_CHUNK_ROWS", 1)
+    monkeypatch.setattr(I, "_CHUNK_STEP_WORK", 1)
     pids = []
     fork = os.fork
 
@@ -208,8 +209,8 @@ def test_no_more_chunks_than_cpus_or_members(forks):
 
 
 def test_size_rule_keeps_small_runs_in_process(monkeypatch):
-    # the rule counts estimate rows x stored coefficients x steps, and
-    # estimate rows per process
+    # the rule counts estimate rows x stored coefficients x steps, the
+    # same per step, and estimate rows per process
     monkeypatch.setattr(I, "_cpus", lambda: 8)
     spec = build_model("qg", 32)
     assert spec.shape == (32, 17)
@@ -224,10 +225,23 @@ def test_size_rule_keeps_small_runs_in_process(monkeypatch):
     # ens_ac: 64 members of ac_weak n=64 over 250 steps, 1,024,000
     assert I._chunks(build_model("ac_weak", 64), 250, 1, 64, Record()) == 6
     # sweep_vol: a 3 x 2 grid of two members of nse_strong n=32 over 125
-    # steps, 1,632,000, six rows a chunk on two CPUs
+    # steps, 1,632,000, six rows a chunk on two CPUs; there ens_ac keeps
+    # two chunks and mult_qg one
     monkeypatch.setattr(I, "_cpus", lambda: 2)
     assert I._chunks(build_model("nse_strong", 32), 125, 6, 2, Record()) == 2
     assert I._chunks(build_model("ac_weak", 64), 250, 1, 64, Record()) == 2
+    assert I._chunks(spec, 50, 1, 2, Record()) == 1
+    # the rule also counts work per step: 4, 6 and 8 members of ac_weak
+    # n=64 over 1500 steps (384,000 to 768,000) hold 128 to 256 stored
+    # coefficients a step per process, 16 members 512
+    ac = build_model("ac_weak", 64)
+    for members in (4, 6, 8):
+        assert I._chunks(ac, 1500, 1, members, Record()) == 1
+    assert I._chunks(ac, 1500, 1, 16, Record()) == 2
+    # and over all steps: ens_ac's 64 members over 10 and 25 steps hold
+    # 2048 a step per process, but 40,960 and 102,400 in all
+    assert I._chunks(ac, 10, 1, 64, Record()) == 1
+    assert I._chunks(ac, 25, 1, 64, Record()) == 1
 
 
 def test_observation_path_or_another_thread_keeps_one_process(forks):
@@ -382,7 +396,7 @@ def conv_tasks(monkeypatch):
     """Tasks of three paths, and three CPUs: a run of 7 paths steps one
     task in each of three processes."""
     monkeypatch.setattr(H, "_CONV_CHUNK", 3)
-    monkeypatch.setattr(H, "_cpus", lambda: 3)
+    monkeypatch.setattr(I, "_cpus", lambda: 3)
 
 
 def test_convolution_mc_forks_and_leaves_no_child(forks, conv_tasks):
@@ -464,7 +478,7 @@ from nudgelab.integrate import Group, StepConfig, _rng_for, simulate_members
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
 from nudgelab.observe import make_observation
-I._CHUNK_WORK = I._CHUNK_ROWS = 1
+I._CHUNK_WORK = I._CHUNK_ROWS = I._CHUNK_STEP_WORK = 1
 I._cpus = lambda: 2
 spec = build_model("ac_weak", 16)
 group = Group(make_observation(spec, "modal", 0.39),

@@ -250,6 +250,7 @@ def test_member_chunks_write_the_same_bytes(tmp_path, monkeypatch, argv,
     assert _run(tmp_path, "run.cfg", SMALL_RUN, *argv, "--out-dir", str(one)) == 0
     monkeypatch.setattr(I, "_CHUNK_WORK", 1)
     monkeypatch.setattr(I, "_CHUNK_ROWS", 1)
+    monkeypatch.setattr(I, "_CHUNK_STEP_WORK", 1)
     assert _run(tmp_path, "run.cfg", SMALL_RUN, *argv, "--out-dir",
                 str(split)) == 0
     for name in outputs:
@@ -1054,7 +1055,7 @@ def test_convolution_check_in_processes_writes_the_same_bytes(tmp_path,
     monkeypatch.setattr(H, "_CONV_CHUNK", 100)
     one, split = tmp_path / "one", tmp_path / "split"
     with monkeypatch.context() as m:
-        m.setattr(H, "_cpus", lambda: 1)
+        m.setattr(I, "_cpus", lambda: 1)
         assert _run(tmp_path, "conv.cfg", CONV_AC, "convolution-check",
                     "--paths", "400", "--out-dir", str(one)) == 0
     assert _run(tmp_path, "conv.cfg", CONV_AC, "convolution-check",

@@ -682,7 +682,7 @@ def test_convolution_mc_forked_equals_serial_oracle(monkeypatch, workers,
                                                     paths, chunk):
     # (7, 3) and (13, 5) end on a short task; (2, 500): fewer tasks than
     # processes when workers > 1
-    monkeypatch.setattr(H, "_cpus", lambda: workers)
+    monkeypatch.setattr(I, "_cpus", lambda: workers)
     monkeypatch.setattr(H, "_CONV_CHUNK", chunk)
     spec, cfg, coef, q = _conv_case()
     probes = [0.05, 0.1, 0.2]
@@ -697,7 +697,7 @@ def test_convolution_mc_forked_equals_serial_oracle(monkeypatch, workers,
 
 def test_convolution_mc_more_workers_than_cores(monkeypatch):
     # eight tasks in eight processes, whatever the CPUs they share
-    monkeypatch.setattr(H, "_cpus", lambda: 8)
+    monkeypatch.setattr(I, "_cpus", lambda: 8)
     monkeypatch.setattr(H, "_CONV_CHUNK", 5)
     spec, cfg, coef, q = _conv_case()
     _, var, se, chunks = convolution_variance_mc(spec, cfg, coef, q,
@@ -715,7 +715,7 @@ def test_convolution_mc_across_draw_blocks_equals_serial_oracle(monkeypatch,
     # 6 steps of 8 modes per generator call: the 20 steps are drawn in
     # three full blocks and a partial one of 2, yet every path and sum
     # keeps the bits of the serial oracle's whole-horizon draws
-    monkeypatch.setattr(H, "_cpus", lambda: workers)
+    monkeypatch.setattr(I, "_cpus", lambda: workers)
     monkeypatch.setattr(I, "_DRAW_BYTES", 6 * 8 * 8)
     monkeypatch.setattr(H, "_CONV_CHUNK", 3)
     spec, cfg, coef, q = _conv_case()
@@ -728,63 +728,67 @@ def test_convolution_mc_across_draw_blocks_equals_serial_oracle(monkeypatch,
     assert np.array_equal(se, ref_se)
 
 
-def test_convolution_mc_processes_each_refill_one_buffer(monkeypatch,
-                                                         tmp_path):
-    # five tasks in two processes, the last of three paths: each process
-    # draws its contiguous run of tasks into one buffer, which it holds
-    # for the whole call; the calls are logged to a file, which a forked
-    # child appends to as well
-    monkeypatch.setattr(H, "_cpus", lambda: 2)
+def test_convolution_mc_processes_step_contiguous_task_runs(monkeypatch,
+                                                           tmp_path):
+    # five tasks in two processes, the last of three paths: this process
+    # steps the first contiguous run of tasks and a child the second, one
+    # task after another; the draw calls are logged to a file, which a
+    # forked child appends to as well
+    monkeypatch.setattr(I, "_cpus", lambda: 2)
     monkeypatch.setattr(H, "_CONV_CHUNK", 5)
-    blocks, log, held = H._blocks, tmp_path / "blocks.log", []
+    blocks, log = H._blocks, tmp_path / "blocks.log"
 
-    def recording(rngs, members, n, shape, out):
-        # each process holds every buffer it logs: a freed buffer's id
-        # could come back
-        held.append(out.base)
+    def recording(rngs, members, n, shape):
         with open(log, "a") as fh:
-            fh.write("%d %d %d\n" % (os.getpid(), id(out.base), out.shape[0]))
-        return blocks(rngs, members, n, shape, out)
+            fh.write("%d %d\n" % (os.getpid(), members))
+        return blocks(rngs, members, n, shape)
 
     monkeypatch.setattr(H, "_blocks", recording)
     spec, cfg, coef, q = _conv_case()
     _, var, se, chunks = convolution_variance_mc(spec, cfg, coef, q,
                                                  [0.1, 0.2], 23, 4)
-    calls = [tuple(map(int, line.split()))
-             for line in log.read_text().splitlines()]
-    buffers, rows = {}, {}
-    for pid, buf, n in calls:
-        buffers.setdefault(pid, set()).add(buf)
-        rows.setdefault(pid, []).append(n)
-    assert all(len(bufs) == 1 for bufs in buffers.values())
-    assert len(buffers) == chunks == _conv_processes(2, 23, 5)
-    # this process steps the first run of tasks, a child the second
-    assert rows.pop(os.getpid()) == ([5, 5] if chunks == 2 else [5] * 4 + [3])
-    assert list(rows.values()) == ([[5, 5, 3]] if chunks == 2 else [])
+    paths = {}
+    for line in log.read_text().splitlines():
+        pid, n = map(int, line.split())
+        paths.setdefault(pid, []).append(n)
+    assert len(paths) == chunks == _conv_processes(2, 23, 5)
+    assert paths.pop(os.getpid()) == ([5, 5] if chunks == 2 else [5] * 4 + [3])
+    assert list(paths.values()) == ([[5, 5, 3]] if chunks == 2 else [])
     ref_var, ref_se = O.convolution_mc_serial(spec, cfg, coef, q, [0.1, 0.2],
                                               23, 4, chunk=5)
     assert np.array_equal(var, ref_var) and np.array_equal(se, ref_se)
 
 
+def _conv_peak(T, paths):
+    # the traced peak of one convolution_variance_mc call; in one
+    # process, tracemalloc sees no child's allocations
+    spec, cfg, coef, q = _conv_case(T=T)
+    tracemalloc.start()
+    try:
+        convolution_variance_mc(spec, cfg, coef, q, [T], paths, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_convolution_mc_memory_does_not_grow_with_task_count(monkeypatch):
+    # 20 tasks of 100 paths, stepped one after another, hold no more
+    # draws than one: each task's buffer is freed before the next draws
+    monkeypatch.setattr(I, "_cpus", lambda: 1)
+    monkeypatch.setattr(H, "_CONV_CHUNK", 100)
+    _conv_peak(0.2, 100)  # the first call's one-off imports and caches
+    one, many = _conv_peak(0.2, 100), _conv_peak(0.2, 2000)
+    assert many <= 1.5 * one, (one, many)
+
+
 def test_convolution_mc_memory_does_not_grow_with_horizon(monkeypatch):
     # 4 steps per generator call: the base run's 20 steps already span 5
-    # draw blocks, and a horizon 10x longer must not hold more draws.  One
-    # process: tracemalloc sees no child's allocations
-    monkeypatch.setattr(H, "_cpus", lambda: 1)
+    # draw blocks, and a horizon 10x longer must not hold more draws
+    monkeypatch.setattr(I, "_cpus", lambda: 1)
     monkeypatch.setattr(I, "_DRAW_BYTES", 4 * 8 * 8)
     monkeypatch.setattr(H, "_CONV_CHUNK", 100)
-
-    def peak(T):
-        spec, cfg, coef, q = _conv_case(T=T)
-        tracemalloc.start()
-        try:
-            convolution_variance_mc(spec, cfg, coef, q, [T], 200, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak(0.2)  # the first call's one-off imports and caches
-    base, long = peak(0.2), peak(2.0)
+    _conv_peak(0.2, 200)  # the first call's one-off imports and caches
+    base, long = _conv_peak(0.2, 200), _conv_peak(2.0, 200)
     assert long <= 1.5 * base, (base, long)
 
 
