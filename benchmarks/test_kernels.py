@@ -12,10 +12,10 @@ and nse_strong, each model's nonlinearity on one field, on the stack of
 three that a two-member run steps and on the stack of thirteen that a
 3 x 2 sweep of two members steps, the Allen-Cahn nonlinearity on a
 65-row ensemble stack whose grid values are mostly negative, the noise
-increment of a
-two-member qg block, the projection of a three-row qg stack, the
-observation of a 13-row stack (volume on nse_strong and ac_weak, modal
-on nse_strong), the dealiased advection of the torus models, the Monte
+increment of a two-member qg block and of a 64-member ac_weak n=64
+one (the sine rank's draws scattered into the modes), the projection
+of a three-row qg stack, the observation of a 13-row stack (volume on
+nse_strong and ac_weak, modal on nse_strong), the dealiased advection of the torus models, the Monte
 Carlo variance of the stochastic convolution in one process and in one
 forked process per CPU, the
 lockstep loop simulate_members on a small sweep and on a 64-member and
@@ -142,13 +142,17 @@ def test_ac_f_raw_ens_ac_stack(benchmark):
     assert benchmark(spec.f_raw, c).shape == c.shape
 
 
-def test_increment_from_noise_qg(benchmark):
-    # the increment of each step of a two-member qg n = 32 run
-    spec = build_model("qg", 32)
+@pytest.mark.parametrize("model_id,members", [("qg", 2), ("ac_weak", 64)],
+                         ids=["qg", "ac_weak"])
+def test_increment_from_noise(benchmark, model_id, members):
+    # the increment of each step of a two-member qg n = 32 run, and of the
+    # 64-member ac_weak n = 64 ensemble, whose 8 draws per member (Q's
+    # rank at delta 0.39) scatter into the 64 modes
+    spec = build_model(model_id, SIZES[model_id])
     q = make_qspec(spec, delta=0.39)
-    block = np.random.default_rng(1).standard_normal((2,) + q.draw_shape)
+    block = np.random.default_rng(1).standard_normal((members,) + q.draw_shape)
     dw = benchmark(increment_from_noise, spec, q, 1e-3, block)
-    assert dw.shape == (2,) + spec.shape
+    assert dw.shape == (members,) + spec.shape
 
 
 def test_project_raw_qg_three_rows(benchmark):

@@ -7,8 +7,10 @@ is integrated once, and every member's estimate advances in one stacked
 array, with each member's numbers byte-identical to a run of that member
 alone; results are aggregated by member index.  A (mu, delta) sweep is
 one such lockstep run over the whole grid, built from one set-up and
-one observation per delta: its cells share one reference and one draw
-per member and step by construction, and each is its own ensemble.
+one observation per delta: its cells share one reference, the cells of
+one draw layout (every torus delta; on the sine grid the deltas of one
+rank of Q) share one draw per member and step, and each cell is its own
+ensemble.
 """
 
 from collections import namedtuple
@@ -176,12 +178,13 @@ def sweep(setup, observations, mu_grid, members, master_seed, consts):
     and v0.  observations holds one (op, coef, q) per delta, in grid order
     (ValueError if empty), and consts their measured_constants, one per
     observation (ValueError otherwise); a repeated mu or delta, whose
-    cells would repeat others, is a ValueError.  The
-    reference is stepped once, and member m's noise block of each step
-    is drawn once and drives member m in every cell: the whole grid is
-    one lockstep integration, each cell's numbers bit-identical to an
-    ensemble run of that cell alone.  Cells run mu-major; cells whose
-    members blow up beyond 10% are marked invalid.  The run records only
+    cells would repeat others, is a ValueError.  The reference is stepped
+    once, and member m's noise block of each step is drawn once per draw
+    layout and drives member m in every cell of that layout (a sine
+    delta of another rank draws from a twin of member m's generator):
+    the whole grid is one lockstep integration, each cell's numbers
+    bit-identical to an ensemble run of that cell alone.  Cells run
+    mu-major; cells whose members blow up beyond 10% are marked invalid.  The run records only
     the members' w_h, at every step: the fit and the floor read nothing
     else.  Every row's chunks is the number of processes that stepped
     the run's members.
@@ -457,7 +460,8 @@ def convolution_variance_mc(spec, cfg, coef, q, probe_times, paths,
     """Per-mode sample variance of the stochastic convolution at probe
     times, over many paths.
 
-    Member m draws from the spawn_key=(m,) stream through
+    Member m draws q.draw_shape per step (on the sine grid one normal
+    per direction of Q's rank) from the spawn_key=(m,) stream through
     integrate._blocks and steps z <- (z + mu G dW) r, r = 1/(1 + dt a),
     the update simulate_members gives the estimate of the linear model
     started from zero with an observation that keeps no mode, so one path

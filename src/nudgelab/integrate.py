@@ -23,7 +23,8 @@ in row 0.  The estimates come in groups, one per observation scale (its
 operator, noise coefficient and covariance), each holding one cell per
 nudging strength mu and one estimate per member in every cell; a (mu,
 delta) sweep is one such run.  Member m draws from its own generator,
-and its block of a step drives member m in every cell.  An ensemble
+and its block of a step drives member m in every cell of the groups
+that share its draw layout.  An ensemble
 is the one-group, one-cell case, simulate_pair the one-member case of
 that, and a run with no groups steps the reference alone.
 
@@ -33,14 +34,19 @@ BlowupError with the step index (in an ensemble the estimate that blew
 up rests at 0 in its row of the stack, and its cell keeps the error).
 
 The only randomness consumed is one fixed-shape standard-normal block
-per member and step whenever the run has a group (even at sigma = 0, so
-runs that differ only in sigma share their noise realizations); every
-cell and group reads the same block.  Every block comes from _blocks,
-a view of one buffer of steps whose row m it refills from generator m,
-several steps in one call with the bits of one call per step; the
-Monte Carlo paths of harness.convolution_variance_mc step through it
-too, so neither loop holds more than one buffer of draws at a time per
-process, whatever the horizon.
+per member, step and draw layout (QSpec.draw_shape) whenever the run
+has a group (even at sigma = 0, so runs that differ only in sigma share
+their noise realizations).  Groups of one layout read the same block:
+every torus group, whose layout is its whole rfft band, and sine groups
+of one rank.  The first group's layout draws from the members'
+generators and each other layout from twins of them (_twin), so a group
+reads the draws a run of it alone reads, and the members' generators
+advance by the first layout's draws only.  Every block comes from
+_blocks, a view of one buffer of steps whose row m it refills from
+generator m, several steps in one call with the bits of one call per
+step; the Monte Carlo paths of harness.convolution_variance_mc step
+through it too, so neither loop holds more than one buffer of draws per
+layout at a time per process, whatever the horizon.
 
 A run large enough to pay for a fork (_CHUNK_WORK, _CHUNK_ROWS and
 _CHUNK_STEP_WORK) splits its members into contiguous chunks, one process
@@ -54,6 +60,7 @@ stepped are advanced in the child only: the caller's stay where they
 were.
 """
 
+import copy
 import os
 import threading
 from collections import namedtuple
@@ -126,14 +133,23 @@ def _blocks(rngs, members, n, shape):
     min(chunk, n) steps, chunk the steps of about _DRAW_BYTES, refilled
     one generator call per member.  A fill of several steps holds the
     bits of one draw per step: the bulk-draw slicing invariant of
-    noise.py."""
-    chunk = min(max(1, _DRAW_BYTES // (8 * int(np.prod(shape)))), n)
+    noise.py.  An empty shape (a sine covariance of rank 0) yields n
+    empty blocks and calls no generator."""
+    size = int(np.prod(shape))
+    chunk = min(max(1, _DRAW_BYTES // (8 * size)), n) if size else n
     buf = np.empty((members, chunk) + shape)
     for lo in range(0, n, chunk):
         part = buf[:, :n - lo]
-        for row, rng in zip(part, rngs):
-            rng.standard_normal(out=row)
+        if size:
+            for row, rng in zip(part, rngs):
+                rng.standard_normal(out=row)
         yield from part.swapaxes(0, 1)
+
+
+def _twin(rng):
+    """A new generator in rng's state, which draws what rng would draw
+    without advancing it."""
+    return np.random.Generator(copy.deepcopy(rng.bit_generator))
 
 
 @dataclass(frozen=True)
@@ -231,13 +247,16 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
 
     cfg gives dt, T, implicit_nudging and blowup_guard; each cell nudges
     with its own mu (cfg.mu is not read).  Member m draws from rngs[m],
-    which the run consumes; row m of a step's block from _blocks drives
-    member m in every cell.  The reference (row 0) and the estimates
-    (group-major, then cell, then member) advance as one stack, so the
-    nonlinearity, the norms and kappa run once per step for all of them;
-    increment, G(u) dW, the observation and the Hilbert-Schmidt norm run
-    once per group.  Each estimate's numbers are bit-identical to a run
-    of it alone.  With no groups the reference steps alone.
+    which the run advances by the draws of the first group's layout
+    (q.draw_shape: on the sine grid one normal per direction of Q's rank
+    and step), and from a twin of rngs[m] for each other layout among the
+    groups; row m of a step's block from _blocks drives member m in every
+    cell of the groups of that layout.  The reference (row 0) and the
+    estimates (group-major, then cell, then member) advance as one stack,
+    so the nonlinearity, the norms and kappa run once per step for all of
+    them; increment, G(u) dW, the observation and the Hilbert-Schmidt
+    norm run once per group.  Each estimate's numbers are bit-identical
+    to a run of it alone.  With no groups the reference steps alone.
 
     record, a Record, names the series to keep and their steps.  A
     monitor runs only at those steps; as a value at step i depends only
@@ -368,8 +387,15 @@ def _lockstep(spec, cfg, groups, u0, v0, rngs, record):
     implicit = cfg.implicit_nudging
     noisy = [grp.coef.sigma > 0.0 for grp in groups]
     pulled = [any(mu > 0.0 for mu in grp.mus) for grp in groups]
-    draws = (_blocks(rngs, members, n, groups[0].q.draw_shape) if groups
-             else repeat(None, n))
+    # one block per step and draw layout: the first layout draws from
+    # rngs, each other from twins of them, so every group reads the draws
+    # it would read in a run of its own
+    shapes = list(dict.fromkeys(grp.q.draw_shape for grp in groups))
+    layout = [shapes.index(grp.q.draw_shape) for grp in groups]
+    draws = zip(*[_blocks(rngs if j == 0 else [_twin(r) for r in rngs],
+                          members, n, shape)
+                  for j, shape in enumerate(shapes)]) if groups \
+        else repeat((), n)
     # per stack row, Python floats as a scalar-mu run would form them: the
     # mu of the noise term and the factor of the pull (a cell with mu = 0
     # in a pulled group adds a zero pull)
@@ -435,13 +461,14 @@ def _lockstep(spec, cfg, groups, u0, v0, rngs, record):
 
     store(0, x)
     acc = np.zeros(1 + rows)
-    for i, block in enumerate(draws, 1):
+    for i, blocks in enumerate(draws, 1):
         rhs = x + dt * spec.f_raw(x)
         for g, grp in enumerate(groups):
             s, take = spans[g]
             if noisy[g]:
                 gdw = apply_G_raw(grp.coef, spec, x[0],
-                                  increment_from_noise(spec, grp.q, dt, block))
+                                  increment_from_noise(spec, grp.q, dt,
+                                                       blocks[layout[g]]))
                 rhs[s] += mu_col[s] * gdw[take]
             if pulled[g]:
                 # implicit: pull toward the advanced reference, so u == v

@@ -13,10 +13,15 @@ with raw arrays; a QSpec holds the covariance and the increment's scale
 1/w_H (0 off the rank), formed once with the QSpec, so a step's increment
 only pairs the draws and multiplies.
 
-The draw block consumed per step has a fixed shape, so a whole-horizon
-bulk draw slices into the same per-step increments as repeated calls;
-this is what makes vectorized Monte Carlo bit-identical to the
-single-path integrator.
+The draw block consumed per step has a fixed shape, QSpec.draw_shape,
+so a whole-horizon bulk draw slices into the same per-step increments as
+repeated calls; this is what makes vectorized Monte Carlo bit-identical
+to the single-path integrator.  On the sine grid the block holds one
+normal per direction of Q's rank K_Q, modes 1..K_Q, and no more, so it
+depends on delta but not on n: the increment is 0 above the rank, and
+at any n >= K_Q one block gives the same increment on modes 1..K_Q.  On
+the torus it holds the whole rfft layout of each stream, whatever the
+rank.
 
 The Hilbert-Schmidt norm of the pointwise kind sums over the noise
 directions.  On the torus that sum is exactly one quadratic form per
@@ -48,7 +53,11 @@ class QSpec:
     kind's Hilbert-Schmidt closed form.  form is the pointwise kind's on
     the torus: mult times the per-mode matrix M_p of _hs_form in the rfft
     layout, one array on qg and the _PAIRS entries of each block of two
-    components stacked on the vector models; None on the sine grid."""
+    components stacked on the vector models; None on the sine grid.
+    draw_shape is the shape of one step's standard-normal block: (K,) on
+    the sine grid, K = count_nonzero(lam) the rank (modes 1..K, none at
+    rank 0), and (nstreams, 2) + lam.shape on the torus, real and
+    imaginary parts of every rfft coefficient of each stream."""
     lam: np.ndarray = field(repr=False)
     inv_wh: np.ndarray = field(repr=False)
     nstreams: int = 1
@@ -72,7 +81,8 @@ def make_qspec(spec, delta=None):
     nstreams = 1 if spec.ncomp <= 2 else spec.ncomp // 2
     trace = nstreams * float(_wsum(spec, lam, lam, spec.mult))
     if spec.kind == "sine":
-        draw_shape = (spec.n,)
+        # the sine rank is a prefix of the modes 1..n, as kabs = k
+        draw_shape = (int(np.count_nonzero(lam)),)
     else:
         draw_shape = (nstreams, 2) + lam.shape
     inv_wh = np.where(lam > 0.0, 1.0 / np.where(spec.w_h == 0.0, 1.0, spec.w_h), 0.0)
@@ -120,7 +130,11 @@ def increment_from_noise(spec, q, dt, block):
         raise ValueError("dt must be positive")
     root = np.sqrt(dt)
     if spec.kind == "sine":
-        return root * q.lam * q.inv_wh * block
+        # block holds modes 1..K of Q's rank; the modes above get 0
+        k = q.draw_shape[0]
+        out = np.zeros(block.shape[:-1] + (spec.n,))
+        out[..., :k] = root * q.lam[:k] * q.inv_wh[:k] * block
+        return out
     # block axes: (..., stream, real/imaginary, N, nx)
     if spec.ncomp == 1:
         return root * _scalar_stream(spec, q, block[..., 0, :, :, :])

@@ -425,8 +425,8 @@ def hs_pointwise_per_direction(coef, spec, u, q):
 def convolution_mc_serial(spec, cfg, coef, q, probe_times, paths,
                           master_seed, chunk=500):
     """Monte Carlo variance of the stochastic convolution with every path
-    drawn in turn on the calling thread into a step-major (n, b, N)
-    buffer, then stepped as one stack; returns (var, se)."""
+    drawn in turn on the calling thread into a step-major (n, b) +
+    q.draw_shape buffer, then stepped as one stack; returns (var, se)."""
     from nudgelab.harness import member_seed
     from nudgelab.integrate import _rng_for
     from nudgelab.noise import apply_G_raw, increment_from_noise
@@ -439,10 +439,10 @@ def convolution_mc_serial(spec, cfg, coef, q, probe_times, paths,
     done = 0
     while done < paths:
         b = min(chunk, paths - done)
-        blocks = np.empty((n, b, spec.n))
+        blocks = np.empty((n, b) + q.draw_shape)
         for j in range(b):
             rng = _rng_for(member_seed(master_seed, done + j))
-            blocks[:, j, :] = rng.standard_normal((n, spec.n))
+            blocks[:, j] = rng.standard_normal((n,) + q.draw_shape)
         z = np.zeros((b, spec.n))
         for step in range(1, n + 1):
             dw = increment_from_noise(spec, q, dt, blocks[step - 1])

@@ -495,6 +495,11 @@ SWEEP_CASES = {
     "ac_weak-modal-2x2": lambda: (
         *_grid_setups("ac_weak", 16, "modal", [0.39, 0.9]), [10.0, 400.0],
         2, 3),
+    # the sine draw layout is Q's rank, floor(pi/delta): 8, 3 and 3, so
+    # the run draws two blocks a step, the last two groups sharing one
+    "ac_weak-ranks-8-3-3": lambda: (
+        *_grid_setups("ac_weak", 16, "modal", [0.39, 0.9, 1.0], T=0.2),
+        [10.0, 400.0], 2, 3),
     "nse_strong-n8-volume-3x2": lambda: (
         *_grid_setups("nse_strong", 8, "volume", [0.39, 0.8], sigma=0.02,
                       dt=1e-3, T=0.05), [10.0, 50.0, 200.0], 2, 4),
@@ -616,24 +621,26 @@ def test_sweep_rows_ignore_the_setups_own_observation(what):
 # ----------------------------------------------------- convolution variance
 
 def test_convolution_mc_single_path_bit_identical():
-    # one path is the estimate of the linear model from zero, un-nudged
+    # one path is the estimate of the linear model from zero, un-nudged,
+    # over the whole band and over a rank (6 of 8 modes) below it
     spec = build_model("ac_weak", 8, nu=1.0, linear=True)
-    q = make_qspec(spec)
     coef = make_noise_coefficient("additive", 0.2)
     cfg = StepConfig(dt=1e-2, T=0.2, mu=15.0)
     probes = [0.1, 0.2]
-    _, var, se, _ = convolution_variance_mc(spec, cfg, coef, q, probes,
-                                            paths=1, master_seed=42)
     zero = np.zeros(spec.shape)
-    z_path = simulate_pair(spec, cfg, O.blind_observation(spec), coef, q,
-                           zero, zero,
-                           member_seed(42, 0), Record((), v_path=None)).v_path
-    for i, t in enumerate(probes):
-        step = int(round(t / cfg.dt))
-        assert np.array_equal(var[i], z_path[step] ** 2)
-    # one path: m4 - var^2 vanishes up to rounding of z^4 vs (z^2)^2,
-    # and the square root turns ~eps relative residue into ~sqrt(eps)
-    assert np.all(se <= 1e-7 * np.maximum(var, 1e-30))
+    for q in (make_qspec(spec), make_qspec(spec, delta=0.5)):
+        _, var, se, _ = convolution_variance_mc(spec, cfg, coef, q, probes,
+                                                paths=1, master_seed=42)
+        z_path = simulate_pair(spec, cfg, O.blind_observation(spec), coef, q,
+                               zero, zero, member_seed(42, 0),
+                               Record((), v_path=None)).v_path
+        for i, t in enumerate(probes):
+            step = int(round(t / cfg.dt))
+            assert np.array_equal(var[i], z_path[step] ** 2)
+        assert not var[:, q.draw_shape[0]:].any()
+        # one path: m4 - var^2 vanishes up to rounding of z^4 vs (z^2)^2,
+        # and the square root turns ~eps relative residue into ~sqrt(eps)
+        assert np.all(se <= 1e-7 * np.maximum(var, 1e-30))
 
 
 def test_convolution_mc_chunking_invariant(monkeypatch):

@@ -195,16 +195,18 @@ def test_noisy_run_reproducible():
     assert not np.array_equal(a.v_final, c.v_final)
 
 
-@pytest.mark.parametrize("mid,size,shape,chunk,n", [
-    pytest.param("ac_weak", 64, (64,), 32, n, id=str(n))
-    for n in (1, 2, 2 * 32 + 5)] + [
+@pytest.mark.parametrize("mid,size,delta,shape,chunk,n", [
+    # the sine rank at delta 0.05: modes 1..62
+    pytest.param("ac_weak", 64, 0.05, (62,), 33, n, id=str(n))
+    for n in (1, 2, 2 * 33 + 3)] + [
     # two torus streams, velocity first
-    pytest.param("mhd", 8, (2, 2, 8, 5), 12, 2 * 12 + 3, id="mhd-27")])
-def test_blocks_equal_one_step_draws_in_one_buffer(mid, size, shape, chunk, n):
+    pytest.param("mhd", 8, 0.39, (2, 2, 8, 5), 12, 2 * 12 + 3, id="mhd-27")])
+def test_blocks_equal_one_step_draws_in_one_buffer(mid, size, delta, shape,
+                                                   chunk, n):
     # _blocks draws chunk steps per generator call; over n steps,
     # n % chunk != 0 included, it yields n blocks, each the one-step draws
     # of fresh generators, all views of one buffer of min(chunk, n) steps
-    assert make_qspec(build_model(mid, size), delta=0.39).draw_shape == shape
+    assert make_qspec(build_model(mid, size), delta=delta).draw_shape == shape
     assert _DRAW_BYTES // (8 * int(np.prod(shape))) == chunk
     seeds = [5, 6, 7]
     fresh = [_rng_for(s) for s in seeds]
@@ -221,17 +223,20 @@ def test_blocks_equal_one_step_draws_in_one_buffer(mid, size, shape, chunk, n):
     assert count == n and len(bases) == 1
 
 
-@pytest.mark.parametrize("mid,n,members,T", [
-    ("ac_weak", 64, 3, 0.07),    # 70 steps: two chunks of 32, then 6
-    ("mhd", 8, 2, 0.03)])        # 30 steps: two chunks of 12, then 6
-def test_draw_chunking_keeps_every_bit(monkeypatch, mid, n, members, T):
+@pytest.mark.parametrize("mid,n,members,T,delta", [
+    # 70 steps of the sine rank at delta 0.05, 62 modes: two chunks of 33,
+    # then 4
+    pytest.param("ac_weak", 64, 3, 0.07, 0.05, id="ac_weak-64-3-0.07"),
+    # 30 steps: two chunks of 12, then 6
+    pytest.param("mhd", 8, 2, 0.03, 0.39, id="mhd-8-2-0.03")])
+def test_draw_chunking_keeps_every_bit(monkeypatch, mid, n, members, T, delta):
     # a run that draws one step per generator call records every series
     # and v_final bit for bit as the default chunked run does
     spec = build_model(mid, n)
     cfg = StepConfig(dt=1e-3, T=T)
-    groups = [Group(make_observation(spec, "modal", 0.39),
+    groups = [Group(make_observation(spec, "modal", delta),
                     make_noise_coefficient("additive", 0.3),
-                    make_qspec(spec, delta=0.39), (0.0, 20.0))]
+                    make_qspec(spec, delta=delta), (0.0, 20.0))]
     chunk = _DRAW_BYTES // (8 * int(np.prod(groups[0].q.draw_shape)))
     assert cfg.nsteps > 2 * chunk and cfg.nsteps % chunk
 
@@ -248,6 +253,78 @@ def test_draw_chunking_keeps_every_bit(monkeypatch, mid, n, members, T):
         for name in SERIES + ("v_final",):
             assert np.array_equal(getattr(got, name), getattr(want, name),
                                   equal_nan=True), name
+
+
+def _next_after(seed, draws):
+    # the normal a fresh generator of seed gives after draws normals
+    rng = _rng_for(seed)
+    rng.standard_normal(draws)
+    return rng.standard_normal()
+
+
+@pytest.mark.parametrize("deltas", [(0.39,), (0.39, 0.9), (0.9, 0.39)])
+def test_a_run_draws_the_rank_of_its_first_layout(monkeypatch, deltas):
+    # a sine run draws K normals per member and step, K = floor(pi/delta);
+    # groups of another rank draw from twins of the members' generators,
+    # so the caller's generators sit at the first group's count
+    monkeypatch.setattr(I, "_cpus", lambda: 1)
+    spec = build_model("ac_weak", 16)
+    cfg = StepConfig(dt=1e-2, T=0.2)
+    groups = [Group(make_observation(spec, "modal", d),
+                    make_noise_coefficient("additive", 0.3),
+                    make_qspec(spec, delta=d), (20.0,)) for d in deltas]
+    rngs = [_rng_for(s) for s in (4, 5)]
+    simulate_members(spec, cfg, groups, random_field(spec, 0),
+                     random_field(spec, 1), rngs)
+    rank = groups[0].q.draw_shape[0]
+    assert rank == int(np.floor(np.pi / deltas[0]))
+    assert [r.standard_normal() for r in rngs] == \
+        [_next_after(s, cfg.nsteps * rank) for s in (4, 5)]
+
+
+def test_rank_zero_draws_nothing():
+    # a sine covariance of rank 0 (delta > pi) has an empty draw layout:
+    # _blocks yields empty blocks without calling a generator, and a run
+    # with it is the noiseless run, its generator left where it was
+    assert [b.shape for b in _blocks([None, None], 2, 3, (0,))] == [(2, 0)] * 3
+    spec = build_model("ac_weak", 16)
+    q = make_qspec(spec, delta=4.0)
+    assert q.draw_shape == (0,)
+    cfg = StepConfig(dt=1e-2, T=0.1)
+    finals = []
+    for sigma in (0.3, 0.0):
+        rng = _rng_for(6)
+        _, [[cell]] = simulate_members(
+            spec, cfg, [Group(make_observation(spec, "modal", 0.39),
+                              make_noise_coefficient("additive", sigma), q,
+                              (20.0,))],
+            random_field(spec, 0), random_field(spec, 1), [rng])
+        assert rng.standard_normal() == _next_after(6, 0)
+        finals.append(cell.v_final)
+    assert np.array_equal(*finals)
+
+
+@pytest.mark.parametrize("weak,strong,n", [("ac_weak", "ac_strong", 16),
+                                           ("nse_weak", "nse_strong", 8)])
+@pytest.mark.parametrize("obs", ["modal", "volume"])
+def test_formulation_pairs_are_one_dynamics(weak, strong, n, obs):
+    # the weak and strong formulations share a, F and I_delta's
+    # coefficients and differ only in their norm weights: at sigma 0, from
+    # the same arrays, they step the same estimate bit for bit, and the
+    # weak model's H error is the strong model's V* error
+    u0, v0 = (random_field(build_model(weak, n), s) for s in (1, 2))
+    cells = []
+    for mid in (weak, strong):
+        spec = build_model(mid, n)
+        group = Group(make_observation(spec, obs, 0.39),
+                      make_noise_coefficient("additive", 0.0),
+                      make_qspec(spec, delta=0.39), (50.0,))
+        _, [[cell]] = simulate_members(
+            spec, StepConfig(dt=1e-3, T=0.05), [group], u0, v0,
+            [_rng_for(3)], Record(("w_h", "w_vstar"), v_path=None))
+        cells.append(cell)
+    assert np.array_equal(cells[0].v_path, cells[1].v_path)
+    assert np.array_equal(cells[0].w_h, cells[1].w_vstar)
 
 
 @pytest.mark.parametrize("blowup_step", [None, 21])

@@ -112,6 +112,37 @@ def test_increment_and_directions_match_by_hand_bitwise(model_id, n, delta):
             O.bits(O.increment_roll(spec, q, 1e-3, b))
 
 
+@pytest.mark.parametrize("delta,rank", [(None, 32), (0.05, 32), (0.39, 8),
+                                        (0.9, 3), (4.0, 0)])
+def test_sine_draw_layout_is_the_rank(delta, rank):
+    # one normal per direction of Q's rank, modes 1..K: the increment is
+    # that of the block embedded in the whole band, with zeros above K
+    spec = build_model("ac_strong", 32)
+    q = make_qspec(spec, delta=delta)
+    assert q.draw_shape == (rank,) == (np.count_nonzero(q.lam),)
+    assert not q.lam[rank:].any()
+    block = np.random.default_rng(1).standard_normal((2,) + q.draw_shape)
+    whole = np.zeros((2, 32))
+    whole[:, :rank] = block
+    assert O.bits(increment_from_noise(spec, q, 1e-3, block)) == O.bits(
+        np.sqrt(1e-3) * q.lam * q.inv_wh * whole)
+
+
+@pytest.mark.parametrize("model_id", ["ac_weak", "ac_strong"])
+def test_sine_increments_couple_across_n(model_id):
+    # the draws no longer depend on n: one block gives n = 16 and n = 32
+    # the same increment on modes 1..K, bit for bit, and exactly 0 above
+    block = np.random.default_rng(2).standard_normal((3, 8))
+    incs = []
+    for n in (16, 32):
+        spec = build_model(model_id, n)
+        q = make_qspec(spec, delta=0.39)
+        assert q.draw_shape == (8,)
+        incs.append(increment_from_noise(spec, q, 1e-3, block))
+        assert np.all(incs[-1][:, 8:] == 0.0)
+    assert O.bits(incs[0][:, :8]) == O.bits(incs[1][:, :8])
+
+
 def test_hs_norm_closed_forms_match_assembly(all_models):
     for spec in all_models:
         q = make_qspec(spec)

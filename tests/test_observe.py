@@ -183,6 +183,25 @@ def test_interp_constant_sweep_values():
     assert ci == pytest.approx(0.31782, abs=5e-6)
 
 
+@pytest.mark.parametrize("model_id", ["ac_weak", "ac_strong", "nse_weak",
+                                      "nse_strong", "qg", "mhd"])
+def test_volume_interp_constant_under_the_cell_poincare_bound(model_id):
+    # h / pi, h the snapped cell width, is the sharp Poincare-Wirtinger
+    # constant of a cell, so C_I <= h / (pi delta) whatever the band; a
+    # torus band that holds the worst alias pair (n = 32 at delta 0.39,
+    # m = 16 cells) attains it
+    for n in (8, 16, 32):
+        spec = build_model(model_id, n)
+        for delta in (0.1, 0.2, 0.39, 0.8, 1.0):
+            op = make_observation(spec, "volume", delta)
+            bound = spec.params["domain"] / op.cells / (np.pi * delta)
+            ci = estimate_interp_constant(op, spec)
+            assert 0.0 < ci <= bound * (1 + 1e-12), (n, delta, ci, bound)
+            if spec.kind == "torus" and n == 32 and delta == 0.39:
+                assert ci == pytest.approx(bound, rel=1e-12)
+                assert ci == pytest.approx(0.3205128205128205, rel=1e-12)
+
+
 # Run in fresh interpreters: the bits of the torus volume C_I under
 # another OpenBLAS kernel, whose LAPACK takes the block norms
 BLAS_PROBE = """
