@@ -4,8 +4,9 @@
 
 Times the per-step kernels the end-to-end benchmark spends its steps in:
 the pointwise Hilbert-Schmidt monitor on qg (the torus form, one value
-per mode), on nse_strong (a 2 x 2 block per mode) and on ac_weak n=64
-(the sine grid's sum over the noise directions), the pointwise G(u) dW
+per mode), on nse_strong (a 2 x 2 block per mode), on ac_weak n=64 and
+n=256 and on ac_strong n=32 (the sine grid's transformed directions and
+one weighted sum), the pointwise G(u) dW
 of a two-member increment on qg and on ac_weak n=64, the kappa monitor
 on nse_strong, the covariance build make_qspec with its torus form on qg
 and nse_strong, each model's nonlinearity on one field, on the stack of
@@ -73,13 +74,15 @@ def test_hs_norm_sq_pointwise_qg(benchmark):
 
 @pytest.mark.parametrize("model_id,n,delta", [("nse_strong", 32, 0.39),
                                               ("ac_weak", 64, 0.39),
+                                              ("ac_weak", 256, 0.05),
                                               ("ac_strong", 32, 0.1)],
-                         ids=["nse_strong", "ac_weak", "ac_strong"])
+                         ids=["nse_strong", "ac_weak", "ac_weak_256", "ac_strong"])
 def test_hs_norm_sq_pointwise(benchmark, model_id, n, delta):
     # nse_strong: the three entries of each mode's 2 x 2 block of the
-    # torus form; ac_weak n=64 (8 directions) and ac_strong n=32 (31): the
-    # sine grid's transforms of u and of the noise directions, one product
-    # and one norm per direction
+    # torus form; ac_weak n=64 (8 directions), ac_weak n=256 (62) and
+    # ac_strong n=32 (31): the sine grid's transforms of u and of the
+    # stack of directions, their products transformed back, and one
+    # weighted sum over the stack
     spec = build_model(model_id, n)
     q = make_qspec(spec, delta=delta)
     coef = make_noise_coefficient("pointwise_multiplicative", 0.05)

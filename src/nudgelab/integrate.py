@@ -333,11 +333,9 @@ _CHUNK_STEP_WORK = 512
 
 
 def _cpus():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+    """CPUs this process may run on; called where _forkable() holds, so
+    CPU affinity is there to read."""
+    return len(os.sched_getaffinity(0))
 
 
 def _forkable():

@@ -84,8 +84,8 @@ class _Torus:
     -3, so every method also takes a stack of fields on leading axes.
     The rfft2 layout stores kx >= 0 only, so a real field's kx = 0 column
     holds conjugate pairs: row iy's partner is row mirror[iy] = (-iy) % N.
-    fix_col0, mode (the real field of one Fourier mode) and the noise
-    draws read that index; ikx and iky are the derivative multipliers.
+    fix_col0 and the noise draws read that index; ikx and iky are the
+    derivative multipliers.
     """
 
     def __init__(self, n):

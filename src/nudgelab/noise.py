@@ -27,9 +27,9 @@ The Hilbert-Schmidt norm of the pointwise kind sums over the noise
 directions.  On the torus that sum is exactly one quadratic form per
 mode, built once with the QSpec (_hs_form).  The sine models' 2n
 collocation grid is not diagonal in the sine basis: there the directions
-e_k / w_H(k) on Q's rank are formed from the QSpec at each call,
-transformed in one stack and added up in direction order, bit-identical
-to the sum taken one direction at a time.
+lambda_k e_k / w_H(k) on Q's rank are formed from the QSpec at each
+call and transformed in one stack.  Either way the norm ends in one
+weighted sum (fields._wsum).
 """
 
 from dataclasses import dataclass, field
@@ -216,11 +216,10 @@ def hs_norm_sq(coef, spec, uc, q):
     for one state u.
 
     Closed forms for the kinds that scale dW.  The pointwise kind sums
-    lambda^2 ||u . e||_H^2 over the noise directions e: on the torus as
-    one weighted sum of u against q.form, which no transform reads; on
-    the sine grid over the directions e_k / w_H(k), formed from q,
-    transformed in one stack and added up in direction order,
-    bit-identical to summing one direction at a time.
+    lambda^2 ||u . e||_H^2 over the noise directions e in one weighted
+    sum: on the torus of u against q.form, which no transform reads; on
+    the sine grid of the products u . lambda_k e_k / w_H(k), formed from
+    q and transformed in one stack, against the H weights.
     """
     if np.shape(uc) != spec.shape:
         raise ValueError(_OFF_GRID % (np.shape(uc), spec.model_id, spec.shape))
@@ -235,14 +234,10 @@ def hs_norm_sq(coef, spec, uc, q):
             rows, cols = zip(*[(i + r, i + c) for i in range(0, spec.ncomp, 2)
                                for r, c in _PAIRS])
             a, b = uc[list(rows)], uc[list(cols)]
-        return float(coef.sigma ** 2 * _wsum(spec, a, b, q.form))
-    keep = np.flatnonzero(q.lam > 0.0)
-    dirs = (np.arange(spec.n) == keep[:, None]) * q.inv_wh
-    prods = _to_grid(spec, uc) * _to_grid(spec, dirs)
-    norms = norm_raw(spec, _from_grid(spec, prods), "H")
-    total = 0.0
-    # Python floats in direction order: x ** 2 is libm pow, which an
-    # array square does not match in the last bit for every double
-    for lam, x in zip(q.lam[keep].tolist(), norms.tolist()):
-        total += lam * lam * x ** 2
-    return coef.sigma ** 2 * total
+        w = q.form
+    else:
+        keep = np.flatnonzero(q.lam > 0.0)
+        dirs = (np.arange(spec.n) == keep[:, None]) * (q.lam * q.inv_wh)
+        a = b = _from_grid(spec, _to_grid(spec, uc) * _to_grid(spec, dirs))
+        w = spec.norm_w2("H")
+    return float(coef.sigma ** 2 * _wsum(spec, a, b, w).sum())

@@ -4,11 +4,13 @@ Everything here is deliberately slow and structure-free: direct
 convolution sums over wavevectors, trigonometric product identities,
 per-cell Gauss quadrature.  None of it shares code with the package
 beyond basic array layout conventions, except hs_pointwise_per_direction,
-convolution_mc_serial, sweep_per_cell and mm_envelope_one_array, the
-one-at-a-time (or all-at-once) forms of computations the package runs in
-stacks, blocks or on threads, which must reproduce them bit for bit (the
-torus form of the Hilbert-Schmidt norm, another algorithm, matches
-hs_pointwise_per_direction to round-off), reference_only and blind_observation, which set up package runs, and
+the package's collocation taken one noise direction at a time, which the
+Hilbert-Schmidt norm matches to round-off on both grids (on the sine
+grid hs_pointwise_grid_form, from sines and cosines alone, checks it
+too), convolution_mc_serial, sweep_per_cell and mm_envelope_one_array,
+the one-at-a-time (or all-at-once) forms of computations the package
+runs in stacks, blocks or on threads, which must reproduce them bit for
+bit, reference_only and blind_observation, which set up package runs, and
 quotient and interp_constant_dense, which apply the package's observation
 to the noise directions as a dense matrix, the form the exact
 interpolation constant splits into alias-class blocks, and
@@ -420,6 +422,40 @@ def hs_pointwise_per_direction(coef, spec, u, q):
         g = _from_grid(spec, _to_grid(spec, u) * _to_grid(spec, dirc))
         total += lam * lam * norm_raw(spec, g, "H") ** 2
     return coef.sigma ** 2 * total
+
+
+def hs_pointwise_grid_form(coef, spec, u, q):
+    """Hilbert-Schmidt norm of the pointwise kind on the sine grid, in
+    closed form from sines and cosines alone.  With m = 2n, th = pi/(m+1)
+    and U_j = sum_k u_k sqrt(2) sin(k th j), the grid values of u, the
+    identity sin a sin b = (cos(a-b) - cos(a+b))/2 and the grid's exact
+    quadrature give
+        hs = sigma^2/(m+1)^2 sum_{j,j'} U_j U_j' K_w(j,j') K_c(j,j'),
+    K_f(j,j') = G_f(j-j') - G_f(j+j') and G_f(r) = sum_p f_p cos(p th r),
+    f = w_H^2 for K_w and (lam/w_H)^2 on Q's rank for K_c.  Each integer
+    multiple of th is reduced modulo 2(m+1) first, so np.sin and np.cos
+    see angles below 2 pi whatever n."""
+    n = spec.n
+    m = 2 * n
+    th = np.pi / (m + 1)
+    k = np.arange(1, n + 1)
+    j = np.arange(1, m + 1)
+
+    def angle(r):
+        return th * ((r[:, None] * k) % (2 * (m + 1)))
+
+    grid = np.sum(u * np.sqrt(2.0) * np.sin(angle(j)), axis=1)
+    lag = j[:, None] - j[None, :]
+    lead = j[:, None] + j[None, :]
+
+    def kernel(f):
+        g = np.sum(f * np.cos(angle(np.arange(2 * m + 1))), axis=1)
+        return g[np.abs(lag)] - g[lead]
+
+    wh = spec.w_h
+    c = np.where(q.lam > 0.0, (q.lam / wh) ** 2, 0.0)
+    pair = grid[:, None] * grid[None, :] * kernel(wh * wh) * kernel(c)
+    return coef.sigma ** 2 / (m + 1) ** 2 * float(np.sum(pair))
 
 
 def convolution_mc_serial(spec, cfg, coef, q, probe_times, paths,

@@ -92,12 +92,68 @@ def test_every_export_reads_its_parameters():
     assert unread == []
 
 
+def _is_norm_call(node):
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) == "norm_raw"
+
+
+def _names(target):
+    # the names an assignment or loop target binds, not those it reads
+    if isinstance(target, ast.Name):
+        return {target.id}
+    if isinstance(target, ast.Starred):
+        return _names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return set().union(*map(_names, target.elts))
+    return set()
+
+
+def _own_nodes(scope):
+    # the nodes of a module or function, not those of the functions in it
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _squared_norms(tree):
+    """Lines that raise a norm to a power: a norm_raw(...) call, a name
+    bound in the same function from an expression with such a call, or a
+    for or comprehension target over an expression that reads a norm."""
+    lines = []
+    for scope in [tree] + [node for node in ast.walk(tree) if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef))]:
+        nodes = list(_own_nodes(scope))
+        norms, grown = None, set()
+        while grown != norms:
+            norms = grown
+            grown = set(norms)
+            for node in nodes:
+                if (isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
+                        and node.value is not None
+                        and any(map(_is_norm_call, ast.walk(node.value)))):
+                    targets = getattr(node, "targets", None) or [node.target]
+                    grown |= set().union(*map(_names, targets))
+                elif (isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+                      and any(isinstance(n, ast.Name) and n.id in norms
+                              for n in ast.walk(node.iter))):
+                    grown |= _names(node.target)
+        lines += [node.lineno for node in nodes
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  and (_is_norm_call(node.left) or isinstance(node.left, ast.Name)
+                       and node.left.id in norms)]
+    return sorted(lines)
+
+
 def test_no_module_squares_a_norm():
-    """No module in the package applies ** 2 to a norm_raw(...) call: a
-    squared norm or a pairing is one fields._wsum, as sqrt(s) ** 2 need
-    not give back s.  The pattern does not catch three squares that stay on
-    purpose, since moving them moves pinned digests: noise.hs_norm_sq's
-    pointwise sum on the sine grid (lam * lam * x ** 2), the Allen-Cahn
+    """No module in the package raises a norm to a power: a squared norm
+    or a pairing is one fields._wsum, as sqrt(s) ** 2 need not give back
+    s.  Caught are ** of a norm_raw(...) call, of a name bound from one in
+    the same function, and of a loop or comprehension variable drawn from
+    such a name.  Two squares stay on purpose, since moving them moves
+    pinned digests, and the pattern does not catch them: the Allen-Cahn
     kappa monitors in models._build_ac ((w * c) ** 2) and
     harness._aggregate (w ** 2 of the recorded w_h)."""
     squared = []
@@ -106,12 +162,38 @@ def test_no_module_squares_a_norm():
             continue
         with open(os.path.join(os.path.dirname(INIT), name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        squared += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
-                    and isinstance(node.left, ast.Call)
-                    and getattr(node.left.func, "id",
-                                getattr(node.left.func, "attr", None)) == "norm_raw"]
+        squared += ["%s:%d" % (name, line) for line in _squared_norms(tree)]
     assert squared == []
+
+
+def test_the_norm_square_guard_sees_through_names_and_loops():
+    # the forms a squared norm has taken in the package, and look-alikes
+    # that square no norm
+    flagged = textwrap.dedent("""
+        def direct(spec, u):
+            return norm_raw(spec, u, "H") ** 2
+        def bound(spec, u):
+            r = 2.0 * fields.norm_raw(spec, u, "H")
+            return r ** 2
+        def looped(spec, us, lam):
+            norms = norm_raw(spec, us, "H")
+            total = 0.0
+            for l, x in zip(lam, norms.tolist()):
+                total += l * l * x ** 2
+            return total + sum(y ** 2 for y in norms)
+        """)
+    clean = textwrap.dedent("""
+        def other_function(spec, u):
+            r = norm_raw(spec, u, "H")
+            return r
+        def squares_its_own(r):
+            return r ** 2
+        def subscript_target(spec, u, a, i):
+            a[i] = norm_raw(spec, u, "H")
+            return i ** 2
+        """)
+    assert _squared_norms(ast.parse(flagged)) == [3, 6, 11, 12]
+    assert _squared_norms(ast.parse(clean)) == []
 
 
 def test_observe_uses_no_matrix_product():
