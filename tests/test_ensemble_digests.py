@@ -2,12 +2,15 @@
 
 Every model at its smallest grid, all three noise kinds, modal and volume
 observation, implicit nudging on and off, and the observation-path
-bookkeeping of member 0.  tests/data/ensemble_digests.json holds the
-sha256 of each output array as written by the release that stepped
-members one after another; any change to how members are stepped must
-reproduce them bit for bit.  The file is an oracle, not a snapshot of
-the current code: if the numbers are ever meant to change, write it anew
-at the commit whose numbers are to be pinned, and say so in CHANGES.md.
+bookkeeping of member 0, and four longer runs of nse_strong and mhd at
+n = 16 that see a one-ulp change of their nonlinearity.
+tests/data/ensemble_digests.json holds the sha256 of each output array
+as written by the release that stepped members one after another (the
+long runs by the release that added them); any change to how members
+are stepped must reproduce them bit for bit.  The file is an oracle,
+not a snapshot of the current code: if the numbers are ever meant to
+change, write it anew at the commit whose numbers are to be pinned, and
+say so in CHANGES.md.
 """
 
 import hashlib
@@ -42,6 +45,12 @@ EXTRA = (("ac_weak", 32, "additive", "volume", False),
          ("qg", 8, "pointwise_multiplicative", "volume", False),
          ("mhd", 8, "pointwise_multiplicative", "volume", False),
          ("mhd", 8, "additive", "modal", True))
+# n = 16 over 40 steps: five steps of dt 1e-3 round a one-ulp change of
+# the nonlinearity away (dt F sits far under half an ulp of the state),
+# so these are the cases that pin the bits of the torus kernels
+LONG = tuple((mid, 16, "additive", obs, False) for mid in ("nse_strong", "mhd")
+             for obs in ("modal", "volume"))
+LONG_T = 4e-2
 # The file also pins a retired kind, attractor_vanishing, whose anchor no
 # config could set: it ran as sigma ||u - 0||_H dW, the state_scaled
 # coefficient, and its digests equal those of its state_scaled twins
@@ -62,16 +71,23 @@ def _matrix():
     return cases + list(EXTRA)
 
 
+def _horizon(case):
+    return LONG_T if case in LONG else 5e-3
+
+
 def _case_id(mid, n, kind, obs, implicit):
-    return "%s-n%d-%s-%s%s" % (mid, n, kind, obs, "-implicit" if implicit else "")
+    case = (mid, n, kind, obs, implicit)
+    return "%s-n%d-%s-%s%s%s" % (mid, n, kind, obs, "-implicit" if implicit else "",
+                                 "-T%g" % LONG_T if case in LONG else "")
 
 
 def _run(mid, n, kind, obs, implicit):
     values = parse_config(
         "model.id = %s\nmodel.n = %d\nobservation.kind = %s\n"
         "noise.kind = %s\nnoise.sigma = 0.1\nnudging.mu = 20\n"
-        "nudging.implicit = %s\ntime.dt = 1e-3\ntime.T = 5e-3\n"
-        % (mid, n, obs, kind, "true" if implicit else "false"))
+        "nudging.implicit = %s\ntime.dt = 1e-3\ntime.T = %r\n"
+        % (mid, n, obs, kind, "true" if implicit else "false",
+           _horizon((mid, n, kind, obs, implicit))))
     # the observation path of member 0 is pinned for two of the kinds
     with_y = kind in ("additive", "pointwise_multiplicative")
     record = Record(SERIES) if with_y else Record()
@@ -98,7 +114,7 @@ def _digests(case):
     return out
 
 
-@pytest.mark.parametrize("case", _matrix(), ids=lambda c: _case_id(*c))
+@pytest.mark.parametrize("case", _matrix() + list(LONG), ids=lambda c: _case_id(*c))
 def test_ensemble_reproduces_pinned_digests(case):
     want = _pinned()[PINNED_AS.get(case, _case_id(*case))]
     assert _digests(case) == want
