@@ -16,11 +16,12 @@ three that a two-member run steps and on the stack of thirteen that a
 increment of a two-member qg block and of a 64-member ac_weak n=64
 one (the sine rank's draws scattered into the modes), the projection
 of a three-row qg stack, the observation of a 13-row stack (volume on
-nse_strong and ac_weak, modal on nse_strong), the dealiased advection of the torus models, the Monte
-Carlo variance of the stochastic convolution in one process and in one
-forked process per CPU, the
-lockstep loop simulate_members on a small sweep and on a 64-member and
-a 500-member ensemble, on a 256-member one and a 64-member qg n=32 one,
+nse_strong and ac_weak, modal on nse_strong), the rotational-form
+nonlinearity of nse_strong on the 7-row stack of a sweep_vol member
+chunk, the Monte Carlo variance of the stochastic convolution in one
+process and in one forked process per CPU, the lockstep loop
+simulate_members on a small sweep and on a 64-member and a 500-member
+ensemble, on a 256-member one and a 64-member qg n=32 one,
 each stepped in one process and in member chunks (one forked process per
 CPU), the noise draws of the 64 members alone through
 integrate._blocks, the measured constants (alpha,
@@ -178,10 +179,13 @@ def test_apply_observation_raw(benchmark, model_id, n, kind, delta):
     assert benchmark(apply_observation_raw, op, spec, c).shape == c.shape
 
 
-def test_torus_advect_nse_strong(benchmark):
+def test_f_raw_nse_strong_member_chunk(benchmark):
+    # the 7-row stack of sweep_vol's parent member chunk (the reference and
+    # 6 of its 12 estimates): the rotational form's 3 inverse and 2 forward
+    # transforms per call
     spec = build_model("nse_strong", 32)
-    c = random_field(spec, 1)
-    assert benchmark(spec.aux.advect, c, c).shape == spec.shape
+    c = np.stack([random_field(spec, s) for s in range(1, 8)])
+    assert benchmark(spec.f_raw, c).shape == c.shape
 
 
 @pytest.mark.parametrize("forked", [False, True],

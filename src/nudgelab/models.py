@@ -85,7 +85,10 @@ class _Torus:
     The rfft2 layout stores kx >= 0 only, so a real field's kx = 0 column
     holds conjugate pairs: row iy's partner is row mirror[iy] = (-iy) % N.
     fix_col0 and the noise draws read that index; ikx and iky are the
-    derivative multipliers.
+    derivative multipliers.  nse and mhd take (u.grad) u = grad |u|^2/2 -
+    u x curl u in rotational form: exact on the grid, the derivatives being
+    spectral, and with 3 kd <= N - 1 no product aliases into the band, so
+    the gradient's band coefficients are i k (|u|^2/2)^ and Leray removes them.
     """
 
     def __init__(self, n):
@@ -144,23 +147,24 @@ class _Torus:
         blocks = [self.leray(out[..., i:i + 2, :, :]) for i in range(0, ncomp, 2)]
         return np.concatenate(blocks, axis=-3)
 
-    def advect(self, a, b):
-        """(a . grad) b in coefficients, dealiased; a, b shape (..., 2, N, N//2+1)."""
-        a1 = self.to_grid(a[..., 0, :, :])
-        a2 = self.to_grid(a[..., 1, :, :])
-        out = np.empty_like(b)
-        for i in range(2):
-            dbx = self.to_grid(self.ikx * b[..., i, :, :])
-            dby = self.to_grid(self.iky * b[..., i, :, :])
-            out[..., i, :, :] = np.where(self.mask, self.from_grid(a1 * dbx + a2 * dby), 0.0)
-        return out
+    def curl_on_grid(self, c):
+        """Grid values of a block (..., 2, N, N//2+1) and of its curl d1 c2 - d2 c1."""
+        c1, c2 = c[..., 0, :, :], c[..., 1, :, :]
+        return (self.to_grid(c1), self.to_grid(c2),
+                self.to_grid(self.ikx * c2 - self.iky * c1))
 
 
 # ----------------------------------------------------------------------
 # nonlinearity kernels
 
 def _nse_f_raw(tor, c):
-    return tor.project_vector(-tor.advect(c, c))
+    # -P (u.grad) u = P (u2 w, -u1 w), w the vorticity
+    u1, u2, w = tor.curl_on_grid(c)
+    out = np.empty_like(c)
+    out[..., 0, :, :] = tor.from_grid(u2 * w)
+    out[..., 1, :, :] = -tor.from_grid(u1 * w)
+    del u1, u2, w               # the grids would add to the projection's peak
+    return tor.project_vector(out)
 
 
 def _qg_f_raw(tor, c):
@@ -174,14 +178,20 @@ def _qg_f_raw(tor, c):
 
 
 def _mhd_f_raw(tor, c):
-    # the velocity block carries (h.grad) h - (u.grad) u, the magnetic block
-    # the induction form (h.grad) u - (u.grad) h; this sign pattern is the
-    # one that makes the pairing against (u, h) itself vanish
-    u = c[..., 0:2, :, :]
-    h = c[..., 2:4, :, :]
-    fu = tor.advect(h, h) - tor.advect(u, u)
-    fh = tor.advect(h, u) - tor.advect(u, h)
-    return tor.project_vector(np.concatenate([fu, fh], axis=-3))
+    # the velocity block carries (h.grad) h - (u.grad) u = P (u x w - h x j),
+    # the magnetic block the induction form (h.grad) u - (u.grad) h =
+    # curl(a z), a = u1 h2 - u2 h1, for divergence-free u and h; this sign
+    # pattern is the one that makes the pairing against (u, h) itself vanish
+    u1, u2, w = tor.curl_on_grid(c[..., 0:2, :, :])
+    h1, h2, j = tor.curl_on_grid(c[..., 2:4, :, :])
+    a = tor.from_grid(u1 * h2 - u2 * h1)
+    out = np.empty_like(c)
+    out[..., 0, :, :] = tor.from_grid(u2 * w - h2 * j)
+    out[..., 1, :, :] = tor.from_grid(h1 * j - u1 * w)
+    out[..., 2, :, :] = tor.iky * a
+    out[..., 3, :, :] = -tor.ikx * a
+    del u1, u2, w, h1, h2, j, a
+    return tor.project_vector(out)
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,11 @@ bookkeeping of member 0, and four longer runs of nse_strong and mhd at
 n = 16 that see a one-ulp change of their nonlinearity.
 tests/data/ensemble_digests.json holds the sha256 of each output array
 as written by the release that stepped members one after another (the
-long runs by the release that added them); any change to how members
-are stepped must reproduce them bit for bit.  The file is an oracle,
-not a snapshot of the current code: if the numbers are ever meant to
-change, write it anew at the commit whose numbers are to be pinned, and
-say so in CHANGES.md.
+long runs by the one that took the 2D nonlinearities in rotational
+form); any change to how members are stepped must reproduce them bit
+for bit.  The file is an oracle, not a snapshot of the current code:
+if the numbers are ever meant to change, write it anew at the commit
+whose numbers are to be pinned, and say so in CHANGES.md.
 """
 
 import hashlib

@@ -88,14 +88,18 @@ def test_sin_pi_x_cube_identity():
     assert np.allclose(f, want, atol=1e-15)
 
 
+# the rotational kernels against the advective mode sums, on the band of
+# n = 8 (kd 2) and of n = 16 (kd 5)
 def test_nse_matches_convolution_oracle():
-    spec = build_model("nse_weak", 8)
-    for s in range(3):
-        u = random_field(spec, s)
-        impl = spec.f_raw(u)
-        o1, o2 = O.nse_rhs_modes(spec, u[0], u[1])
-        want = np.stack([O.to_layout(spec, o1), O.to_layout(spec, o2)])
-        assert _rel(impl, want) < 1e-12
+    for model_id in ("nse_weak", "nse_strong"):
+        for n in (8, 16):
+            spec = build_model(model_id, n)
+            for s in range(3):
+                u = random_field(spec, s)
+                impl = spec.f_raw(u)
+                o1, o2 = O.nse_rhs_modes(spec, u[0], u[1])
+                want = np.stack([O.to_layout(spec, o1), O.to_layout(spec, o2)])
+                assert _rel(impl, want) < 1e-13, (model_id, n)
 
 
 def test_qg_matches_convolution_oracle():
@@ -108,13 +112,14 @@ def test_qg_matches_convolution_oracle():
 
 
 def test_mhd_matches_convolution_oracle():
-    spec = build_model("mhd", 8)
-    for s in range(3):
-        z = random_field(spec, s)
-        impl = spec.f_raw(z)
-        parts = O.mhd_rhs_modes(spec, *z)
-        want = np.stack([O.to_layout(spec, p) for p in parts])
-        assert _rel(impl, want) < 1e-12
+    for n in (8, 16):
+        spec = build_model("mhd", n)
+        for s in range(3):
+            z = random_field(spec, s)
+            impl = spec.f_raw(z)
+            parts = O.mhd_rhs_modes(spec, *z)
+            want = np.stack([O.to_layout(spec, p) for p in parts])
+            assert _rel(impl, want) < 1e-13, n
 
 
 def test_strong_nse_projected_kernel_matches_weak():
@@ -122,6 +127,33 @@ def test_strong_nse_projected_kernel_matches_weak():
     s = build_model("nse_strong", 16)
     u = random_field(w, 5)
     assert np.allclose(w.f_raw(u), s.f_raw(u), atol=1e-15)
+
+
+@pytest.mark.parametrize("model_id,inverse,forward",
+                         [("nse_strong", 3, 2), ("mhd", 6, 3)])
+@pytest.mark.parametrize("rows", [None, 7])
+def test_torus_f_raw_transform_count(monkeypatch, model_id, inverse, forward, rows):
+    # rotational form: the grid values of each field and of its curl, one
+    # forward transform per product (and, on mhd, of a = u1 h2 - u2 h1),
+    # one call each whatever the number of rows
+    spec = build_model(model_id, 16)
+    c = random_field(spec, 1)
+    if rows is not None:
+        c = np.stack([c] * rows)
+    calls = []
+
+    def counting(name):
+        real = getattr(np.fft, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("irfft2", "rfft2"):
+        monkeypatch.setattr(np.fft, name, counting(name))
+    assert spec.f_raw(c).shape == c.shape
+    assert (calls.count("irfft2"), calls.count("rfft2")) == (inverse, forward)
 
 
 def test_advective_cancellation(all_models):
