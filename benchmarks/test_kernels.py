@@ -21,13 +21,13 @@ nonlinearity of nse_strong on the 7-row stack of a sweep_vol member
 chunk, the Monte Carlo variance of the stochastic convolution in one
 process and in one forked process per CPU, the lockstep loop
 simulate_members on a small sweep and on a 64-member and a 500-member
-ensemble, on a 256-member one and a 64-member qg n=32 one,
-each stepped in one process and in member chunks (one forked process per
-CPU), the noise draws of the 64 members alone through
-integrate._blocks, the measured constants (alpha,
-C_I, eta0) a volume sweep takes per delta and those of ac_weak n=64 with
-volume observation, verify's assumption report
-on a 1000-step run, and `import nudgelab` in a fresh interpreter.
+ensemble, on a 256-member one, a 64-member qg n=32 one and a 64-member
+one recording every member's observation path, each stepped in one
+process and in member chunks (one forked process per CPU), the noise
+draws of the 64 members alone through integrate._blocks, the measured
+constants (alpha, C_I, eta0) a volume sweep takes per delta and those of
+ac_weak n=64 with volume observation, verify's assumption report on a
+1000-step run, and `import nudgelab` in a fresh interpreter.
 pytest collects tests/ only by default, so these run only when asked for.
 
 The module pins the allocator's thresholds as the command line does
@@ -49,8 +49,8 @@ from nudgelab.cli import _pin_malloc_thresholds
 from nudgelab.harness import (_stride_idx, convolution_variance_mc,
                               measured_constants, member_seed, verify_assumptions,
                               verify_record)
-from nudgelab.integrate import (MONITORS, Group, Record, StepConfig, _blocks,
-                                _rng_for, simulate_members)
+from nudgelab.integrate import (MONITORS, SERIES, Group, Record, StepConfig,
+                                _blocks, _rng_for, simulate_members)
 from nudgelab.models import (_cube_grid, _sine_to_grid, build_model,
                              random_field)
 from nudgelab.noise import (apply_G_raw, hs_norm_sq, increment_from_noise,
@@ -229,15 +229,15 @@ def test_simulate_members_sweep_nse_strong_volume(benchmark):
                    Record(("w_h",)))
 
 
-def _ensemble_ac_weak(benchmark, members):
-    # ens_ac's stack: every monitor at every 10th step
+def _ensemble_ac_weak(benchmark, members, series=MONITORS):
+    # ens_ac's stack: every monitor (or the series given) at every 10th step
     spec = build_model("ac_weak", 64)
     cfg = StepConfig(dt=1e-3, T=0.05)
     groups = [Group(make_observation(spec, "modal", 0.39),
                     make_noise_coefficient("additive", 0.05),
                     make_qspec(spec, delta=0.39), (50.0,))]
     _bench_members(benchmark, spec, cfg, groups, members,
-                   Record(MONITORS, _stride_idx(cfg.nsteps + 1, 10)))
+                   Record(series, _stride_idx(cfg.nsteps + 1, 10)))
 
 
 def test_simulate_members_ensemble_ac_weak(benchmark):
@@ -260,6 +260,17 @@ def test_simulate_members_ensemble_ac_weak_256(benchmark, monkeypatch,
     # past ens_ac's 64 members
     monkeypatch.setattr(integrate, "_CHUNK_WORK", 1 if chunked else 10 ** 18)
     _ensemble_ac_weak(benchmark, 256)
+
+
+@pytest.mark.parametrize("chunked", [False, True],
+                         ids=["one-process", "chunked"])
+def test_simulate_members_ensemble_ac_weak_series(benchmark, monkeypatch,
+                                                   chunked):
+    # ens_ac's 64 members recording every series, each member's
+    # observation path too (output.emit_y), in one process and in member
+    # chunks: the path's per-member cost next to the monitors-only run
+    monkeypatch.setattr(integrate, "_CHUNK_WORK", 1 if chunked else 10 ** 18)
+    _ensemble_ac_weak(benchmark, 64, SERIES)
 
 
 @pytest.mark.parametrize("chunked", [False, True],

@@ -173,12 +173,12 @@ class Group:
 
 
 # the per-step series a record request can name: the monitors, then
-# member 0's observation path
+# each member's observation path
 MONITORS = ("w_h", "w_vstar", "u_h", "v_h", "hs", "kappa")
 SERIES = MONITORS + ("dy_h", "y_h")
 # a cell's fields with a member axis, and those of its group
-_PER_MEMBER = ("w_h", "w_vstar", "v_h", "v_final", "v_path")
-_PER_GROUP = ("hs", "dy_h", "y_h")
+_PER_MEMBER = ("w_h", "w_vstar", "v_h", "dy_h", "y_h", "v_final", "v_path")
+_PER_GROUP = ("hs",)
 
 # a record request: the series named (of SERIES) at the steps at, and the
 # reference's and the estimates' states at the steps u_path and v_path,
@@ -191,7 +191,8 @@ Record = namedtuple("Record", "series at u_path v_path",
 class SimResult:
     """Recorded series of one estimate, or of the reference alone (its
     v_final None): the scalar ones at times, None where the request did
-    not name them, and the states at the steps it listed for them."""
+    not name them, dy_h and y_h those of the estimate's observation path
+    dy = I_d u dt + G(u) dW, and the states at the steps it listed."""
     times: np.ndarray
     u_final: np.ndarray
     v_final: np.ndarray
@@ -210,14 +211,14 @@ class SimResult:
 @dataclass
 class CellResult(SimResult):
     """The estimates of one cell, a member axis first in w_h, w_vstar,
-    v_h, v_final and v_path; the reference's u_h, kappa, u_final and
-    u_path and the group's hs are shared, dy_h and y_h are member 0's.
-    The group's hs, dy_h and y_h depend on the reference alone; like u_h
-    and kappa they read NaN from the step the run stopped at on, a
-    reference blow-up or the end of its last estimate.  errors[m] is the
-    BlowupError that ended member m, or None; an ended member's series
-    read NaN from its blow-up on.  chunks is the number of processes
-    that stepped the run's members (see simulate_members)."""
+    v_h, dy_h, y_h, v_final and v_path, member m's dy_h and y_h from its
+    own draws; the reference's u_h, kappa, u_final and u_path and the
+    group's hs are shared.  The group's hs depends on the reference
+    alone; like u_h and kappa it reads NaN from the step the run stopped
+    at on, a reference blow-up or the end of its last estimate.
+    errors[m] is the BlowupError that ended member m, or None; an ended
+    member's series read NaN from its blow-up on.  chunks is the number
+    of processes that stepped the run's members (see simulate_members)."""
     errors: list = None
     chunks: int = 1
 
@@ -227,8 +228,6 @@ class CellResult(SimResult):
             raise self.errors[m]
         own = {f.name: getattr(self, f.name) for f in fields(SimResult)}
         own.update((f, own[f][m]) for f in _PER_MEMBER if own[f] is not None)
-        if m:
-            own.update(dy_h=None, y_h=None)
         return SimResult(**own)
 
 
@@ -258,11 +257,11 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
     norm run once per group.  Each estimate's numbers are bit-identical
     to a run of it alone.  With no groups the reference steps alone.
 
-    record, a Record, names the series to keep and their steps.  A
-    monitor runs only at those steps; as a value at step i depends only
-    on the state at step i, it has the bits of an every-step run.  The
-    blow-up accumulator and the running sum y behind dy_h, y_h run at
-    every step.
+    record, a Record, names the series to keep and their steps (integers
+    in [0, nsteps]).  A monitor runs only at those steps; as a value at
+    step i depends only on the state at step i, it has the bits of an
+    every-step run.  The blow-up accumulator and the estimates' running
+    sums y behind dy_h, y_h run at every step.
 
     A run of at least two members, _CHUNK_WORK work (estimate rows x
     stored coefficients x steps), _CHUNK_STEP_WORK of it per step and
@@ -286,13 +285,12 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
         raise ValueError("need at least one member")
     n = cfg.nsteps
     if (not set(record.series) <= set(SERIES)
-            or any(s.size and not 0 <= s[0] <= s[-1] <= n
+            or any(s.size and not (s.dtype.kind in "iu" and 0 <= s[0] <= s[-1] <= n)
                    for s in _record_steps(record, n))):
         raise ValueError("cannot record %r over %d steps" % (record, n))
     if cfg.implicit_nudging and any(grp.op.kind != "modal" for grp in groups):
         raise ValueError("implicit nudging needs a modal observation")
-    chunks = _chunks(spec, n, sum(len(grp.mus) for grp in groups), len(rngs),
-                     record)
+    chunks = _chunks(spec, n, sum(len(grp.mus) for grp in groups), len(rngs))
     if chunks == 1:
         return _lockstep(spec, cfg, groups, u0, v0, rngs, record)
     # imported only here: a run that does not fork compiles none of it
@@ -308,7 +306,7 @@ def simulate_members(spec, cfg, groups, u0, v0, rngs, record=Record()):
 
 def _record_steps(record, n):
     """The steps of record's series, u_path and v_path over n steps."""
-    return [np.arange(n + 1) if s is None else np.unique(np.asarray(s, dtype=int))
+    return [np.arange(n + 1) if s is None else np.unique(np.asarray(s))
             for s in (record.at, record.u_path, record.v_path)]
 
 
@@ -353,7 +351,7 @@ def _processes(most):
     return min(_cpus(), most) if _forkable() else 1
 
 
-def _chunks(spec, n, cells, members, record):
+def _chunks(spec, n, cells, members):
     """How many processes step a run of cells x members estimates over n
     steps (_processes): at most one per member, with at least _CHUNK_WORK
     of the estimates' work, _CHUNK_STEP_WORK of it per step and
@@ -361,10 +359,7 @@ def _chunks(spec, n, cells, members, record):
     (the fork, its copy-on-write faults, the pickled results) grows
     little with the run, what it saves grows with every row it takes,
     and every chunk repeats the reference and the per-step work of the
-    run; 1 where record names dy_h or y_h, member 0's observation path,
-    which goes on after every member of member 0's chunk has ended."""
-    if {"dy_h", "y_h"} & set(record.series):
-        return 1
+    run."""
     step = cells * members * int(np.prod(spec.shape))
     return max(1, _processes(min(members, step * n // _CHUNK_WORK,
                                  step // _CHUNK_STEP_WORK,
@@ -429,16 +424,18 @@ def _lockstep(spec, cfg, groups, u0, v0, rngs, record):
     for f, at in (("u_path", u_at), ("v_path", v_at)):
         rec[f] = np.full(lead.get(f, ()) + (len(at),) + spec.shape, np.nan,
                          dtype=spec.dtype)
-    # per group the last observation increment dy and the running sum y
-    dy = [np.zeros(spec.shape, dtype=spec.dtype)] * len(groups)
-    y = list(dy)
+    # per stack row its member's last observation increment dy and running
+    # sum y, only where the record names them (else two empty stand-ins)
+    path = bool({"dy_h", "y_h"} & rec.keys())
+    dy, y = np.zeros((2,) + x.shape, dtype=x.dtype) if path else np.empty((2, 0))
 
     def store(i, x):
         j = slot.get(i)
         if j is not None:
             wc = x[0] - x[1:]
             for f, z, space in (("w_h", wc, "H"), ("w_vstar", wc, "Vstar"),
-                                ("v_h", x[1:], "H")):
+                                ("v_h", x[1:], "H"), ("dy_h", dy[1:], "H"),
+                                ("y_h", y[1:], "H")):
                 if f in rec:
                     rec[f][live, j] = norm_raw(spec, z, space)[live]
             if "u_h" in rec:
@@ -449,9 +446,6 @@ def _lockstep(spec, cfg, groups, u0, v0, rngs, record):
                 if "hs" in rec:
                     rec["hs"][g, j] = (hs_norm_sq(grp.coef, spec, x[0], grp.q)
                                        if noisy[g] else 0.0)
-                for f, z in (("dy_h", dy[g]), ("y_h", y[g])):
-                    if f in rec:
-                        rec[f][g, j] = norm_raw(spec, z, "H")
         if i in u_at:
             rec["u_path"][u_at[i]] = x[0]
         if i in v_at:
@@ -475,12 +469,12 @@ def _lockstep(spec, cfg, groups, u0, v0, rngs, record):
                 # rounds exactly like subtracting dt*mu*x
                 gap = rhs[0] * inv_ref if implicit else x[s] - x[0]
                 rhs[s] += pull_col[s] * apply_observation_raw(grp.op, spec, gap)
-            if {"dy_h", "y_h"} & rec.keys():
-                # dy = I_delta u dt + G(u) dW (the noise term carries no mu)
-                dy[g] = dt * apply_observation_raw(grp.op, spec, x[0])
+            if path:
+                # dy = I_delta u dt + G(u) dW_m (the noise term carries no mu)
+                dy[s] = dt * apply_observation_raw(grp.op, spec, x[0])
                 if noisy[g]:
-                    dy[g] = dy[g] + gdw[0]
-                y[g] = y[g] + dy[g]
+                    dy[s] += gdw[take]
+                y[s] += dy[s]
         x = rhs * inv
         t = i * dt
         acc += dt * _wsum(spec, x, x, spec.norm_w2("V"))

@@ -21,8 +21,8 @@ import nudgelab.integrate as I
 from nudgelab.fields import _wsum
 from nudgelab.harness import (RunSetup, convolution_variance_mc, member_seed,
                               run_ensemble, sweep)
-from nudgelab.integrate import (MONITORS, SERIES, BlowupError, CellResult,
-                                Group, Record, StepConfig, _rng_for,
+from nudgelab.integrate import (SERIES, BlowupError, CellResult, Group,
+                                Record, StepConfig, _rng_for,
                                 simulate_members)
 from nudgelab.models import build_model, random_field
 from nudgelab.noise import make_noise_coefficient, make_qspec
@@ -32,8 +32,9 @@ pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")),
     reason="member chunks fork, on Linux only")
 
-# every series that lets a run fork, at every step, and every state
-EVERYTHING = Record(MONITORS, None, None, None)
+# every series, the observation path's included, at every step, and
+# every state
+EVERYTHING = Record(SERIES, None, None, None)
 
 
 @pytest.fixture
@@ -203,7 +204,7 @@ def test_no_more_chunks_than_cpus_or_members(forks):
         _, [[cell]] = _run(spec, cfg, groups, random_field(spec, 0),
                            random_field(spec, 1), range(members))
         assert cell.chunks == min(cpus, members)
-        assert I._chunks(spec, cfg.nsteps, 1, members, Record()) <= cpus
+        assert I._chunks(spec, cfg.nsteps, 1, members) <= cpus
     assert len(forks) == sum(min(cpus, m) - 1 for m in (1, 2, 3, 64))
     _no_child_left()
 
@@ -215,42 +216,42 @@ def test_size_rule_keeps_small_runs_in_process(monkeypatch):
     spec = build_model("qg", 32)
     assert spec.shape == (32, 17)
     # mult_qg: two members of qg n=32 over 50 steps, 54,400
-    assert I._chunks(spec, 50, 1, 2, Record()) == 1
+    assert I._chunks(spec, 50, 1, 2) == 1
     # the same two members over 300 and 3000 steps, 326,400 and 3,264,000:
     # enough work for two or more chunks, but one estimate row each
-    assert I._chunks(spec, 50 * 6, 1, 2, Record()) == 1
-    assert I._chunks(spec, 50 * 60, 1, 2, Record()) == 1
+    assert I._chunks(spec, 50 * 6, 1, 2) == 1
+    assert I._chunks(spec, 50 * 60, 1, 2) == 1
     # four members over 300 steps: two chunks of two rows
-    assert I._chunks(spec, 50 * 6, 1, 4, Record()) == 2
+    assert I._chunks(spec, 50 * 6, 1, 4) == 2
     # ens_ac: 64 members of ac_weak n=64 over 250 steps, 1,024,000
-    assert I._chunks(build_model("ac_weak", 64), 250, 1, 64, Record()) == 6
+    assert I._chunks(build_model("ac_weak", 64), 250, 1, 64) == 6
     # sweep_vol: a 3 x 2 grid of two members of nse_strong n=32 over 125
     # steps, 1,632,000, six rows a chunk on two CPUs; there ens_ac keeps
     # two chunks and mult_qg one
     monkeypatch.setattr(I, "_cpus", lambda: 2)
-    assert I._chunks(build_model("nse_strong", 32), 125, 6, 2, Record()) == 2
-    assert I._chunks(build_model("ac_weak", 64), 250, 1, 64, Record()) == 2
-    assert I._chunks(spec, 50, 1, 2, Record()) == 1
+    assert I._chunks(build_model("nse_strong", 32), 125, 6, 2) == 2
+    assert I._chunks(build_model("ac_weak", 64), 250, 1, 64) == 2
+    assert I._chunks(spec, 50, 1, 2) == 1
     # the rule also counts work per step: 4, 6 and 8 members of ac_weak
     # n=64 over 1500 steps (384,000 to 768,000) hold 128 to 256 stored
     # coefficients a step per process, 16 members 512
     ac = build_model("ac_weak", 64)
     for members in (4, 6, 8):
-        assert I._chunks(ac, 1500, 1, members, Record()) == 1
-    assert I._chunks(ac, 1500, 1, 16, Record()) == 2
+        assert I._chunks(ac, 1500, 1, members) == 1
+    assert I._chunks(ac, 1500, 1, 16) == 2
     # and over all steps: ens_ac's 64 members over 10 and 25 steps hold
     # 2048 a step per process, but 40,960 and 102,400 in all
-    assert I._chunks(ac, 10, 1, 64, Record()) == 1
-    assert I._chunks(ac, 25, 1, 64, Record()) == 1
+    assert I._chunks(ac, 10, 1, 64) == 1
+    assert I._chunks(ac, 25, 1, 64) == 1
 
 
-def test_observation_path_or_another_thread_keeps_one_process(forks):
-    # member 0's dy_h and y_h go on after its chunk ends, and a fork
-    # copies no thread but the caller's
+def test_observation_path_forks_and_another_thread_keeps_one_process(
+        monkeypatch, forks):
+    # a fork copies no thread but the caller's; each member's dy_h and
+    # y_h are its own series, so a run recording them forks like any
+    # other, with every array of the one-process run
     spec, cfg, groups = _ensemble()
     u0, v0 = random_field(spec, 0), random_field(spec, 1)
-    _, [[cell]] = _run(spec, cfg, groups, u0, v0, range(4), Record(SERIES))
-    assert cell.chunks == 1
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, args=(60,))
     other.start()
@@ -261,6 +262,14 @@ def test_observation_path_or_another_thread_keeps_one_process(forks):
         other.join(60)
     assert not other.is_alive()
     assert cell.chunks == 1 and forks == []
+    monkeypatch.setattr(I, "_cpus", lambda: 2)
+    args = (spec, cfg, groups, u0, v0, range(4), Record(SERIES))
+    want = _one_process(monkeypatch, lambda: _run(*args))
+    got = _run(*args)
+    assert len(forks) == 1
+    _no_child_left()
+    _assert_same_run(got, want, 2)
+    assert got[1][0][0].y_h.shape == (4, cfg.nsteps + 1)
 
 
 def test_ensemble_and_sweep_leave_no_child(forks):

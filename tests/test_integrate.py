@@ -15,7 +15,7 @@ from nudgelab.noise import hs_norm_sq, make_noise_coefficient, make_qspec
 from nudgelab.observe import make_observation
 
 
-# every scalar series, and member 0's observation path
+# every scalar series, each member's observation path among them
 WITH_Y = Record(SERIES)
 
 
@@ -82,7 +82,8 @@ def test_one_nonlinearity_call_per_step(monkeypatch):
     ("nse_weak", 8, "state_scaled", "modal", False, (0.8, 1.6))])
 def test_grouped_members_equal_solo_runs(mid, n, kind, obs, implicit, deltas):
     # two observation scales, mu = 0 among the cells: every estimate of
-    # the grouped run, and its group's monitors, equal its run alone
+    # the grouped run, its observation path and its group's monitors,
+    # equal its run alone
     spec = build_model(mid, n)
     cfg = StepConfig(dt=1e-3, T=0.03, implicit_nudging=implicit)
     p = 0.5 if kind == "additive" else 0.0
@@ -101,8 +102,7 @@ def test_grouped_members_equal_solo_runs(mid, n, kind, obs, implicit, deltas):
                 got = cell.member(m)
                 solo = simulate_pair(spec, StepConfig(
                     dt=cfg.dt, T=cfg.T, mu=mu, implicit_nudging=implicit),
-                    grp.op, grp.coef, grp.q, u0, v0, seeds[m],
-                    WITH_Y if m == 0 else Record())
+                    grp.op, grp.coef, grp.q, u0, v0, seeds[m], WITH_Y)
                 for name in ("w_h", "w_vstar", "u_h", "v_h", "hs", "kappa",
                              "v_final", "dy_h", "y_h"):
                     want = getattr(solo, name)
@@ -140,12 +140,21 @@ def test_record_request_keeps_exactly_the_listed_steps():
     bare = simulate_pair(spec, cfg, op, coef, q, u0, v0, 4, Record((), ()))
     assert bare.times.size == 0 and bare.w_h is None and bare.u_path.size == 0
     assert np.array_equal(bare.v_final, every.v_final)
+    # a range asks for what its list asks for, an empty list for nothing
+    ranged = simulate_pair(spec, cfg, op, coef, q, u0, v0, 4,
+                           Record(SERIES, range(0, 31, 10), []))
+    for name in SERIES:
+        assert np.array_equal(getattr(ranged, name), getattr(every, name)[::10])
+    assert ranged.u_path.size == 0
 
 
 @pytest.mark.parametrize("record", [
     Record(at=[0, 31]),                   # past the last step
     Record(u_path=[-1]),
     Record(v_path=[31]),
+    Record(at=[0.5, 2.7]),                # not whole steps
+    Record(u_path=np.array([1.0])),
+    Record(v_path=[True]),
     Record(("w_H",))])                    # no such series
 def test_record_request_refuses_what_it_cannot_record(record):
     spec, op, q, coef, cfg = _setup(T=0.3)
@@ -331,7 +340,8 @@ def test_formulation_pairs_are_one_dynamics(weak, strong, n, obs):
 def test_hs_is_the_monitor_of_each_recorded_state(blowup_step):
     # each group's hs at a recorded step is hs_norm_sq of the reference
     # state recorded there, bit for bit (0 on a noiseless group), and a
-    # reference blow-up at step 21 leaves hs, dy_h and y_h NaN from it on
+    # reference blow-up at step 21 leaves hs and every member's dy_h and
+    # y_h NaN from it on
     spec = build_model("qg", 8)
     cfg = StepConfig(dt=1e-3, T=0.04)
     # estimates from 0 stay under the reference's accumulator
@@ -360,10 +370,12 @@ def test_hs_is_the_monitor_of_each_recorded_state(blowup_step):
         want = [hs_norm_sq(grp.coef, spec, u, grp.q) for u in cell.u_path[:end]]
         assert cell.hs[:end].tolist() == want
         assert (cell.hs[:end] > 0.0).all() == (grp.coef.sigma > 0.0)
-        assert cell.dy_h[0] == cell.y_h[0] == 0.0
-        assert (cell.y_h[1:end] > 0.0).all()
-        for name in ("hs", "dy_h", "y_h", "u_h"):
+        assert (cell.dy_h[:, 0] == 0.0).all() and (cell.y_h[:, 0] == 0.0).all()
+        assert (cell.y_h[:, 1:end] > 0.0).all()
+        for name in ("hs", "u_h"):
             assert np.isnan(getattr(cell, name)[end:]).all(), name
+        for name in ("dy_h", "y_h"):
+            assert np.isnan(getattr(cell, name)[:, end:]).all(), name
 
 
 def test_emit_y_bookkeeping():
@@ -412,8 +424,9 @@ def test_guard_catches_nan():
 
 def test_blown_up_estimates_rest_in_a_stack_of_one_shape(monkeypatch):
     # dt * mu = 5 blows the second group's estimates up at step 4; they
-    # rest at 0 in their rows, and the group's monitors, which read only
-    # the reference, go on as the live group's
+    # rest at 0 in their rows, the group's hs, which reads only the
+    # reference, goes on as the live group's, and each member's
+    # observation path is the live group's member's until its blow-up
     spec, op, q, _, _ = _setup()
     coef = make_noise_coefficient("state_scaled", 0.3)
     cfg = StepConfig(dt=1e-2, T=0.1, blowup_guard=1e8)
@@ -427,8 +440,11 @@ def test_blown_up_estimates_rest_in_a_stack_of_one_shape(monkeypatch):
     assert calls == [(5,) + spec.shape] * cfg.nsteps
     assert live.errors == [None, None]
     assert [e.step for e in dead.errors] == [4, 4]
-    for name in ("hs", "dy_h", "y_h"):
-        assert np.array_equal(getattr(dead, name), getattr(live, name)), name
+    assert np.array_equal(dead.hs, live.hs)
+    for name in ("dy_h", "y_h"):
+        got, want = getattr(dead, name), getattr(live, name)
+        assert np.array_equal(got[:, :4], want[:, :4]), name
+        assert np.isnan(got[:, 4:]).all() and not np.isnan(want).any(), name
     assert np.all(dead.hs > 0.0)
     assert not np.isnan(dead.w_h[:, :4]).any()
     assert np.isnan(dead.w_h[:, 4:]).all()
